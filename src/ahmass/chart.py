@@ -103,14 +103,12 @@ def from_cartesian(x: np.ndarray) -> np.ndarray:
     coords = np.empty((npts, n))
     coords[:, 0] = r
     rev = x[:, ::-1]  # rev[:, k] = x_{n-k}
-    tail = np.sqrt(np.cumsum(rev[:, ::-1] ** 2, axis=1))[:, ::-1]  # |(x_{n-k},...,x_1)| tails
     for k in range(n - 2):
         # tail norm of components strictly after x_{n-k} in the recursion
         rem = np.sqrt(np.sum(rev[:, k + 1:] ** 2, axis=1))
         coords[:, 1 + k] = np.arctan2(rem, rev[:, k])
     az = np.arctan2(rev[:, n - 1], rev[:, n - 2])
     coords[:, n - 1] = np.mod(az, 2.0 * np.pi)
-    _ = tail
     return coords[0] if single else coords
 
 
@@ -131,13 +129,6 @@ def unit_vector_jets(coords: np.ndarray) -> list[Jet]:
     running = sin_j[n - 2] if running is None else running * sin_j[n - 2]
     comps[0] = running
     return comps
-
-
-def cartesian_jets(coords: np.ndarray) -> list[Jet]:
-    """Jets of the Cartesian coordinate functions x_i over the chart."""
-    coords = as_coords(coords)
-    r = coordinate_jets(coords)[0]
-    return [r * u for u in unit_vector_jets(coords)]
 
 
 # -- trig monomials: closed-form angular derivatives of the unit components ----

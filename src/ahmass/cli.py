@@ -141,13 +141,14 @@ def _radii(numeric, default=(20.0, 200.0, 8)):
         return np.geomspace(lo, hi, count)
     if isinstance(doc, list):
         arr = np.asarray([float(v) for v in doc])
-        if arr.size < 3 or np.any(np.diff(arr) <= 0):
-            raise SchemaError("radii list must be >= 3 strictly increasing values")
-        return arr
-    if isinstance(doc, dict):
+    elif isinstance(doc, dict):
         _require_keys(doc, {"min", "max", "count"}, "numeric.radii")
-        return np.geomspace(float(doc["min"]), float(doc["max"]), int(doc["count"]))
-    raise SchemaError("radii must be a list or {min, max, count}")
+        arr = np.geomspace(float(doc["min"]), float(doc["max"]), int(doc["count"]))
+    else:
+        raise SchemaError("radii must be a list or {min, max, count}")
+    if arr.size < 3 or np.any(np.diff(arr) <= 0):
+        raise SchemaError("radii must be >= 3 strictly increasing values")
+    return arr
 
 
 def _tol(numeric, key):

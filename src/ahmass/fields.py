@@ -1,10 +1,10 @@
 """Scalar and symmetric 2-tensor fields with chart derivatives.
 
-Fields either carry exact jets (assembled from the jet algebra) or wrap a
-plain callable and differentiate it by nested central differences with the
-step rule delta_r = 1e-5 * (1 + r) in the radial coordinate and 1e-5 in the
-angles.  Tensor fields expose ``component_arrays(coords) -> (h, dh, ddh)``
-with the same index layout as metric families.
+Fields either carry exact jets (built with the jet algebra) or wrap a plain
+callable and differentiate it by nested central differences with the step
+rule delta_r = 1e-5 * (1 + r) in the radial coordinate and 1e-5 in the
+angles.  Tensor fields expose ``component_arrays(coords)``, a tensor ``Jet``
+unpacked as ``h, dh, ddh`` with the same index layout as metric families.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import jets as J
-from .chart import as_coords, unit_vector_jets
+from .chart import as_coords, chart_jacobian_jets, unit_vector_jets
 
 FD_ANGLE_STEP = 1e-5
 FD_RADIAL_SCALE = 1e-5
@@ -188,40 +188,17 @@ def profile_from_dict(doc: dict) -> RadialProfile:
 # -- symmetric 2-tensor fields ---------------------------------------------------
 
 class SymmetricTensorField:
-    """Base: symmetric 2-tensor with chart components and two derivatives."""
+    """Symmetric 2-tensor field backed by a tensor-jet function of coordinate rows."""
 
     analytic = True
-    support = None
 
-    def component_arrays(self, coords):
-        raise NotImplementedError
-
-    def describe(self):
-        return {"kind": "callable"}
-
-
-class JetTensorField(SymmetricTensorField):
-    """Components given as jet functions in a dict {(i, j): fn(coords) -> Jet}."""
-
-    def __init__(self, n: int, jet_entries: dict, support=None, description=None):
-        self.n = n
-        self.entries = jet_entries
+    def __init__(self, jet_fn, support=None, description=None):
+        self._jet_fn = jet_fn
         self.support = support
-        self._description = description or {"kind": "jet_components"}
+        self._description = description or {"kind": "callable"}
 
-    def component_arrays(self, coords):
-        coords = as_coords(coords)
-        npts, n = coords.shape
-        h = np.zeros((npts, n, n))
-        dh = np.zeros((npts, n, n, n))
-        ddh = np.zeros((npts, n, n, n, n))
-        for (i, k), fn in self.entries.items():
-            jet = fn(coords)
-            for a, b in ((i, k), (k, i)) if i != k else ((i, k),):
-                h[:, a, b] = jet.val
-                dh[:, :, a, b] = jet.grad
-                ddh[:, :, :, a, b] = jet.hess
-        return h, dh, ddh
+    def component_arrays(self, coords) -> J.Jet:
+        return self._jet_fn(as_coords(coords))
 
     def describe(self):
         return self._description
@@ -231,69 +208,16 @@ class ScaledMetricField(SymmetricTensorField):
     """h = u * g for a scalar field u and metric spec g (used by trace identities)."""
 
     def __init__(self, spec, u: ScalarField):
-        self.spec = spec
-        self.u = u
-        self.support = u.support
-
-    def component_arrays(self, coords):
-        coords = as_coords(coords)
-        g, dg, ddg = self.spec.component_jets(coords)
-        jet = self.u.jet(coords)
-        v, gr, he = jet.val, jet.grad, jet.hess
-        # d_a (u g_ij) = u_a g_ij + u g_ij,a and the symmetric product rule above it
-        h = v[:, None, None] * g
-        dh = v[:, None, None, None] * dg + gr[:, :, None, None] * g[:, None]
-        ddh = (he[:, :, :, None, None] * g[:, None, None]
-               + np.einsum("pa,pbij->pabij", gr, dg)
-               + np.einsum("pb,paij->pabij", gr, dg)
-               + v[:, None, None, None, None] * ddg)
-        return h, dh, ddh
-
-
-class ScaledTensorField(SymmetricTensorField):
-    """Constant multiple of another tensor field."""
-
-    def __init__(self, base: SymmetricTensorField, scale: float):
-        self.base = base
-        self.scale = float(scale)
-        self.support = base.support
-        self.analytic = base.analytic
-
-    def component_arrays(self, coords):
-        h, dh, ddh = self.base.component_arrays(coords)
-        return self.scale * h, self.scale * dh, self.scale * ddh
-
-    def describe(self):
-        return {"kind": "scaled", "scale": self.scale, "base": self.base.describe()}
-
-
-class MetricDeviationField(SymmetricTensorField):
-    """h = g - g0 as a tensor field (both metric specs on the same chart)."""
-
-    def __init__(self, spec, base_spec):
-        self.spec = spec
-        self.base = base_spec
-
-    def component_arrays(self, coords):
-        coords = as_coords(coords)
-        g, dg, ddg = self.spec.component_jets(coords)
-        g0, dg0, ddg0 = self.base.component_jets(coords)
-        return g - g0, dg - dg0, ddg - ddg0
+        super().__init__(lambda c: u.jet(c) * spec.component_jets(c), support=u.support)
 
 
 class FrameComponentField(SymmetricTensorField):
-    """Tensor given by frame components kappa(e_i, e_j) as jet functions.
+    """Tensor given by its frame components kappa(e_i, e_j) as a tensor jet.
 
     Chart components are h_ab = kappa_ab / (c_a c_b) with the background frame
     coefficients; the reciprocal coefficients 1/c_1 = (1+r^2)^(-1/2) and
-    1/c_{k+1} = r prod_{j<k} sin(theta_j) are assembled as jets.
+    1/c_{k+1} = r prod_{j<k} sin(theta_j) are built as jets.
     """
-
-    def __init__(self, n: int, kappa_entries: dict, support=None, description=None):
-        self.n = n
-        self.entries = kappa_entries
-        self.support = support
-        self._description = description or {"kind": "frame_components"}
 
     @staticmethod
     def _inv_frame_jets(coords):
@@ -309,21 +233,8 @@ class FrameComponentField(SymmetricTensorField):
 
     def component_arrays(self, coords):
         coords = as_coords(coords)
-        npts, n = coords.shape
-        inv = self._inv_frame_jets(coords)
-        h = np.zeros((npts, n, n))
-        dh = np.zeros((npts, n, n, n))
-        ddh = np.zeros((npts, n, n, n, n))
-        for (i, k), fn in self.entries.items():
-            jet = fn(coords) * inv[i] * inv[k]
-            for a, b in ((i, k), (k, i)) if i != k else ((i, k),):
-                h[:, a, b] = jet.val
-                dh[:, :, a, b] = jet.grad
-                ddh[:, :, :, a, b] = jet.hess
-        return h, dh, ddh
-
-    def describe(self):
-        return self._description
+        inv = J.stack(self._inv_frame_jets(coords))
+        return self._jet_fn(coords) * J.contract("a,b->ab", inv, inv)
 
 
 class FiniteDifferenceTensorField(SymmetricTensorField):
@@ -370,10 +281,7 @@ class FiniteDifferenceTensorField(SymmetricTensorField):
                          - ev({a: -1, b: 1}) + ev({a: -1, b: -1})) / (4.0 * da * db)
                 ddh[:, a, b] = mixed
                 ddh[:, b, a] = mixed
-        return f0, dh, ddh
-
-    def describe(self):
-        return self._description
+        return J.Jet(f0, dh, ddh)
 
 
 class AxisConcentratedPerturbation(FrameComponentField):
@@ -392,17 +300,19 @@ class AxisConcentratedPerturbation(FrameComponentField):
         self.axis, self.amp, self.rate = axis, float(amp), float(rate)
         self.width, self.onset = float(width), float(onset)
 
-        def kappa11(coords):
+        def kappa(coords):
             r = J.coordinate_jets(coords)[0]
             u = unit_vector_jets(coords)
             dot = sum((axis[i] * u[i] for i in range(n)), J.constant(0.0, *coords.shape))
             radial = J.smooth_switch(r, onset) * (r ** (-rate)) * amp
-            return radial * J.jexp((dot - 1.0) * width)
+            k11 = radial * J.jexp((dot - 1.0) * width)
+            zero = J.constant(0.0, *coords.shape)
+            return J.stack([[k11 if i == k == 0 else zero for k in range(n)]
+                            for i in range(n)])
 
-        super().__init__(n, {(0, 0): kappa11},
-                         description={"kind": "axis_bump", "axis": list(axis),
-                                      "amp": amp, "rate": rate, "width": width,
-                                      "onset": onset})
+        super().__init__(kappa, description={"kind": "axis_bump", "axis": list(axis),
+                                             "amp": amp, "rate": rate, "width": width,
+                                             "onset": onset})
 
     def rotated(self, R: np.ndarray) -> "AxisConcentratedPerturbation":
         return AxisConcentratedPerturbation(len(self.axis), R @ self.axis,
@@ -413,44 +323,16 @@ class AxisConcentratedPerturbation(FrameComponentField):
 class CartesianTensorField(SymmetricTensorField):
     """Tensor prescribed by Cartesian components H_cd(x), pulled back to the chart.
 
-    Chart components are h_ab = sum_cd (dx_c/da)(dx_d/db) H_cd; the Jacobian
-    jets come from closed-form trig monomials, so a field smooth in Cartesian
-    terms stays smooth across the chart poles.
+    Chart components are h_ab = J_ac J_bd H_cd with J_ac = dx_c/d(chart_a); the
+    Jacobian jets come from closed-form trig monomials, so a field smooth in
+    Cartesian terms stays smooth across the chart poles.
     """
 
-    def __init__(self, n: int, entries: dict, support=None, description=None):
-        self.n = n
-        self.entries = entries  # {(c, d): fn(coords) -> Jet}, c <= d
-        self.support = support
-        self._description = description or {"kind": "cartesian_components"}
-
     def component_arrays(self, coords):
-        from .chart import chart_jacobian_jets
         coords = as_coords(coords)
-        npts, n = coords.shape
-        jac = chart_jacobian_jets(coords)
-        h = np.zeros((npts, n, n))
-        dh = np.zeros((npts, n, n, n))
-        ddh = np.zeros((npts, n, n, n, n))
-        H = {}
-        for (c, d), fn in self.entries.items():
-            H[(c, d)] = fn(coords)
-        for a in range(n):
-            for b in range(a, n):
-                total = None
-                for (c, d), jet in H.items():
-                    term = jac[a][c] * jac[b][d] * jet
-                    if c != d:
-                        term = term + jac[a][d] * jac[b][c] * jet
-                    total = term if total is None else total + term
-                for i, k in ((a, b), (b, a)) if a != b else ((a, b),):
-                    h[:, i, k] = total.val
-                    dh[:, :, i, k] = total.grad
-                    ddh[:, :, :, i, k] = total.hess
-        return h, dh, ddh
-
-    def describe(self):
-        return self._description
+        jac = J.stack(chart_jacobian_jets(coords))
+        return J.contract("ac,bc->ab", jac,
+                          J.contract("bd,cd->bc", jac, self._jet_fn(coords)))
 
 
 def random_compact_tensor(rng, n: int, r_lo: float, r_hi: float,
@@ -464,20 +346,20 @@ def random_compact_tensor(rng, n: int, r_lo: float, r_hi: float,
     coeff = rng.uniform(-1, 1, size=(n, n))
     coeff = 0.5 * (coeff + coeff.T)
     lin = rng.uniform(-1, 1, size=(n, n, n))
+    # H_cd = coeff_cd + lin_cdq x_q/r for c <= d, mirrored below the diagonal
+    lin = np.where(np.triu(np.ones((n, n), bool))[:, :, None], lin,
+                   lin.transpose(1, 0, 2))
+    weights = np.concatenate([coeff[:, :, None], lin], axis=2)
 
-    entries = {}
-    for c in range(n):
-        for d in range(c, n):
-            def fn(coords, c=c, d=d):
-                r = J.coordinate_jets(coords)[0]
-                u = unit_vector_jets(coords)
-                ang = J.constant(coeff[c, d], *coords.shape)
-                for q in range(n):
-                    ang = ang + lin[c, d, q] * u[q]
-                return (poly_bump_jet(r, r_lo, r_hi) * ang * amplitude
-                        * (1.0 + r * r).reciprocal())
-            entries[(c, d)] = fn
-    return CartesianTensorField(n, entries, support=(r_lo, r_hi),
+    def H(coords):
+        r = J.coordinate_jets(coords)[0]
+        radial = poly_bump_jet(r, r_lo, r_hi) * amplitude * (1.0 + r * r).reciprocal()
+        basis = J.stack([J.constant(1.0, *coords.shape), *unit_vector_jets(coords)])
+        # a constant linear map acts on each derivative order alike
+        return J.Jet(*(np.einsum("...q,cdq->...cd", x, weights)
+                       for x in radial * basis))
+
+    return CartesianTensorField(H, support=(r_lo, r_hi),
                                 description={"kind": "random_cartesian_bump"})
 
 
@@ -487,8 +369,12 @@ def perturbation_from_dict(doc: dict, n: int) -> SymmetricTensorField:
         extra = set(doc) - {"kind", "axis", "amp", "rate", "width", "onset"}
         if extra:
             raise ValueError(f"unknown perturbation keys: {sorted(extra)}")
+        axis = np.asarray(doc["axis"], dtype=float)
+        if axis.shape != (n,) or not np.all(np.isfinite(axis)) or not np.any(axis):
+            raise ValueError(f"axis_bump axis must be {n} finite numbers, not all "
+                             f"zero; got {doc['axis']!r}")
         return AxisConcentratedPerturbation(
-            n, np.asarray(doc["axis"], dtype=float), float(doc.get("amp", 1e-2)),
+            n, axis, float(doc.get("amp", 1e-2)),
             float(doc.get("rate", 2.5)), float(doc.get("width", 6.0)),
             float(doc.get("onset", 4.0)))
     raise ValueError(f"unknown perturbation kind {kind!r}")

@@ -49,11 +49,6 @@ def unit_radial_direction(spec: MetricSpec, point) -> np.ndarray:
     return v
 
 
-def metric_norm(spec: MetricSpec, point, v) -> float:
-    g = spec.components(as_coords(point))[0]
-    return float(np.sqrt(v @ g @ v))
-
-
 def _fan_rhs(spec: MetricSpec, n: int, n_seeds: int, k_extra: int):
     width = n * (2 + k_extra)
     radial_chart = spec.exterior_chart

@@ -1,30 +1,37 @@
-"""Batched second-order jets: function values with exact gradients and Hessians.
+"""Batched second-order jets: values with exact gradients and Hessians.
 
-Every analytic field in the toolkit (metric components, static potentials,
-bump perturbations) is assembled from jets, so chart derivatives up to second
-order come from the chain rule at machine precision instead of finite
-differences.  A ``Jet`` holds arrays of shape ``(N,)``, ``(N, dim)``, and
-``(N, dim, dim)`` for a batch of N evaluation points.
+Every analytic quantity in the toolkit (metric components, tensor fields,
+static potentials, bump perturbations) is a ``Jet``, so chart derivatives up
+to second order come from the chain rule at machine precision instead of
+finite differences.  For a batch of N points and a value of tensor shape S
+(``S = ()`` for scalars) the layout is
+
+    val[p, *S],   grad[p, a, *S] = d_a val,   hess[p, a, b, *S] = d_a d_b val,
+
+so a metric jet holds exactly g[p, i, j], dg[p, a, i, j], ddg[p, a, b, i, j].
+A jet unpacks as ``val, grad, hess = jet``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass
-class Jet:
-    """Value, gradient, and Hessian of a scalar quantity at a batch of points."""
+class Jet(NamedTuple):
+    """Value, gradient, and Hessian of a scalar or tensor quantity at a batch of points."""
 
     val: np.ndarray
     grad: np.ndarray
     hess: np.ndarray
 
+    # numpy operands defer to the methods below instead of iterating the tuple
+    __array_ufunc__ = None
+
     @property
     def dim(self) -> int:
-        return self.grad.shape[-1]
+        return self.grad.shape[1]
 
     # -- linear structure ---------------------------------------------------
 
@@ -48,14 +55,20 @@ class Jet:
     # -- products and quotients ---------------------------------------------
 
     def __mul__(self, other):
+        """Pointwise product; a scalar jet broadcasts against a tensor jet."""
         if isinstance(other, Jet):
             u, v = self, other
+            if u.grad.ndim != v.grad.ndim:   # give the scalar trailing unit axes
+                rank = max(u.grad.ndim, v.grad.ndim)
+                u, v = (Jet(*(x.reshape(x.shape + (1,) * (rank - w.grad.ndim))
+                              for x in w)) for w in (u, v))
             val = u.val * v.val
-            grad = u.grad * v.val[..., None] + v.grad * u.val[..., None]
-            cross = u.grad[..., :, None] * v.grad[..., None, :]
-            hess = (u.hess * v.val[..., None, None]
-                    + v.hess * u.val[..., None, None]
-                    + cross + np.swapaxes(cross, -1, -2))
+            grad = u.grad * v.val[:, None] + v.grad * u.val[:, None]
+            cross = u.grad[:, :, None] * v.grad[:, None, :]
+            hess = u.hess * v.val[:, None, None]
+            hess += v.hess * u.val[:, None, None]
+            hess += cross
+            hess += np.swapaxes(cross, 1, 2)
             return Jet(val, grad, hess)
         c = np.asarray(other)
         return Jet(self.val * c, self.grad * c[..., None] if c.ndim else self.grad * c,
@@ -85,11 +98,47 @@ class Jet:
 
 
 def compose(u: Jet, f, df, ddf) -> Jet:
-    """Chain rule through a scalar function given f(u), f'(u), f''(u) arrays."""
+    """Chain rule through a scalar function given f(u), f'(u), f''(u) arrays (scalar u)."""
     grad = df[..., None] * u.grad
     outer = u.grad[..., :, None] * u.grad[..., None, :]
     hess = ddf[..., None, None] * outer + df[..., None, None] * u.hess
     return Jet(np.asarray(f), grad, hess)
+
+
+def stack(components) -> Jet:
+    """Tensor jet from a nested list of scalar jets; the nesting becomes the shape S."""
+    shape, level = [], components
+    while not isinstance(level, Jet):
+        shape.append(len(level))
+        level = level[0]
+    flat = components
+    for _ in shape[1:]:
+        flat = [c for row in flat for c in row]
+    return Jet(*(np.stack(parts, axis=-1).reshape(parts[0].shape + tuple(shape))
+                 for parts in zip(*flat)))
+
+
+def contract(subscripts: str, u: Jet, v: Jet) -> Jet:
+    """Product rule for ``np.einsum(subscripts, u, v)`` over the tensor axes.
+
+    ``subscripts`` names the tensor axes only, in lower case (``"ac,cd->ad"``);
+    the batch and derivative axes are added here.
+    """
+    inputs, out = subscripts.split("->")
+    su, sv = inputs.split(",")
+
+    def term(x, dx, y, dy):
+        return np.einsum(f"P{dx}{su},P{dy}{sv}->P{dx}{dy}{out}", x, y, optimize=True)
+
+    val = term(u.val, "", v.val, "")
+    grad = term(u.grad, "Y", v.val, "")
+    grad += term(u.val, "", v.grad, "Y")
+    hess = term(u.hess, "YZ", v.val, "")
+    hess += term(u.val, "", v.hess, "YZ")
+    cross = term(u.grad, "Y", v.grad, "Z")
+    hess += cross
+    hess += np.swapaxes(cross, 1, 2)
+    return Jet(val, grad, hess)
 
 
 def constant(value, n_points: int, dim: int) -> Jet:

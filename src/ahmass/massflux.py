@@ -155,13 +155,12 @@ def flux_integrand_values(spec: MetricSpec, V, coords, objects: str = "backgroun
     return term1 + term2 - term3, density
 
 
-def mass_flux_integral(spec: MetricSpec, V, r: float, quad: SphereRule = None,
-                       objects: str = "background") -> float:
-    """Flux integral over the sphere of radius r.
+def _sphere_integral(spec: MetricSpec, V, r: float, quad: SphereRule, integrand) -> float:
+    """Integrate ``integrand(coords) -> (values, density)`` over the sphere S_r.
 
     For n >= 4 the metric must be rotationally symmetric; the angular integral
-    then reduces to the sphere area for the time-like potential and vanishes by
-    parity for the translational ones.
+    then reduces to the sphere area times one sample for the time-like
+    potential and vanishes by parity for the translational ones.
     """
     n = spec.n
     if n == 3:
@@ -170,7 +169,7 @@ def mass_flux_integral(spec: MetricSpec, V, r: float, quad: SphereRule = None,
         if quad.node_count < 16:
             raise ValueError("quadrature spec needs at least 4 nodes per angle")
         coords = sphere_coords_at_radius(quad, r)
-        vals, density = flux_integrand_values(spec, V, coords, objects)
+        vals, density = integrand(coords)
         return float(np.sum(quad.weights * density * vals))
     if not spec.rotationally_symmetric:
         raise NotImplementedError(
@@ -178,8 +177,15 @@ def mass_flux_integral(spec: MetricSpec, V, r: float, quad: SphereRule = None,
     if isinstance(V, StaticPotential) and V.index > 0:
         return 0.0  # odd integrand over the sphere
     sample = np.array([[r] + [np.pi / 2] * (n - 1)])
-    vals, density = flux_integrand_values(spec, V, sample, objects)
+    vals, density = integrand(sample)
     return float(sphere_area(n) * density[0] * vals[0])
+
+
+def mass_flux_integral(spec: MetricSpec, V, r: float, quad: SphereRule = None,
+                       objects: str = "background") -> float:
+    """Flux integral over the sphere of radius r (see ``_sphere_integral``)."""
+    return _sphere_integral(spec, V, r, quad,
+                            lambda c: flux_integrand_values(spec, V, c, objects))
 
 
 def flux_ladder(spec: MetricSpec, V, radii=DEFAULT_RADII, quad: SphereRule = None,
@@ -233,20 +239,10 @@ def ricci_flux(spec: MetricSpec, V, r: float, quad: SphereRule = None) -> float:
         gradV = np.einsum("pab,pb->pa", bapp.inv, jet.grad)
         nu = np.zeros_like(gradV)
         nu[:, 0] = np.sqrt(1.0 + coords[:, 0] ** 2)
-        return np.einsum("pab,pa,pb->p", S, gradV, nu)
+        vals = np.einsum("pab,pa,pb->p", S, gradV, nu)
+        return vals, np.full_like(vals, r ** (n - 1))
 
-    if n == 3:
-        if quad is None:
-            quad = sphere_rule(3)
-        coords = sphere_coords_at_radius(quad, r)
-        vals = integrand(coords)
-        return float(np.sum(quad.weights * r ** (n - 1) * vals))
-    if not spec.rotationally_symmetric:
-        raise NotImplementedError("ricci flux for n >= 4 needs rotational symmetry")
-    if isinstance(V, StaticPotential) and V.index > 0:
-        return 0.0
-    sample = np.array([[r] + [np.pi / 2] * (n - 1)])
-    return float(sphere_area(n) * r ** (n - 1) * integrand(sample)[0])
+    return _sphere_integral(spec, V, r, quad, integrand)
 
 
 @dataclass

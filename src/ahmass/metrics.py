@@ -1,12 +1,12 @@
 """Metric families on the exterior chart, background frame, static potentials.
 
 Every metric family exposes ``component_jets(coords)`` returning the chart
-components g_ij together with their first and second coordinate derivatives
-as arrays (g, dg, ddg) with index layout
+components g_ij with their first and second coordinate derivatives as one
+tensor ``Jet`` (see ``jets``), unpacked as ``g, dg, ddg`` with index layout
 
     g[p, i, j],   dg[p, a, i, j] = d_a g_ij,   ddg[p, a, b, i, j] = d_a d_b g_ij.
 
-Built-in families carry exact derivatives assembled from jets; perturbed
+Built-in families carry exact derivatives from the jet algebra; perturbed
 families may fall back to nested central differences.
 """
 
@@ -30,34 +30,27 @@ class DomainError(ValueError):
     """Raised when a metric is evaluated outside its domain of definition."""
 
 
-def _assemble(jet_rows, npts: int, n: int):
-    """Pack a dict {(i, j): Jet} of independent components into (g, dg, ddg)."""
-    g = np.zeros((npts, n, n))
-    dg = np.zeros((npts, n, n, n))
-    ddg = np.zeros((npts, n, n, n, n))
-    for (i, k), jet in jet_rows.items():
-        g[:, i, k] = jet.val
-        dg[:, :, i, k] = jet.grad
-        ddg[:, :, :, i, k] = jet.hess
-        if i != k:
-            g[:, k, i] = jet.val
-            dg[:, :, k, i] = jet.grad
-            ddg[:, :, :, k, i] = jet.hess
-    return g, dg, ddg
+def _diagonal(entries) -> J.Jet:
+    """Diagonal tensor jet (N, n, n) with the given scalar jets on the diagonal."""
+    n = len(entries)
+    out = J.Jet(*(np.zeros(x.shape + (n, n)) for x in entries[0]))
+    for full, parts in zip(out, zip(*entries)):
+        # stack the entries straight into a strided view of the diagonal
+        np.stack(parts, axis=-1, out=full.reshape(full.shape[:-2] + (n * n,))[..., ::n + 1])
+    return out
 
 
-def _sphere_block(angle_jets, prefactor: J.Jet, offset: int, rows: dict):
-    """Diagonal round-sphere block scaled by prefactor, written into rows.
+def _sphere_diagonal(angle_jets, prefactor: J.Jet) -> list:
+    """Diagonal of a round-sphere block scaled by prefactor.
 
     angle_jets are the jets of the polar/azimuthal angles of the block; the
-    k-th diagonal entry is prefactor * prod_{j<k} sin^2(theta_j).
+    k-th entry is prefactor * prod_{j<k} sin^2(theta_j).
     """
-    running = prefactor
-    for k, aj in enumerate(angle_jets):
-        rows[(offset + k, offset + k)] = running
-        if k < len(angle_jets) - 1:
-            s = J.jsin(aj)
-            running = running * (s * s)
+    entries = [prefactor]
+    for aj in angle_jets[:-1]:
+        s = J.jsin(aj)
+        entries.append(entries[-1] * (s * s))
+    return entries
 
 
 class MetricSpec:
@@ -100,13 +93,9 @@ class HyperbolicMetric(MetricSpec):
     rotationally_symmetric = True
 
     def component_jets(self, coords):
-        coords = as_coords(coords)
-        npts, n = coords.shape
-        cj = J.coordinate_jets(coords)
+        cj = J.coordinate_jets(as_coords(coords))
         r = cj[0]
-        rows = {(0, 0): (1.0 + r * r).reciprocal()}
-        _sphere_block(cj[1:], r * r, 1, rows)
-        return _assemble(rows, npts, n)
+        return _diagonal([(1.0 + r * r).reciprocal(), *_sphere_diagonal(cj[1:], r * r)])
 
     def radial_profiles(self, r):
         r = np.asarray(r, dtype=float)
@@ -163,13 +152,10 @@ class SchwarzschildAdS(MetricSpec):
     def component_jets(self, coords):
         coords = as_coords(coords)
         self.domain_check(coords)
-        npts, n = coords.shape
         cj = J.coordinate_jets(coords)
         r = cj[0]
         lapse = 1.0 + r * r - (2.0 * self.m) * r ** (2.0 - self.n)
-        rows = {(0, 0): lapse.reciprocal()}
-        _sphere_block(cj[1:], r * r, 1, rows)
-        return _assemble(rows, npts, n)
+        return _diagonal([lapse.reciprocal(), *_sphere_diagonal(cj[1:], r * r)])
 
     def params_dict(self):
         return {"m": self.m}
@@ -184,7 +170,7 @@ class SchwarzschildAdS(MetricSpec):
 class ConformalMetric(MetricSpec):
     """Radial conformal rescaling psi(r) * base of a rotationally symmetric base.
 
-    ``profile`` must provide psi, psi', psi'' via ``profile(r) -> (v, d1, d2)``.
+    ``profile`` is a ``RadialProfile`` giving psi, psi', psi''.
     """
 
     family = "conformal"
@@ -200,17 +186,8 @@ class ConformalMetric(MetricSpec):
 
     def component_jets(self, coords):
         coords = as_coords(coords)
-        g0, dg0, ddg0 = self.base.component_jets(coords)
-        r = coords[:, 0]
-        psi, d1, d2 = self.profile(r)
-        g = psi[:, None, None] * g0
-        dg = psi[:, None, None, None] * dg0
-        dg[:, 0] += d1[:, None, None] * g0
-        ddg = psi[:, None, None, None, None] * ddg0
-        ddg[:, 0, :] += d1[:, None, None, None] * dg0
-        ddg[:, :, 0] += d1[:, None, None, None] * dg0
-        ddg[:, 0, 0] += d2[:, None, None] * g0
-        return g, dg, ddg
+        psi = self.profile.as_field().jet(coords)
+        return psi * self.base.component_jets(coords)
 
     def params_dict(self):
         desc = getattr(self.profile, "describe", lambda: {"kind": "callable"})()
@@ -240,9 +217,7 @@ class PerturbedMetric(MetricSpec):
 
     def component_jets(self, coords):
         coords = as_coords(coords)
-        g0, dg0, ddg0 = self.base.component_jets(coords)
-        h, dh, ddh = self.field.component_arrays(coords)
-        return g0 + h, dg0 + dh, ddg0 + ddh
+        return self.base.component_jets(coords) + self.field.component_arrays(coords)
 
     def params_dict(self):
         desc = getattr(self.field, "describe", lambda: {"kind": "callable"})()
@@ -268,19 +243,17 @@ class WarpedProductMetric(MetricSpec):
 
     def component_jets(self, coords):
         coords = as_coords(coords)
-        npts, n = coords.shape
         cj = J.coordinate_jets(coords)
-        t = cj[0]
-        ch = J.jcosh(t)
+        ch = J.jcosh(cj[0])
         warp = ch * ch
-        rows = {(0, 0): J.constant(1.0, npts, n)}
+        entries = [J.constant(1.0, *coords.shape)]
         if self.factor == "round_sphere":
-            _sphere_block(cj[1:], warp, 1, rows)
+            entries += _sphere_diagonal(cj[1:], warp)
         else:
             rho = cj[1]
-            rows[(1, 1)] = warp * (1.0 + rho * rho).reciprocal()
-            _sphere_block(cj[2:], warp * (rho * rho), 2, rows)
-        return _assemble(rows, npts, n)
+            entries += [warp * (1.0 + rho * rho).reciprocal(),
+                        *_sphere_diagonal(cj[2:], warp * (rho * rho))]
+        return _diagonal(entries)
 
     def params_dict(self):
         return {"factor": self.factor}

@@ -192,9 +192,7 @@ def functional_value(g_base: MetricSpec, f, gamma: MetricSpec,
     coords = rule.coords
     app = metric_apparatus(g_base, coords, level=2)
     bb = HyperbolicMetric(n)
-    g1, dg1, ddg1 = gamma.component_jets(coords)
-    g0, dg0, ddg0 = bb.component_jets(coords)
-    e, de, dde = g1 - g0, dg1 - dg0, ddg1 - ddg0
+    e, de, dde = gamma.component_jets(coords) - bb.component_jets(coords)
     lin = linearized_scalar_values(app, e, de, dde)
     r_gamma = metric_apparatus(gamma, coords, level=2).scalar
     jet = f.jet(coords)
@@ -263,7 +261,7 @@ def first_variation_check(spec: MetricSpec, f, h_field, epsilons,
     on the support nodes alone.
     """
     from .metrics import PerturbedMetric
-    from .fields import ScaledTensorField
+    from .fields import SymmetricTensorField
 
     n = spec.n
     app = metric_apparatus(spec, rule.coords, level=2)
@@ -286,7 +284,8 @@ def first_variation_check(spec: MetricSpec, f, h_field, epsilons,
     epsilons = np.asarray(sorted(epsilons, reverse=True), dtype=float)
     quotients = []
     for eps in epsilons:
-        gamma = PerturbedMetric(spec, ScaledTensorField(h_field, eps))
+        gamma = PerturbedMetric(spec, SymmetricTensorField(
+            lambda c, eps=eps: h_field.component_arrays(c) * eps))
         r_eps = metric_apparatus(gamma, sup_coords, level=2).scalar
         # F(gamma) - F(g) restricted to the support: the e-linear terms shift
         # by eps * (L_g h f - <h, L* f>) and the curvature term by R(g)-R(gamma)

@@ -23,10 +23,10 @@ from .chart import as_coords
 from .curvature import covariant_hessian, divergence_of_oneform, metric_apparatus
 from .fields import ScalarField
 from .geodesics import GeodesicSample
+from .massflux import _normal_and_measure
 from .metrics import MetricSpec, WarpedProductMetric
 from .operators import static_residual
-from .quadrature import (SphereRule, angular_jacobian, sphere_rule,
-                         volume_rule, volume_weights)
+from .quadrature import SphereRule, sphere_rule, volume_rule, volume_weights
 from . import jets as J
 
 
@@ -56,8 +56,7 @@ def _sphere_flux(spec: MetricSpec, f, r: float, quad: SphereRule) -> float:
     S = app.ricci + (n - 1) * app.g
     jet = f.jet(coords)
     grad = np.einsum("pab,pb->pa", app.inv, jet.grad)
-    nu = app.inv[:, 0, :] / np.sqrt(app.inv[:, 0, 0])[:, None]
-    density = np.sqrt(np.linalg.det(app.g[:, 1:, 1:])) / angular_jacobian(coords[:, 1:])
+    nu, density = _normal_and_measure(app, "metric")
     vals = np.einsum("pab,pa,pb->p", S, grad, nu)
     return float(np.sum(quad.weights * density * vals))
 

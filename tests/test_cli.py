@@ -82,6 +82,25 @@ def test_tolerances_must_be_positive(tmp_path):
                  "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
 
 
+@pytest.mark.parametrize("axis", [[1.0, 0.0], [0, 0, 0]])
+def test_bad_axis_bump_rejected(tmp_path, axis):
+    # a wrong-length or zero axis is a schema error, not a crash or a NaN report
+    metric = {"family": "perturbed", "n": 3,
+              "params": {"base": HYP, "perturbation": {"kind": "axis_bump",
+                                                       "axis": axis}}}
+    cfg = write_config(tmp_path, {"command": "verify-ah", "metric": metric})
+    assert main(["verify-ah", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+
+
+def test_two_radii_rejected(tmp_path):
+    # a 3-parameter extrapolation cannot be fitted on 2 radii
+    cfg = write_config(tmp_path, {"command": "mass", "metric": SCHW,
+                                  "numeric": {"radii": {"min": 20.0, "max": 200.0,
+                                                        "count": 2}}})
+    assert main(["mass", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+
+
 def test_command_mismatch_rejected(tmp_path):
     cfg = write_config(tmp_path, {"command": "mass", "metric": HYP})
     assert main(["curvature", "--config", cfg,

@@ -7,7 +7,7 @@ from ahmass.chart import ChartPoint, random_points
 from ahmass.curvature import (curvature_at, divergence, hessian, laplacian,
                               metric_apparatus, nabla_2tensor,
                               riemann_symmetry_defects, trace)
-from ahmass.fields import FiniteDifferenceTensorField, MetricDeviationField
+from ahmass.fields import FiniteDifferenceTensorField
 from ahmass.metrics import (PerturbedMetric, hyperbolic_metric,
                             schwarzschild_ads, static_potential,
                             static_potential_basis)
@@ -76,7 +76,6 @@ def test_laplacian_eigenvalue(rng, hyp3):
 def test_divergence_and_trace_of_metric(rng, hyp3, schw3):
     for spec in (hyp3, schw3):
         pts = random_points(3, rng, 80, r_range=(2.0, 30.0))
-        T = MetricDeviationField(spec, hyperbolic_metric(3))
 
         class Full:
             def component_arrays(self, coords):

@@ -1,14 +1,23 @@
 """Jet algebra against finite differences: the derivatives must be exact."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ahmass import jets as J
-from ahmass.chart import chart_jacobian_jets, to_cartesian
+from ahmass.chart import chart_jacobian_jets, random_points, to_cartesian
+from ahmass.fields import (ScaledMetricField, random_compact_scalar,
+                           random_compact_tensor)
+from ahmass.metrics import metric_from_dict, schwarzschild_ads
 
 
 def fd_check(jet_fn, coords, tol=1e-7):
+    """Central differences of val and grad against grad and hess.
+
+    Works for scalar and tensor jets alike: grad[:, a] and hess[:, a, b] carry
+    the value's trailing shape S.
+    """
     jet = jet_fn(coords)
     eps = 1e-6
     for a in range(coords.shape[1]):
@@ -73,3 +82,39 @@ def test_chart_jacobian_jets_match_cartesian_map():
         fd = (to_cartesian(cp) - to_cartesian(cm)) / (2 * eps)
         for c in range(3):
             assert np.abs(fd[:, c] - jac[a][c].val).max() < 1e-8
+
+
+HYP3 = {"family": "hyperbolic", "n": 3, "params": {}}
+TENSOR_JETS = {
+    "hyperbolic": HYP3,
+    "schwarzschild_ads": {"family": "schwarzschild_ads", "n": 3, "params": {"m": 0.5}},
+    "conformal": {"family": "conformal", "n": 3, "params": {
+        "base": HYP3, "profile": {"kind": "power_tail", "amp": 0.3, "rate": 3.0}}},
+    "warped_round_sphere": {"family": "warped_product", "n": 3,
+                            "params": {"factor": "round_sphere"}},
+    "warped_hyperbolic": {"family": "warped_product", "n": 4,
+                          "params": {"factor": "hyperbolic"}},
+    "perturbed": {"family": "perturbed", "n": 3, "params": {
+        "base": HYP3, "perturbation": {"kind": "axis_bump", "axis": [1.0, 0.5, 0.2],
+                                       "amp": 0.2, "width": 2.0, "onset": 2.0}}},
+    "random_compact_tensor": None,
+    "scaled_metric_field": None,
+}
+
+
+@pytest.mark.parametrize("name", TENSOR_JETS)
+def test_tensor_jets_match_finite_differences(name):
+    rng = np.random.default_rng(7)
+    n = TENSOR_JETS[name]["n"] if TENSOR_JETS[name] else 3
+    coords = random_points(n, rng, 30, r_range=(2.2, 5.8))
+    if name == "random_compact_tensor":
+        jet_fn = random_compact_tensor(rng, n, 2.0, 6.0).component_arrays
+    elif name == "scaled_metric_field":
+        u = random_compact_scalar(rng, 2.0, 6.0, n)
+        jet_fn = ScaledMetricField(schwarzschild_ads(n, 0.5), u).component_arrays
+    else:
+        jet_fn = metric_from_dict(TENSOR_JETS[name]).component_jets
+    val = jet_fn(coords).val
+    assert val.shape == (len(coords), n, n)
+    # central differences lose about 1e-10 relative to the values differenced
+    fd_check(jet_fn, coords, tol=1e-7 * (1.0 + np.abs(val).max()))
