@@ -280,12 +280,15 @@ def first_variation_check(spec: MetricSpec, f, h_field, epsilons,
     sup_coords = rule.coords[mask]
     lin_h = linearized_scalar_values(app, h, dh, ddh)
     r_base = app.scalar[mask]
+    # h is linear in eps: evaluate it once on the support nodes, the only
+    # points where the perturbed metrics below are evaluated, and scale it
+    h_sup = h_field.component_arrays(sup_coords)
 
     epsilons = np.asarray(sorted(epsilons, reverse=True), dtype=float)
     quotients = []
     for eps in epsilons:
         gamma = PerturbedMetric(spec, SymmetricTensorField(
-            lambda c, eps=eps: h_field.component_arrays(c) * eps))
+            lambda c, eps=eps: h_sup * eps))
         r_eps = metric_apparatus(gamma, sup_coords, level=2).scalar
         # F(gamma) - F(g) restricted to the support: the e-linear terms shift
         # by eps * (L_g h f - <h, L* f>) and the curvature term by R(g)-R(gamma)
