@@ -2,7 +2,9 @@
 
 All functions operate on batches: a MetricApparatus packs the metric, its
 inverse, Christoffel symbols, and (at level 2) curvature at N points.  The
-Riemann convention is
+covariant derivatives take the field as the ``Jet`` its producer returns
+(``V.jet``, ``component_arrays``, ``component_jets``).  The Riemann
+convention is
 
     R_kjli = g( D_k D_j e_l - D_j D_k e_l , e_i )
 
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jets as J
 from .chart import as_coords
 from .metrics import MetricSpec
 
@@ -24,7 +27,6 @@ from .metrics import MetricSpec
 class MetricApparatus:
     """Pointwise metric data shared by curvature and operator evaluations."""
 
-    spec: MetricSpec
     coords: np.ndarray
     g: np.ndarray            # (N, n, n)
     dg: np.ndarray           # (N, a, i, j)
@@ -44,6 +46,10 @@ class MetricApparatus:
     def n(self) -> int:
         return self.g.shape[-1]
 
+    def inner(self, a, b) -> np.ndarray:
+        """g-inner product g^{ia} g^{jb} a_ij b_ab of two 2-tensors at each point."""
+        return np.einsum("pia,pjb,pij,pab->p", self.inv, self.inv, a, b)
+
 
 def _christoffel(inv, dg):
     # Gamma^k_ij = 1/2 g^{kl} (d_i g_lj + d_j g_li - d_l g_ij)
@@ -60,7 +66,7 @@ def metric_apparatus(spec: MetricSpec, coords, level: int = 2) -> MetricApparatu
     dinv = -np.einsum("pim,pamn,pnj->paij", inv, dg, inv)
     gamma = _christoffel(inv, dg)
     sqrt_det = np.sqrt(np.linalg.det(g))
-    app = MetricApparatus(spec=spec, coords=coords, g=g, dg=dg, inv=inv,
+    app = MetricApparatus(coords=coords, g=g, dg=dg, inv=inv,
                           dinv=dinv, gamma=gamma, sqrt_det=sqrt_det, level=1)
     if level >= 2:
         ddinv = -(np.einsum("pbim,pamn,pnj->pabij", dinv, dg, inv)
@@ -119,24 +125,22 @@ def curvature_at(spec: MetricSpec, point) -> CurvaturePack:
 
 # -- covariant calculus of scalar fields --------------------------------------
 
-def covariant_hessian(app: MetricApparatus, grad, hess) -> np.ndarray:
-    """Hessian_ij = d_i d_j V - Gamma^k_ij d_k V for chart grad/hess arrays."""
-    return hess - np.einsum("pkij,pk->pij", app.gamma, grad)
+def covariant_hessian(app: MetricApparatus, jet: J.Jet) -> np.ndarray:
+    """Hessian_ij = d_i d_j V - Gamma^k_ij d_k V for a scalar jet of V."""
+    return jet.hess - np.einsum("pkij,pk->pij", app.gamma, jet.grad)
 
 
 def hessian(spec: MetricSpec, V, point) -> np.ndarray:
     """Covariant Hessian of a scalar field at points (field supplies jets)."""
     coords = as_coords(point)
     app = metric_apparatus(spec, coords, level=1)
-    jet = V.jet(coords)
-    return covariant_hessian(app, jet.grad, jet.hess)
+    return covariant_hessian(app, V.jet(coords))
 
 
 def laplacian(spec: MetricSpec, V, point) -> np.ndarray:
     coords = as_coords(point)
     app = metric_apparatus(spec, coords, level=1)
-    jet = V.jet(coords)
-    return np.einsum("pij,pij->p", app.inv, covariant_hessian(app, jet.grad, jet.hess))
+    return np.einsum("pij,pij->p", app.inv, covariant_hessian(app, V.jet(coords)))
 
 
 # -- covariant calculus of symmetric 2-tensor fields ---------------------------
@@ -147,8 +151,12 @@ def nabla_2tensor(gamma, h, dh) -> np.ndarray:
             - np.einsum("pcaj,pic->paij", gamma, h))
 
 
-def nabla2_2tensor(app: MetricApparatus, h, dh, ddh) -> np.ndarray:
-    """Second covariant derivative (N, a, b, i, j); needs a level-2 apparatus."""
+def nabla2_2tensor(app: MetricApparatus, jet: J.Jet) -> np.ndarray:
+    """Second covariant derivative (N, a, b, i, j) of a symmetric 2-tensor jet.
+
+    Needs a level-2 apparatus.
+    """
+    h, dh, ddh = jet
     T = nabla_2tensor(app.gamma, h, dh)
     # d_a T_bij from chart derivatives of the Christoffel contraction
     dT = (ddh

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import jets as J
 from .chart import angular_grid
 from .curvature import metric_apparatus, nabla_2tensor, nabla2_2tensor
 from .metrics import (HyperbolicMetric, MetricSpec, frame_coefficients,
@@ -110,14 +111,11 @@ def _deviation_sup_fields(spec: MetricSpec, background: MetricSpec):
     """Evaluators for |g-b|, |nabla(g-b)|, |nabla^2(g-b)| in frame components."""
     def ev(coords):
         app = metric_apparatus(background, coords, level=2)
-        g, dg, ddg = spec.component_jets(coords)
-        h = g - app.g
-        dh = dg - app.dg
-        ddh = ddg - app.ddg
-        nh = nabla_2tensor(app.gamma, h, dh)
-        nnh = nabla2_2tensor(app, h, dh, ddh)
+        h = spec.component_jets(coords) - J.Jet(app.g, app.dg, app.ddg)
+        nh = nabla_2tensor(app.gamma, h.val, h.grad)
+        nnh = nabla2_2tensor(app, h)
         c = frame_coefficients(coords)
-        out0 = frame_components(h, coords)
+        out0 = frame_components(h.val, coords)
         out1 = frame_components(nh, coords) * c[:, :, None, None]
         out2 = (frame_components(nnh, coords) * c[:, :, None, None, None]
                 * c[:, None, :, None, None])

@@ -34,12 +34,6 @@ class ScalarField:
     def value(self, coords):
         return self.jet(coords).val
 
-    def gradient(self, coords):
-        return self.jet(coords).grad
-
-    def chart_hessian(self, coords):
-        return self.jet(coords).hess
-
     def __add__(self, other):
         return ScalarField(lambda c: self.jet(c) + other.jet(c),
                            asymptotic_tag=self.asymptotic_tag)
@@ -102,71 +96,57 @@ def random_compact_scalar(rng, r_lo: float, r_hi: float, n: int,
 
 
 class RadialProfile:
-    """Radial function with first and second derivatives: profile(r) -> (v, d1, d2)."""
+    """Radial function psi(r) wrapping a jet function of the radius jet.
 
-    def __init__(self, fn, description=None):
-        self._fn = fn
+    ``jet(r)`` maps a scalar jet of r to the jet of psi(r), so products and
+    sums of profiles are jet products and sums, and ``as_field`` evaluates it
+    on the chart's r coordinate.  ``profile(r)`` returns the arrays
+    (psi, psi', psi'') at radii r for the radial reductions.
+    """
+
+    def __init__(self, jet_fn, description=None):
+        self._jet_fn = jet_fn
         self._description = description or {"kind": "callable"}
+
+    def jet(self, r: J.Jet) -> J.Jet:
+        return self._jet_fn(r)
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
-        return self._fn(r)
+        out = self.jet(J.coordinate_jets(r[:, None])[0])
+        return out.val, out.grad[:, 0], out.hess[:, 0, 0]
 
     def describe(self):
         return self._description
 
     def __mul__(self, other: "RadialProfile"):
-        def fn(r):
-            a, da, dda = self(r)
-            b, db, ddb = other(r)
-            return a * b, da * b + a * db, dda * b + 2 * da * db + a * ddb
-        return RadialProfile(fn, {"kind": "product"})
+        return RadialProfile(lambda r: self.jet(r) * other.jet(r), {"kind": "product"})
 
     def __add__(self, other):
         if isinstance(other, RadialProfile):
-            def fn(r):
-                a, da, dda = self(r)
-                b, db, ddb = other(r)
-                return a + b, da + db, dda + ddb
-            return RadialProfile(fn, {"kind": "sum"})
+            return RadialProfile(lambda r: self.jet(r) + other.jet(r), {"kind": "sum"})
         shift = float(other)
-
-        def fn(r):
-            a, da, dda = self(r)
-            return a + shift, da, dda
-        return RadialProfile(fn, {"kind": "shifted"})
+        return RadialProfile(lambda r: self.jet(r) + shift, {"kind": "shifted"})
 
     __radd__ = __add__
 
     def as_field(self) -> ScalarField:
-        def jet_fn(coords):
-            npts, dim = coords.shape
-            v, d1, d2 = self(coords[:, 0])
-            grad = np.zeros((npts, dim))
-            grad[:, 0] = d1
-            hess = np.zeros((npts, dim, dim))
-            hess[:, 0, 0] = d2
-            return J.Jet(np.asarray(v, dtype=float), grad, hess)
-        return ScalarField(jet_fn, asymptotic_tag=("radial",))
+        return ScalarField(lambda c: self.jet(J.coordinate_jets(c)[0]),
+                           asymptotic_tag=("radial",))
 
 
 def constant_profile(value: float) -> RadialProfile:
-    def fn(r):
-        z = np.zeros_like(r)
-        return np.full_like(r, value), z, z
-    return RadialProfile(fn, {"kind": "constant", "value": value})
+    return RadialProfile(lambda r: J.constant(value, len(r.val), r.dim),
+                         {"kind": "constant", "value": value})
 
 
 def power_tail_profile(amp: float, rate: float, onset: float = 5.0,
                        switch_power: int = 4) -> RadialProfile:
     """amp * (1 - exp(-(r/onset)^p)) * r^(-rate): smooth everywhere, ~ r^(-rate) tail."""
-    def fn(r):
-        jet_r = J.Jet(r, np.ones((r.size, 1)), np.zeros((r.size, 1, 1)))
-        sw = J.smooth_switch(jet_r, onset, switch_power)
-        out = sw * (jet_r ** (-rate)) * amp
-        return out.val, out.grad[:, 0], out.hess[:, 0, 0]
-    return RadialProfile(fn, {"kind": "power_tail", "amp": amp, "rate": rate,
-                              "onset": onset})
+    def jet_fn(r):
+        return J.smooth_switch(r, onset, switch_power) * (r ** (-rate)) * amp
+    return RadialProfile(jet_fn, {"kind": "power_tail", "amp": amp, "rate": rate,
+                                  "onset": onset})
 
 
 def profile_from_dict(doc: dict) -> RadialProfile:

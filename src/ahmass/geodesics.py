@@ -134,7 +134,6 @@ def integrate_geodesic_fan(spec: MetricSpec, points, directions, T: float,
         if k_extra:
             for m in range(k_extra):
                 X = state[:, (2 + m) * n:(3 + m) * n]
-                adjust = np.zeros(n_seeds)
                 proj = np.einsum("pi,pij,pj->p", X, g, v)
                 X_new = X - proj[:, None] * v
                 for mm in range(m):

@@ -207,8 +207,7 @@ def flux_ladder(spec: MetricSpec, V, radii=DEFAULT_RADII, quad: SphereRule = Non
                       flags=flags)
 
 
-def mass_vector(spec: MetricSpec, radii=DEFAULT_RADII, quad: SphereRule = None,
-                objects: str = "background") -> MassVector:
+def mass_vector(spec: MetricSpec, radii=DEFAULT_RADII, quad: SphereRule = None) -> MassVector:
     """Fitted flux limits against every background static potential."""
     radii = np.asarray(radii, dtype=float)
     if radii[-1] / radii[0] < 10.0 - 1e-9:

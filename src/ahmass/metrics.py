@@ -16,6 +16,8 @@ import numpy as np
 
 from . import jets as J
 from .chart import ChartPoint, as_coords, unit_vector_jets
+from .fields import (RadialProfile, ScalarField, perturbation_from_dict,
+                     profile_from_dict)
 
 __all__ = [
     "MetricSpec", "HyperbolicMetric", "SchwarzschildAdS", "ConformalMetric",
@@ -170,7 +172,7 @@ class SchwarzschildAdS(MetricSpec):
 class ConformalMetric(MetricSpec):
     """Radial conformal rescaling psi(r) * base of a rotationally symmetric base.
 
-    ``profile`` is a ``RadialProfile`` giving psi, psi', psi''.
+    ``profile`` is a ``RadialProfile``, a jet function of r giving psi.
     """
 
     family = "conformal"
@@ -321,7 +323,7 @@ def frame_components(tensor: np.ndarray, coords) -> np.ndarray:
 
 # -- static potentials --------------------------------------------------------
 
-class StaticPotential:
+class StaticPotential(ScalarField):
     """Background static potential: V_0 = sqrt(1+r^2) or V_i = x_i."""
 
     def __init__(self, n: int, index: int):
@@ -329,25 +331,15 @@ class StaticPotential:
             raise ValueError(f"potential index must lie in 0..{n}, got {index}")
         self.n = n
         self.index = index
-        self.asymptotic_tag = ("linear-growth",
-                               tuple(1.0 if k == index else 0.0 for k in range(n + 1)))
 
-    def jet(self, coords) -> J.Jet:
-        coords = as_coords(coords)
-        cj = J.coordinate_jets(coords)
-        r = cj[0]
-        if self.index == 0:
-            return J.jsqrt(1.0 + r * r)
-        return r * unit_vector_jets(coords)[self.index - 1]
+        def jet_fn(coords):
+            r = J.coordinate_jets(coords)[0]
+            if index == 0:
+                return J.jsqrt(1.0 + r * r)
+            return r * unit_vector_jets(coords)[index - 1]
 
-    def value(self, coords):
-        return self.jet(coords).val
-
-    def gradient(self, coords):
-        return self.jet(coords).grad
-
-    def chart_hessian(self, coords):
-        return self.jet(coords).hess
+        super().__init__(jet_fn, asymptotic_tag=(
+            "linear-growth", tuple(1.0 if k == index else 0.0 for k in range(n + 1))))
 
     def __repr__(self):
         return f"StaticPotential(n={self.n}, k={self.index})"
@@ -370,8 +362,6 @@ def metric_to_dict(spec: MetricSpec) -> dict:
 
 def metric_from_dict(doc: dict) -> MetricSpec:
     """Build a metric from {"family", "n", "params"}; strict about keys."""
-    from .fields import perturbation_from_dict, profile_from_dict
-
     unknown = set(doc) - {"family", "n", "params"}
     if unknown:
         raise ValueError(f"unknown metric spec keys: {sorted(unknown)}")
@@ -397,13 +387,7 @@ def metric_from_dict(doc: dict) -> MetricSpec:
         # declarative profiles describe the deviation of the factor from 1,
         # so the metric approaches its base at infinity
         deviation = profile_from_dict(params["profile"])
-        from .fields import RadialProfile
-
-        def factor(r, dev=deviation):
-            v, d1, d2 = dev(r)
-            return v + 1.0, d1, d2
-
-        return ConformalMetric(base, RadialProfile(factor,
+        return ConformalMetric(base, RadialProfile(lambda r: deviation.jet(r) + 1.0,
                                                    dict(params["profile"])))
     if family == "perturbed":
         unknown = set(params) - {"base", "perturbation"}

@@ -13,6 +13,9 @@ the volume functional built from a linear-growth potential f,
 
 with bb fixed to the hyperbolic background on the whole exterior chart, and
 its first variation -int <h, L_g^* f> dmu_g.
+
+Fields enter as the ``Jet`` their producer returns: a scalar jet ``V.jet(c)``
+for the potential and a tensor jet ``component_arrays(c)`` for h.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .curvature import (MetricApparatus, covariant_hessian, metric_apparatus,
 from .decay import fit_log_slope
 from .metrics import HyperbolicMetric, MetricSpec, frame_components
 from .quadrature import VolumeRule, volume_weights
+from . import jets as J
 
 
 class DivergentTailError(ArithmeticError):
@@ -35,39 +39,24 @@ class DivergentTailError(ArithmeticError):
 
 # -- pointwise operators -------------------------------------------------------
 
-def _trace_jet(app: MetricApparatus, h, dh, ddh):
-    """Value, chart gradient, and chart Hessian of tr_g h."""
-    tr = np.einsum("pij,pij->p", app.inv, h)
-    dtr = (np.einsum("paij,pij->pa", app.dinv, h)
-           + np.einsum("pij,paij->pa", app.inv, dh))
-    ddtr = (np.einsum("pabij,pij->pab", app.ddinv, h)
-            + np.einsum("paij,pbij->pab", app.dinv, dh)
-            + np.einsum("pbij,paij->pab", app.dinv, dh)
-            + np.einsum("pij,pabij->pab", app.inv, ddh))
-    return tr, dtr, ddtr
-
-
-def linearized_scalar_values(app: MetricApparatus, h, dh, ddh) -> np.ndarray:
-    """L_g h at the apparatus points (level-2 apparatus required)."""
-    _, dtr, ddtr = _trace_jet(app, h, dh, ddh)
-    cov = ddtr - np.einsum("pkab,pk->pab", app.gamma, dtr)
-    lap_tr = np.einsum("pab,pab->p", app.inv, cov)
-    nn = nabla2_2tensor(app, h, dh, ddh)
+def linearized_scalar_values(app: MetricApparatus, h: J.Jet) -> np.ndarray:
+    """L_g h at the apparatus points for a tensor jet h (level-2 apparatus required)."""
+    tr = J.contract("ij,ij->", J.Jet(app.inv, app.dinv, app.ddinv), h)
+    lap_tr = np.einsum("pab,pab->p", app.inv, covariant_hessian(app, tr))
+    nn = nabla2_2tensor(app, h)
     divdiv = np.einsum("pai,pbj,pabij->p", app.inv, app.inv, nn)
-    hric = np.einsum("pia,pjb,pij,pab->p", app.inv, app.inv, h, app.ricci)
-    return -lap_tr + divdiv - hric
+    return -lap_tr + divdiv - app.inner(h.val, app.ricci)
 
 
 def linearized_scalar(spec: MetricSpec, h_field, point) -> np.ndarray:
     coords = as_coords(point)
     app = metric_apparatus(spec, coords, level=2)
-    h, dh, ddh = h_field.component_arrays(coords)
-    return linearized_scalar_values(app, h, dh, ddh)
+    return linearized_scalar_values(app, h_field.component_arrays(coords))
 
 
-def adjoint_values(app: MetricApparatus, jet) -> np.ndarray:
+def adjoint_values(app: MetricApparatus, jet: J.Jet) -> np.ndarray:
     """L_g^* V as a (N, n, n) tensor from a scalar jet at the apparatus points."""
-    hess = covariant_hessian(app, jet.grad, jet.hess)
+    hess = covariant_hessian(app, jet)
     lap = np.einsum("pij,pij->p", app.inv, hess)
     return (-lap[:, None, None] * app.g + hess
             - jet.val[:, None, None] * app.ricci)
@@ -85,20 +74,15 @@ def trace_identity_gap(spec: MetricSpec, u, point) -> np.ndarray:
     coords = as_coords(point)
     n = spec.n
     app = metric_apparatus(spec, coords, level=2)
-    h, dh, ddh = ScaledMetricField(spec, u).component_arrays(coords)
-    lhs = linearized_scalar_values(app, h, dh, ddh)
+    h = ScaledMetricField(spec, u).component_arrays(coords)
+    lhs = linearized_scalar_values(app, h)
     jet = u.jet(coords)
-    lap = np.einsum("pij,pij->p", app.inv,
-                    covariant_hessian(app, jet.grad, jet.hess))
+    lap = np.einsum("pij,pij->p", app.inv, covariant_hessian(app, jet))
     rhs = (1 - n) * (lap + app.scalar * jet.val / (n - 1))
     return np.abs(lhs - rhs)
 
 
 # -- integration-by-parts self-test ---------------------------------------------
-
-def _volume_weights(app: MetricApparatus, rule: VolumeRule) -> np.ndarray:
-    return volume_weights(rule, app.sqrt_det)
-
 
 def duality_residual(spec: MetricSpec, h_field, u_field, rule: VolumeRule,
                      app: MetricApparatus = None) -> float:
@@ -111,12 +95,11 @@ def duality_residual(spec: MetricSpec, h_field, u_field, rule: VolumeRule,
     """
     if app is None:
         app = metric_apparatus(spec, rule.coords, level=2)
-    w = _volume_weights(app, rule)
-    h, dh, ddh = h_field.component_arrays(rule.coords)
+    w = volume_weights(rule, app.sqrt_det)
+    h = h_field.component_arrays(rule.coords)
     jet = u_field.jet(rule.coords)
-    lhs_density = jet.val * linearized_scalar_values(app, h, dh, ddh)
-    adj = adjoint_values(app, jet)
-    rhs_density = np.einsum("pia,pjb,pij,pab->p", app.inv, app.inv, h, adj)
+    lhs_density = jet.val * linearized_scalar_values(app, h)
+    rhs_density = app.inner(h.val, adjoint_values(app, jet))
     lhs = float(np.sum(w * lhs_density))
     rhs = float(np.sum(w * rhs_density))
     scale = max(float(np.sum(np.abs(w * lhs_density))),
@@ -149,14 +132,14 @@ def static_residual(spec: MetricSpec, V, point) -> StaticResidualReport:
     n = spec.n
     app = metric_apparatus(spec, coords, level=2)
     jet = V.jet(coords)
-    hess = covariant_hessian(app, jet.grad, jet.hess)
+    hess = covariant_hessian(app, jet)
     lap = np.einsum("pij,pij->p", app.inv, hess)
     tensor = hess - (app.ricci + n * app.g) * jet.val[:, None, None]
     if spec.exterior_chart:
         comp = frame_components(tensor, coords)
         hess_sup = float(np.abs(comp).max())
     else:
-        norm2 = np.einsum("pia,pjb,pij,pab->p", app.inv, app.inv, tensor, tensor)
+        norm2 = app.inner(tensor, tensor)
         hess_sup = float(np.sqrt(np.abs(norm2).max()))
     lap_sup = float(np.abs(lap - n * jet.val).max())
     return StaticResidualReport(hessian_sup=hess_sup, laplacian_sup=lap_sup,
@@ -192,15 +175,14 @@ def functional_value(g_base: MetricSpec, f, gamma: MetricSpec,
     coords = rule.coords
     app = metric_apparatus(g_base, coords, level=2)
     bb = HyperbolicMetric(n)
-    e, de, dde = gamma.component_jets(coords) - bb.component_jets(coords)
-    lin = linearized_scalar_values(app, e, de, dde)
+    e = gamma.component_jets(coords) - bb.component_jets(coords)
+    lin = linearized_scalar_values(app, e)
     r_gamma = metric_apparatus(gamma, coords, level=2).scalar
     jet = f.jet(coords)
-    adj = adjoint_values(app, jet)
-    pairing = np.einsum("pia,pjb,pij,pab->p", app.inv, app.inv, e, adj)
+    pairing = app.inner(e.val, adjoint_values(app, jet))
     integrand = (lin - (r_gamma + n * (n - 1))) * jet.val - pairing
 
-    w = _volume_weights(app, rule)
+    w = volume_weights(rule, app.sqrt_det)
     truncated = float(np.sum(w * integrand))
 
     # per-radius density and pointwise decay on the outer part of the rule
@@ -265,11 +247,10 @@ def first_variation_check(spec: MetricSpec, f, h_field, epsilons,
 
     n = spec.n
     app = metric_apparatus(spec, rule.coords, level=2)
-    w = _volume_weights(app, rule)
+    w = volume_weights(rule, app.sqrt_det)
     jet = f.jet(rule.coords)
-    adj = adjoint_values(app, jet)
-    h, dh, ddh = h_field.component_arrays(rule.coords)
-    pair_h = np.einsum("pia,pjb,pij,pab->p", app.inv, app.inv, h, adj)
+    h = h_field.component_arrays(rule.coords)
+    pair_h = app.inner(h.val, adjoint_values(app, jet))
     reference = -float(np.sum(w * pair_h))
 
     if h_field.support is not None:
@@ -278,7 +259,7 @@ def first_variation_check(spec: MetricSpec, f, h_field, epsilons,
     else:
         mask = np.ones(rule.coords.shape[0], dtype=bool)
     sup_coords = rule.coords[mask]
-    lin_h = linearized_scalar_values(app, h, dh, ddh)
+    lin_h = linearized_scalar_values(app, h)
     r_base = app.scalar[mask]
     # h is linear in eps: evaluate it once on the support nodes, the only
     # points where the perturbed metrics below are evaluated, and scale it

@@ -124,8 +124,3 @@ def volume_weights(rule: VolumeRule, sqrt_det: np.ndarray) -> np.ndarray:
     """
     return rule.weights * sqrt_det / angular_jacobian(rule.coords[:, 1:])
 
-
-def integrate_volume(rule: VolumeRule, sqrt_det: np.ndarray,
-                     values: np.ndarray) -> float:
-    """Integral of ``values`` against the metric volume measure."""
-    return float(np.sum(volume_weights(rule, sqrt_det) * values))

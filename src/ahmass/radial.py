@@ -22,7 +22,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.integrate import solve_bvp
 
-from .curvature import metric_apparatus
+from .curvature import covariant_hessian, metric_apparatus
 from .decay import fit_log_slope
 from .fields import RadialProfile, ScalarField
 from .metrics import ConformalMetric, MetricSpec
@@ -85,7 +85,8 @@ class RadialSolution:
         return self.sol(np.asarray(r, dtype=float), 1)[1]
 
     def as_profile(self) -> RadialProfile:
-        return RadialProfile(lambda r: (self.value(r), self.d1(r), self.d2(r)),
+        return RadialProfile(lambda r: J.compose(r, self.value(r.val), self.d1(r.val),
+                                                 self.d2(r.val)),
                              {"kind": "radial_solution"})
 
     def as_field(self) -> ScalarField:
@@ -182,18 +183,13 @@ class EigenfunctionReport:
                 "positive": self.positive, "flags": list(self.flags)}
 
 
-def _radial_field_from(correction: RadialSolution, n: int) -> ScalarField:
+def _radial_field_from(correction: RadialSolution) -> ScalarField:
     """Scalar field sqrt(1+r^2) + v(r) with exact jets for the closed part."""
+    v = correction.as_profile()
+
     def jet_fn(coords):
-        npts, dim = coords.shape
-        r = coords[:, 0]
-        s = np.sqrt(1.0 + r ** 2)
-        val = s + correction.value(r)
-        grad = np.zeros((npts, dim))
-        grad[:, 0] = r / s + correction.d1(r)
-        hess = np.zeros((npts, dim, dim))
-        hess[:, 0, 0] = 1.0 / s ** 3 + correction.d2(r)
-        return J.Jet(val, grad, hess)
+        r = J.coordinate_jets(coords)[0]
+        return J.jsqrt(1.0 + r * r) + v.jet(r)
     return ScalarField(jet_fn, asymptotic_tag=("linear-growth", (1.0,)))
 
 
@@ -210,7 +206,8 @@ def radial_eigenfunction(spec: MetricSpec, which: int = 0, r_lo: float = None,
         raise NotImplementedError("only the rotationally symmetric eigenfunction "
                                   "has a radial reduction")
     if not spec.rotationally_symmetric:
-        raise ValueError("radial eigenfunction needs a rotationally symmetric metric")
+        raise NotImplementedError("radial eigenfunction needs a rotationally "
+                                  "symmetric metric")
     n = spec.n
     if r_lo is None:
         r_lo = inner_truncation_radius(spec)
@@ -229,15 +226,14 @@ def radial_eigenfunction(spec: MetricSpec, which: int = 0, r_lo: float = None,
     correction = solve_radial_bvp(spec, lambda r: -rho(r),
                                   lambda r: -float(n) * np.ones_like(r),
                                   decay_rate, r_lo, r_hi, tol=tol)
-    f0 = _radial_field_from(correction, n)
+    f0 = _radial_field_from(correction)
 
     # residual through the full tensor pipeline on a fresh sample ladder
     r_samp = np.geomspace(r_lo * 1.02, r_hi * 0.98, 400)
     coords = np.column_stack([r_samp] + [np.full(r_samp.size, np.pi / 2)] * (n - 1))
     app = metric_apparatus(spec, coords, level=1)
     jet = f0.jet(coords)
-    hess = jet.hess - np.einsum("pkij,pk->pij", app.gamma, jet.grad)
-    lap = np.einsum("pij,pij->p", app.inv, hess)
+    lap = np.einsum("pij,pij->p", app.inv, covariant_hessian(app, jet))
     residual = float(np.abs(lap - n * jet.val).max())
 
     v_abs = np.abs(correction.value(r_samp))
@@ -303,8 +299,8 @@ def conformal_deform_radial(spec: MetricSpec, phi_fn, s: float,
     r_samp = np.geomspace(r_lo * 1.02, r_hi * 0.98, 300)
     coords = np.column_stack([r_samp] + [np.full(r_samp.size, np.pi / 2)] * (n - 1))
     app = metric_apparatus(spec, coords, level=2)
-    h, dh, ddh = ScaledMetricField(spec, first.as_field()).component_arrays(coords)
-    lin = linearized_scalar_values(app, h, dh, ddh)
+    h = ScaledMetricField(spec, first.as_field()).component_arrays(coords)
+    lin = linearized_scalar_values(app, h)
     linear_residual = float(np.abs(lin - phi_fn(r_samp)).max())
 
     u_abs = np.abs(first.value(r_samp))

@@ -79,9 +79,8 @@ def wang_identity_check(spec: MetricSpec, f, r: float, quad: SphereRule = None,
     if np.any(jet.val <= 0):
         raise ValueError(f"potential must be positive on the ball; min value "
                          f"{jet.val.min():.3g}")
-    hess = covariant_hessian(app, jet.grad, jet.hess)
-    defect = hess - jet.val[:, None, None] * app.g
-    norm2 = np.einsum("pia,pjb,pij,pab->p", app.inv, app.inv, defect, defect)
+    defect = covariant_hessian(app, jet) - jet.val[:, None, None] * app.g
+    norm2 = app.inner(defect, defect)
     w = volume_weights(rule, app.sqrt_det)
     lhs = float(np.sum(w * norm2 / jet.val))
     rhs = _sphere_flux(spec, f, r, quad) - _sphere_flux(spec, f, r_inner, quad)
@@ -117,7 +116,7 @@ def divergence_form_check(spec: MetricSpec, f, point) -> np.ndarray:
     app = metric_apparatus(spec, coords, level=2)
     jet = f.jet(coords)
     S = app.ricci + (n - 1) * app.g
-    S2 = np.einsum("pia,pjb,pij,pab->p", app.inv, app.inv, S, S)
+    S2 = app.inner(S, S)
     lhs = jet.val * S2
 
     steps = np.full(coords.shape, 1e-5)
@@ -216,11 +215,8 @@ class WarpedProductFixture:
         coords = as_coords(coords)
         app = metric_apparatus(self.metric, coords, level=1)
         jet = self.potential.jet(coords)
-        hess = covariant_hessian(app, jet.grad, jet.hess)
-        defect = hess - jet.val[:, None, None] * app.g
-        norm2 = np.einsum("pia,pjb,pij,pab->p",
-                          np.linalg.inv(app.g), np.linalg.inv(app.g),
-                          defect, defect)
+        defect = covariant_hessian(app, jet) - jet.val[:, None, None] * app.g
+        norm2 = app.inner(defect, defect)
         return float(np.sqrt(np.abs(norm2).max()))
 
     def mixed_sectional(self, t_values) -> np.ndarray:
@@ -249,15 +245,8 @@ class WarpedProductFixture:
 
 
 def sinh_potential() -> ScalarField:
-    def jet_fn(coords):
-        npts, dim = coords.shape
-        t = coords[:, 0]
-        grad = np.zeros((npts, dim))
-        grad[:, 0] = np.cosh(t)
-        hess = np.zeros((npts, dim, dim))
-        hess[:, 0, 0] = np.sinh(t)
-        return J.Jet(np.sinh(t), grad, hess)
-    return ScalarField(jet_fn, asymptotic_tag=("warp",))
+    return ScalarField(lambda c: J.jsinh(J.coordinate_jets(c)[0]),
+                       asymptotic_tag=("warp",))
 
 
 def warped_fixture(factor: str = "round_sphere", n: int = 3) -> WarpedProductFixture:

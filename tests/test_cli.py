@@ -101,6 +101,25 @@ def test_two_radii_rejected(tmp_path):
     assert main(["mass", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
 
 
+PERTURBED3 = {"family": "perturbed", "n": 3, "params": {
+    "base": HYP, "perturbation": {"kind": "axis_bump", "axis": [1.0, 0.0, 0.0]}}}
+PERTURBED4 = {"family": "perturbed", "n": 4, "params": {
+    "base": {"family": "hyperbolic", "n": 4, "params": {}},
+    "perturbation": {"kind": "axis_bump", "axis": [1.0, 0.0, 0.0, 0.0]}}}
+
+
+@pytest.mark.parametrize("command,metric", [
+    ("mass", PERTURBED4),            # n >= 4 flux needs rotational symmetry
+    ("deform", PERTURBED3),          # no radial reduction
+    ("eigenfunction", PERTURBED3),   # no radial reduction
+])
+def test_unsupported_metric_rejected(tmp_path, capsys, command, metric):
+    cfg = write_config(tmp_path, {"command": command, "metric": metric})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("unsupported: ") and "Traceback" not in err
+
+
 def test_command_mismatch_rejected(tmp_path):
     cfg = write_config(tmp_path, {"command": "mass", "metric": HYP})
     assert main(["curvature", "--config", cfg,

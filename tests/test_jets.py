@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from ahmass import jets as J
 from ahmass.chart import chart_jacobian_jets, random_points, to_cartesian
-from ahmass.fields import (ScaledMetricField, random_compact_scalar,
-                           random_compact_tensor)
-from ahmass.metrics import metric_from_dict, schwarzschild_ads
+from ahmass.fields import (ScaledMetricField, power_tail_profile,
+                           random_compact_scalar, random_compact_tensor)
+from ahmass.metrics import metric_from_dict, schwarzschild_ads, static_potential
+from ahmass.rigidity import sinh_potential
 
 
 def fd_check(jet_fn, coords, tol=1e-7):
@@ -117,4 +118,22 @@ def test_tensor_jets_match_finite_differences(name):
     val = jet_fn(coords).val
     assert val.shape == (len(coords), n, n)
     # central differences lose about 1e-10 relative to the values differenced
+    fd_check(jet_fn, coords, tol=1e-7 * (1.0 + np.abs(val).max()))
+
+
+SCALAR_JETS = {
+    "profile_product_and_shift": lambda: (power_tail_profile(0.3, 3.0) * (
+        1.0 + power_tail_profile(0.1, 2.0))).as_field(),
+    "sinh_potential": sinh_potential,
+    "static_potential_0": lambda: static_potential(3, 0),
+    "static_potential_1": lambda: static_potential(3, 1),
+}
+
+
+@pytest.mark.parametrize("name", SCALAR_JETS)
+def test_scalar_field_jets_match_finite_differences(name):
+    coords = random_points(3, np.random.default_rng(11), 30, r_range=(2.2, 5.8))
+    jet_fn = SCALAR_JETS[name]().jet
+    val = jet_fn(coords).val
+    assert val.shape == (len(coords),)
     fd_check(jet_fn, coords, tol=1e-7 * (1.0 + np.abs(val).max()))

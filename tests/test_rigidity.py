@@ -113,7 +113,7 @@ def test_hessian_defect_equals_static_residual_combination(hyp3, rng):
     pts = random_points(3, rng, 50)
     app = metric_apparatus(hyp3, pts, level=2)
     jet = V0.jet(pts)
-    hess = covariant_hessian(app, jet.grad, jet.hess)
+    hess = covariant_hessian(app, jet)
     rigidity_defect = hess - jet.val[:, None, None] * app.g
     adjoint_defect = hess - (app.ricci + 3 * app.g) * jet.val[:, None, None]
     from ahmass.metrics import frame_components
