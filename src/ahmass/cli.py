@@ -9,7 +9,8 @@ Commands: mass, curvature, verify-ah, duality-check, eigenfunction, deform,
 first-variation, ode-verify, dichotomy, rigidity-check.
 
 The configuration document is strict: unknown keys anywhere, and metric and
-command combinations the toolkit does not support, are rejected (exit 2).  Numerical failures exit 3; completed runs exit 0 when every check
+command combinations the toolkit does not support, are rejected (exit 2).
+Numerical failures exit 3; completed runs exit 0 when every check
 passes its tolerance and 1 otherwise.  Reports are deterministic: reruns with
 the same config produce byte-identical report and CSV files (timestamps live
 in a separate metadata file).

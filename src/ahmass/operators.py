@@ -262,7 +262,7 @@ def first_variation_check(spec: MetricSpec, f, h_field, epsilons,
     lin_h = linearized_scalar_values(app, h)
     r_base = app.scalar[mask]
     # h is linear in eps: evaluate it once on the support nodes, the only
-    # points where the perturbed metrics below are evaluated, and scale it
+    # points where the perturbed metrics below are evaluated, and scale it per eps
     h_sup = h_field.component_arrays(sup_coords)
 
     epsilons = np.asarray(sorted(epsilons, reverse=True), dtype=float)

@@ -112,7 +112,7 @@ PERTURBED4 = {"family": "perturbed", "n": 4, "params": {
     ("mass", PERTURBED4),            # n >= 4 flux needs rotational symmetry
     ("deform", PERTURBED3),          # no radial reduction
     ("eigenfunction", PERTURBED3),   # no radial reduction
-])
+], ids=["mass", "deform", "eigenfunction"])
 def test_unsupported_metric_rejected(tmp_path, capsys, command, metric):
     cfg = write_config(tmp_path, {"command": command, "metric": metric})
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
