@@ -63,6 +63,17 @@ NUMERIC_KEYS = {
     "wang_radius": "ball radius (rigidity-check)",
 }
 
+# integer-valued numeric keys and their least allowed value
+COUNT_MINIMUM = {
+    "pairs": 1,
+    "quad_polar": 4,
+    "quad_azimuth": 4,
+    "radial_nodes": 1,
+    "fan_count": 1,
+    "sample_points": 1,
+    "seed": 0,
+}
+
 DEFAULT_TOLERANCES = {
     "duality_residual": 1e-6,
     "eigenfunction_residual": 1e-7,
@@ -120,7 +131,18 @@ def load_config(path, overrides=None) -> dict:
         raw["numeric"] = numeric
         if overrides.get("out") is not None:
             raw["output"] = overrides["out"]
+    _check_numeric(raw.get("numeric", {}) or {})
     return raw
+
+
+def _check_numeric(numeric: dict):
+    """Type and range of the count keys and the radius ladder."""
+    for key, minimum in COUNT_MINIMUM.items():
+        val = numeric.get(key, minimum)
+        if isinstance(val, bool) or not isinstance(val, int) or val < minimum:
+            raise SchemaError(f"{key} must be an integer >= {minimum}, got {val!r}")
+    if "radii" in numeric:
+        _radii(numeric)
 
 
 def resolve_metric(doc) -> tuple:
@@ -141,12 +163,21 @@ def _radii(numeric, default=(20.0, 200.0, 8)):
         lo, hi, count = default
         return np.geomspace(lo, hi, count)
     if isinstance(doc, list):
-        arr = np.asarray([float(v) for v in doc])
+        values = doc
     elif isinstance(doc, dict):
         _require_keys(doc, {"min", "max", "count"}, "numeric.radii")
-        arr = np.geomspace(float(doc["min"]), float(doc["max"]), int(doc["count"]))
+        values = [doc.get("min"), doc.get("max")]
+        count = doc.get("count")
+        if isinstance(count, bool) or not isinstance(count, int) or count < 3:
+            raise SchemaError(f"radii count must be an integer >= 3, got {count!r}")
     else:
         raise SchemaError("radii must be a list or {min, max, count}")
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               and np.isfinite(v) and v > 0 for v in values):
+        raise SchemaError(f"radii must be finite positive numbers, got {values!r}")
+    arr = np.asarray(values, dtype=float)
+    if isinstance(doc, dict):
+        arr = np.geomspace(arr[0], arr[1], count)
     if arr.size < 3 or np.any(np.diff(arr) <= 0):
         raise SchemaError("radii must be >= 3 strictly increasing values")
     return arr
@@ -168,9 +199,17 @@ def _rng(numeric):
 
 # -- command handlers: each returns (results dict, checks list, csv tables) -----
 
+def _require_exterior_chart(spec, command):
+    if not spec.exterior_chart:
+        raise NotImplementedError(
+            f"{command} needs a metric on the exterior (r, angles) chart, "
+            f"and this {spec.family} metric is not on it")
+
+
 def run_mass(spec, numeric):
     from .massflux import mass_vector
     from .reporting import check
+    _require_exterior_chart(spec, "mass")
     radii = _radii(numeric)
     quad = _sphere(numeric, spec.n) if spec.n == 3 else None
     mv = mass_vector(spec, radii, quad)
@@ -221,6 +260,7 @@ def run_curvature(spec, numeric):
 def run_verify_ah(spec, numeric):
     from .decay import verify_ah
     from .reporting import check
+    _require_exterior_chart(spec, "verify-ah")
     radii = _radii(numeric)
     q = float(numeric.get("q_claimed", spec.n))
     report = verify_ah(spec, q, radii)
@@ -404,6 +444,10 @@ def run_rigidity(spec, numeric):
     from .reporting import check
     from .rigidity import sectional_ode_check, wang_identity_check, warped_fixture
     n = spec.n
+    if n != 3:
+        raise NotImplementedError(
+            "rigidity-check supports n = 3 only (the warped fixture and its "
+            "geodesic checks are 3-dimensional)")
     results = {}
     checks = []
     if spec.family == "hyperbolic":
@@ -416,25 +460,24 @@ def run_rigidity(spec, numeric):
     fx = warped_fixture("round_sphere", n)
     rng = _rng(numeric)
     tpts = np.column_stack([rng.uniform(-3, 3, 100), rng.uniform(0.3, 2.8, 100),
-                            rng.uniform(0, 2 * np.pi, 100)]) if n == 3 else None
-    if tpts is not None:
-        defect = fx.hessian_defect(tpts)
-        results["warped_hessian_defect"] = defect
-        checks.append(check("hessian_defect", defect, _tol(numeric, "hessian_defect")))
-        p0 = np.array([0.5, 1.1, 0.7])
-        g0 = fx.metric.components(p0[None])[0]
-        X0 = np.array([0.0, 1.0 / np.sqrt(g0[1, 1]), 0.0])
-        Y0 = np.array([0.0, 0.0, 1.0 / np.sqrt(g0[2, 2])])
-        geo = integrate_geodesic(fx.metric, p0, np.array([1.0, 0.0, 0.0]), T=2.5,
-                                 sample_step=0.01, transported=np.stack([X0, Y0]))
-        srep = sectional_ode_check(fx.metric, fx.potential, geo)
-        results["sectional"] = srep.to_dict()
-        rho_gap = float(np.abs(srep.rho - np.tanh(geo.ts + 0.5)).max())
-        checks.extend([
-            check("rho_ode_residual", srep.rho_ode_residual, _tol(numeric, "sectional_ode")),
-            check("K_ode_residual", srep.K_ode_residual, _tol(numeric, "sectional_ode")),
-            check("rho_profile", rho_gap, _tol(numeric, "rho_profile")),
-        ])
+                            rng.uniform(0, 2 * np.pi, 100)])
+    defect = fx.hessian_defect(tpts)
+    results["warped_hessian_defect"] = defect
+    checks.append(check("hessian_defect", defect, _tol(numeric, "hessian_defect")))
+    p0 = np.array([0.5, 1.1, 0.7])
+    g0 = fx.metric.components(p0[None])[0]
+    X0 = np.array([0.0, 1.0 / np.sqrt(g0[1, 1]), 0.0])
+    Y0 = np.array([0.0, 0.0, 1.0 / np.sqrt(g0[2, 2])])
+    geo = integrate_geodesic(fx.metric, p0, np.array([1.0, 0.0, 0.0]), T=2.5,
+                             sample_step=0.01, transported=np.stack([X0, Y0]))
+    srep = sectional_ode_check(fx.metric, fx.potential, geo)
+    results["sectional"] = srep.to_dict()
+    rho_gap = float(np.abs(srep.rho - np.tanh(geo.ts + 0.5)).max())
+    checks.extend([
+        check("rho_ode_residual", srep.rho_ode_residual, _tol(numeric, "sectional_ode")),
+        check("K_ode_residual", srep.K_ode_residual, _tol(numeric, "sectional_ode")),
+        check("rho_profile", rho_gap, _tol(numeric, "rho_profile")),
+    ])
     return results, checks, {}
 
 

@@ -10,6 +10,12 @@ convention is
 
 so that for orthonormal X, Y the sectional curvature is K(X ^ Y) = R(X,Y,Y,X),
 equal to -1 on the hyperbolic background.
+
+Contractions are batched ``@`` products of stacked n x n factors, reshaped so
+that the summed index is the inner one; no einsum here takes more than two
+operands.  Where two terms are (i, j)-transposes of each other because the
+metric, its derivatives or the tensor field are symmetric, one is computed and
+the other added as its transpose.
 """
 
 from __future__ import annotations
@@ -48,42 +54,73 @@ class MetricApparatus:
 
     def inner(self, a, b) -> np.ndarray:
         """g-inner product g^{ia} g^{jb} a_ij b_ab of two 2-tensors at each point."""
-        return np.einsum("pia,pjb,pij,pab->p", self.inv, self.inv, a, b)
+        return ((self.inv @ a @ self.inv) * b).sum((1, 2))
 
 
-def _christoffel(inv, dg):
-    # Gamma^k_ij = 1/2 g^{kl} (d_i g_lj + d_j g_li - d_l g_ij)
-    bracket = (np.einsum("pilj->plij", dg) + np.einsum("pjli->plij", dg)
-               - np.einsum("plij->plij", dg))
-    return 0.5 * np.einsum("pkl,plij->pkij", inv, bracket)
+def _bracket(dg):
+    # d_i g_lj + d_j g_li - d_l g_ij at index (..., l, i, j), from dg at (..., a, i, j)
+    t = dg.swapaxes(-3, -2)
+    bracket = t + t.swapaxes(-2, -1)
+    bracket -= dg
+    return bracket
+
+
+def _christoffel(inv, bracket):
+    # Gamma^k_ij = 1/2 g^{kl} bracket_lij
+    N, n = inv.shape[:2]
+    gamma = inv @ bracket.reshape(N, n, n * n)
+    gamma *= 0.5
+    return gamma.reshape(N, n, n, n)
+
+
+def _second_inverse_derivative(inv, dinv, dg, ddg):
+    """d_a d_b g^-1 = -(X + X^T + g^-1 d_a d_b g g^-1) with X = d_b g^-1 d_a g g^-1.
+
+    The product term g^-1 d_a g d_b g^-1 is X^T because every factor is symmetric.
+    """
+    X = dinv[:, None] @ dg[:, :, None] @ inv[:, None, None]
+    ddinv = inv[:, None, None] @ ddg @ inv[:, None, None]
+    ddinv += X
+    ddinv += X.swapaxes(-1, -2)
+    ddinv *= -1.0
+    return ddinv
+
+
+def _lowered_riemann(g, gamma, dgamma):
+    """R_kjli = R^m_kjl g_mi at (N, k, j, l, i).
+
+    R^m_kjl = B_kmjl - B_jmkl with B_kmjl = d_k Gamma^m_jl + Gamma^m_kq Gamma^q_jl.
+    """
+    N, n = g.shape[:2]
+    B = gamma.swapaxes(1, 2).reshape(N, n * n, n) @ gamma.reshape(N, n, n * n)
+    B = B.reshape(N, n, n, n, n)
+    B += dgamma
+    B = B.transpose(0, 1, 3, 4, 2)              # (N, k, j, l, m)
+    rm = np.subtract(B, B.swapaxes(1, 2), order="C")
+    return (rm.reshape(N, n ** 3, n) @ g).reshape(N, n, n, n, n)
 
 
 def metric_apparatus(spec: MetricSpec, coords, level: int = 2) -> MetricApparatus:
     """Evaluate metric data at coordinate rows; level 2 adds curvature."""
     coords = as_coords(coords)
     g, dg, ddg = spec.component_jets(coords)
+    N, n = g.shape[:2]
     inv = np.linalg.inv(g)
-    dinv = -np.einsum("pim,pamn,pnj->paij", inv, dg, inv)
-    gamma = _christoffel(inv, dg)
+    dinv = inv[:, None] @ dg @ inv[:, None]
+    dinv *= -1.0
+    bracket = _bracket(dg)
+    gamma = _christoffel(inv, bracket)
     sqrt_det = np.sqrt(np.linalg.det(g))
     app = MetricApparatus(coords=coords, g=g, dg=dg, inv=inv,
                           dinv=dinv, gamma=gamma, sqrt_det=sqrt_det, level=1)
     if level >= 2:
-        ddinv = -(np.einsum("pbim,pamn,pnj->pabij", dinv, dg, inv)
-                  + np.einsum("pim,pabmn,pnj->pabij", inv, ddg, inv)
-                  + np.einsum("pim,pamn,pbnj->pabij", inv, dg, dinv))
-        # d_a Gamma^k_ij
-        bracket = (np.einsum("pilj->plij", dg) + np.einsum("pjli->plij", dg)
-                   - dg)
-        dbracket = (np.einsum("pailj->palij", ddg) + np.einsum("pajli->palij", ddg)
-                    - ddg)
-        dgamma = 0.5 * (np.einsum("pakl,plij->pakij", dinv, bracket)
-                        + np.einsum("pkl,palij->pakij", inv, dbracket))
-        # R^m_kjl = d_k Gamma^m_jl - d_j Gamma^m_kl + G^m_kp G^p_jl - G^m_jp G^p_kl
-        rm = (np.einsum("pkmjl->pkjlm", dgamma) - np.einsum("pjmkl->pkjlm", dgamma)
-              + np.einsum("pmkq,pqjl->pkjlm", gamma, gamma)
-              - np.einsum("pmjq,pqkl->pkjlm", gamma, gamma))
-        riemann = np.einsum("pkjlm,pmi->pkjli", rm, g)
+        ddinv = _second_inverse_derivative(inv, dinv, dg, ddg)
+        # d_a Gamma^k_ij at (N, a, k, i, j)
+        dgamma = dinv @ bracket.reshape(N, 1, n, n * n)
+        dgamma += inv[:, None] @ _bracket(ddg).reshape(N, n, n, n * n)
+        dgamma *= 0.5
+        dgamma = dgamma.reshape(N, n, n, n, n)
+        riemann = _lowered_riemann(g, gamma, dgamma)
         ricci = np.einsum("pki,pkjli->pjl", inv, riemann)
         scalar = np.einsum("pjl,pjl->p", inv, ricci)
         app.ddg, app.ddinv, app.dgamma = ddg, ddinv, dgamma
@@ -145,10 +182,20 @@ def laplacian(spec: MetricSpec, V, point) -> np.ndarray:
 
 # -- covariant calculus of symmetric 2-tensor fields ---------------------------
 
+def _gamma_rows(gamma):
+    """Gamma^c_ab as an (N, n*n, n) stack: row (a, b), column c."""
+    N, n = gamma.shape[:2]
+    return gamma.reshape(N, n, n * n).swapaxes(1, 2)
+
+
 def nabla_2tensor(gamma, h, dh) -> np.ndarray:
     """First covariant derivative (N, a, i, j) of a symmetric 2-tensor."""
-    return (dh - np.einsum("pcai,pcj->paij", gamma, h)
-            - np.einsum("pcaj,pic->paij", gamma, h))
+    N, n = h.shape[:2]
+    # S_aij = Gamma^c_ai h_cj; the Gamma^c_aj h_ic term is S_aji since h is symmetric
+    S = (_gamma_rows(gamma) @ h).reshape(N, n, n, n)
+    T = dh - S
+    T -= S.swapaxes(-1, -2)
+    return T
 
 
 def nabla2_2tensor(app: MetricApparatus, jet: J.Jet) -> np.ndarray:
@@ -157,16 +204,22 @@ def nabla2_2tensor(app: MetricApparatus, jet: J.Jet) -> np.ndarray:
     Needs a level-2 apparatus.
     """
     h, dh, ddh = jet
+    N, n = h.shape[:2]
+    G = _gamma_rows(app.gamma)
     T = nabla_2tensor(app.gamma, h, dh)
-    # d_a T_bij from chart derivatives of the Christoffel contraction
-    dT = (ddh
-          - np.einsum("pacbi,pcj->pabij", app.dgamma, h)
-          - np.einsum("pcbi,pacj->pabij", app.gamma, dh)
-          - np.einsum("pacbj,pic->pabij", app.dgamma, h)
-          - np.einsum("pcbj,paic->pabij", app.gamma, dh))
-    return (dT - np.einsum("pcab,pcij->pabij", app.gamma, T)
-            - np.einsum("pcai,pbcj->pabij", app.gamma, T)
-            - np.einsum("pcaj,pbic->pabij", app.gamma, T))
+    # nabla_a nabla_b h_ij = d_a d_b h_ij - Gamma^c_ab T_cij - W_abij - W_abji with
+    # W_abij = d_a Gamma^c_bi h_cj + Gamma^c_bi d_a h_cj + Gamma^c_ai T_bcj: each
+    # term's (i, j)-transpose is the matching term of W_abji, as h, dh and T are
+    # symmetric in (i, j)
+    dG = app.dgamma.reshape(N, n, n, n * n).swapaxes(2, 3)
+    W = dG @ h[:, None]
+    W += G[:, None] @ dh
+    W = W.reshape(N, n, n, n, n)
+    W += G.reshape(N, n, 1, n, n) @ T[:, None]
+    out = ddh - (G @ T.reshape(N, n, n * n)).reshape(N, n, n, n, n)
+    out -= W
+    out -= W.swapaxes(-1, -2)
+    return out
 
 
 def divergence(spec: MetricSpec, T, point) -> np.ndarray:

@@ -6,8 +6,15 @@ The flux integral of a deviation h = g - b against a background potential V is
 
 with divergence, trace, gradient, normal, and measure taken with respect to
 the hyperbolic background by default (they may be switched to the metric's own
-objects; the fitted limit is insensitive to that choice).  Limits at infinity
-are extracted from a radius ladder by fitting I(r) = I_inf + c r^(-beta).
+objects; the fitted limit is insensitive to that choice).  The integrand is
+linear in the potential's 1-jet,
+
+    V A + d_c V B^c,   A = (div h - d tr h)(nu),   B^c = tr h nu^c - g^{ca} h_ab nu^b,
+
+so A and B are evaluated once per radius and contracted with every potential:
+the mass vector costs one metric evaluation per radius for all n+1 potentials.
+Limits at infinity are extracted from a radius ladder by fitting
+I(r) = I_inf + c r^(-beta).
 """
 
 from __future__ import annotations
@@ -122,21 +129,25 @@ def _normal_and_measure(app, objects: str):
     return nu, density
 
 
-def flux_integrand_values(spec: MetricSpec, V, coords, objects: str = "background"):
-    """Pointwise flux integrand and the measure density against d(omega)."""
+def flux_integrand_values(spec: MetricSpec, potentials, coords, objects: str = "background"):
+    """Pointwise flux integrands (N, K) of the K potentials and the measure density.
+
+    A and B of the module docstring's V A + d_c V B^c form are evaluated once
+    and contracted with every potential's 1-jet.
+    """
     coords = as_coords(coords)
     n = spec.n
     reference = HyperbolicMetric(n)
     base_app = metric_apparatus(reference if objects == "background" else spec,
                                 coords, level=1)
-    g, dg, _ = spec.component_jets(coords)
     if objects == "background":
+        g, dg, _ = spec.component_jets(coords)
         h = g - base_app.g
         dh = dg - base_app.dg
     else:
         g0, dg0, _ = reference.component_jets(coords)
-        h = g - g0
-        dh = dg - dg0
+        h = base_app.g - g0
+        dh = base_app.dg - dg0
     inv, dinv, gamma = base_app.inv, base_app.dinv, base_app.gamma
 
     trh = np.einsum("pij,pij->p", inv, h)
@@ -145,22 +156,24 @@ def flux_integrand_values(spec: MetricSpec, V, coords, objects: str = "backgroun
     nh = nabla_2tensor(gamma, h, dh)
     divh = np.einsum("pik,pikj->pj", inv, nh)
 
-    jet = V.jet(coords)
-    gradV = np.einsum("pab,pb->pa", inv, jet.grad)
-
     nu, density = _normal_and_measure(base_app, objects)
-    term1 = jet.val * np.einsum("pj,pj->p", divh - dtrh, nu)
-    term2 = trh * np.einsum("pa,pa->p", jet.grad, nu)
-    term3 = np.einsum("pab,pa,pb->p", h, gradV, nu)
-    return term1 + term2 - term3, density
+    # A = (div h - d tr h)(nu),  B^c = tr h nu^c - g^{ca} h_ab nu^b
+    A = np.einsum("pj,pj->p", divh - dtrh, nu)
+    B = trh[:, None] * nu - (inv @ (h @ nu[:, :, None]))[:, :, 0]
+    jets = [V.jet(coords) for V in potentials]
+    vals = np.stack([jet.val for jet in jets], axis=1)
+    grads = np.stack([jet.grad for jet in jets], axis=1)     # (N, K, n)
+    return A[:, None] * vals + (grads @ B[:, :, None])[:, :, 0], density
 
 
-def _sphere_integral(spec: MetricSpec, V, r: float, quad: SphereRule, integrand) -> float:
-    """Integrate ``integrand(coords) -> (values, density)`` over the sphere S_r.
+def _sphere_integral(spec: MetricSpec, potentials, r: float, quad: SphereRule,
+                     integrand) -> np.ndarray:
+    """Integrate ``integrand(coords) -> (values (N, K), density)`` over S_r.
 
-    For n >= 4 the metric must be rotationally symmetric; the angular integral
-    then reduces to the sphere area times one sample for the time-like
-    potential and vanishes by parity for the translational ones.
+    Returns one integral per potential.  For n >= 4 the metric must be
+    rotationally symmetric; the angular integral then reduces to the sphere
+    area times one sample for the time-like potential and vanishes by parity
+    for the translational ones.
     """
     n = spec.n
     if n == 3:
@@ -170,41 +183,56 @@ def _sphere_integral(spec: MetricSpec, V, r: float, quad: SphereRule, integrand)
             raise ValueError("quadrature spec needs at least 4 nodes per angle")
         coords = sphere_coords_at_radius(quad, r)
         vals, density = integrand(coords)
-        return float(np.sum(quad.weights * density * vals))
+        return (quad.weights * density) @ vals
     if not spec.rotationally_symmetric:
         raise NotImplementedError(
             "flux quadrature for n >= 4 supports rotationally symmetric metrics only")
-    if isinstance(V, StaticPotential) and V.index > 0:
-        return 0.0  # odd integrand over the sphere
+    odd = np.array([isinstance(V, StaticPotential) and V.index > 0 for V in potentials])
+    if odd.all():
+        return np.zeros(len(potentials))  # odd integrands over the sphere
     sample = np.array([[r] + [np.pi / 2] * (n - 1)])
     vals, density = integrand(sample)
-    return float(sphere_area(n) * density[0] * vals[0])
+    return np.where(odd, 0.0, sphere_area(n) * density[0] * vals[0])
+
+
+def _flux_integrals(spec, potentials, r, quad, objects) -> np.ndarray:
+    return _sphere_integral(spec, potentials, r, quad,
+                            lambda c: flux_integrand_values(spec, potentials, c, objects))
 
 
 def mass_flux_integral(spec: MetricSpec, V, r: float, quad: SphereRule = None,
                        objects: str = "background") -> float:
     """Flux integral over the sphere of radius r (see ``_sphere_integral``)."""
-    return _sphere_integral(spec, V, r, quad,
-                            lambda c: flux_integrand_values(spec, V, c, objects))
+    return float(_flux_integrals(spec, [V], r, quad, objects)[0])
+
+
+def _flux_ladders(spec: MetricSpec, potentials, labels, radii, quad: SphereRule,
+                  beta0: float, objects: str) -> list:
+    """One FluxReport per potential, from one integrand evaluation per radius."""
+    radii = np.asarray(radii, dtype=float)
+    if np.any(np.diff(radii) <= 0):
+        raise ValueError("radius ladder must be strictly increasing")
+    values = np.array([_flux_integrals(spec, potentials, r, quad, objects)
+                       for r in radii])
+    n = spec.n
+    if beta0 is None:
+        beta0 = float(n)  # matches corrections r^(n-1-2q) at the borderline q = n
+    reports = []
+    for label, column in zip(labels, values.T):
+        if not np.all(np.isfinite(column)):
+            raise ArithmeticError(f"flux integrand produced non-finite values for {label}")
+        limit, beta, resid, flags = extrapolate_limit(radii, column, beta0,
+                                                      beta_bounds=(0.5, 2.0 * n))
+        reports.append(FluxReport(integrand_label=label, radii=radii, values=column,
+                                  fitted_limit=limit, fit_exponent=beta,
+                                  fit_residual=resid, flags=flags))
+    return reports
 
 
 def flux_ladder(spec: MetricSpec, V, radii=DEFAULT_RADII, quad: SphereRule = None,
                 label: str = "V", beta0: float = None,
                 objects: str = "background") -> FluxReport:
-    radii = np.asarray(radii, dtype=float)
-    if np.any(np.diff(radii) <= 0):
-        raise ValueError("radius ladder must be strictly increasing")
-    values = np.array([mass_flux_integral(spec, V, r, quad, objects) for r in radii])
-    if not np.all(np.isfinite(values)):
-        raise ArithmeticError(f"flux integrand produced non-finite values for {label}")
-    n = spec.n
-    if beta0 is None:
-        beta0 = float(n)  # matches corrections r^(n-1-2q) at the borderline q = n
-    limit, beta, resid, flags = extrapolate_limit(radii, values, beta0,
-                                                  beta_bounds=(0.5, 2.0 * n))
-    return FluxReport(integrand_label=label, radii=radii, values=values,
-                      fitted_limit=limit, fit_exponent=beta, fit_residual=resid,
-                      flags=flags)
+    return _flux_ladders(spec, [V], [label], radii, quad, beta0, objects)[0]
 
 
 def mass_vector(spec: MetricSpec, radii=DEFAULT_RADII, quad: SphereRule = None) -> MassVector:
@@ -213,10 +241,9 @@ def mass_vector(spec: MetricSpec, radii=DEFAULT_RADII, quad: SphereRule = None) 
     if radii[-1] / radii[0] < 10.0 - 1e-9:
         raise ValueError("radius ladder should span at least one decade")
     n = spec.n
-    reports = []
     labels = ["V_0"] + [f"x_{i}" for i in range(1, n + 1)]
-    for k, V in enumerate(static_potential_basis(n)):
-        reports.append(flux_ladder(spec, V, radii, quad, label=labels[k]))
+    reports = _flux_ladders(spec, static_potential_basis(n), labels, radii, quad,
+                            None, "background")
     flags = ()
     if getattr(spec, "borderline_decay", False):
         flags = ("borderline-decay",)
@@ -239,9 +266,9 @@ def ricci_flux(spec: MetricSpec, V, r: float, quad: SphereRule = None) -> float:
         nu = np.zeros_like(gradV)
         nu[:, 0] = np.sqrt(1.0 + coords[:, 0] ** 2)
         vals = np.einsum("pab,pa,pb->p", S, gradV, nu)
-        return vals, np.full_like(vals, r ** (n - 1))
+        return vals[:, None], np.full_like(vals, r ** (n - 1))
 
-    return _sphere_integral(spec, V, r, quad, integrand)
+    return float(_sphere_integral(spec, [V], r, quad, integrand)[0])
 
 
 @dataclass

@@ -182,6 +182,7 @@ class ConformalMetric(MetricSpec):
         self.base = base
         self.profile = profile
         self.rotationally_symmetric = base.rotationally_symmetric
+        self.exterior_chart = base.exterior_chart
 
     def domain_check(self, coords):
         self.base.domain_check(coords)
@@ -213,6 +214,7 @@ class PerturbedMetric(MetricSpec):
         self.base = base
         self.field = field
         self.analytic = getattr(field, "analytic", True)
+        self.exterior_chart = base.exterior_chart
 
     def domain_check(self, coords):
         self.base.domain_check(coords)

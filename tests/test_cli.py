@@ -108,16 +108,39 @@ PERTURBED4 = {"family": "perturbed", "n": 4, "params": {
     "perturbation": {"kind": "axis_bump", "axis": [1.0, 0.0, 0.0, 0.0]}}}
 
 
+WARPED = {"family": "warped_product", "n": 3}
+
+
 @pytest.mark.parametrize("command,metric", [
     ("mass", PERTURBED4),            # n >= 4 flux needs rotational symmetry
     ("deform", PERTURBED3),          # no radial reduction
     ("eigenfunction", PERTURBED3),   # no radial reduction
-], ids=["mass", "deform", "eigenfunction"])
+    ("mass", WARPED),                # not on the exterior chart
+    ("verify-ah", WARPED),           # not on the exterior chart
+    ("rigidity-check", {"family": "hyperbolic", "n": 4}),   # n = 3 fixture only
+], ids=["mass", "deform", "eigenfunction", "mass-warped", "verify-ah-warped",
+        "rigidity-check-n4"])
 def test_unsupported_metric_rejected(tmp_path, capsys, command, metric):
     cfg = write_config(tmp_path, {"command": command, "metric": metric})
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
     err = capsys.readouterr().err
     assert err.startswith("unsupported: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,numeric", [
+    ("duality-check", {"pairs": 0}),
+    ("duality-check", {"pairs": "ten"}),
+    ("mass", {"quad_polar": 2}),
+    ("mass", {"radii": [20.0, float("nan"), 200.0]}),
+    ("curvature", {"sample_points": 0}),
+    ("mass", {"seed": True}),
+], ids=["pairs-zero", "pairs-string", "quad-polar-2", "radius-nan",
+        "sample-points-zero", "seed-bool"])
+def test_bad_numeric_value_rejected(tmp_path, capsys, command, numeric):
+    cfg = write_config(tmp_path, {"command": command, "metric": HYP, "numeric": numeric})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
 
 
 def test_command_mismatch_rejected(tmp_path):

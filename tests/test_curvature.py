@@ -5,9 +5,9 @@ import pytest
 
 from ahmass.chart import ChartPoint, random_points
 from ahmass.curvature import (curvature_at, divergence, hessian, laplacian,
-                              metric_apparatus, nabla_2tensor,
+                              metric_apparatus, nabla2_2tensor, nabla_2tensor,
                               riemann_symmetry_defects, trace)
-from ahmass.fields import FiniteDifferenceTensorField
+from ahmass.fields import FiniteDifferenceTensorField, random_compact_tensor
 from ahmass.metrics import (PerturbedMetric, hyperbolic_metric,
                             schwarzschild_ads, static_potential,
                             static_potential_basis)
@@ -163,3 +163,86 @@ def test_fd_mode_curvature_tolerance(rng):
     app_fd = metric_apparatus(pert, pts, level=2)
     app_an = metric_apparatus(s, pts, level=2)
     assert np.abs(app_fd.scalar - app_an.scalar).max() < 1e-5
+
+
+# -- batched contractions against einsum references on a non-diagonal metric ---
+
+def _off_pole_points(rng, n, count, r_range=(2.5, 7.5)):
+    # away from the poles the chart is well conditioned; near them its condition
+    # number grows like 1/sin^2 and amplifies roundoff of any summation order
+    r = rng.uniform(*r_range, size=count)
+    polar = rng.uniform(0.5, np.pi - 0.5, size=(count, n - 2))
+    azimuth = rng.uniform(0.0, 2.0 * np.pi, size=(count, 1))
+    return np.column_stack([r, polar, azimuth])
+
+
+def _non_diagonal_metric(rng, n):
+    h = random_compact_tensor(rng, n, 2.0, 8.0, amplitude=0.3)
+    return PerturbedMetric(schwarzschild_ads(n, 0.5), h)
+
+
+def _einsum_apparatus(g, dg, ddg):
+    """Level-2 metric data written as plain index contractions."""
+    inv = np.linalg.inv(g)
+    dinv = -np.einsum("pim,pamn,pnj->paij", inv, dg, inv)
+    ddinv = -(np.einsum("pbim,pamn,pnj->pabij", dinv, dg, inv)
+              + np.einsum("pim,pabmn,pnj->pabij", inv, ddg, inv)
+              + np.einsum("pim,pamn,pbnj->pabij", inv, dg, dinv))
+    bracket = (np.einsum("pilj->plij", dg) + np.einsum("pjli->plij", dg) - dg)
+    dbracket = (np.einsum("pailj->palij", ddg) + np.einsum("pajli->palij", ddg) - ddg)
+    gamma = 0.5 * np.einsum("pkl,plij->pkij", inv, bracket)
+    dgamma = 0.5 * (np.einsum("pakl,plij->pakij", dinv, bracket)
+                    + np.einsum("pkl,palij->pakij", inv, dbracket))
+    rm = (np.einsum("pkmjl->pkjlm", dgamma) - np.einsum("pjmkl->pkjlm", dgamma)
+          + np.einsum("pmkq,pqjl->pkjlm", gamma, gamma)
+          - np.einsum("pmjq,pqkl->pkjlm", gamma, gamma))
+    riemann = np.einsum("pkjlm,pmi->pkjli", rm, g)
+    ricci = np.einsum("pki,pkjli->pjl", inv, riemann)
+    scalar = np.einsum("pjl,pjl->p", inv, ricci)
+    return {"inv": inv, "dinv": dinv, "ddinv": ddinv, "gamma": gamma,
+            "dgamma": dgamma, "riemann": riemann, "ricci": ricci, "scalar": scalar}
+
+
+def _einsum_nabla2(ref, h, dh, ddh):
+    gamma, dgamma = ref["gamma"], ref["dgamma"]
+    T = (dh - np.einsum("pcai,pcj->paij", gamma, h)
+         - np.einsum("pcaj,pic->paij", gamma, h))
+    dT = (ddh
+          - np.einsum("pacbi,pcj->pabij", dgamma, h)
+          - np.einsum("pcbi,pacj->pabij", gamma, dh)
+          - np.einsum("pacbj,pic->pabij", dgamma, h)
+          - np.einsum("pcbj,paic->pabij", gamma, dh))
+    return (dT - np.einsum("pcab,pcij->pabij", gamma, T)
+            - np.einsum("pcai,pbcj->pabij", gamma, T)
+            - np.einsum("pcaj,pbic->pabij", gamma, T))
+
+
+def _assert_close(value, reference, rtol=1e-12):
+    assert np.abs(value - reference).max() <= rtol * np.abs(reference).max()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_apparatus_matches_einsum_reference(n):
+    rng = np.random.default_rng(7 + n)
+    spec = _non_diagonal_metric(rng, n)
+    pts = _off_pole_points(rng, n, 60)
+    app = metric_apparatus(spec, pts, level=2)
+    ref = _einsum_apparatus(*spec.component_jets(pts))
+    assert np.abs(app.g[:, 0, 1]).max() > 1e-3     # the metric is not diagonal
+    for name in ("inv", "dinv", "ddinv", "gamma", "dgamma", "riemann", "ricci", "scalar"):
+        _assert_close(getattr(app, name), ref[name])
+    a = random_compact_tensor(rng, n, 2.0, 8.0).component_arrays(pts).val
+    b = random_compact_tensor(rng, n, 2.0, 8.0).component_arrays(pts).val
+    _assert_close(app.inner(a, b),
+                  np.einsum("pia,pjb,pij,pab->p", ref["inv"], ref["inv"], a, b))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_nabla2_matches_einsum_reference(n):
+    rng = np.random.default_rng(11 + n)
+    spec = _non_diagonal_metric(rng, n)
+    pts = _off_pole_points(rng, n, 60)
+    app = metric_apparatus(spec, pts, level=2)
+    ref = _einsum_apparatus(*spec.component_jets(pts))
+    jet = random_compact_tensor(rng, n, 2.0, 8.0).component_arrays(pts)
+    _assert_close(nabla2_2tensor(app, jet), _einsum_nabla2(ref, *jet))

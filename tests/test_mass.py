@@ -8,12 +8,15 @@ potential is exactly 16 pi m (1+r^2)/(1+r^2-2m/r) at every radius.
 import numpy as np
 import pytest
 
-from ahmass.fields import AxisConcentratedPerturbation, ScalarField, radial_bump_field
-from ahmass.massflux import (extrapolate_limit, flux_ladder, mass_flux_integral,
-                             mass_vector, prop27_check, ricci_flux)
+from ahmass.curvature import metric_apparatus
+from ahmass.fields import (AxisConcentratedPerturbation, ScalarField, radial_bump_field,
+                           random_compact_tensor)
+from ahmass.massflux import (extrapolate_limit, flux_integrand_values, flux_ladder,
+                             mass_flux_integral, mass_vector, prop27_check, ricci_flux)
 from ahmass.metrics import (PerturbedMetric, hyperbolic_metric,
-                            schwarzschild_ads, static_potential)
-from ahmass.quadrature import sphere_area, sphere_rule
+                            schwarzschild_ads, static_potential,
+                            static_potential_basis)
+from ahmass.quadrature import sphere_area, sphere_coords_at_radius, sphere_rule
 
 LADDER = np.geomspace(20.0, 200.0, 8)
 SLOPE_ORACLE = 16.0 * np.pi  # p_0 / m for the n = 3 static family
@@ -195,3 +198,42 @@ def test_ladder_validation(hyp3, quad48):
         mass_vector(hyp3, np.geomspace(20, 100, 6), quad48)  # under one decade
     with pytest.raises(ValueError):
         flux_ladder(hyp3, static_potential(3, 0), [30.0, 20.0, 40.0], quad48)
+
+
+def _term_flux_integrand(spec, V, coords):
+    """Background-objects flux integrand as V (div h - d tr h)(nu) + tr h dV(nu)
+    - h(grad V, nu), each contraction written out."""
+    n = spec.n
+    b = metric_apparatus(hyperbolic_metric(n), coords, level=1)
+    g, dg, _ = spec.component_jets(coords)
+    h, dh = g - b.g, dg - b.dg
+    inv, dinv, gamma = b.inv, b.dinv, b.gamma
+    trh = np.einsum("pij,pij->p", inv, h)
+    dtrh = np.einsum("paij,pij->pa", dinv, h) + np.einsum("pij,paij->pa", inv, dh)
+    nh = (dh - np.einsum("pcai,pcj->paij", gamma, h)
+          - np.einsum("pcaj,pic->paij", gamma, h))
+    divh = np.einsum("pik,pikj->pj", inv, nh)
+    jet = V.jet(coords)
+    gradV = np.einsum("pab,pb->pa", inv, jet.grad)
+    nu = np.zeros((coords.shape[0], n))
+    nu[:, 0] = np.sqrt(1.0 + coords[:, 0] ** 2)
+    term1 = jet.val * np.einsum("pj,pj->p", divh - dtrh, nu)
+    term2 = trh * np.einsum("pa,pa->p", jet.grad, nu)
+    term3 = np.einsum("pab,pa,pb->p", h, gradV, nu)
+    return term1 + term2 - term3
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_flux_integrand_matches_term_formula(n):
+    # a non-diagonal deviation, so every component of V A + dV.B contributes
+    rng = np.random.default_rng(5 + n)
+    spec = PerturbedMetric(schwarzschild_ads(n, 0.5),
+                           random_compact_tensor(rng, n, 2.0, 8.0, amplitude=0.3))
+    coords = sphere_coords_at_radius(sphere_rule(n, 8, 16), 4.0)
+    basis = static_potential_basis(n)
+    values, density = flux_integrand_values(spec, basis, coords)
+    assert values.shape == (coords.shape[0], n + 1)
+    assert np.allclose(density, 4.0 ** (n - 1), rtol=0, atol=0)
+    for k, V in enumerate(basis):
+        reference = _term_flux_integrand(spec, V, coords)
+        assert np.abs(values[:, k] - reference).max() <= 1e-12 * np.abs(reference).max()
