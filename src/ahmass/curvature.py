@@ -114,6 +114,7 @@ def metric_apparatus(spec: MetricSpec, coords, level: int = 2) -> MetricApparatu
     app = MetricApparatus(coords=coords, g=g, dg=dg, inv=inv,
                           dinv=dinv, gamma=gamma, sqrt_det=sqrt_det, level=1)
     if level >= 2:
+        # the helpers drop their (N, n^4) temporaries on return, bounding peak memory
         ddinv = _second_inverse_derivative(inv, dinv, dg, ddg)
         # d_a Gamma^k_ij at (N, a, k, i, j)
         dgamma = dinv @ bracket.reshape(N, 1, n, n * n)

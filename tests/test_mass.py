@@ -233,7 +233,7 @@ def test_flux_integrand_matches_term_formula(n):
     basis = static_potential_basis(n)
     values, density = flux_integrand_values(spec, basis, coords)
     assert values.shape == (coords.shape[0], n + 1)
-    assert np.allclose(density, 4.0 ** (n - 1), rtol=0, atol=0)
+    assert np.all(density == 4.0 ** (n - 1))
     for k, V in enumerate(basis):
         reference = _term_flux_integrand(spec, V, coords)
         assert np.abs(values[:, k] - reference).max() <= 1e-12 * np.abs(reference).max()
