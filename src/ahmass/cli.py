@@ -29,10 +29,6 @@ import numpy as np
 from . import __version__
 from .metrics import DomainError, metric_from_dict, metric_to_dict
 
-COMMANDS = ("mass", "curvature", "verify-ah", "duality-check", "eigenfunction",
-            "deform", "first-variation", "ode-verify", "dichotomy",
-            "rigidity-check")
-
 EXIT_CHECK_FAILURE = 1
 EXIT_SCHEMA = 2
 EXIT_NUMERICAL = 3
@@ -349,7 +345,7 @@ def run_first_variation(spec, numeric):
     return rep.to_dict(), checks, {}
 
 
-def run_ode_verify(numeric):
+def run_ode_verify(spec, numeric):
     from .odes import ODEProblem, fundamental_pair, particular_solution
     from .reporting import check
     fam = numeric.get("ode", {}) or {}
@@ -481,6 +477,22 @@ def run_rigidity(spec, numeric):
     return results, checks, {}
 
 
+# every handler takes (spec, numeric); ode-verify runs without a metric (spec None)
+HANDLERS = {
+    "mass": run_mass,
+    "curvature": run_curvature,
+    "verify-ah": run_verify_ah,
+    "duality-check": run_duality,
+    "eigenfunction": run_eigenfunction,
+    "deform": run_deform,
+    "first-variation": run_first_variation,
+    "ode-verify": run_ode_verify,
+    "dichotomy": run_dichotomy,
+    "rigidity-check": run_rigidity,
+}
+COMMANDS = tuple(HANDLERS)
+
+
 def run(config: dict, out_dir=None) -> int:
     """Execute a validated config; writes report files, returns exit status."""
     from .reporting import write_csv, write_meta, write_report
@@ -497,19 +509,7 @@ def run(config: dict, out_dir=None) -> int:
     if command != "ode-verify":
         spec, metric_doc = resolve_metric(config.get("metric"))
 
-    handlers = {
-        "mass": lambda: run_mass(spec, numeric),
-        "curvature": lambda: run_curvature(spec, numeric),
-        "verify-ah": lambda: run_verify_ah(spec, numeric),
-        "duality-check": lambda: run_duality(spec, numeric),
-        "eigenfunction": lambda: run_eigenfunction(spec, numeric),
-        "deform": lambda: run_deform(spec, numeric),
-        "first-variation": lambda: run_first_variation(spec, numeric),
-        "ode-verify": lambda: run_ode_verify(numeric),
-        "dichotomy": lambda: run_dichotomy(spec, numeric),
-        "rigidity-check": lambda: run_rigidity(spec, numeric),
-    }
-    results, checks, tables = handlers[command]()
+    results, checks, tables = HANDLERS[command](spec, numeric)
 
     numeric_doc = _resolved_numeric(numeric)
     numeric_doc.setdefault("seed", int(numeric.get("seed", 20240801)))

@@ -12,10 +12,12 @@ so that for orthonormal X, Y the sectional curvature is K(X ^ Y) = R(X,Y,Y,X),
 equal to -1 on the hyperbolic background.
 
 Contractions are batched ``@`` products of stacked n x n factors, reshaped so
-that the summed index is the inner one; no einsum here takes more than two
-operands.  Where two terms are (i, j)-transposes of each other because the
-metric, its derivatives or the tensor field are symmetric, one is computed and
-the other added as its transpose.
+that the summed index is the inner one; no einsum of the curvature core takes
+more than two operands.  Where two terms are (i, j)-transposes of each other
+because the metric, its derivatives or the tensor field are symmetric, one is
+computed and the other added as its transpose.  The g-contractions the other
+modules share (``inner``, ``trace``, ``sharp``, ``sectional``) are written once,
+as MetricApparatus methods.
 """
 
 from __future__ import annotations
@@ -55,6 +57,18 @@ class MetricApparatus:
     def inner(self, a, b) -> np.ndarray:
         """g-inner product g^{ia} g^{jb} a_ij b_ab of two 2-tensors at each point."""
         return ((self.inv @ a @ self.inv) * b).sum((1, 2))
+
+    def trace(self, t) -> np.ndarray:
+        """g-trace g^{ij} t_ij of a 2-tensor at each point."""
+        return np.einsum("pij,pij->p", self.inv, t)
+
+    def sharp(self, omega) -> np.ndarray:
+        """Vector g^{ab} omega_b of a one-form at each point."""
+        return np.einsum("pab,pb->pa", self.inv, omega)
+
+    def sectional(self, X, Y) -> np.ndarray:
+        """R(X, Y, Y, X) at each point; K(X ^ Y) for g-orthonormal X, Y (level 2)."""
+        return np.einsum("pkjli,pk,pj,pl,pi->p", self.riemann, X, Y, Y, X)
 
 
 def _bracket(dg):
@@ -123,9 +137,8 @@ def metric_apparatus(spec: MetricSpec, coords, level: int = 2) -> MetricApparatu
         dgamma = dgamma.reshape(N, n, n, n, n)
         riemann = _lowered_riemann(g, gamma, dgamma)
         ricci = np.einsum("pki,pkjli->pjl", inv, riemann)
-        scalar = np.einsum("pjl,pjl->p", inv, ricci)
         app.ddg, app.ddinv, app.dgamma = ddg, ddinv, dgamma
-        app.riemann, app.ricci, app.scalar = riemann, ricci, scalar
+        app.riemann, app.ricci, app.scalar = riemann, ricci, app.trace(ricci)
         app.level = 2
     return app
 
@@ -178,7 +191,7 @@ def hessian(spec: MetricSpec, V, point) -> np.ndarray:
 def laplacian(spec: MetricSpec, V, point) -> np.ndarray:
     coords = as_coords(point)
     app = metric_apparatus(spec, coords, level=1)
-    return np.einsum("pij,pij->p", app.inv, covariant_hessian(app, V.jet(coords)))
+    return app.trace(covariant_hessian(app, V.jet(coords)))
 
 
 # -- covariant calculus of symmetric 2-tensor fields ---------------------------
@@ -235,11 +248,10 @@ def divergence(spec: MetricSpec, T, point) -> np.ndarray:
 def trace(spec: MetricSpec, T, point) -> np.ndarray:
     coords = as_coords(point)
     app = metric_apparatus(spec, coords, level=1)
-    h, _, _ = T.component_arrays(coords)
-    return np.einsum("pij,pij->p", app.inv, h)
+    return app.trace(T.component_arrays(coords)[0])
 
 
 def divergence_of_oneform(app: MetricApparatus, omega, domega) -> np.ndarray:
     """div(omega) = g^{ab} (d_a omega_b - Gamma^c_ab omega_c)."""
     cov = domega - np.einsum("pcab,pc->pab", app.gamma, omega)
-    return np.einsum("pab,pab->p", app.inv, cov)
+    return app.trace(cov)

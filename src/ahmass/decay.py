@@ -32,13 +32,6 @@ class DecayFit:
     fit_residual: float
     exact_zero: bool = False
 
-    def __post_init__(self):
-        radii = np.asarray(self.radii, dtype=float)
-        if radii.size < 3:
-            raise ValueError("decay fit needs at least 3 radii")
-        if np.any(np.diff(radii) <= 0):
-            raise ValueError("radius ladder must be strictly increasing")
-
 
 def fit_log_slope(radii, values):
     """Least-squares slope and rms residual of log(values) vs log(radii)."""
@@ -48,6 +41,29 @@ def fit_log_slope(radii, values):
     fit = np.polyval(coeffs, x)
     res = float(np.sqrt(np.mean((y - fit) ** 2)))
     return float(coeffs[0]), res
+
+
+def _sup_decay_fits(field_eval, radii, grid) -> list:
+    """One DecayFit per array that ``field_eval(coords)`` returns.
+
+    Each array's sup of |.| over the angular grid is taken at every radius;
+    a ladder of sups below ZERO_THRESHOLD is reported as an exact zero,
+    any other is fitted against log r.
+    """
+    sups = []
+    for r in radii:
+        coords = np.column_stack([np.full(grid.shape[0], r), grid])
+        sups.append([np.abs(np.asarray(vals)).max() for vals in field_eval(coords)])
+    fits = []
+    for col in np.array(sups).T:
+        if np.all(col < ZERO_THRESHOLD):
+            fits.append(DecayFit(radii=radii, samples=col, fitted_exponent=np.inf,
+                                 fit_residual=0.0, exact_zero=True))
+        else:
+            slope, resid = fit_log_slope(radii, np.maximum(col, 1e-300))
+            fits.append(DecayFit(radii=radii, samples=col, fitted_exponent=-slope,
+                                 fit_residual=resid))
+    return fits
 
 
 def estimate_decay_rate(field_eval, radii, n: int, nodes_per_angle=32) -> DecayFit:
@@ -60,20 +76,12 @@ def estimate_decay_rate(field_eval, radii, n: int, nodes_per_angle=32) -> DecayF
     radii = np.asarray(radii, dtype=float)
     if radii.size < 3:
         raise ValueError("decay fit needs at least 3 radii")
+    if np.any(np.diff(radii) <= 0):
+        raise ValueError("radius ladder must be strictly increasing")
     if radii[-1] / radii[0] < 10.0 - 1e-9:
         raise ValueError("radius ladder should span at least one decade")
-    grid = angular_grid(n, nodes_per_angle)
-    sups = np.empty(radii.size)
-    for i, r in enumerate(radii):
-        coords = np.column_stack([np.full(grid.shape[0], r), grid])
-        vals = np.abs(np.asarray(field_eval(coords)))
-        sups[i] = vals.reshape(vals.shape[0], -1).max()
-    if np.all(sups < ZERO_THRESHOLD):
-        return DecayFit(radii=radii, samples=sups, fitted_exponent=np.inf,
-                        fit_residual=0.0, exact_zero=True)
-    slope, resid = fit_log_slope(radii, np.maximum(sups, 1e-300))
-    return DecayFit(radii=radii, samples=sups, fitted_exponent=-slope,
-                    fit_residual=resid)
+    return _sup_decay_fits(lambda c: (field_eval(c),), radii,
+                           angular_grid(n, nodes_per_angle))[0]
 
 
 @dataclass
@@ -107,20 +115,19 @@ class AHReport:
                 "conditions": [c.to_dict() for c in self.conditions]}
 
 
-def _deviation_sup_fields(spec: MetricSpec, background: MetricSpec):
-    """Evaluators for |g-b|, |nabla(g-b)|, |nabla^2(g-b)| in frame components."""
-    def ev(coords):
-        app = metric_apparatus(background, coords, level=2)
-        h = spec.component_jets(coords) - J.Jet(app.g, app.dg, app.ddg)
-        nh = nabla_2tensor(app.gamma, h.val, h.grad)
-        nnh = nabla2_2tensor(app, h)
-        c = frame_coefficients(coords)
-        out0 = frame_components(h.val, coords)
-        out1 = frame_components(nh, coords) * c[:, :, None, None]
-        out2 = (frame_components(nnh, coords) * c[:, :, None, None, None]
-                * c[:, None, :, None, None])
-        return out0, out1, out2
-    return ev
+def _ah_fields(spec: MetricSpec, coords):
+    """g-b, nabla(g-b), nabla^2(g-b) in background-frame components, and R_g + n(n-1)."""
+    n = spec.n
+    app = metric_apparatus(HyperbolicMetric(n), coords, level=2)
+    h = spec.component_jets(coords) - J.Jet(app.g, app.dg, app.ddg)
+    nh = nabla_2tensor(app.gamma, h.val, h.grad)
+    nnh = nabla2_2tensor(app, h)
+    c = frame_coefficients(coords)
+    out0 = frame_components(h.val, coords)
+    out1 = frame_components(nh, coords) * c[:, :, None, None]
+    out2 = (frame_components(nnh, coords) * c[:, :, None, None, None]
+            * c[:, None, :, None, None])
+    return out0, out1, out2, metric_apparatus(spec, coords, level=2).scalar + n * (n - 1)
 
 
 def verify_ah(spec: MetricSpec, q_claimed: float, radii, nodes_per_angle=None,
@@ -137,41 +144,23 @@ def verify_ah(spec: MetricSpec, q_claimed: float, radii, nodes_per_angle=None,
     borderline = q_claimed > n - 1e-9 or getattr(spec, "borderline_decay", False)
     if nodes_per_angle is None:
         nodes_per_angle = {3: 32, 4: 12}.get(n, 8)
-    background = HyperbolicMetric(n)
-    ev = _deviation_sup_fields(spec, background)
     radii = np.asarray(radii, dtype=float)
-    grid = angular_grid(n, nodes_per_angle)
-
-    sups = np.zeros((radii.size, 3))
-    scal = np.zeros(radii.size)
-    for i, r in enumerate(radii):
-        coords = np.column_stack([np.full(grid.shape[0], r), grid])
-        h0, h1, h2 = ev(coords)
-        for k, arr in enumerate((h0, h1, h2)):
-            sups[i, k] = np.abs(arr).max()
-        app = metric_apparatus(spec, coords, level=2)
-        scal[i] = np.abs(app.scalar + n * (n - 1)).max()
-
-    conditions = []
-    names = ["metric_deviation", "first_derivative", "second_derivative"]
-    for k, name in enumerate(names):
-        col = sups[:, k]
-        if np.all(col < ZERO_THRESHOLD):
-            conditions.append(AHCondition(name=name, passed=True,
-                                          required=q_claimed - slack,
-                                          exact_zero=True))
-            continue
-        slope, _ = fit_log_slope(radii, np.maximum(col, 1e-300))
-        conditions.append(AHCondition(name=name, passed=-slope >= q_claimed - slack,
-                                      required=q_claimed - slack,
-                                      fitted_exponent=-slope))
-    if np.all(scal < ZERO_THRESHOLD) or np.all(scal < 1e-10):
+    *fits, scal = _sup_decay_fits(lambda c: _ah_fields(spec, c), radii,
+                                  angular_grid(n, nodes_per_angle))
+    required = q_claimed - slack
+    conditions = [AHCondition(name=name,
+                              passed=fit.exact_zero or fit.fitted_exponent >= required,
+                              required=required, exact_zero=fit.exact_zero,
+                              fitted_exponent=None if fit.exact_zero else fit.fitted_exponent)
+                  for name, fit in zip(["metric_deviation", "first_derivative",
+                                        "second_derivative"], fits)]
+    # below 1e-10 at every radius, R_g + n(n-1) is curvature roundoff: zero
+    if np.all(scal.samples < 1e-10):
         conditions.append(AHCondition(name="scalar_curvature", passed=True,
                                       required=float(n), exact_zero=True))
     else:
-        slope, _ = fit_log_slope(radii, np.maximum(scal, 1e-300))
         conditions.append(AHCondition(name="scalar_curvature",
-                                      passed=-slope > n, required=float(n),
-                                      fitted_exponent=-slope))
+                                      passed=scal.fitted_exponent > n, required=float(n),
+                                      fitted_exponent=scal.fitted_exponent))
     return AHReport(q_claimed=q_claimed, conditions=conditions,
                     borderline=borderline)

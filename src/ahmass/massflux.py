@@ -13,8 +13,12 @@ linear in the potential's 1-jet,
 
 so A and B are evaluated once per radius and contracted with every potential:
 the mass vector costs one metric evaluation per radius for all n+1 potentials.
-Limits at infinity are extracted from a radius ladder by fitting
-I(r) = I_inf + c r^(-beta).
+The Ricci flux int_{S_r} (Ric_g + (n-1) g)(grad V, nu) dsigma has one
+integrand, ``ricci_flux``, used with background objects (the cross-check
+``prop27_check``) or with the metric's own (the rigidity module's boundary
+flux); it stays separate from the mass-flux integrand, the other side of that
+cross-check.  Both go through one sphere reduction, ``_sphere_integral``, and
+both ladders through one fit of I(r) = I_inf + c r^(-beta), ``_fit_ladders``.
 """
 
 from __future__ import annotations
@@ -214,9 +218,13 @@ def _flux_ladders(spec: MetricSpec, potentials, labels, radii, quad: SphereRule,
         raise ValueError("radius ladder must be strictly increasing")
     values = np.array([_flux_integrals(spec, potentials, r, quad, objects)
                        for r in radii])
-    n = spec.n
     if beta0 is None:
-        beta0 = float(n)  # matches corrections r^(n-1-2q) at the borderline q = n
+        beta0 = float(spec.n)  # matches corrections r^(n-1-2q) at the borderline q = n
+    return _fit_ladders(radii, values, labels, beta0, spec.n)
+
+
+def _fit_ladders(radii, values, labels, beta0: float, n: int) -> list:
+    """One FluxReport per column of the (radii, labels) array ``values``."""
     reports = []
     for label, column in zip(labels, values.T):
         if not np.all(np.isfinite(column)):
@@ -252,21 +260,25 @@ def mass_vector(spec: MetricSpec, radii=DEFAULT_RADII, quad: SphereRule = None) 
                       reports=reports, flags=flags + extra)
 
 
-def ricci_flux(spec: MetricSpec, V, r: float, quad: SphereRule = None) -> float:
-    """int_{S_r} (Ric_g + (n-1) g)(grad_b V, nu_b) dsigma_b."""
+def ricci_flux(spec: MetricSpec, V, r: float, quad: SphereRule = None,
+               objects: str = "background") -> float:
+    """int_{S_r} (Ric_g + (n-1) g)(grad V, nu) dsigma (see ``_sphere_integral``).
+
+    The gradient, unit normal and measure are the hyperbolic background's
+    (``objects="background"``, the curvature side of ``prop27_check``) or the
+    metric's own (``objects="metric"``, the boundary flux of the rigidity
+    module's ``wang_identity_check``).
+    """
     n = spec.n
-    background = HyperbolicMetric(n)
 
     def integrand(coords):
         app = metric_apparatus(spec, coords, level=2)
-        bapp = metric_apparatus(background, coords, level=1)
-        S = app.ricci + (n - 1) * app.g
-        jet = V.jet(coords)
-        gradV = np.einsum("pab,pb->pa", bapp.inv, jet.grad)
-        nu = np.zeros_like(gradV)
-        nu[:, 0] = np.sqrt(1.0 + coords[:, 0] ** 2)
-        vals = np.einsum("pab,pa,pb->p", S, gradV, nu)
-        return vals[:, None], np.full_like(vals, r ** (n - 1))
+        frame = (app if objects == "metric"
+                 else metric_apparatus(HyperbolicMetric(n), coords, level=1))
+        nu, density = _normal_and_measure(frame, objects)
+        vals = np.einsum("pab,pa,pb->p", app.ricci + (n - 1) * app.g,
+                         frame.sharp(V.jet(coords).grad), nu)
+        return vals[:, None], density
 
     return float(_sphere_integral(spec, [V], r, quad, integrand)[0])
 
@@ -299,12 +311,8 @@ def prop27_check(spec: MetricSpec, V, radii=DEFAULT_RADII, quad: SphereRule = No
     radii = np.asarray(radii, dtype=float)
     n = spec.n
     flux_rep = flux_ladder(spec, V, radii, quad, label="flux")
-    vals = np.array([ricci_flux(spec, V, r, quad) for r in radii])
-    limit, beta, resid, flags = extrapolate_limit(radii, vals, float(n),
-                                                   beta_bounds=(0.5, 2.0 * n))
-    ricci_rep = FluxReport(integrand_label="ricci", radii=radii, values=vals,
-                           fitted_limit=limit, fit_exponent=beta,
-                           fit_residual=resid, flags=flags)
+    vals = np.array([[ricci_flux(spec, V, r, quad)] for r in radii])
+    ricci_rep, = _fit_ladders(radii, vals, ["ricci"], float(n), n)
     target = -(n - 2) / 2.0 * flux_rep.fitted_limit
     gap = abs(ricci_rep.fitted_limit - target)
     scale = max(abs(ricci_rep.fitted_limit), abs(target), 1e-12)

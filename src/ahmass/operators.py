@@ -42,7 +42,7 @@ class DivergentTailError(ArithmeticError):
 def linearized_scalar_values(app: MetricApparatus, h: J.Jet) -> np.ndarray:
     """L_g h at the apparatus points for a tensor jet h (level-2 apparatus required)."""
     tr = J.contract("ij,ij->", J.Jet(app.inv, app.dinv, app.ddinv), h)
-    lap_tr = np.einsum("pab,pab->p", app.inv, covariant_hessian(app, tr))
+    lap_tr = app.trace(covariant_hessian(app, tr))
     nn = nabla2_2tensor(app, h)
     divdiv = np.einsum("pai,pbj,pabij->p", app.inv, app.inv, nn)
     return -lap_tr + divdiv - app.inner(h.val, app.ricci)
@@ -57,7 +57,7 @@ def linearized_scalar(spec: MetricSpec, h_field, point) -> np.ndarray:
 def adjoint_values(app: MetricApparatus, jet: J.Jet) -> np.ndarray:
     """L_g^* V as a (N, n, n) tensor from a scalar jet at the apparatus points."""
     hess = covariant_hessian(app, jet)
-    lap = np.einsum("pij,pij->p", app.inv, hess)
+    lap = app.trace(hess)
     return (-lap[:, None, None] * app.g + hess
             - jet.val[:, None, None] * app.ricci)
 
@@ -77,7 +77,7 @@ def trace_identity_gap(spec: MetricSpec, u, point) -> np.ndarray:
     h = ScaledMetricField(spec, u).component_arrays(coords)
     lhs = linearized_scalar_values(app, h)
     jet = u.jet(coords)
-    lap = np.einsum("pij,pij->p", app.inv, covariant_hessian(app, jet))
+    lap = app.trace(covariant_hessian(app, jet))
     rhs = (1 - n) * (lap + app.scalar * jet.val / (n - 1))
     return np.abs(lhs - rhs)
 
@@ -133,7 +133,7 @@ def static_residual(spec: MetricSpec, V, point) -> StaticResidualReport:
     app = metric_apparatus(spec, coords, level=2)
     jet = V.jet(coords)
     hess = covariant_hessian(app, jet)
-    lap = np.einsum("pij,pij->p", app.inv, hess)
+    lap = app.trace(hess)
     tensor = hess - (app.ricci + n * app.g) * jet.val[:, None, None]
     if spec.exterior_chart:
         comp = frame_components(tensor, coords)

@@ -233,7 +233,7 @@ def radial_eigenfunction(spec: MetricSpec, which: int = 0, r_lo: float = None,
     coords = np.column_stack([r_samp] + [np.full(r_samp.size, np.pi / 2)] * (n - 1))
     app = metric_apparatus(spec, coords, level=1)
     jet = f0.jet(coords)
-    lap = np.einsum("pij,pij->p", app.inv, covariant_hessian(app, jet))
+    lap = app.trace(covariant_hessian(app, jet))
     residual = float(np.abs(lap - n * jet.val).max())
 
     v_abs = np.abs(correction.value(r_samp))

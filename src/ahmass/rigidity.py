@@ -4,7 +4,9 @@ Three families of checks:
 
 * a divergence identity relating the interior defect f^(-1)|Hess f - f g|^2
   to a curvature flux through the boundary sphere, valid when f solves the
-  static equation;
+  static equation; the flux is ``massflux.ricci_flux``, the one Ricci-flux
+  integrand, taken here with the metric's own gradient, normal and measure
+  (the mass cross-check uses it with the background's);
 * the evolution of the sectional curvature of a parallel plane along a
   geodesic through the gradient flow of f: K' = -2 (f/|grad f|)(K+1) with
   (f/|grad f|)' = 1 - (f/|grad f|)^2;
@@ -23,7 +25,7 @@ from .chart import as_coords
 from .curvature import covariant_hessian, divergence_of_oneform, metric_apparatus
 from .fields import ScalarField
 from .geodesics import GeodesicSample
-from .massflux import _normal_and_measure
+from .massflux import ricci_flux
 from .metrics import MetricSpec, WarpedProductMetric
 from .operators import static_residual
 from .quadrature import SphereRule, sphere_rule, volume_rule, volume_weights
@@ -48,19 +50,6 @@ class WangReport:
                 "flags": list(self.flags)}
 
 
-def _sphere_flux(spec: MetricSpec, f, r: float, quad: SphereRule) -> float:
-    """int_{S_r} (Ric + (n-1) g)(grad f, nu) dsigma_g, all in the metric g."""
-    n = spec.n
-    coords = np.column_stack([np.full(quad.node_count, r), quad.angles])
-    app = metric_apparatus(spec, coords, level=2)
-    S = app.ricci + (n - 1) * app.g
-    jet = f.jet(coords)
-    grad = np.einsum("pab,pb->pa", app.inv, jet.grad)
-    nu, density = _normal_and_measure(app, "metric")
-    vals = np.einsum("pab,pa,pb->p", S, grad, nu)
-    return float(np.sum(quad.weights * density * vals))
-
-
 def wang_identity_check(spec: MetricSpec, f, r: float, quad: SphereRule = None,
                         r_inner: float = 0.01, radial_nodes: int = 96,
                         static_tol: float = 1e-6) -> WangReport:
@@ -83,7 +72,8 @@ def wang_identity_check(spec: MetricSpec, f, r: float, quad: SphereRule = None,
     norm2 = app.inner(defect, defect)
     w = volume_weights(rule, app.sqrt_det)
     lhs = float(np.sum(w * norm2 / jet.val))
-    rhs = _sphere_flux(spec, f, r, quad) - _sphere_flux(spec, f, r_inner, quad)
+    rhs = (ricci_flux(spec, f, r, quad, objects="metric")
+           - ricci_flux(spec, f, r_inner, quad, objects="metric"))
     gap = abs(lhs - rhs)
     rel = gap / max(abs(lhs), abs(rhs), 1e-12)
 
@@ -110,8 +100,7 @@ def divergence_form_check(spec: MetricSpec, f, point) -> np.ndarray:
         app = metric_apparatus(spec, c, level=2)
         jet = f.jet(c)
         S = app.ricci + (n - 1) * app.g
-        grad = np.einsum("pab,pb->pa", app.inv, jet.grad)
-        return np.einsum("pab,pa->pb", S, grad)
+        return np.einsum("pab,pa->pb", S, app.sharp(jet.grad))
 
     app = metric_apparatus(spec, coords, level=2)
     jet = f.jet(coords)
@@ -177,8 +166,8 @@ def sectional_ode_check(spec: MetricSpec, f, geodesic: GeodesicSample,
     X = geodesic.transported[:, 0]
     Y = geodesic.transported[:, 1]
     vel = geodesic.velocities
-    K = np.einsum("pkjli,pk,pj,pl,pi->p", app.riemann, X, Y, Y, X)
-    K_mix = np.einsum("pkjli,pk,pj,pl,pi->p", app.riemann, X, vel, vel, X)
+    K = app.sectional(X, Y)
+    K_mix = app.sectional(X, vel)
     jet = f.jet(coords)
     grad_norm = np.sqrt(np.einsum("pab,pa,pb->p", app.inv, jet.grad, jet.grad))
     if np.any(grad_norm < grad_floor):
@@ -219,29 +208,22 @@ class WarpedProductFixture:
         norm2 = app.inner(defect, defect)
         return float(np.sqrt(np.abs(norm2).max()))
 
-    def mixed_sectional(self, t_values) -> np.ndarray:
-        """K(X ^ Y) for orthonormal factor directions at given warp times."""
+    def _axis_sectional(self, t_values, a: int, b: int) -> np.ndarray:
+        """K(e_a ^ e_b) for the unit chart-axis vectors e_a, e_b at given warp times."""
         n = self.metric.n
         pts = np.column_stack([np.asarray(t_values, dtype=float)]
                               + [np.full(len(t_values), 1.1)] * (n - 1))
         app = metric_apparatus(self.metric, pts, level=2)
-        X = np.zeros((len(t_values), n))
-        Y = np.zeros((len(t_values), n))
-        X[:, 1] = 1.0 / np.sqrt(app.g[:, 1, 1])
-        Y[:, 2] = 1.0 / np.sqrt(app.g[:, 2, 2])
-        return np.einsum("pkjli,pk,pj,pl,pi->p", app.riemann, X, Y, Y, X)
+        X, Y = (np.eye(n)[k] / np.sqrt(app.g[:, k, k])[:, None] for k in (a, b))
+        return app.sectional(X, Y)
+
+    def mixed_sectional(self, t_values) -> np.ndarray:
+        """K(X ^ Y) for orthonormal factor directions at given warp times."""
+        return self._axis_sectional(t_values, 1, 2)
 
     def velocity_sectional(self, t_values) -> np.ndarray:
         """K(d/dt ^ X) at given warp times; identically -1 for cosh warping."""
-        n = self.metric.n
-        pts = np.column_stack([np.asarray(t_values, dtype=float)]
-                              + [np.full(len(t_values), 1.1)] * (n - 1))
-        app = metric_apparatus(self.metric, pts, level=2)
-        T = np.zeros((len(t_values), n))
-        T[:, 0] = 1.0
-        X = np.zeros((len(t_values), n))
-        X[:, 1] = 1.0 / np.sqrt(app.g[:, 1, 1])
-        return np.einsum("pkjli,pk,pj,pl,pi->p", app.riemann, X, T, T, X)
+        return self._axis_sectional(t_values, 1, 0)
 
 
 def sinh_potential() -> ScalarField:

@@ -235,6 +235,12 @@ def test_apparatus_matches_einsum_reference(n):
     b = random_compact_tensor(rng, n, 2.0, 8.0).component_arrays(pts).val
     _assert_close(app.inner(a, b),
                   np.einsum("pia,pjb,pij,pab->p", ref["inv"], ref["inv"], a, b))
+    _assert_close(app.trace(a), np.einsum("pij,pij->p", ref["inv"], a))
+    omega = rng.normal(size=(pts.shape[0], n))
+    _assert_close(app.sharp(omega), np.einsum("pab,pb->pa", ref["inv"], omega))
+    X, Y = rng.normal(size=(2, pts.shape[0], n))
+    _assert_close(app.sectional(X, Y),
+                  np.einsum("pkjli,pk,pj,pl,pi->p", ref["riemann"], X, Y, Y, X))
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -16,7 +16,8 @@ from ahmass.massflux import (extrapolate_limit, flux_integrand_values, flux_ladd
 from ahmass.metrics import (PerturbedMetric, hyperbolic_metric,
                             schwarzschild_ads, static_potential,
                             static_potential_basis)
-from ahmass.quadrature import sphere_area, sphere_coords_at_radius, sphere_rule
+from ahmass.quadrature import (angular_jacobian, sphere_area, sphere_coords_at_radius,
+                               sphere_rule)
 
 LADDER = np.geomspace(20.0, 200.0, 8)
 SLOPE_ORACLE = 16.0 * np.pi  # p_0 / m for the n = 3 static family
@@ -117,6 +118,32 @@ def test_ricci_flux_matches_oracle(quad48):
 def test_ricci_flux_identity_background(hyp3, quad48):
     V0 = static_potential(3, 0)
     assert abs(ricci_flux(hyp3, V0, 20.0, quad48)) < 1e-10
+
+
+def _metric_ricci_flux_reference(spec, f, r, quad):
+    """int_{S_r} (Ric + (n-1) g)(grad f, nu) dsigma in the metric g, written out."""
+    coords = np.column_stack([np.full(quad.node_count, r), quad.angles])
+    app = metric_apparatus(spec, coords, level=2)
+    S = app.ricci + (spec.n - 1) * app.g
+    grad = np.einsum("pab,pb->pa", app.inv, f.jet(coords).grad)
+    nu = app.inv[:, 0, :] / np.sqrt(app.inv[:, 0, 0])[:, None]
+    density = np.sqrt(np.linalg.det(app.g[:, 1:, 1:])) / angular_jacobian(coords[:, 1:])
+    vals = np.einsum("pab,pa,pb->p", S, grad, nu)
+    return float(np.sum(quad.weights * density * vals))
+
+
+def test_ricci_flux_metric_objects_match_reference():
+    # a perturbation without symmetry: the metric's normal and measure differ
+    # from the background's, so mixing them in would show
+    h = random_compact_tensor(np.random.default_rng(5), 3, 2.0, 8.0, amplitude=0.3)
+    spec = PerturbedMetric(schwarzschild_ads(3, 0.5), h)
+    quad = sphere_rule(3, 16, 32)
+    V0 = static_potential(3, 0)
+    for r in (3.0, 5.0):
+        ref = _metric_ricci_flux_reference(spec, V0, r, quad)
+        val = ricci_flux(spec, V0, r, quad, objects="metric")
+        assert abs(val - ref) <= 1e-13 * abs(ref)
+        assert abs(ricci_flux(spec, V0, r, quad) - ref) > 1e-3 * abs(ref)
 
 
 def test_prop27_agreement(quad48):
