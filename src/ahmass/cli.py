@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -37,38 +38,6 @@ EXIT_NUMERICAL = 3
 class SchemaError(ValueError):
     pass
 
-
-NUMERIC_KEYS = {
-    "radii": "radius ladder: list of radii or {min, max, count}",
-    "quad_polar": "polar quadrature nodes",
-    "quad_azimuth": "azimuthal quadrature nodes",
-    "radial_nodes": "radial quadrature nodes per segment",
-    "seed": "random seed recorded in the report",
-    "tolerances": "per-check tolerance overrides",
-    "ode_horizon": "ODE integration horizon T",
-    "ode": "ODE coefficient family {p_amp, q_amp, f_amp, decay}",
-    "pairs": "number of randomized pairs (duality-check)",
-    "eps_ladder": "epsilon ladder (first-variation)",
-    "q_claimed": "claimed decay rate (verify-ah)",
-    "decay_rate": "target decay (deform / eigenfunction)",
-    "phi_amp": "target amplitude (deform)",
-    "fan_count": "seed fan size (dichotomy)",
-    "sample_points": "sample count (curvature)",
-    "r_min": "inner radius override",
-    "r_max": "outer radius override",
-    "wang_radius": "ball radius (rigidity-check)",
-}
-
-# integer-valued numeric keys and their least allowed value
-COUNT_MINIMUM = {
-    "pairs": 1,
-    "quad_polar": 4,
-    "quad_azimuth": 4,
-    "radial_nodes": 1,
-    "fan_count": 1,
-    "sample_points": 1,
-    "seed": 0,
-}
 
 DEFAULT_TOLERANCES = {
     "duality_residual": 1e-6,
@@ -89,6 +58,54 @@ DEFAULT_TOLERANCES = {
 }
 
 
+def _real(val) -> bool:
+    """A finite JSON number; bools are not numbers here."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:     # an integer beyond the float range
+        return False
+
+
+def _count(minimum):
+    return (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= minimum,
+            f"an integer >= {minimum}")
+
+
+FINITE = (_real, "a finite number")
+POSITIVE = (lambda v: _real(v) and v > 0, "a finite number > 0")
+EPS_LADDER = (lambda v: (isinstance(v, list) and len(v) >= 2
+                         and all(_real(e) and e > 0 for e in v)
+                         and len(set(map(float, v))) == len(v)),
+              "a list of >= 2 distinct finite numbers > 0")
+
+# The numeric keys a config may set.  Each maps to a (test, requirement) rule,
+# to the table of an object-valued key's own keys, or (radii) to None: the
+# radius ladder is checked by its parser ``_radii``.
+NUMERIC_KEYS = {
+    "radii": None,                       # list of radii or {min, max, count}
+    "quad_polar": _count(4),             # polar quadrature nodes
+    "quad_azimuth": _count(4),           # azimuthal quadrature nodes
+    "radial_nodes": _count(1),           # radial quadrature nodes per segment
+    "seed": _count(0),                   # random seed recorded in the report
+    "tolerances": dict.fromkeys(DEFAULT_TOLERANCES, POSITIVE),  # per-check overrides
+    "ode_horizon": POSITIVE,             # ODE integration horizon T
+    "ode": {"p_amp": FINITE, "q_amp": FINITE, "f_amp": FINITE,   # ODE coefficient
+            "decay": POSITIVE},                                   # family
+    "pairs": _count(1),                  # randomized pairs (duality-check)
+    "eps_ladder": EPS_LADDER,            # epsilon ladder (first-variation)
+    "q_claimed": POSITIVE,               # claimed decay rate (verify-ah)
+    "decay_rate": FINITE,                # target decay (deform / eigenfunction)
+    "phi_amp": FINITE,                   # target amplitude (deform)
+    "fan_count": _count(1),              # seed fan size (dichotomy)
+    "sample_points": _count(1),          # sample count (curvature)
+    "r_min": POSITIVE,                   # inner radius override
+    "r_max": POSITIVE,                   # outer radius override
+    "wang_radius": POSITIVE,             # ball radius (rigidity-check)
+}
+
+
 def _require_keys(doc: dict, allowed: dict | set, where: str):
     unknown = set(doc) - set(allowed)
     if unknown:
@@ -100,26 +117,20 @@ def load_config(path, overrides=None) -> dict:
     if not isinstance(raw, dict):
         raise SchemaError("config must be a JSON object")
     _require_keys(raw, {"command", "metric", "numeric", "output"}, "config")
-    numeric = raw.get("numeric", {}) or {}
+    numeric = raw.get("numeric")
+    numeric = {} if numeric is None else numeric
     if not isinstance(numeric, dict):
         raise SchemaError("numeric must be an object")
-    _require_keys(numeric, NUMERIC_KEYS, "numeric")
-    tols = numeric.get("tolerances", {}) or {}
-    _require_keys(tols, DEFAULT_TOLERANCES, "numeric.tolerances")
-    for key, val in tols.items():
-        if not (isinstance(val, (int, float)) and val > 0):
-            raise SchemaError(f"tolerance {key} must be positive, got {val!r}")
     if overrides:
         numeric = dict(numeric)
-        tols = dict(tols)
+        tols = numeric.get("tolerances")
+        tols = {} if tols is None else tols
         if overrides.get("quad_order") is not None:
             numeric["quad_polar"] = overrides["quad_order"]
             numeric["quad_azimuth"] = 2 * overrides["quad_order"]
         if overrides.get("seed") is not None:
             numeric["seed"] = overrides["seed"]
-        if overrides.get("tol") is not None:
-            if overrides["tol"] <= 0:
-                raise SchemaError("--tol must be positive")
+        if overrides.get("tol") is not None and isinstance(tols, dict):
             tols = tols | {k: overrides["tol"] for k in
                            ("duality_residual", "wang_gap", "curvature_identity")}
         numeric["tolerances"] = tols
@@ -127,18 +138,23 @@ def load_config(path, overrides=None) -> dict:
         raw["numeric"] = numeric
         if overrides.get("out") is not None:
             raw["output"] = overrides["out"]
-    _check_numeric(raw.get("numeric", {}) or {})
+    _check_numeric(numeric)
     return raw
 
 
-def _check_numeric(numeric: dict):
-    """Type and range of the count keys and the radius ladder."""
-    for key, minimum in COUNT_MINIMUM.items():
-        val = numeric.get(key, minimum)
-        if isinstance(val, bool) or not isinstance(val, int) or val < minimum:
-            raise SchemaError(f"{key} must be an integer >= {minimum}, got {val!r}")
-    if "radii" in numeric:
-        _radii(numeric)
+def _check_numeric(doc, table=NUMERIC_KEYS, where="numeric"):
+    """Keys, types and ranges of a numeric document against its rule table."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where} must be an object")
+    _require_keys(doc, table, where)
+    for key, val in doc.items():
+        rule = table[key]
+        if rule is None:
+            _radii(doc)
+        elif isinstance(rule, dict):
+            _check_numeric({} if val is None else val, rule, f"{where}.{key}")
+        elif not rule[0](val):
+            raise SchemaError(f"{where}.{key} must be {rule[1]}, got {val!r}")
 
 
 def resolve_metric(doc) -> tuple:
@@ -168,8 +184,7 @@ def _radii(numeric, default=(20.0, 200.0, 8)):
             raise SchemaError(f"radii count must be an integer >= 3, got {count!r}")
     else:
         raise SchemaError("radii must be a list or {min, max, count}")
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-               and np.isfinite(v) and v > 0 for v in values):
+    if not all(_real(v) and v > 0 for v in values):
         raise SchemaError(f"radii must be finite positive numbers, got {values!r}")
     arr = np.asarray(values, dtype=float)
     if isinstance(doc, dict):
@@ -349,7 +364,6 @@ def run_ode_verify(spec, numeric):
     from .odes import ODEProblem, fundamental_pair, particular_solution
     from .reporting import check
     fam = numeric.get("ode", {}) or {}
-    _require_keys(fam, {"p_amp", "q_amp", "f_amp", "decay"}, "numeric.ode")
     p_amp = float(fam.get("p_amp", 0.0))
     q_amp = float(fam.get("q_amp", 0.0))
     f_amp = float(fam.get("f_amp", 0.0))

@@ -264,6 +264,11 @@ def particular_solution(prob: ODEProblem, pair: FundamentalPair = None,
                                 fitted_decay=np.inf, profile_residual=0.0,
                                 claimed_d=d_claim)
 
+    window = (t >= 2.0) & (t <= min(T - 2.0, 18.0))
+    if np.count_nonzero(window) < 3:
+        raise ValueError(f"horizon T = {T:g} leaves fewer than 3 samples in the remainder "
+                         f"fit window 2 <= t <= T - 2; it must be at least "
+                         f"{4.0 + 3 * prob.grid_step:g}")
     u1v, u1d = pair.u1.value, pair.u1.d1
     u2v, u2d = pair.u2.value, pair.u2.d1
 
@@ -295,7 +300,6 @@ def particular_solution(prob: ODEProblem, pair: FundamentalPair = None,
         c2 = 0.0
         remainder = tau1 * u1v(t) + alpha2 * u2v(t)
 
-    window = (t >= 2.0) & (t <= min(T - 2.0, 18.0))
     rem_w = np.abs(remainder[window])
     t_w = t[window]
     if d_claim == 1.0:

@@ -60,6 +60,8 @@ def wang_identity_check(spec: MetricSpec, f, r: float, quad: SphereRule = None,
     the identity only holds for static potentials.
     """
     n = spec.n
+    if r <= r_inner:
+        raise ValueError(f"ball radius {r} must exceed the inner radius {r_inner}")
     if quad is None:
         quad = sphere_rule(n, 32, 64)
     rule = volume_rule(n, [r_inner, r], [radial_nodes], quad)

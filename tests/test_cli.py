@@ -5,8 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ahmass.cli import EXIT_CHECK_FAILURE, EXIT_NUMERICAL, EXIT_SCHEMA, main
+from ahmass.cli import (DEFAULT_TOLERANCES, EXIT_CHECK_FAILURE, EXIT_NUMERICAL,
+                        EXIT_SCHEMA, NUMERIC_KEYS, SchemaError, load_config, main)
 from ahmass.reporting import dump_json, format_float, write_csv
 
 
@@ -127,20 +129,81 @@ def test_unsupported_metric_rejected(tmp_path, capsys, command, metric):
     assert err.startswith("unsupported: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("command,numeric", [
-    ("duality-check", {"pairs": 0}),
-    ("duality-check", {"pairs": "ten"}),
-    ("mass", {"quad_polar": 2}),
-    ("mass", {"radii": [20.0, float("nan"), 200.0]}),
-    ("curvature", {"sample_points": 0}),
-    ("mass", {"seed": True}),
+ODE = {"p_amp": 0.1, "q_amp": 0.1, "f_amp": 1.0, "decay": 2.0}
+
+
+@pytest.mark.parametrize("command,numeric,metric,code", [
+    ("duality-check", {"pairs": 0}, HYP, EXIT_SCHEMA),
+    ("duality-check", {"pairs": "ten"}, HYP, EXIT_SCHEMA),
+    ("mass", {"quad_polar": 2}, HYP, EXIT_SCHEMA),
+    ("mass", {"radii": [20.0, float("nan"), 200.0]}, HYP, EXIT_SCHEMA),
+    ("curvature", {"sample_points": 0}, HYP, EXIT_SCHEMA),
+    ("mass", {"seed": True}, HYP, EXIT_SCHEMA),
+    ("first-variation", {"eps_ladder": []}, SCHW, EXIT_SCHEMA),
+    ("first-variation", {"eps_ladder": []}, HYP, EXIT_SCHEMA),
+    ("first-variation", {"eps_ladder": [0.01]}, HYP, EXIT_SCHEMA),
+    ("first-variation", {"eps_ladder": [0.01, 0.0, 0.001]}, HYP, EXIT_SCHEMA),
+    ("eigenfunction", {"decay_rate": "x"}, HYP, EXIT_SCHEMA),
+    ("curvature", {"r_max": "x"}, HYP, EXIT_SCHEMA),
+    ("deform", {"decay_rate": "two"}, HYP, EXIT_SCHEMA),
+    ("verify-ah", {"q_claimed": "x"}, HYP, EXIT_SCHEMA),
+    ("ode-verify", {"ode": dict(ODE, p_amp="a")}, None, EXIT_SCHEMA),
+    ("ode-verify", {"ode": dict(ODE, decay=0)}, None, EXIT_SCHEMA),
+    ("rigidity-check", {"wang_radius": -1.0}, HYP, EXIT_SCHEMA),
+    # a ball inside the inner radius of the identity's volume rule
+    ("rigidity-check", {"wang_radius": 0.005}, HYP, EXIT_NUMERICAL),
+    ("mass", {"tolerances": {"wang_gap": True}}, HYP, EXIT_SCHEMA),
 ], ids=["pairs-zero", "pairs-string", "quad-polar-2", "radius-nan",
-        "sample-points-zero", "seed-bool"])
-def test_bad_numeric_value_rejected(tmp_path, capsys, command, numeric):
-    cfg = write_config(tmp_path, {"command": command, "metric": HYP, "numeric": numeric})
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+        "sample-points-zero", "seed-bool", "eps-ladder-empty-schw",
+        "eps-ladder-empty", "eps-ladder-one", "eps-ladder-zero",
+        "decay-rate-string", "r-max-string", "deform-decay-rate-string",
+        "q-claimed-string", "ode-amp-string", "ode-decay-zero",
+        "wang-radius-negative", "wang-radius-inside-inner", "tolerance-bool"])
+def test_bad_numeric_value_rejected(tmp_path, capsys, command, numeric, metric, code):
+    cfg = write_config(tmp_path, {"command": command, "metric": metric, "numeric": numeric})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == code
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and "Traceback" not in err
+    prefix = "config error: " if code == EXIT_SCHEMA else "numerical failure: "
+    assert err.startswith(prefix) and "Traceback" not in err
+
+
+def test_short_ode_horizon_rejected(tmp_path, capsys):
+    # the forced-remainder fit window 2 <= t <= T - 2 is empty at T = 3
+    cfg = write_config(tmp_path, {"command": "ode-verify",
+                                  "numeric": {"ode_horizon": 3.0, "ode": ODE}})
+    assert main(["ode-verify", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and "at least 4.03" in err
+
+
+# mixed-type JSON values; integers stay small so a fuzzed radii count cannot
+# ask for a huge ladder
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 60), st.floats(),
+                    st.text(max_size=3))
+VALUES = st.one_of(SCALARS, st.lists(SCALARS, max_size=5),
+                   st.dictionaries(st.text(max_size=3), SCALARS, max_size=3))
+NUMERIC_DOCS = st.fixed_dictionaries({}, optional=dict.fromkeys(NUMERIC_KEYS, VALUES) | {
+    "radii": st.one_of(VALUES, st.fixed_dictionaries(
+        {}, optional={"min": SCALARS, "max": SCALARS, "count": SCALARS})),
+    "tolerances": st.one_of(VALUES, st.dictionaries(
+        st.sampled_from(sorted(DEFAULT_TOLERANCES)), SCALARS, max_size=4)),
+    "ode": st.one_of(VALUES, st.fixed_dictionaries({}, optional=dict.fromkeys(
+        ["p_amp", "q_amp", "f_amp", "decay"], SCALARS))),
+})
+
+
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(numeric=NUMERIC_DOCS, tol=st.one_of(st.none(), st.floats()))
+def test_load_config_returns_or_raises_schema_error(tmp_path, numeric, tol):
+    cfg = write_config(tmp_path, {"command": "mass", "metric": HYP, "numeric": numeric})
+    for overrides in (None, {"tol": tol}):
+        try:
+            load_config(cfg, overrides)
+        except SchemaError:
+            pass
 
 
 def test_command_mismatch_rejected(tmp_path):
