@@ -9,11 +9,13 @@ Commands: mass, curvature, verify-ah, duality-check, eigenfunction, deform,
 first-variation, ode-verify, dichotomy, rigidity-check.
 
 The configuration document is strict: unknown keys anywhere, and metric and
-command combinations the toolkit does not support, are rejected (exit 2).
-Numerical failures exit 3; completed runs exit 0 when every check
-passes its tolerance and 1 otherwise.  Reports are deterministic: reruns with
-the same config produce byte-identical report and CSV files (timestamps live
-in a separate metadata file).
+command combinations the toolkit does not support, are rejected (exit 2), as
+is an output directory or report file that cannot be written.  Numerical
+failures exit 3; any other exception is an internal error (exit 4), reported
+on one stderr line.  Completed runs exit 0 when every check passes its
+tolerance and 1 otherwise.  Reports are deterministic: the same config
+produces byte-identical report and CSV files in any output directory (the
+output path, timestamp and runtime live in a separate metadata file).
 """
 
 from __future__ import annotations
@@ -33,10 +35,17 @@ from .metrics import DomainError, metric_from_dict, metric_to_dict
 EXIT_CHECK_FAILURE = 1
 EXIT_SCHEMA = 2
 EXIT_NUMERICAL = 3
+EXIT_INTERNAL = 4
+
+RADII_COUNT_MAX = 256     # 32x the default 8-radius ladder
 
 
 class SchemaError(ValueError):
     pass
+
+
+class OutputError(OSError):
+    """The output directory or a report file could not be written."""
 
 
 DEFAULT_TOLERANCES = {
@@ -121,10 +130,13 @@ def load_config(path, overrides=None) -> dict:
     numeric = {} if numeric is None else numeric
     if not isinstance(numeric, dict):
         raise SchemaError("numeric must be an object")
+    numeric = dict(numeric)
+    for key in ("tolerances", "ode"):     # null means empty, as for numeric
+        if key in numeric and numeric[key] is None:
+            numeric[key] = {}
+    raw = dict(raw, numeric=numeric)
     if overrides:
-        numeric = dict(numeric)
-        tols = numeric.get("tolerances")
-        tols = {} if tols is None else tols
+        tols = numeric.get("tolerances", {})
         if overrides.get("quad_order") is not None:
             numeric["quad_polar"] = overrides["quad_order"]
             numeric["quad_azimuth"] = 2 * overrides["quad_order"]
@@ -134,8 +146,6 @@ def load_config(path, overrides=None) -> dict:
             tols = tols | {k: overrides["tol"] for k in
                            ("duality_residual", "wang_gap", "curvature_identity")}
         numeric["tolerances"] = tols
-        raw = dict(raw)
-        raw["numeric"] = numeric
         if overrides.get("out") is not None:
             raw["output"] = overrides["out"]
     _check_numeric(numeric)
@@ -152,7 +162,7 @@ def _check_numeric(doc, table=NUMERIC_KEYS, where="numeric"):
         if rule is None:
             _radii(doc)
         elif isinstance(rule, dict):
-            _check_numeric({} if val is None else val, rule, f"{where}.{key}")
+            _check_numeric(val, rule, f"{where}.{key}")
         elif not rule[0](val):
             raise SchemaError(f"{where}.{key} must be {rule[1]}, got {val!r}")
 
@@ -180,8 +190,10 @@ def _radii(numeric, default=(20.0, 200.0, 8)):
         _require_keys(doc, {"min", "max", "count"}, "numeric.radii")
         values = [doc.get("min"), doc.get("max")]
         count = doc.get("count")
-        if isinstance(count, bool) or not isinstance(count, int) or count < 3:
-            raise SchemaError(f"radii count must be an integer >= 3, got {count!r}")
+        if (isinstance(count, bool) or not isinstance(count, int)
+                or not 3 <= count <= RADII_COUNT_MAX):
+            raise SchemaError(f"radii count must be an integer in "
+                              f"3..{RADII_COUNT_MAX}, got {count!r}")
     else:
         raise SchemaError("radii must be a list or {min, max, count}")
     if not all(_real(v) and v > 0 for v in values):
@@ -516,7 +528,10 @@ def run(config: dict, out_dir=None) -> int:
         raise SchemaError(f"unknown command {command!r}; expected one of {COMMANDS}")
     numeric = config.get("numeric", {}) or {}
     out = Path(out_dir or config.get("output") or "out")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(str(exc)) from exc
 
     spec = None
     metric_doc = None
@@ -527,14 +542,17 @@ def run(config: dict, out_dir=None) -> int:
 
     numeric_doc = _resolved_numeric(numeric)
     numeric_doc.setdefault("seed", int(numeric.get("seed", 20240801)))
-    resolved = {"command": command, "metric": metric_doc,
-                "numeric": numeric_doc, "output": str(out)}
+    resolved = {"command": command, "metric": metric_doc, "numeric": numeric_doc}
     stem = command.replace("-", "_")
-    ok = write_report(out / f"{stem}_report.json", command, resolved, results,
-                      checks, version=__version__)
-    for name, (header, rows) in tables.items():
-        write_csv(out / f"{stem}_{name}.csv", header, rows)
-    write_meta(out / f"{stem}_meta.json", time.time() - t0, __version__)
+    try:
+        ok = write_report(out / f"{stem}_report.json", command, resolved, results,
+                          checks, version=__version__)
+        for name, (header, rows) in tables.items():
+            write_csv(out / f"{stem}_{name}.csv", header, rows)
+        write_meta(out / f"{stem}_meta.json", time.time() - t0, __version__,
+                   str(out))
+    except OSError as exc:
+        raise OutputError(str(exc)) from exc
     return 0 if ok else EXIT_CHECK_FAILURE
 
 
@@ -571,10 +589,10 @@ def main(argv=None) -> int:
                               f"match CLI command {args.command!r}")
         config["command"] = args.command
         return run(config, out_dir=args.out)
-    except SchemaError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (json.JSONDecodeError, FileNotFoundError) as exc:
+    except (SchemaError, json.JSONDecodeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except NotImplementedError as exc:
@@ -584,6 +602,9 @@ def main(argv=None) -> int:
             ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except Exception as exc:  # the last guard: no traceback escapes main
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -3,7 +3,20 @@
 Reports are JSON documents with keys {"command", "config", "results",
 "checks"}; floats are serialized with 17 significant digits so values
 round-trip exactly and reruns with the same configuration are byte-identical.
-Timestamps and runtimes go to a separate metadata file.
+Timestamps, runtimes and the output path go to a separate metadata file, so
+the same configuration gives the same report and CSV bytes in any directory.
+
+Every file is written by ``_write``, which unlinks an existing file first and
+then writes a new one.  On ext4 with its default ``auto_da_alloc``, replacing
+a recently written file by truncating it forces the file's data out to disk
+(so that a crash cannot leave it empty), and a rerun into an existing output
+directory waited tens of milliseconds per file with the CPU idle.  Writing a
+temporary file and renaming it over the old one is not used: ext4 forces the
+same flush on a rename over an existing file, and it stalled the same way.
+The cost of the unlink is that an overwritten report loses that
+flush-on-truncate protection, so a crash just after a rerun can leave it
+empty or missing.  That is acceptable because every report can be
+regenerated from its configuration.
 """
 
 from __future__ import annotations
@@ -49,6 +62,13 @@ def _serialize(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
+def _write(path, text: str) -> None:
+    """Replace ``path`` with ``text``: unlink, then write a new file."""
+    path = Path(path)
+    path.unlink(missing_ok=True)
+    path.write_text(text)
+
+
 def dump_json(doc: dict) -> str:
     return _serialize(doc) + "\n"
 
@@ -60,15 +80,16 @@ def write_report(path, command: str, config: dict, results: dict,
            "checks": checks}
     if version is not None:
         doc["toolkit_version"] = version
-    Path(path).write_text(dump_json(doc))
+    _write(path, dump_json(doc))
     return all(c["pass"] for c in checks)
 
 
-def write_meta(path, runtime_seconds: float, version: str):
+def write_meta(path, runtime_seconds: float, version: str, output: str):
     import datetime
     doc = {"timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-           "runtime_seconds": runtime_seconds, "toolkit_version": version}
-    Path(path).write_text(dump_json(doc))
+           "runtime_seconds": runtime_seconds, "toolkit_version": version,
+           "output": output}
+    _write(path, dump_json(doc))
 
 
 def write_csv(path, header: list, rows) -> None:
@@ -82,7 +103,7 @@ def write_csv(path, header: list, rows) -> None:
             else:
                 cells.append(str(v))
         lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def check(name: str, value: float, tolerance: float, passed=None) -> dict:

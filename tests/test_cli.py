@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ahmass.cli import (DEFAULT_TOLERANCES, EXIT_CHECK_FAILURE, EXIT_NUMERICAL,
-                        EXIT_SCHEMA, NUMERIC_KEYS, SchemaError, load_config, main)
+from ahmass import cli
+from ahmass.cli import (DEFAULT_TOLERANCES, EXIT_CHECK_FAILURE, EXIT_INTERNAL,
+                        EXIT_NUMERICAL, EXIT_SCHEMA, NUMERIC_KEYS, SchemaError,
+                        load_config, main, run)
 from ahmass.reporting import dump_json, format_float, write_csv
 
 
 def write_config(tmp_path, doc, name="config.json"):
     p = tmp_path / name
+    p.unlink(missing_ok=True)   # a truncating overwrite stalls on ext4
     p.write_text(json.dumps(doc))
     return str(p)
 
@@ -153,12 +156,15 @@ ODE = {"p_amp": 0.1, "q_amp": 0.1, "f_amp": 1.0, "decay": 2.0}
     # a ball inside the inner radius of the identity's volume rule
     ("rigidity-check", {"wang_radius": 0.005}, HYP, EXIT_NUMERICAL),
     ("mass", {"tolerances": {"wang_gap": True}}, HYP, EXIT_SCHEMA),
+    ("mass", {"radii": {"min": 20.0, "max": 200.0, "count": 10**7}}, HYP,
+     EXIT_SCHEMA),
 ], ids=["pairs-zero", "pairs-string", "quad-polar-2", "radius-nan",
         "sample-points-zero", "seed-bool", "eps-ladder-empty-schw",
         "eps-ladder-empty", "eps-ladder-one", "eps-ladder-zero",
         "decay-rate-string", "r-max-string", "deform-decay-rate-string",
         "q-claimed-string", "ode-amp-string", "ode-decay-zero",
-        "wang-radius-negative", "wang-radius-inside-inner", "tolerance-bool"])
+        "wang-radius-negative", "wang-radius-inside-inner", "tolerance-bool",
+        "radii-count-huge"])
 def test_bad_numeric_value_rejected(tmp_path, capsys, command, numeric, metric, code):
     cfg = write_config(tmp_path, {"command": command, "metric": metric, "numeric": numeric})
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == code
@@ -204,6 +210,37 @@ def test_load_config_returns_or_raises_schema_error(tmp_path, numeric, tol):
             load_config(cfg, overrides)
         except SchemaError:
             pass
+
+
+def test_null_tolerances_without_overrides(tmp_path):
+    cfg = write_config(tmp_path, {"command": "mass", "metric": HYP,
+                                  "numeric": {"tolerances": None, "ode": None}})
+    assert run(load_config(cfg), out_dir=tmp_path / "o") == 0
+
+
+@pytest.mark.parametrize("blocker", ["out", "out/mass_report.json"],
+                         ids=["out-is-file", "report-is-directory"])
+def test_unwritable_output_rejected(tmp_path, capsys, blocker):
+    # --out names a regular file, or the report path is a directory (which the
+    # unlink before each write refuses): exit 2, one line, no traceback
+    if blocker == "out":
+        (tmp_path / "out").write_text("")
+    else:
+        (tmp_path / blocker).mkdir(parents=True)
+    cfg = write_config(tmp_path, {"command": "mass", "metric": HYP})
+    assert main(["mass", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
+    def broken(spec, numeric):
+        raise KeyError("boom")
+    monkeypatch.setitem(cli.HANDLERS, "mass", broken)
+    cfg = write_config(tmp_path, {"command": "mass", "metric": HYP})
+    assert main(["mass", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_INTERNAL
+    assert capsys.readouterr().err == "internal error: KeyError: 'boom'\n"
 
 
 def test_command_mismatch_rejected(tmp_path):
@@ -261,6 +298,21 @@ def test_reports_byte_identical(tmp_path):
     assert main(["verify-ah", "--config", cfg, "--out", str(out)]) == 0
     second = (out / "verify_ah_report.json").read_bytes()
     assert first == second
+
+
+def test_reports_independent_of_output_directory(tmp_path):
+    cfg = write_config(tmp_path, {"command": "mass", "metric": SCHW,
+                                  "numeric": {"quad_polar": 8, "quad_azimuth": 16}})
+    files = []
+    for name in ("a", "b/c"):
+        out = tmp_path / name
+        assert main(["mass", "--config", cfg, "--out", str(out)]) == 0
+        meta = json.loads((out / "mass_meta.json").read_text())
+        assert meta["output"] == str(out)
+        files.append({p.name: p.read_bytes() for p in out.iterdir()
+                      if not p.name.endswith("_meta.json")})
+    assert sorted(files[0]) == ["mass_mass_ladder.csv", "mass_report.json"]
+    assert files[0] == files[1]
 
 
 def test_float_serialization_round_trips():
