@@ -15,6 +15,11 @@ from ahmass.cli import run
 
 HYPERBOLIC = {"family": "hyperbolic", "n": 3, "params": {}}
 STATIC_FAMILY = {"family": "schwarzschild_ads", "n": 3, "params": {"m": 0.5}}
+# n = 4: a bump along x_1 with no rotational symmetry, and the static family
+PERTURBED_4 = {"family": "perturbed", "n": 4, "params": {
+    "base": {"family": "hyperbolic", "n": 4, "params": {}},
+    "perturbation": {"kind": "axis_bump", "axis": [1.0, 0.0, 0.0, 0.0], "rate": 4.0}}}
+STATIC_FAMILY_4 = {"family": "schwarzschild_ads", "n": 4, "params": {"m": 0.5}}
 
 BATTERY = [
     ("mass", HYPERBOLIC, {}),
@@ -29,6 +34,9 @@ BATTERY = [
                                   "decay": 2.0}}),
     ("dichotomy", HYPERBOLIC, {"fan_count": 64}),
     ("rigidity-check", HYPERBOLIC, {}),
+    ("mass", PERTURBED_4, {}),
+    ("duality-check", STATIC_FAMILY_4, {"quad_polar": 10, "quad_azimuth": 20,
+                                        "radial_nodes": 16, "pairs": 3}),
 ]
 
 

@@ -38,6 +38,7 @@ EXIT_NUMERICAL = 3
 EXIT_INTERNAL = 4
 
 RADII_COUNT_MAX = 256     # 32x the default 8-radius ladder
+SPHERE_NODES_MAX = 65536  # 14x the default 4,608-node sphere rule
 
 
 class SchemaError(ValueError):
@@ -121,8 +122,16 @@ def _require_keys(doc: dict, allowed: dict | set, where: str):
         raise SchemaError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _read_json(path):
+    """A JSON document from a file; text that is not UTF-8 is a config error."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def load_config(path, overrides=None) -> dict:
-    raw = json.loads(Path(path).read_text())
+    raw = _read_json(path)
     if not isinstance(raw, dict):
         raise SchemaError("config must be a JSON object")
     _require_keys(raw, {"command", "metric", "numeric", "output"}, "config")
@@ -171,7 +180,7 @@ def resolve_metric(doc) -> tuple:
     if doc is None:
         raise SchemaError("this command requires a metric spec")
     if isinstance(doc, str):
-        doc = json.loads(Path(doc).read_text())
+        doc = _read_json(doc)
     try:
         spec = metric_from_dict(doc)
     except (ValueError, KeyError) as exc:
@@ -210,10 +219,18 @@ def _tol(numeric, key):
     return float(numeric.get("tolerances", {}).get(key, DEFAULT_TOLERANCES[key]))
 
 
-def _sphere(numeric, n, default=(48, 96)):
-    from .quadrature import sphere_rule
-    return sphere_rule(n, int(numeric.get("quad_polar", default[0])),
-                       int(numeric.get("quad_azimuth", default[1])))
+def _sphere(numeric, n, default=None):
+    """The sphere rule of ``quad_polar`` x ``quad_azimuth`` nodes on S^{n-1};
+    unset counts come from ``default`` or, without one, the rule derived from n."""
+    from .quadrature import default_polar_nodes, sphere_rule
+    polar, azimuth = default or (default_polar_nodes(n), 2 * default_polar_nodes(n))
+    polar = int(numeric.get("quad_polar", polar))
+    azimuth = int(numeric.get("quad_azimuth", azimuth))
+    nodes = polar ** (n - 2) * azimuth
+    if nodes > SPHERE_NODES_MAX:
+        raise SchemaError(f"a {polar} x {azimuth} rule on S^{n - 1} has {nodes} "
+                          f"nodes, more than {SPHERE_NODES_MAX}")
+    return sphere_rule(n, polar, azimuth)
 
 
 def _rng(numeric):
@@ -234,8 +251,7 @@ def run_mass(spec, numeric):
     from .reporting import check
     _require_exterior_chart(spec, "mass")
     radii = _radii(numeric)
-    quad = _sphere(numeric, spec.n) if spec.n == 3 else None
-    mv = mass_vector(spec, radii, quad)
+    mv = mass_vector(spec, radii, _sphere(numeric, spec.n))
     recompute = abs(mv.defect - (mv.p[0] - np.sqrt(np.sum(mv.p[1:] ** 2))))
     checks = [
         check("defect_consistency", recompute, _tol(numeric, "mass_defect_consistency")),

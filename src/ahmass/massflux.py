@@ -17,8 +17,9 @@ The Ricci flux int_{S_r} (Ric_g + (n-1) g)(grad V, nu) dsigma has one
 integrand, ``ricci_flux``, used with background objects (the cross-check
 ``prop27_check``) or with the metric's own (the rigidity module's boundary
 flux); it stays separate from the mass-flux integrand, the other side of that
-cross-check.  Both go through one sphere reduction, ``_sphere_integral``, and
-both ladders through one fit of I(r) = I_inf + c r^(-beta), ``_fit_ladders``.
+cross-check.  Both go through one sphere reduction, ``_sphere_integral``, the
+same product rule in every dimension with no symmetry assumed of the metric,
+and both ladders through one fit of I(r) = I_inf + c r^(-beta), ``_fit_ladders``.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from scipy.optimize import least_squares
 
 from .chart import as_coords
 from .curvature import metric_apparatus, nabla_2tensor
-from .metrics import HyperbolicMetric, MetricSpec, StaticPotential, static_potential_basis
-from .quadrature import SphereRule, sphere_area, sphere_coords_at_radius, sphere_rule
+from .metrics import HyperbolicMetric, MetricSpec, static_potential_basis
+from .quadrature import SphereRule, sphere_coords_at_radius, sphere_rule
 
 DEFAULT_RADII = tuple(np.geomspace(20.0, 200.0, 8))
 
@@ -80,7 +81,9 @@ class MassVector:
 def extrapolate_limit(radii, values, beta0: float, beta_bounds=None):
     """Fit I(r) = I_inf + c r^(-beta); falls back to the last value.
 
-    Returns (limit, beta, rms_residual, flags).
+    Returns (limit, beta, rms_residual, flags).  A fit on fewer than 4 radii
+    matches its 3 parameters exactly, so its zero residual says nothing; it is
+    flagged ``under-determined``.
     """
     radii = np.asarray(radii, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -105,13 +108,14 @@ def extrapolate_limit(radii, values, beta0: float, beta_bounds=None):
         sol = least_squares(residual, [values[-1], c0, beta0],
                             bounds=(lower, upper), xtol=1e-15, ftol=1e-15,
                             gtol=1e-15, max_nfev=4000)
-    except Exception:
+    except ValueError:   # e.g. residuals not finite at the starting point
         return float(values[-1]), np.nan, np.nan, ("no-extrapolation",)
     if not sol.success:
         return float(values[-1]), np.nan, np.nan, ("no-extrapolation",)
     limit, _, beta = sol.x
     rms = float(np.sqrt(np.mean(sol.fun ** 2)))
-    return float(limit), float(beta), rms, ()
+    flags = ("under-determined",) if radii.size < 4 else ()
+    return float(limit), float(beta), rms, flags
 
 
 def _normal_and_measure(app, objects: str):
@@ -174,29 +178,20 @@ def _sphere_integral(spec: MetricSpec, potentials, r: float, quad: SphereRule,
                      integrand) -> np.ndarray:
     """Integrate ``integrand(coords) -> (values (N, K), density)`` over S_r.
 
-    Returns one integral per potential.  For n >= 4 the metric must be
-    rotationally symmetric; the angular integral then reduces to the sphere
-    area times one sample for the time-like potential and vanishes by parity
-    for the translational ones.
+    Returns one integral per potential, from the product rule ``quad`` on
+    S^{n-1} (default ``sphere_rule(n)``) in every dimension.
     """
     n = spec.n
-    if n == 3:
-        if quad is None:
-            quad = sphere_rule(3)
-        if quad.node_count < 16:
-            raise ValueError("quadrature spec needs at least 4 nodes per angle")
-        coords = sphere_coords_at_radius(quad, r)
-        vals, density = integrand(coords)
-        return (quad.weights * density) @ vals
-    if not spec.rotationally_symmetric:
-        raise NotImplementedError(
-            "flux quadrature for n >= 4 supports rotationally symmetric metrics only")
-    odd = np.array([isinstance(V, StaticPotential) and V.index > 0 for V in potentials])
-    if odd.all():
-        return np.zeros(len(potentials))  # odd integrands over the sphere
-    sample = np.array([[r] + [np.pi / 2] * (n - 1)])
-    vals, density = integrand(sample)
-    return np.where(odd, 0.0, sphere_area(n) * density[0] * vals[0])
+    if quad is None:
+        quad = sphere_rule(n)
+    if quad.angles.shape[1] != n - 1:
+        raise ValueError(f"quadrature spec has {quad.angles.shape[1]} angles, "
+                         f"the sphere S^{n - 1} needs {n - 1}")
+    if quad.node_count < 4 ** (n - 1):
+        raise ValueError("quadrature spec needs at least 4 nodes per angle")
+    coords = sphere_coords_at_radius(quad, r)
+    vals, density = integrand(coords)
+    return (quad.weights * density) @ vals
 
 
 def _flux_integrals(spec, potentials, r, quad, objects) -> np.ndarray:

@@ -1,10 +1,13 @@
 """Sphere and annulus quadrature rules with deterministic node ordering.
 
 Sphere rules integrate against the round measure d(omega) of the unit
-(n-1)-sphere: Gauss-Legendre in the cosine of each polar angle (with the
-residual sine powers folded into the weights) times a periodic trapezoid rule
-in the azimuth.  Summations use numpy's pairwise reduction over a fixed node
-ordering, so repeated runs are bit-identical.
+(n-1)-sphere.  In u = cos(theta) a polar angle carrying sin^p(theta) has the
+weight (1-u^2)^((p-1)/2): Gauss-Legendre for p = 1, Gauss-Jacobi with both
+exponents (p-1)/2 for p >= 2, times a periodic trapezoid rule in the azimuth.
+Every factor is a Gaussian rule for its own weight, so the product is exact
+for polynomials in the Cartesian unit vector up to a degree that grows with the
+node counts, in every dimension.  Summations use numpy's pairwise reduction
+over a fixed node ordering, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -13,6 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.special import roots_jacobi
+
+DEFAULT_SPHERE_NODES = 4608   # the 48 x 96 rule on S^2
 
 
 @dataclass(frozen=True)
@@ -27,19 +33,37 @@ class SphereRule:
         return self.weights.size
 
 
-def sphere_rule(n: int, polar_nodes: int = 48, azimuth_nodes: int = 96) -> SphereRule:
+def default_polar_nodes(n: int) -> int:
+    """Largest polar count P <= 48 (and >= 4) whose P x ... x P x 2P rule on
+    S^{n-1} has at most ``DEFAULT_SPHERE_NODES`` nodes: 48 at n = 3, 13 at
+    n = 4, 6 at n = 5."""
+    polar = 48
+    while polar > 4 and 2 * polar ** (n - 1) > DEFAULT_SPHERE_NODES:
+        polar -= 1
+    return polar
+
+
+def sphere_rule(n: int, polar_nodes: int = None, azimuth_nodes: int = None) -> SphereRule:
     """Product quadrature over S^{n-1} in the chart angles.
 
-    Exact (up to machine precision) for smooth integrands; polar directions use
-    Gauss-Legendre in u = cos(theta) so no node touches a chart pole.
+    Exact (up to machine precision) for smooth integrands in every dimension;
+    polar directions use Gaussian nodes in u = cos(theta), so no node touches a
+    chart pole.  An omitted count takes the default derived from n:
+    ``default_polar_nodes(n)`` polar nodes and twice that in the azimuth.
     """
+    if polar_nodes is None:
+        polar_nodes = default_polar_nodes(n)
+    if azimuth_nodes is None:
+        azimuth_nodes = 2 * default_polar_nodes(n)
     if polar_nodes < 4 or azimuth_nodes < 4:
         raise ValueError("need at least 4 nodes per angle")
     axes, wts = [], []
     for j in range(n - 2):
-        u, w = leggauss(polar_nodes)
-        p = n - 2 - j  # d(omega) carries sin^{n-1-j-1}... as (1-u^2)^{(p-1)/2} du
-        w = w * (1.0 - u ** 2) ** (0.5 * (p - 1))
+        p = n - 2 - j  # sin^p(theta) d(theta) = (1-u^2)^{(p-1)/2} du
+        if p == 1:     # leggauss, not roots_jacobi(N, 0, 0): keeps n = 3 bit-identical
+            u, w = leggauss(polar_nodes)
+        else:
+            u, w = roots_jacobi(polar_nodes, 0.5 * (p - 1), 0.5 * (p - 1))
         axes.append(np.arccos(u[::-1]))
         wts.append(w[::-1])
     phi = np.arange(azimuth_nodes) * (2.0 * np.pi / azimuth_nodes)

@@ -117,13 +117,12 @@ WARPED = {"family": "warped_product", "n": 3}
 
 
 @pytest.mark.parametrize("command,metric", [
-    ("mass", PERTURBED4),            # n >= 4 flux needs rotational symmetry
     ("deform", PERTURBED3),          # no radial reduction
     ("eigenfunction", PERTURBED3),   # no radial reduction
     ("mass", WARPED),                # not on the exterior chart
     ("verify-ah", WARPED),           # not on the exterior chart
     ("rigidity-check", {"family": "hyperbolic", "n": 4}),   # n = 3 fixture only
-], ids=["mass", "deform", "eigenfunction", "mass-warped", "verify-ah-warped",
+], ids=["deform", "eigenfunction", "mass-warped", "verify-ah-warped",
         "rigidity-check-n4"])
 def test_unsupported_metric_rejected(tmp_path, capsys, command, metric):
     cfg = write_config(tmp_path, {"command": command, "metric": metric})
@@ -132,7 +131,16 @@ def test_unsupported_metric_rejected(tmp_path, capsys, command, metric):
     assert err.startswith("unsupported: ") and "Traceback" not in err
 
 
+def test_mass_without_rotational_symmetry_n4(tmp_path):
+    # the sphere rule is exact at every n, so mass needs no symmetry at n = 4
+    cfg = write_config(tmp_path, {"command": "mass", "metric": PERTURBED4})
+    out = tmp_path / "out"
+    assert main(["mass", "--config", cfg, "--out", str(out)]) == 0
+    assert np.isfinite(read_report(out, "mass")["results"]["p"][0])
+
+
 ODE = {"p_amp": 0.1, "q_amp": 0.1, "f_amp": 1.0, "decay": 2.0}
+HYP5 = {"family": "hyperbolic", "n": 5, "params": {}}
 
 
 @pytest.mark.parametrize("command,numeric,metric,code", [
@@ -158,19 +166,32 @@ ODE = {"p_amp": 0.1, "q_amp": 0.1, "f_amp": 1.0, "decay": 2.0}
     ("mass", {"tolerances": {"wang_gap": True}}, HYP, EXIT_SCHEMA),
     ("mass", {"radii": {"min": 20.0, "max": 200.0, "count": 10**7}}, HYP,
      EXIT_SCHEMA),
+    # 100^3 x 12 nodes on S^4: rejected before the rule is built
+    ("mass", {"quad_polar": 100}, HYP5, EXIT_SCHEMA),
 ], ids=["pairs-zero", "pairs-string", "quad-polar-2", "radius-nan",
         "sample-points-zero", "seed-bool", "eps-ladder-empty-schw",
         "eps-ladder-empty", "eps-ladder-one", "eps-ladder-zero",
         "decay-rate-string", "r-max-string", "deform-decay-rate-string",
         "q-claimed-string", "ode-amp-string", "ode-decay-zero",
         "wang-radius-negative", "wang-radius-inside-inner", "tolerance-bool",
-        "radii-count-huge"])
+        "radii-count-huge", "sphere-nodes-huge"])
 def test_bad_numeric_value_rejected(tmp_path, capsys, command, numeric, metric, code):
     cfg = write_config(tmp_path, {"command": command, "metric": metric, "numeric": numeric})
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == code
     err = capsys.readouterr().err
     prefix = "config error: " if code == EXIT_SCHEMA else "numerical failure: "
     assert err.startswith(prefix) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["config", "metric-file"])
+def test_non_utf8_file_rejected(tmp_path, capsys, where):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    cfg = (str(bad) if where == "config"
+           else write_config(tmp_path, {"command": "mass", "metric": str(bad)}))
+    assert main(["mass", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
 
 
 def test_short_ode_horizon_rejected(tmp_path, capsys):
@@ -278,6 +299,8 @@ def test_check_failure_exit(tmp_path):
     ("deform", HYP, {}),
     ("dichotomy", HYP, {"fan_count": 9}),
     ("rigidity-check", HYP, {}),
+    ("duality-check", {"family": "schwarzschild_ads", "n": 4, "params": {"m": 0.5}},
+     {"quad_polar": 10, "quad_azimuth": 20, "radial_nodes": 16, "pairs": 1}),
 ])
 def test_remaining_commands_pass(tmp_path, command, metric, numeric):
     cfg = write_config(tmp_path, {"command": command, "metric": metric,
