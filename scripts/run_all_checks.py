@@ -37,6 +37,8 @@ BATTERY = [
     ("mass", PERTURBED_4, {}),
     ("duality-check", STATIC_FAMILY_4, {"quad_polar": 10, "quad_azimuth": 20,
                                         "radial_nodes": 16, "pairs": 3}),
+    # no quad_*: the 16 x 32 default scaled to 6 x 12 on S^3
+    ("first-variation", {"family": "hyperbolic", "n": 4, "params": {}}, {}),
 ]
 
 

@@ -39,6 +39,7 @@ EXIT_INTERNAL = 4
 
 RADII_COUNT_MAX = 256     # 32x the default 8-radius ladder
 SPHERE_NODES_MAX = 65536  # 14x the default 4,608-node sphere rule
+VOLUME_NODES_MAX = 131072  # 2.3x the 57,344-node first-variation default
 
 
 class SchemaError(ValueError):
@@ -183,7 +184,7 @@ def resolve_metric(doc) -> tuple:
         doc = _read_json(doc)
     try:
         spec = metric_from_dict(doc)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise SchemaError(f"bad metric spec: {exc}") from exc
     return spec, metric_to_dict(spec)
 
@@ -219,18 +220,30 @@ def _tol(numeric, key):
     return float(numeric.get("tolerances", {}).get(key, DEFAULT_TOLERANCES[key]))
 
 
-def _sphere(numeric, n, default=None):
-    """The sphere rule of ``quad_polar`` x ``quad_azimuth`` nodes on S^{n-1};
-    unset counts come from ``default`` or, without one, the rule derived from n."""
-    from .quadrature import default_polar_nodes, sphere_rule
-    polar, azimuth = default or (default_polar_nodes(n), 2 * default_polar_nodes(n))
-    polar = int(numeric.get("quad_polar", polar))
-    azimuth = int(numeric.get("quad_azimuth", azimuth))
+def _sphere(numeric, n, polar=None):
+    """The sphere rule of ``quad_polar`` x ``quad_azimuth`` nodes on S^{n-1}.
+
+    An unset count comes from the command's n = 3 default ``polar`` x 2 ``polar``
+    (48 x 96 without one), scaled to n so that the rule keeps its node count.
+    """
+    from .quadrature import DEFAULT_POLAR_NODES, default_polar_nodes, sphere_rule
+    base = default_polar_nodes(n, polar or DEFAULT_POLAR_NODES)
+    polar = int(numeric.get("quad_polar", base))
+    azimuth = int(numeric.get("quad_azimuth", 2 * base))
     nodes = polar ** (n - 2) * azimuth
     if nodes > SPHERE_NODES_MAX:
         raise SchemaError(f"a {polar} x {azimuth} rule on S^{n - 1} has {nodes} "
                           f"nodes, more than {SPHERE_NODES_MAX}")
     return sphere_rule(n, polar, azimuth)
+
+
+def _check_volume(sphere, radial_nodes):
+    """Reject a volume rule of more than VOLUME_NODES_MAX nodes before it is built."""
+    nodes = sphere.node_count * radial_nodes
+    if nodes > VOLUME_NODES_MAX:
+        raise SchemaError(f"a volume rule of {sphere.node_count} sphere x "
+                          f"{radial_nodes} radial nodes has {nodes} nodes, "
+                          f"more than {VOLUME_NODES_MAX}")
 
 
 def _rng(numeric):
@@ -318,8 +331,10 @@ def run_duality(spec, numeric):
     pairs = int(numeric.get("pairs", 10))
     lo = max(2.0, float(numeric.get("r_min", 2.0)))
     hi = float(numeric.get("r_max", 6.0))
-    rule = volume_rule(spec.n, [lo, hi], [int(numeric.get("radial_nodes", 32))],
-                       _sphere(numeric, spec.n, (12, 24)))
+    sphere = _sphere(numeric, spec.n, 12)
+    radial = int(numeric.get("radial_nodes", 32))
+    _check_volume(sphere, radial)
+    rule = volume_rule(spec.n, [lo, hi], [radial], sphere)
     app = metric_apparatus(spec, rule.coords, level=2)
     worst = 0.0
     values = []
@@ -376,9 +391,10 @@ def run_first_variation(spec, numeric):
     eps = numeric.get("eps_ladder", [3e-2, 1e-2, 3e-3, 1e-3])
     eps = [float(e) for e in eps]
     r0 = inner_truncation_radius(spec)
+    sphere, radial = _sphere(numeric, spec.n, 16), [16, 48, 24, 24]
+    _check_volume(sphere, sum(radial))
     rule = volume_rule(spec.n, [max(r0, 0.1), 2.0, 6.0, 20.0,
-                                float(numeric.get("r_max", 190.0))],
-                       [16, 48, 24, 24], _sphere(numeric, spec.n, (16, 32)))
+                                float(numeric.get("r_max", 190.0))], radial, sphere)
     f = radial_eigenfunction(spec).potential
     h = random_compact_tensor(rng, spec.n, 2.0, 6.0, amplitude=0.5)
     rep = first_variation_check(spec, f, h, eps, rule)
@@ -422,9 +438,8 @@ def run_ode_verify(spec, numeric):
             checks.append(check("remainder_decay_relative", rel,
                                 _tol(numeric, "remainder_decay_relative")))
     t = pair.grid[:: max(1, pair.grid.size // 2000)]
-    rows = np.column_stack([t, pair.u1.value(t), pair.u2.value(t),
-                            pair.u1.value(t) * pair.u2.d1(t)
-                            - pair.u2.value(t) * pair.u1.d1(t)])
+    (v1, d1), (v2, d2) = pair.u1.at(t), pair.u2.at(t)
+    rows = np.column_stack([t, v1, v2, v1 * d2 - v2 * d1])
     return results, checks, {"ode_solutions": (["t", "u1", "u2", "wronskian"],
                                                [list(map(float, r)) for r in rows])}
 
@@ -490,9 +505,11 @@ def run_rigidity(spec, numeric):
     checks = []
     if spec.family == "hyperbolic":
         V0 = static_potential(n, 0)
+        sphere = _sphere(numeric, n, 16)
+        radial = int(numeric.get("radial_nodes", 48))
+        _check_volume(sphere, radial)
         rep = wang_identity_check(spec, V0, float(numeric.get("wang_radius", 10.0)),
-                                  quad=_sphere(numeric, n, (16, 32)),
-                                  radial_nodes=int(numeric.get("radial_nodes", 48)))
+                                  quad=sphere, radial_nodes=radial)
         results["wang"] = rep.to_dict()
         checks.append(check("wang_gap", rep.gap, _tol(numeric, "wang_gap")))
     fx = warped_fixture("round_sphere", n)

@@ -149,7 +149,14 @@ def power_tail_profile(amp: float, rate: float, onset: float = 5.0,
                                   "onset": onset})
 
 
+def require_object(doc, what: str):
+    """A declarative spec must be a JSON object (a dict)."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be an object, got {type(doc).__name__}")
+
+
 def profile_from_dict(doc: dict) -> RadialProfile:
+    require_object(doc, "radial profile")
     kind = doc.get("kind")
     if kind == "constant":
         extra = set(doc) - {"kind", "value"}
@@ -344,6 +351,7 @@ def random_compact_tensor(rng, n: int, r_lo: float, r_hi: float,
 
 
 def perturbation_from_dict(doc: dict, n: int) -> SymmetricTensorField:
+    require_object(doc, "perturbation")
     kind = doc.get("kind")
     if kind == "axis_bump":
         extra = set(doc) - {"kind", "axis", "amp", "rate", "width", "onset"}

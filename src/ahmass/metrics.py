@@ -17,7 +17,7 @@ import numpy as np
 from . import jets as J
 from .chart import ChartPoint, as_coords, unit_vector_jets
 from .fields import (RadialProfile, ScalarField, perturbation_from_dict,
-                     profile_from_dict)
+                     profile_from_dict, require_object)
 
 __all__ = [
     "MetricSpec", "HyperbolicMetric", "SchwarzschildAdS", "ConformalMetric",
@@ -364,6 +364,7 @@ def metric_to_dict(spec: MetricSpec) -> dict:
 
 def metric_from_dict(doc: dict) -> MetricSpec:
     """Build a metric from {"family", "n", "params"}; strict about keys."""
+    require_object(doc, "metric spec")
     unknown = set(doc) - {"family", "n", "params"}
     if unknown:
         raise ValueError(f"unknown metric spec keys: {sorted(unknown)}")
@@ -372,6 +373,7 @@ def metric_from_dict(doc: dict) -> MetricSpec:
     if not isinstance(n, int) or n < 3:
         raise ValueError(f"metric spec needs integer n >= 3, got {n!r}")
     params = doc.get("params", {}) or {}
+    require_object(params, "metric params")
     if family == "hyperbolic":
         if params:
             raise ValueError(f"hyperbolic takes no params, got {sorted(params)}")

@@ -12,6 +12,11 @@ by a single backward integration from t = j (then normalized), which is the
 numerically stable evaluation of the same solution a shooting iteration would
 converge to: forward shooting loses all accuracy once e^(2t) exceeds 1/eps,
 long before the horizons used here.
+
+Every consumer of a dense branch reads the value and the derivative from one
+interpolant evaluation (``ODESolution.at``): the variation-of-parameters
+integrands evaluate each branch once per quadrature point, and the
+certificate, the exhaustion check and the CLI rows once per grid.
 """
 
 from __future__ import annotations
@@ -76,6 +81,11 @@ class ODESolution:
 
     sol: object
     t_span: tuple
+
+    def at(self, t):
+        """(u(t), u'(t)) from one dense evaluation."""
+        u, du = self.sol(np.asarray(t, dtype=float))
+        return u, du
 
     def value(self, t):
         return self.sol(np.asarray(t, dtype=float))[0]
@@ -166,8 +176,7 @@ def build_decaying_solution(prob: ODEProblem, T=None, tol: float = 1e-10,
         j += j_step
     else:
         raise ArithmeticError(f"exhaustion did not settle below {tol} by j = {j_max}")
-    vals = current.value(t)
-    dvals = current.d1(t)
+    vals, dvals = current.at(t)
     return DecayingSolution(solution=current, j_used=j, sup_diffs=diffs,
                             positive=bool(np.all(vals > 0)),
                             decreasing=bool(np.all(dvals < 0)))
@@ -201,8 +210,8 @@ def fundamental_pair(prob: ODEProblem, T=None, u1_slope: float = 1.0) -> Fundame
     u2 = dec.solution
     t = prob.grid(T)
     e_plus, e_minus = np.exp(t), np.exp(-t)
-    v1, d1 = u1.value(t), u1.d1(t)
-    v2, d2 = u2.value(t), u2.d1(t)
+    v1, d1 = u1.at(t)
+    v2, d2 = u2.at(t)
     wr = v1 * d2 - v2 * d1
     flags = []
     if np.any(v1 <= 0) or np.any(d1 <= 0) or np.any(v2 <= 0) or np.any(-d2 <= 0):
@@ -269,20 +278,27 @@ def particular_solution(prob: ODEProblem, pair: FundamentalPair = None,
         raise ValueError(f"horizon T = {T:g} leaves fewer than 3 samples in the remainder "
                          f"fit window 2 <= t <= T - 2; it must be at least "
                          f"{4.0 + 3 * prob.grid_step:g}")
-    u1v, u1d = pair.u1.value, pair.u1.d1
-    u2v, u2d = pair.u2.value, pair.u2.d1
 
-    def wr(s):
-        return u1v(s) * u2d(s) - u2v(s) * u1d(s)
+    def terms(s):
+        """u1(s), u2(s), f(s) and the Wronskian W(s): one dense call per branch."""
+        v1, d1 = pair.u1.at(s)
+        v2, d2 = pair.u2.at(s)
+        return v1, v2, prob.f(s), v1 * d2 - v2 * d1
+
+    def forward(s, y):
+        v1, _, f, W = terms(s)
+        return [v1 * f / W]
+
+    def backward(s, y):
+        v1, v2, f, W = terms(s)
+        return [-v2 * f / W, -v1 * f / W]
 
     # alpha_2(t) = int_0^t u1 f / W, forward
-    fwd = solve_ivp(lambda s, y: [u1v(s) * prob.f(s) / wr(s)], (0.0, T), [0.0],
+    fwd = solve_ivp(forward, (0.0, T), [0.0],
                     method="DOP853", rtol=DEFAULT_RTOL, atol=1e-30,
                     first_step=1e-3, dense_output=True)
     # tail integrals from the horizon: tau1 = int_t^T u2 f / W, tau2 = int_t^T u1 f / W
-    back = solve_ivp(lambda s, y: [-u2v(s) * prob.f(s) / wr(s),
-                                   -u1v(s) * prob.f(s) / wr(s)],
-                     (T, 0.0), [0.0, 0.0], method="DOP853",
+    back = solve_ivp(backward, (T, 0.0), [0.0, 0.0], method="DOP853",
                      rtol=DEFAULT_RTOL, atol=1e-30, first_step=1e-3,
                      dense_output=True)
     if not (fwd.success and back.success):
@@ -295,10 +311,10 @@ def particular_solution(prob: ODEProblem, pair: FundamentalPair = None,
     if d_claim > 1.0:
         A2 = float(alpha2[-1])
         c2 = A2
-        remainder = tau1 * u1v(t) - tau2 * u2v(t)
+        remainder = tau1 * pair.u1.value(t) - tau2 * pair.u2.value(t)
     else:
         c2 = 0.0
-        remainder = tau1 * u1v(t) + alpha2 * u2v(t)
+        remainder = tau1 * pair.u1.value(t) + alpha2 * pair.u2.value(t)
 
     rem_w = np.abs(remainder[window])
     t_w = t[window]

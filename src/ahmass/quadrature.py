@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi
 
-DEFAULT_SPHERE_NODES = 4608   # the 48 x 96 rule on S^2
+DEFAULT_POLAR_NODES = 48   # the 48 x 96 rule on S^2
 
 
 @dataclass(frozen=True)
@@ -33,12 +33,13 @@ class SphereRule:
         return self.weights.size
 
 
-def default_polar_nodes(n: int) -> int:
-    """Largest polar count P <= 48 (and >= 4) whose P x ... x P x 2P rule on
-    S^{n-1} has at most ``DEFAULT_SPHERE_NODES`` nodes: 48 at n = 3, 13 at
-    n = 4, 6 at n = 5."""
-    polar = 48
-    while polar > 4 and 2 * polar ** (n - 1) > DEFAULT_SPHERE_NODES:
+def default_polar_nodes(n: int, polar: int = DEFAULT_POLAR_NODES) -> int:
+    """The n = 3 default ``polar`` x 2 ``polar`` scaled to S^{n-1}: the largest
+    P <= ``polar`` (and >= 4) whose P x ... x P x 2P rule has at most the
+    2 ``polar``^2 nodes of the rule on S^2.  With the default 48: 48 at n = 3,
+    13 at n = 4, 6 at n = 5; with 16: 6 at n = 4."""
+    budget = 2 * polar ** 2
+    while polar > 4 and 2 * polar ** (n - 1) > budget:
         polar -= 1
     return polar
 

@@ -131,6 +131,25 @@ def test_unsupported_metric_rejected(tmp_path, capsys, command, metric):
     assert err.startswith("unsupported: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("metric", [
+    [HYP],
+    {"family": "hyperbolic", "n": 3, "params": 5},
+    {"family": "perturbed", "n": 3, "params": {"base": [], "perturbation": {}}},
+    {"family": "perturbed", "n": 3, "params": {"base": HYP, "perturbation": [1]}},
+    {"family": "conformal", "n": 3, "params": {"base": HYP, "profile": 1}},
+    {"family": "conformal", "n": 3, "params": {
+        "base": HYP, "profile": {"kind": "constant", "value": None}}},
+    {"family": "schwarzschild_ads", "n": 3, "params": {"m": [1]}},
+], ids=["spec-list", "params-int", "base-list", "perturbation-list", "profile-int",
+        "profile-value-null", "mass-list"])
+def test_malformed_metric_spec_rejected(tmp_path, capsys, metric):
+    # a spec, or a part of one, of the wrong JSON type is a config error
+    cfg = write_config(tmp_path, {"command": "mass", "metric": metric})
+    assert main(["mass", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad metric spec: ") and "Traceback" not in err
+
+
 def test_mass_without_rotational_symmetry_n4(tmp_path):
     # the sphere rule is exact at every n, so mass needs no symmetry at n = 4
     cfg = write_config(tmp_path, {"command": "mass", "metric": PERTURBED4})
@@ -140,6 +159,7 @@ def test_mass_without_rotational_symmetry_n4(tmp_path):
 
 
 ODE = {"p_amp": 0.1, "q_amp": 0.1, "f_amp": 1.0, "decay": 2.0}
+HYP4 = {"family": "hyperbolic", "n": 4, "params": {}}
 HYP5 = {"family": "hyperbolic", "n": 5, "params": {}}
 
 
@@ -168,13 +188,19 @@ HYP5 = {"family": "hyperbolic", "n": 5, "params": {}}
      EXIT_SCHEMA),
     # 100^3 x 12 nodes on S^4: rejected before the rule is built
     ("mass", {"quad_polar": 100}, HYP5, EXIT_SCHEMA),
+    # volume rules beyond VOLUME_NODES_MAX: 288 x 100000 and 16000 x 112 nodes,
+    # rejected before the mesh is built
+    ("duality-check", {"radial_nodes": 100000}, HYP, EXIT_SCHEMA),
+    ("first-variation", {"quad_polar": 20, "quad_azimuth": 40}, HYP4, EXIT_SCHEMA),
+    ("rigidity-check", {"radial_nodes": 100000}, HYP, EXIT_SCHEMA),
 ], ids=["pairs-zero", "pairs-string", "quad-polar-2", "radius-nan",
         "sample-points-zero", "seed-bool", "eps-ladder-empty-schw",
         "eps-ladder-empty", "eps-ladder-one", "eps-ladder-zero",
         "decay-rate-string", "r-max-string", "deform-decay-rate-string",
         "q-claimed-string", "ode-amp-string", "ode-decay-zero",
         "wang-radius-negative", "wang-radius-inside-inner", "tolerance-bool",
-        "radii-count-huge", "sphere-nodes-huge"])
+        "radii-count-huge", "sphere-nodes-huge", "duality-volume-huge",
+        "first-variation-volume-huge", "rigidity-volume-huge"])
 def test_bad_numeric_value_rejected(tmp_path, capsys, command, numeric, metric, code):
     cfg = write_config(tmp_path, {"command": command, "metric": metric, "numeric": numeric})
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == code
@@ -231,6 +257,86 @@ def test_load_config_returns_or_raises_schema_error(tmp_path, numeric, tol):
             load_config(cfg, overrides)
         except SchemaError:
             pass
+
+
+# End-to-end fuzz of main: every command, valid and malformed metric specs, and
+# numeric documents of small in-range values with at most one malformed entry.
+# The keys that set a run's cost are always present and small, and a malformed
+# value never names a large count, so no example is heavy.
+MALFORMED = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                      st.integers(-3, 0), st.sampled_from([float("nan"), float("inf"), -1.0]),
+                      st.lists(SCALARS, max_size=3),
+                      st.dictionaries(st.text(max_size=3), SCALARS, max_size=2))
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False)
+
+
+RUN_SPECS = st.sampled_from([
+    HYP, SCHW, HYP4,
+    {"family": "schwarzschild_ads", "n": 4, "params": {"m": 0.5}},
+    {"family": "schwarzschild_ads", "n": 3, "params": {"m": -0.3}},
+    {"family": "perturbed", "n": 3, "params": {
+        "base": HYP, "perturbation": {"kind": "axis_bump", "axis": [0.0, 0.0, 1.0]}}},
+    {"family": "conformal", "n": 3, "params": {
+        "base": HYP, "profile": {"kind": "power_tail", "amp": 0.05, "rate": 3.0}}},
+    {"family": "warped_product", "n": 3, "params": {}},
+    {"family": "hyperbolic", "n": 2, "params": {}},
+    {"family": "nope", "n": 3},
+    {"family": "perturbed", "n": 3, "params": {"base": [], "perturbation": {}}},
+    {"family": "conformal", "n": 3, "params": {"base": HYP, "profile": 1}},
+    {"family": "schwarzschild_ads", "n": 3, "params": {"m": [1]}},
+    "/nonexistent/metric.json", None, -1.0, [], {"family": "hyperbolic"},
+])
+COST_KEYS = {
+    "quad_polar": st.integers(4, 8),
+    "quad_azimuth": st.integers(4, 8),
+    "radial_nodes": st.integers(1, 8),
+    "pairs": st.integers(1, 2),
+    "fan_count": st.integers(1, 4),
+    "sample_points": st.integers(1, 20),
+    "ode_horizon": _floats(0.5, 10.0),
+}
+OTHER_KEYS = {
+    "radii": st.one_of(
+        st.lists(_floats(0.5, 300.0), min_size=3, max_size=8, unique=True).map(sorted),
+        st.fixed_dictionaries({"min": _floats(0.5, 50.0), "max": _floats(60.0, 300.0),
+                               "count": st.integers(3, 8)})),
+    "seed": st.integers(0, 1000),
+    "tolerances": st.dictionaries(st.sampled_from(sorted(DEFAULT_TOLERANCES)),
+                                  _floats(1e-12, 1.0), max_size=3),
+    "ode": st.fixed_dictionaries({}, optional={
+        "p_amp": _floats(-1.0, 1.0), "q_amp": _floats(-1.0, 1.0),
+        "f_amp": _floats(-1.0, 1.0), "decay": _floats(0.1, 3.0)}),
+    "eps_ladder": st.lists(_floats(1e-4, 0.1), min_size=2, max_size=4, unique=True),
+    "q_claimed": _floats(0.5, 5.0),
+    "decay_rate": _floats(-1.0, 4.0),
+    "phi_amp": _floats(-0.3, 0.3),
+    "r_min": _floats(0.1, 10.0),
+    "r_max": _floats(1.0, 300.0),
+    "wang_radius": _floats(1e-3, 15.0),
+}
+
+
+@st.composite
+def run_numeric(draw):
+    doc = draw(st.fixed_dictionaries(COST_KEYS, optional=OTHER_KEYS))
+    if draw(st.sampled_from(range(4))) == 3:      # one document in four
+        doc[draw(st.sampled_from(sorted(NUMERIC_KEYS) + ["unknown"]))] = draw(MALFORMED)
+    return doc
+
+
+@settings(derandomize=True, max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(cli.COMMANDS),
+       metric=RUN_SPECS, numeric=run_numeric())
+def test_main_exit_code_contract(tmp_path, capfd, command, metric, numeric):
+    cfg = write_config(tmp_path, {"command": command, "metric": metric,
+                                  "numeric": numeric})
+    code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code in (0, EXIT_CHECK_FAILURE, EXIT_SCHEMA, EXIT_NUMERICAL, EXIT_INTERNAL)
+    assert "Traceback" not in capfd.readouterr().err
 
 
 def test_null_tolerances_without_overrides(tmp_path):
@@ -301,6 +407,8 @@ def test_check_failure_exit(tmp_path):
     ("rigidity-check", HYP, {}),
     ("duality-check", {"family": "schwarzschild_ads", "n": 4, "params": {"m": 0.5}},
      {"quad_polar": 10, "quad_azimuth": 20, "radial_nodes": 16, "pairs": 1}),
+    # no quad_*: the 16 x 32 default is scaled to 6 x 12 on S^3
+    ("first-variation", HYP4, {}),
 ])
 def test_remaining_commands_pass(tmp_path, command, metric, numeric):
     cfg = write_config(tmp_path, {"command": command, "metric": metric,

@@ -177,3 +177,44 @@ def test_particular_slow_decay():
                       bounds=(1.0, 0.5))
     rep = particular_solution(prob)
     assert abs(rep.fitted_decay - 0.5) / 0.5 < 0.1
+
+
+def test_at_matches_value_and_d1():
+    prob = ODEProblem(p=lambda t: 0.3 * np.exp(-t), q=lambda t: 0.5 * np.exp(-2 * t),
+                      horizon=10.0, bounds=(0.5, 1.0))
+    grid = prob.grid()
+    for sol in (solve_second_order(prob, 1.0, 1.0, homogeneous=True),
+                two_point_solution(prob, 12.0)):
+        for t in (3.7, grid):
+            u, du = sol.at(t)
+            assert np.array_equal(u, sol.value(t))
+            assert np.array_equal(du, sol.d1(t))
+
+
+def test_particular_solution_one_dense_call_per_branch(monkeypatch):
+    # each right-hand-side call of the two quadratures evaluates each branch once
+    import ahmass.odes as odes
+    prob = ODEProblem(p=lambda t: 0.3 * np.exp(-2 * t), q=lambda t: 0.5 * np.exp(-2 * t),
+                      f=lambda t: np.exp(-2 * t), horizon=25.0, bounds=(1.0, 2.0))
+    pair = fundamental_pair(prob)
+    calls = [0]
+
+    def counted(sol):
+        def call(t):
+            calls[0] += 1
+            return sol(t)
+        return call
+
+    pair.u1.sol, pair.u2.sol = counted(pair.u1.sol), counted(pair.u2.sol)
+    nfev = []
+    solve_ivp = odes.solve_ivp
+
+    def recording(*args, **kwargs):
+        out = solve_ivp(*args, **kwargs)
+        nfev.append(out.nfev)
+        return out
+
+    monkeypatch.setattr(odes, "solve_ivp", recording)
+    particular_solution(prob, pair)
+    assert len(nfev) == 2
+    assert calls[0] <= 2 * sum(nfev) + 4
