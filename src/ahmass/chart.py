@@ -13,6 +13,10 @@ assigned so that the x_1 axis sits at the equator of every polar angle
 Rays along x_1 are therefore regular points of the chart, which matters for
 geodesic shooting along that axis.  The chart degenerates where any polar
 sine vanishes; samplers keep a margin of POLE_MARGIN around those bands.
+
+Derivatives of the map come from the jet algebra alone: ``unit_vector_jets``
+builds the jets of x_i / r from ``jsin``/``jcos``, and the Jacobian jets of
+``chart_jacobian_jets`` are those same jets at angles advanced by pi/2.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet, coordinate_jets, jcos, jsin
+from .jets import Jet, constant, coordinate_jets, jcos, jsin
 
 POLE_MARGIN = 1e-3
 
@@ -131,66 +135,25 @@ def unit_vector_jets(coords: np.ndarray) -> list[Jet]:
     return comps
 
 
-# -- trig monomials: closed-form angular derivatives of the unit components ----
-
-def unit_monomials(n: int) -> list[dict]:
-    """Factor maps {angle coordinate index: "sin"|"cos"} for each x_i / r."""
-    monos: list[dict] = [None] * n
-    monos[n - 1] = {1: "cos"}
-    sines: dict = {}
-    for k in range(1, n - 1):
-        sines = dict(sines)
-        sines[k] = "sin"
-        monos[n - 1 - k] = {**sines, k + 1: "cos"}
-    sines = dict(sines)
-    sines[n - 1] = "sin"
-    monos[0] = sines
-    return monos
-
-
-def monomial_jet(coords: np.ndarray, factors: dict, sign: float = 1.0) -> Jet:
-    """Jet of sign * prod_a trig(theta_a) for a trig-factor map."""
-    coords = as_coords(coords)
-    cj = coordinate_jets(coords)
-    out = None
-    for a, kind in sorted(factors.items()):
-        fac = jsin(cj[a]) if kind == "sin" else jcos(cj[a])
-        out = fac if out is None else out * fac
-    if out is None:
-        from .jets import constant
-        out = constant(1.0, coords.shape[0], coords.shape[1])
-    return out * sign if sign != 1.0 else out
-
-
-def monomial_derivative(factors: dict, sign: float, a: int):
-    """d/d(theta_a) of a trig monomial: another monomial or None (zero)."""
-    if a not in factors:
-        return None
-    new = dict(factors)
-    if factors[a] == "sin":
-        new[a] = "cos"
-        return new, sign
-    new[a] = "sin"
-    return new, -sign
-
-
 def chart_jacobian_jets(coords: np.ndarray) -> list[list]:
-    """Jets of dx_c / d(chart_a), indexed [a][c]; exact via trig monomials."""
+    """Jets of dx_c / d(chart_a), indexed [a][c], from ``unit_vector_jets``.
+
+    Row 0 is dx_c/dr = x_c / r.  Each angle theta_a enters x_c / r at most
+    once, as a sin or a cos factor, and only when c <= n - a (0-based c);
+    advancing theta_a by pi/2 turns that factor into its derivative, so
+    dx_c / d(theta_a) is r times x_c / r at the advanced angle, and zero for
+    c > n - a.
+    """
     coords = as_coords(coords)
-    n = coords.shape[1]
-    monos = unit_monomials(n)
+    npts, n = coords.shape
     r = coordinate_jets(coords)[0]
-    rows = [[monomial_jet(coords, m) for m in monos]]
+    zero = constant(0.0, npts, n)
+    rows = [unit_vector_jets(coords)]
     for a in range(1, n):
-        row = []
-        for m in monos:
-            d = monomial_derivative(m, 1.0, a)
-            if d is None:
-                from .jets import constant
-                row.append(constant(0.0, coords.shape[0], n))
-            else:
-                row.append(r * monomial_jet(coords, d[0], d[1]))
-        rows.append(row)
+        advanced = coords.copy()
+        advanced[:, a] += 0.5 * np.pi
+        u = unit_vector_jets(advanced)
+        rows.append([r * u[c] if c <= n - a else zero for c in range(n)])
     return rows
 
 

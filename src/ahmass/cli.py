@@ -189,11 +189,10 @@ def resolve_metric(doc) -> tuple:
     return spec, metric_to_dict(spec)
 
 
-def _radii(numeric, default=(20.0, 200.0, 8)):
+def _radii(numeric):
     doc = numeric.get("radii")
     if doc is None:
-        lo, hi, count = default
-        return np.geomspace(lo, hi, count)
+        return np.geomspace(20.0, 200.0, 8)
     if isinstance(doc, list):
         values = doc
     elif isinstance(doc, dict):
@@ -289,7 +288,11 @@ def run_curvature(spec, numeric):
     if rh:
         r_min = max(r_min, 1.3 * rh)
     pts = random_points(spec.n, rng, count, r_range=(r_min, float(numeric.get("r_max", 50.0))))
-    app = metric_apparatus(spec, pts, level=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        app = metric_apparatus(spec, pts, level=2)
+    bad = count - int(np.isfinite(app.riemann.reshape(count, -1)).all(axis=1).sum())
+    if bad:
+        raise ArithmeticError(f"curvature is not finite at {bad} of {count} sample points")
     anti1, anti2, bianchi = riemann_symmetry_defects(app.riemann)
     ric_sym = np.abs(app.ricci - app.ricci.swapaxes(1, 2)).max()
     tol = _tol(numeric, "curvature_identity") if spec.analytic else 1e-5

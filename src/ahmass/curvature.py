@@ -153,45 +153,11 @@ def riemann_symmetry_defects(riemann: np.ndarray) -> tuple:
     return anti_first, anti_last, bianchi
 
 
-@dataclass
-class CurvaturePack:
-    """Curvature quantities of one metric at one chart point."""
-
-    point: np.ndarray
-    christoffel: np.ndarray
-    riemann: np.ndarray
-    ricci: np.ndarray
-    scalar: float
-
-
-def curvature_at(spec: MetricSpec, point) -> CurvaturePack:
-    coords = as_coords(point)
-    if coords.shape[0] != 1:
-        raise ValueError("curvature_at takes a single point; use metric_apparatus for batches")
-    app = metric_apparatus(spec, coords, level=2)
-    return CurvaturePack(point=coords[0], christoffel=app.gamma[0],
-                         riemann=app.riemann[0], ricci=app.ricci[0],
-                         scalar=float(app.scalar[0]))
-
-
 # -- covariant calculus of scalar fields --------------------------------------
 
 def covariant_hessian(app: MetricApparatus, jet: J.Jet) -> np.ndarray:
     """Hessian_ij = d_i d_j V - Gamma^k_ij d_k V for a scalar jet of V."""
     return jet.hess - np.einsum("pkij,pk->pij", app.gamma, jet.grad)
-
-
-def hessian(spec: MetricSpec, V, point) -> np.ndarray:
-    """Covariant Hessian of a scalar field at points (field supplies jets)."""
-    coords = as_coords(point)
-    app = metric_apparatus(spec, coords, level=1)
-    return covariant_hessian(app, V.jet(coords))
-
-
-def laplacian(spec: MetricSpec, V, point) -> np.ndarray:
-    coords = as_coords(point)
-    app = metric_apparatus(spec, coords, level=1)
-    return app.trace(covariant_hessian(app, V.jet(coords)))
 
 
 # -- covariant calculus of symmetric 2-tensor fields ---------------------------
@@ -234,21 +200,6 @@ def nabla2_2tensor(app: MetricApparatus, jet: J.Jet) -> np.ndarray:
     out -= W
     out -= W.swapaxes(-1, -2)
     return out
-
-
-def divergence(spec: MetricSpec, T, point) -> np.ndarray:
-    """(div T)_j = g^{ik} (nabla_i T)_kj for a symmetric 2-tensor field."""
-    coords = as_coords(point)
-    app = metric_apparatus(spec, coords, level=1)
-    h, dh, _ = T.component_arrays(coords)
-    nT = nabla_2tensor(app.gamma, h, dh)
-    return np.einsum("pik,pikj->pj", app.inv, nT)
-
-
-def trace(spec: MetricSpec, T, point) -> np.ndarray:
-    coords = as_coords(point)
-    app = metric_apparatus(spec, coords, level=1)
-    return app.trace(T.component_arrays(coords)[0])
 
 
 def divergence_of_oneform(app: MetricApparatus, omega, domega) -> np.ndarray:

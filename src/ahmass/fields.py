@@ -57,10 +57,10 @@ def radial_bump_field(r_lo: float, r_hi: float, amplitude: float = 1.0) -> Scala
     return ScalarField(fn, support=(r_lo, r_hi), asymptotic_tag=("compact",))
 
 
-def poly_bump_jet(rjet: J.Jet, lo: float, hi: float, power: int = 7) -> J.Jet:
-    """(1 - t^2)^power on the affine image of (lo, hi), zero outside.
+def poly_bump_jet(rjet: J.Jet, lo: float, hi: float) -> J.Jet:
+    """(1 - t^2)^7 on the affine image of (lo, hi), zero outside.
 
-    Polynomial inside the support, C^(power-1) across the edges: quadrature
+    Polynomial inside the support, C^6 across the edges: quadrature
     segments aligned with (lo, hi) integrate it exactly, which keeps the
     integration-by-parts self-tests at machine accuracy.
     """
@@ -68,14 +68,13 @@ def poly_bump_jet(rjet: J.Jet, lo: float, hi: float, power: int = 7) -> J.Jet:
     inside = np.abs(t.val) < 1.0
     w = 1.0 - t * t
     wp = w
-    for _ in range(power - 1):
+    for _ in range(6):
         wp = wp * w
     zero = J.constant(0.0, t.val.shape[0], t.dim)
     return J.jet_where(inside, wp, zero)
 
 
-def random_compact_scalar(rng, r_lo: float, r_hi: float, n: int,
-                          amplitude: float = 1.0) -> ScalarField:
+def random_compact_scalar(rng, r_lo: float, r_hi: float, n: int) -> ScalarField:
     """Polynomial radial bump times a random quadratic in the unit components."""
     c0 = rng.uniform(-1, 1)
     c1 = rng.uniform(-1, 1, size=n)
@@ -90,7 +89,7 @@ def random_compact_scalar(rng, r_lo: float, r_hi: float, n: int,
             for k in range(n):
                 poly = poly + c2[i, k] * (u[i] * u[k])
         r = J.coordinate_jets(coords)[0]
-        return poly_bump_jet(r, r_lo, r_hi) * poly * amplitude
+        return poly_bump_jet(r, r_lo, r_hi) * poly
 
     return ScalarField(fn, support=(r_lo, r_hi), asymptotic_tag=("compact",))
 
@@ -140,11 +139,10 @@ def constant_profile(value: float) -> RadialProfile:
                          {"kind": "constant", "value": value})
 
 
-def power_tail_profile(amp: float, rate: float, onset: float = 5.0,
-                       switch_power: int = 4) -> RadialProfile:
-    """amp * (1 - exp(-(r/onset)^p)) * r^(-rate): smooth everywhere, ~ r^(-rate) tail."""
+def power_tail_profile(amp: float, rate: float, onset: float = 5.0) -> RadialProfile:
+    """amp * (1 - exp(-(r/onset)^4)) * r^(-rate): smooth everywhere, ~ r^(-rate) tail."""
     def jet_fn(r):
-        return J.smooth_switch(r, onset, switch_power) * (r ** (-rate)) * amp
+        return J.smooth_switch(r, onset) * (r ** (-rate)) * amp
     return RadialProfile(jet_fn, {"kind": "power_tail", "amp": amp, "rate": rate,
                                   "onset": onset})
 
@@ -155,6 +153,17 @@ def require_object(doc, what: str):
         raise ValueError(f"{what} must be an object, got {type(doc).__name__}")
 
 
+def require_finite(value, what: str) -> float:
+    """A declarative spec's real parameter must be a finite number."""
+    try:
+        value = float(value)
+    except OverflowError:      # an integer beyond the float range
+        value = np.inf
+    if not np.isfinite(value):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return value
+
+
 def profile_from_dict(doc: dict) -> RadialProfile:
     require_object(doc, "radial profile")
     kind = doc.get("kind")
@@ -162,13 +171,14 @@ def profile_from_dict(doc: dict) -> RadialProfile:
         extra = set(doc) - {"kind", "value"}
         if extra:
             raise ValueError(f"unknown profile keys: {sorted(extra)}")
-        return constant_profile(float(doc["value"]))
+        return constant_profile(require_finite(doc["value"], "profile value"))
     if kind == "power_tail":
         extra = set(doc) - {"kind", "amp", "rate", "onset"}
         if extra:
             raise ValueError(f"unknown profile keys: {sorted(extra)}")
-        return power_tail_profile(float(doc["amp"]), float(doc["rate"]),
-                                  float(doc.get("onset", 5.0)))
+        return power_tail_profile(require_finite(doc["amp"], "power_tail amp"),
+                                  require_finite(doc["rate"], "power_tail rate"),
+                                  require_finite(doc.get("onset", 5.0), "power_tail onset"))
     raise ValueError(f"unknown radial profile kind {kind!r}")
 
 
@@ -311,8 +321,8 @@ class CartesianTensorField(SymmetricTensorField):
     """Tensor prescribed by Cartesian components H_cd(x), pulled back to the chart.
 
     Chart components are h_ab = J_ac J_bd H_cd with J_ac = dx_c/d(chart_a); the
-    Jacobian jets come from closed-form trig monomials, so a field smooth in
-    Cartesian terms stays smooth across the chart poles.
+    Jacobian jets are exact (``chart.chart_jacobian_jets``), so a field smooth
+    in Cartesian terms stays smooth across the chart poles.
     """
 
     def component_arrays(self, coords):
@@ -362,7 +372,7 @@ def perturbation_from_dict(doc: dict, n: int) -> SymmetricTensorField:
             raise ValueError(f"axis_bump axis must be {n} finite numbers, not all "
                              f"zero; got {doc['axis']!r}")
         return AxisConcentratedPerturbation(
-            n, axis, float(doc.get("amp", 1e-2)),
-            float(doc.get("rate", 2.5)), float(doc.get("width", 6.0)),
-            float(doc.get("onset", 4.0)))
+            n, axis, *(require_finite(doc.get(key, default), f"axis_bump {key}")
+                       for key, default in (("amp", 1e-2), ("rate", 2.5),
+                                            ("width", 6.0), ("onset", 4.0))))
     raise ValueError(f"unknown perturbation kind {kind!r}")

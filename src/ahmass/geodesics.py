@@ -20,6 +20,9 @@ from .curvature import metric_apparatus
 from .metrics import MetricSpec
 
 
+SEGMENT = 0.25   # arc length between velocity renormalizations
+
+
 class ChartExitError(RuntimeError):
     pass
 
@@ -74,8 +77,7 @@ def _fan_rhs(spec: MetricSpec, n: int, n_seeds: int, k_extra: int):
 
 
 def integrate_geodesic_fan(spec: MetricSpec, points, directions, T: float,
-                           segment: float = 0.25, sample_step: float = 0.05,
-                           rtol: float = 1e-12,
+                           sample_step: float = 0.05,
                            transported: np.ndarray = None) -> list:
     """Integrate many geodesics at once; returns a GeodesicSample per seed.
 
@@ -95,14 +97,14 @@ def integrate_geodesic_fan(spec: MetricSpec, points, directions, T: float,
             state[:, (2 + m) * n:(3 + m) * n] = transported[:, m]
 
     rhs = _fan_rhs(spec, n, n_seeds, k_extra)
-    n_segments = int(np.ceil(T / segment - 1e-9))
+    n_segments = int(np.ceil(T / SEGMENT - 1e-9))
     ts_all, xs_all, vs_all = [], [], []
     trans_all = [] if k_extra else None
     drift_max = 0.0
     transport_drift = 0.0
     t0 = 0.0
     for seg in range(n_segments):
-        t1 = min(T, t0 + segment)
+        t1 = min(T, t0 + SEGMENT)
         # sample on global multiples of sample_step so the grid stays uniform
         # across segment boundaries
         k0 = int(np.ceil(t0 / sample_step - 1e-9))
@@ -111,7 +113,7 @@ def integrate_geodesic_fan(spec: MetricSpec, points, directions, T: float,
         if seg == n_segments - 1:
             t_eval = np.append(t_eval, t1)
         out = solve_ivp(rhs, (t0, t1), state.ravel(), method="DOP853",
-                        rtol=rtol, atol=1e-12, dense_output=True)
+                        rtol=1e-12, atol=1e-12, dense_output=True)
         if not out.success:
             raise ChartExitError(f"geodesic integration failed: {out.message}")
         for tk in t_eval:
@@ -168,15 +170,13 @@ def integrate_geodesic_fan(spec: MetricSpec, points, directions, T: float,
 
 
 def integrate_geodesic(spec: MetricSpec, point, direction, T: float,
-                       segment: float = 0.25, sample_step: float = 0.05,
-                       rtol: float = 1e-12,
+                       sample_step: float = 0.05,
                        transported: np.ndarray = None) -> GeodesicSample:
     """Single arc-length geodesic; see integrate_geodesic_fan."""
     trans = None if transported is None else np.asarray(transported)[None]
     return integrate_geodesic_fan(spec, as_coords(point),
                                   np.asarray(direction)[None], T,
-                                  segment=segment, sample_step=sample_step,
-                                  rtol=rtol, transported=trans)[0]
+                                  sample_step=sample_step, transported=trans)[0]
 
 
 def seed_fan(n: int, count: int = 64, r0: float = 2.0):
@@ -212,13 +212,12 @@ DECAY_SLOPE = -0.1
 
 
 def classify_growth(spec: MetricSpec, V, seeds, T: float = 9.0,
-                    growth_band=GROWTH_BAND, decay_slope=DECAY_SLOPE,
                     fan: list = None) -> list:
     """Classify |V| along radially shot geodesics: linear growth vs decay.
 
     Fits the slope of log |V(gamma(t))| against arc length on the tail half of
-    [0, T]: slopes inside ``growth_band`` mean |V| is comparable to |x|,
-    slopes at or below ``decay_slope`` mean decay at the fitted rate, fields
+    [0, T]: slopes inside ``GROWTH_BAND`` mean |V| is comparable to |x|,
+    slopes at or below ``DECAY_SLOPE`` mean decay at the fitted rate, fields
     vanishing along the ray report infinite decay, anything else is labeled
     indeterminate.  A precomputed ``fan`` of geodesics over the same seeds may
     be passed when several potentials share one seed set.
@@ -237,10 +236,10 @@ def classify_growth(spec: MetricSpec, V, seeds, T: float = 9.0,
             continue
         slope = float(np.polyfit(sample.ts[tail],
                                  np.log(np.maximum(vals, 1e-300)), 1)[0])
-        if growth_band[0] <= slope <= growth_band[1]:
+        if GROWTH_BAND[0] <= slope <= GROWTH_BAND[1]:
             out.append(SeedClassification(point=seed, label="linear-growth",
                                           slope=slope))
-        elif slope <= decay_slope:
+        elif slope <= DECAY_SLOPE:
             out.append(SeedClassification(point=seed, label="decay",
                                           slope=slope, decay_rate=-slope))
         else:

@@ -178,10 +178,6 @@ def jsqrt(u: Jet) -> Jet:
     return compose(u, s, 0.5 / s, -0.25 / (s * u.val))
 
 
-def jlog(u: Jet) -> Jet:
-    return compose(u, np.log(u.val), 1.0 / u.val, -1.0 / u.val ** 2)
-
-
 def jcosh(u: Jet) -> Jet:
     return compose(u, np.cosh(u.val), np.sinh(u.val), np.cosh(u.val))
 
@@ -216,6 +212,6 @@ def smooth_bump(u: Jet, lo: float, hi: float) -> Jet:
     return jet_where(inside, bump, zero)
 
 
-def smooth_switch(u: Jet, onset: float, power: int = 4) -> Jet:
-    """Smooth 0-to-1 switch: 1 - exp(-(u/onset)^power), flat to high order at 0."""
-    return 1.0 - jexp(-((u * (1.0 / onset)) ** power))
+def smooth_switch(u: Jet, onset: float) -> Jet:
+    """Smooth 0-to-1 switch: 1 - exp(-(u/onset)^4), flat to high order at 0."""
+    return 1.0 - jexp(-((u * (1.0 / onset)) ** 4))

@@ -206,16 +206,15 @@ def mass_flux_integral(spec: MetricSpec, V, r: float, quad: SphereRule = None,
 
 
 def _flux_ladders(spec: MetricSpec, potentials, labels, radii, quad: SphereRule,
-                  beta0: float, objects: str) -> list:
+                  objects: str) -> list:
     """One FluxReport per potential, from one integrand evaluation per radius."""
     radii = np.asarray(radii, dtype=float)
     if np.any(np.diff(radii) <= 0):
         raise ValueError("radius ladder must be strictly increasing")
     values = np.array([_flux_integrals(spec, potentials, r, quad, objects)
                        for r in radii])
-    if beta0 is None:
-        beta0 = float(spec.n)  # matches corrections r^(n-1-2q) at the borderline q = n
-    return _fit_ladders(radii, values, labels, beta0, spec.n)
+    # beta0 = n matches corrections r^(n-1-2q) at the borderline q = n
+    return _fit_ladders(radii, values, labels, float(spec.n), spec.n)
 
 
 def _fit_ladders(radii, values, labels, beta0: float, n: int) -> list:
@@ -233,9 +232,8 @@ def _fit_ladders(radii, values, labels, beta0: float, n: int) -> list:
 
 
 def flux_ladder(spec: MetricSpec, V, radii=DEFAULT_RADII, quad: SphereRule = None,
-                label: str = "V", beta0: float = None,
-                objects: str = "background") -> FluxReport:
-    return _flux_ladders(spec, [V], [label], radii, quad, beta0, objects)[0]
+                label: str = "V", objects: str = "background") -> FluxReport:
+    return _flux_ladders(spec, [V], [label], radii, quad, objects)[0]
 
 
 def mass_vector(spec: MetricSpec, radii=DEFAULT_RADII, quad: SphereRule = None) -> MassVector:
@@ -246,7 +244,7 @@ def mass_vector(spec: MetricSpec, radii=DEFAULT_RADII, quad: SphereRule = None) 
     n = spec.n
     labels = ["V_0"] + [f"x_{i}" for i in range(1, n + 1)]
     reports = _flux_ladders(spec, static_potential_basis(n), labels, radii, quad,
-                            None, "background")
+                            "background")
     flags = ()
     if getattr(spec, "borderline_decay", False):
         flags = ("borderline-decay",)
@@ -296,12 +294,13 @@ class Prop27Report:
                 "flux_ladder": self.flux_report.to_dict()}
 
 
-def prop27_check(spec: MetricSpec, V, radii=DEFAULT_RADII, quad: SphereRule = None,
-                 rtol: float = 0.01) -> Prop27Report:
+def prop27_check(spec: MetricSpec, V, radii=DEFAULT_RADII,
+                 quad: SphereRule = None) -> Prop27Report:
     """Extrapolate both sides of the Ricci-flux identity and compare.
 
-    The curvature-side limit should equal -(n-2)/2 times the mass flux; the
-    two paths share no intermediate quantities beyond the metric itself.
+    The curvature-side limit should equal -(n-2)/2 times the mass flux, to 1%
+    relative; the two paths share no intermediate quantities beyond the
+    metric itself.
     """
     radii = np.asarray(radii, dtype=float)
     n = spec.n
@@ -312,7 +311,7 @@ def prop27_check(spec: MetricSpec, V, radii=DEFAULT_RADII, quad: SphereRule = No
     gap = abs(ricci_rep.fitted_limit - target)
     scale = max(abs(ricci_rep.fitted_limit), abs(target), 1e-12)
     rel = gap / scale
-    passed = gap <= rtol * max(abs(ricci_rep.fitted_limit), abs(target), 1e-9)
+    passed = gap <= 0.01 * max(abs(ricci_rep.fitted_limit), abs(target), 1e-9)
     return Prop27Report(ricci_limit=ricci_rep.fitted_limit,
                         flux_limit=flux_rep.fitted_limit, gap=gap,
                         relative_gap=rel, passed=passed,

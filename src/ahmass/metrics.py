@@ -15,15 +15,15 @@ from __future__ import annotations
 import numpy as np
 
 from . import jets as J
-from .chart import ChartPoint, as_coords, unit_vector_jets
+from .chart import as_coords, unit_vector_jets
 from .fields import (RadialProfile, ScalarField, perturbation_from_dict,
-                     profile_from_dict, require_object)
+                     profile_from_dict, require_finite, require_object)
 
 __all__ = [
     "MetricSpec", "HyperbolicMetric", "SchwarzschildAdS", "ConformalMetric",
     "PerturbedMetric", "WarpedProductMetric", "DomainError",
-    "hyperbolic_metric", "schwarzschild_ads", "frame_coefficients", "frame_at",
-    "frame_components", "FramePoint", "static_potential", "static_potential_basis",
+    "hyperbolic_metric", "schwarzschild_ads", "frame_coefficients",
+    "frame_components", "static_potential", "static_potential_basis",
     "metric_from_dict", "metric_to_dict",
 ]
 
@@ -82,7 +82,7 @@ class MetricSpec:
     def params_dict(self) -> dict:
         return {}
 
-    def radial_profiles(self, r, m=None):
+    def radial_profiles(self, r):
         """(G_r, G_a, dG_r, dG_a) for rotationally symmetric families:
         g = G_r(r) dr^2 + G_a(r) h_round."""
         raise NotImplementedError(f"{self.family} has no radial reduction")
@@ -292,23 +292,6 @@ def frame_coefficients(coords) -> np.ndarray:
     return c
 
 
-class FramePoint:
-    """Chart point together with the background orthonormal frame and metrics."""
-
-    def __init__(self, point: ChartPoint, spec: MetricSpec | None = None):
-        self.point = point
-        coords = point.coords[None, :]
-        c = frame_coefficients(coords)[0]
-        self.frame = np.diag(c)  # row i = coefficients of e_i in chart basis
-        self.background_values = HyperbolicMetric(point.n).components(coords)[0]
-        self.metric_values = (spec.components(coords)[0] if spec is not None
-                              else self.background_values.copy())
-
-
-def frame_at(point: ChartPoint, spec: MetricSpec | None = None) -> FramePoint:
-    return FramePoint(point, spec)
-
-
 def frame_components(tensor: np.ndarray, coords) -> np.ndarray:
     """Components kappa(e_i, e_j) of a chart-coordinate symmetric 2-tensor.
 
@@ -382,7 +365,8 @@ def metric_from_dict(doc: dict) -> MetricSpec:
         unknown = set(params) - {"m"}
         if unknown:
             raise ValueError(f"unknown schwarzschild_ads params: {sorted(unknown)}")
-        return SchwarzschildAdS(n, float(params.get("m", 0.0)))
+        return SchwarzschildAdS(n, require_finite(params.get("m", 0.0),
+                                                  "schwarzschild_ads m"))
     if family == "conformal":
         unknown = set(params) - {"base", "profile"}
         if unknown:

@@ -95,7 +95,7 @@ class ODESolution:
 
 
 def solve_second_order(prob: ODEProblem, u0: float, du0: float, T=None,
-                       homogeneous: bool = False, rtol: float = DEFAULT_RTOL) -> ODESolution:
+                       homogeneous: bool = False) -> ODESolution:
     """Adaptive high-order integration of the problem from t = 0."""
     T = prob.horizon if T is None else T
 
@@ -103,7 +103,7 @@ def solve_second_order(prob: ODEProblem, u0: float, du0: float, T=None,
         forcing = 0.0 if homogeneous else prob.f(t)
         return [y[1], prob.p(t) * y[1] + (1.0 + prob.q(t)) * y[0] + forcing]
 
-    out = solve_ivp(rhs, (0.0, T), [u0, du0], method="DOP853", rtol=rtol,
+    out = solve_ivp(rhs, (0.0, T), [u0, du0], method="DOP853", rtol=DEFAULT_RTOL,
                     atol=DEFAULT_ATOL, dense_output=True)
     if not out.success:
         raise ArithmeticError(f"integration failed: {out.message}")
@@ -145,37 +145,34 @@ class DecayingSolution:
     decreasing: bool
 
 
-def build_decaying_solution(prob: ODEProblem, T=None, tol: float = 1e-10,
-                            j_max: float = 40.0, j_start: float = None,
-                            j_step: float = 2.0,
+def build_decaying_solution(prob: ODEProblem, T=None,
                             rtol: float = DEFAULT_RTOL) -> DecayingSolution:
     """Exhaustion limit of two-point solutions: positive and decreasing.
 
-    Stops when successive two-point solutions differ by less than ``tol`` on
-    the reporting grid, measured against the e^(-t) envelope (plain sup would
-    declare convergence while the far end of the grid is still off by a
-    relative factor); fails if that does not happen before ``j_max``.
+    Takes two-point solutions at j = ceil(T) + 2, ceil(T) + 4, ... and stops
+    when successive ones differ by less than 1e-10 on the reporting grid,
+    measured against the e^(-t) envelope (plain sup would declare convergence
+    while the far end of the grid is still off by a relative factor); fails
+    if that does not happen by j = 40.
     """
     T = prob.horizon if T is None else T
     t = prob.grid(T)
     envelope = np.exp(-t)
-    if j_start is None:
-        j_start = np.ceil(T) + 2.0
-    j = float(j_start)
+    j = float(np.ceil(T) + 2.0)
     prev = None
     diffs = []
     current = None
-    while j <= j_max + 1e-9:
+    while j <= 40.0 + 1e-9:
         current = two_point_solution(prob, j, rtol=rtol)
         vals = current.value(np.minimum(t, current.t_span[1] - 1e-12))
         if prev is not None:
             diffs.append(float(np.max(np.abs(vals - prev) / envelope)))
-            if diffs[-1] < tol:
+            if diffs[-1] < 1e-10:
                 break
         prev = vals
-        j += j_step
+        j += 2.0
     else:
-        raise ArithmeticError(f"exhaustion did not settle below {tol} by j = {j_max}")
+        raise ArithmeticError("exhaustion did not settle below 1e-10 by j = 40.0")
     vals, dvals = current.at(t)
     return DecayingSolution(solution=current, j_used=j, sup_diffs=diffs,
                             positive=bool(np.all(vals > 0)),
@@ -197,7 +194,7 @@ class FundamentalPair:
         return bool(np.all(self.wronskian <= -2.0 / self.C_certificate ** 2 + 1e-12))
 
 
-def fundamental_pair(prob: ODEProblem, T=None, u1_slope: float = 1.0) -> FundamentalPair:
+def fundamental_pair(prob: ODEProblem, T=None) -> FundamentalPair:
     """Growing branch from an IVP, decaying branch from the exhaustion.
 
     The certificate is the smallest grid constant C satisfying all four
@@ -205,7 +202,7 @@ def fundamental_pair(prob: ODEProblem, T=None, u1_slope: float = 1.0) -> Fundame
     """
     T = prob.horizon if T is None else T
     prob.validate(T)
-    u1 = solve_second_order(prob, 1.0, u1_slope, T=T, homogeneous=True)
+    u1 = solve_second_order(prob, 1.0, 1.0, T=T, homogeneous=True)
     dec = build_decaying_solution(prob, T=T)
     u2 = dec.solution
     t = prob.grid(T)
@@ -248,8 +245,7 @@ class ParticularReport:
                 "profile_residual": self.profile_residual}
 
 
-def particular_solution(prob: ODEProblem, pair: FundamentalPair = None,
-                        T=None) -> ParticularReport:
+def particular_solution(prob: ODEProblem, pair: FundamentalPair = None) -> ParticularReport:
     """Variation of parameters against the fundamental pair.
 
     The remainder u_p - (c_1 u_1 + c_2 u_2) is assembled from tail integrals
@@ -258,9 +254,9 @@ def particular_solution(prob: ODEProblem, pair: FundamentalPair = None,
     and compared with the forcing class: exponent d for d != 1, the t e^(-t)
     profile at the resonant rate d = 1.
     """
-    T = prob.horizon if T is None else T
+    T = prob.horizon
     if pair is None:
-        pair = fundamental_pair(prob, T=T)
+        pair = fundamental_pair(prob)
     if prob.bounds is None:
         raise ValueError("particular_solution needs claimed bounds (C_0, d)")
     d_claim = float(prob.bounds[1])

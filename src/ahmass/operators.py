@@ -48,24 +48,12 @@ def linearized_scalar_values(app: MetricApparatus, h: J.Jet) -> np.ndarray:
     return -lap_tr + divdiv - app.inner(h.val, app.ricci)
 
 
-def linearized_scalar(spec: MetricSpec, h_field, point) -> np.ndarray:
-    coords = as_coords(point)
-    app = metric_apparatus(spec, coords, level=2)
-    return linearized_scalar_values(app, h_field.component_arrays(coords))
-
-
 def adjoint_values(app: MetricApparatus, jet: J.Jet) -> np.ndarray:
     """L_g^* V as a (N, n, n) tensor from a scalar jet at the apparatus points."""
     hess = covariant_hessian(app, jet)
     lap = app.trace(hess)
     return (-lap[:, None, None] * app.g + hess
             - jet.val[:, None, None] * app.ricci)
-
-
-def adjoint(spec: MetricSpec, V, point) -> np.ndarray:
-    coords = as_coords(point)
-    app = metric_apparatus(spec, coords, level=2)
-    return adjoint_values(app, V.jet(coords))
 
 
 def trace_identity_gap(spec: MetricSpec, u, point) -> np.ndarray:
@@ -163,12 +151,12 @@ class FunctionalReport:
 
 
 def functional_value(g_base: MetricSpec, f, gamma: MetricSpec,
-                     rule: VolumeRule, tail_points: int = 6) -> FunctionalReport:
+                     rule: VolumeRule) -> FunctionalReport:
     """Evaluate the potential-weighted curvature functional on the volume rule.
 
     The comparison tensor is the hyperbolic background on the whole chart.
     The radial tail beyond the rule is estimated from fitted decay of the
-    per-radius density; a fitted pointwise integrand decay at or below the
+    per-radius density at the outermost six radii; a fitted pointwise integrand decay at or below the
     dimension raises DivergentTailError.
     """
     n = g_base.n
@@ -190,7 +178,7 @@ def functional_value(g_base: MetricSpec, f, gamma: MetricSpec,
     density = np.sum((w * integrand).reshape(-1, m), axis=1) / rule.radial_weights
     sup_pt = np.max(np.abs(integrand).reshape(-1, m), axis=1)
     radii = rule.radii
-    k = min(tail_points, radii.size)
+    k = min(6, radii.size)
     r_tail, d_tail, s_tail = radii[-k:], density[-k:], sup_pt[-k:]
     tail_est = 0.0
     tail_err = 0.0
@@ -232,7 +220,7 @@ class FirstVariationReport:
 
 
 def first_variation_check(spec: MetricSpec, f, h_field, epsilons,
-                          rule: VolumeRule, zero_tol: float = 1e-9) -> FirstVariationReport:
+                          rule: VolumeRule) -> FirstVariationReport:
     """Compare (F(g + eps h) - F(g))/eps with -int <h, L_g^* f> dmu_g.
 
     Errors should shrink at first order in eps; the report carries the fitted
@@ -279,7 +267,7 @@ def first_variation_check(spec: MetricSpec, f, h_field, epsilons,
         quotients.append(float(np.sum(w * diff)) / eps)
     quotients = np.asarray(quotients)
     errors = np.abs(quotients - reference)
-    if np.all(errors < zero_tol) and abs(reference) < zero_tol:
+    if np.all(errors < 1e-9) and abs(reference) < 1e-9:
         return FirstVariationReport(reference=reference, epsilons=epsilons,
                                     quotients=quotients, errors=errors,
                                     order=np.nan, exact_zero=True)

@@ -57,10 +57,9 @@ def radial_operator_coefficients(spec: MetricSpec):
     return coeffs
 
 
-def scalar_curvature_profile(spec: MetricSpec, r_lo: float, r_hi: float,
-                             samples: int = 2000) -> CubicSpline:
-    """Spline of R_g(r) sampled along a fixed off-pole angular direction."""
-    r = np.geomspace(r_lo, r_hi, samples)
+def scalar_curvature_profile(spec: MetricSpec, r_lo: float, r_hi: float) -> CubicSpline:
+    """Spline of R_g(r) at 2000 radii along a fixed off-pole angular direction."""
+    r = np.geomspace(r_lo, r_hi, 2000)
     coords = np.column_stack([r] + [np.full(r.size, np.pi / 2)] * (spec.n - 1))
     scal = metric_apparatus(spec, coords, level=2).scalar
     return CubicSpline(r, scal)
@@ -94,8 +93,7 @@ class RadialSolution:
 
 
 def solve_radial_bvp(spec: MetricSpec, rhs_fn, zero_order_fn, robin_decay: float,
-                     r_lo: float, r_hi: float, tol: float = 1e-10,
-                     mesh_points: int = 400, max_nodes: int = 200000) -> RadialSolution:
+                     r_lo: float, r_hi: float, tol: float = 1e-10) -> RadialSolution:
     """Solve (Lap + c(r)) u = rhs with the truncation boundary conditions."""
     coeffs = radial_operator_coefficients(spec)
 
@@ -109,9 +107,9 @@ def solve_radial_bvp(spec: MetricSpec, rhs_fn, zero_order_fn, robin_decay: float
     def bc(ya, yb):
         return np.array([ya[1], r_hi * yb[1] + robin_decay * yb[0]])
 
-    x0 = np.geomspace(r_lo, r_hi, mesh_points)
+    x0 = np.geomspace(r_lo, r_hi, 400)
     y0 = np.zeros((2, x0.size))
-    res = solve_bvp(fun, bc, x0, y0, tol=tol, max_nodes=max_nodes)
+    res = solve_bvp(fun, bc, x0, y0, tol=tol, max_nodes=200000)
     if not res.success:
         raise RadialSolveError(f"collocation failed: {res.message}")
     return RadialSolution(r_lo=r_lo, r_hi=r_hi, sol=res.sol,
@@ -119,8 +117,7 @@ def solve_radial_bvp(spec: MetricSpec, rhs_fn, zero_order_fn, robin_decay: float
 
 
 def shooting_radial_solve(spec: MetricSpec, rhs_fn, zero_order_fn,
-                          robin_decay: float, r_lo: float, r_hi: float,
-                          rtol: float = 1e-12):
+                          robin_decay: float, r_lo: float, r_hi: float):
     """Linear shooting: two IVP passes pin the Robin condition exactly.
 
     Returns a callable u(r); used as an independent check of the collocation
@@ -142,7 +139,7 @@ def shooting_radial_solve(spec: MetricSpec, rhs_fn, zero_order_fn,
     def integrate(a, homogeneous):
         f = homfun if homogeneous else odefun
         out = solve_ivp(f, (r_lo, r_hi), [a, 0.0], method="DOP853",
-                        rtol=rtol, atol=1e-14, dense_output=True)
+                        rtol=1e-12, atol=1e-14, dense_output=True)
         if not out.success:
             raise RadialSolveError("shooting integration failed")
         return out
@@ -193,24 +190,19 @@ def _radial_field_from(correction: RadialSolution) -> ScalarField:
     return ScalarField(jet_fn, asymptotic_tag=("linear-growth", (1.0,)))
 
 
-def radial_eigenfunction(spec: MetricSpec, which: int = 0, r_lo: float = None,
-                         r_hi: float = 200.0, decay_rate: float = None,
-                         tol: float = 1e-10) -> EigenfunctionReport:
+def radial_eigenfunction(spec: MetricSpec, r_hi: float = 200.0,
+                         decay_rate: float = None) -> EigenfunctionReport:
     """Solve (Lap - n) v = -(Lap - n) sqrt(1+r^2) and return f = sqrt(1+r^2) + v.
 
     Only the rotationally invariant member of the eigenfunction family is
     built here; candidates asymptotic to the translational potentials can be
     residual-checked but not solved radially.
     """
-    if which != 0:
-        raise NotImplementedError("only the rotationally symmetric eigenfunction "
-                                  "has a radial reduction")
     if not spec.rotationally_symmetric:
         raise NotImplementedError("radial eigenfunction needs a rotationally "
                                   "symmetric metric")
     n = spec.n
-    if r_lo is None:
-        r_lo = inner_truncation_radius(spec)
+    r_lo = inner_truncation_radius(spec)
     if decay_rate is None:
         decay_rate = float(n - 1)  # v ~ r^(1-q) with q at the borderline value n
 
@@ -225,7 +217,7 @@ def radial_eigenfunction(spec: MetricSpec, which: int = 0, r_lo: float = None,
 
     correction = solve_radial_bvp(spec, lambda r: -rho(r),
                                   lambda r: -float(n) * np.ones_like(r),
-                                  decay_rate, r_lo, r_hi, tol=tol)
+                                  decay_rate, r_lo, r_hi)
     f0 = _radial_field_from(correction)
 
     # residual through the full tensor pipeline on a fresh sample ladder
@@ -270,9 +262,8 @@ class DeformationReport:
                 "contraction_ratios": list(map(float, self.contraction_ratios))}
 
 
-def conformal_deform_radial(spec: MetricSpec, phi_fn, s: float,
-                            r_lo: float = None, r_hi: float = 200.0,
-                            newton_steps: int = 0, tol: float = 1e-11) -> DeformationReport:
+def conformal_deform_radial(spec: MetricSpec, phi_fn, s: float, r_hi: float = 200.0,
+                            newton_steps: int = 0) -> DeformationReport:
     """Solve the conformal-direction linearization (1-n)(Lap u + R u/(n-1)) = phi.
 
     ``phi_fn(r)`` is the radial target with decay exponent s, required to lie
@@ -283,13 +274,12 @@ def conformal_deform_radial(spec: MetricSpec, phi_fn, s: float,
     n = spec.n
     if not (-1.0 < s < n):
         raise ValueError(f"target decay s={s} outside the solvable window (-1, {n})")
-    if r_lo is None:
-        r_lo = inner_truncation_radius(spec)
+    r_lo = inner_truncation_radius(spec)
 
     def solve_linear(metric, rhs_fn):
         r_spline = scalar_curvature_profile(metric, r_lo * 0.999, r_hi * 1.001)
         zero_order = lambda r: r_spline(r) / (n - 1.0)
-        return solve_radial_bvp(metric, rhs_fn, zero_order, s, r_lo, r_hi, tol=tol)
+        return solve_radial_bvp(metric, rhs_fn, zero_order, s, r_lo, r_hi, tol=1e-11)
 
     first = solve_linear(spec, lambda r: np.asarray(phi_fn(r)) / (1.0 - n))
 

@@ -51,15 +51,16 @@ class WangReport:
 
 
 def wang_identity_check(spec: MetricSpec, f, r: float, quad: SphereRule = None,
-                        r_inner: float = 0.01, radial_nodes: int = 96,
-                        static_tol: float = 1e-6) -> WangReport:
+                        radial_nodes: int = 96) -> WangReport:
     """Interior Hessian defect against the boundary curvature flux on B_r.
 
-    Requires f > 0 on the ball.  When f fails the static equation beyond
-    ``static_tol`` the report is flagged and the gap is purely diagnostic;
-    the identity only holds for static potentials.
+    The ball is the shell between r_inner = 0.01 and r.  Requires f > 0 on
+    it.  When f fails the static equation beyond 1e-6 the report is flagged
+    and the gap is purely diagnostic; the identity only holds for static
+    potentials.
     """
     n = spec.n
+    r_inner = 0.01
     if r <= r_inner:
         raise ValueError(f"ball radius {r} must exceed the inner radius {r_inner}")
     if quad is None:
@@ -81,7 +82,7 @@ def wang_identity_check(spec: MetricSpec, f, r: float, quad: SphereRule = None,
 
     srep = static_residual(spec, f, rule.coords[:: max(1, rule.coords.shape[0] // 512)])
     flags = ()
-    if max(srep.hessian_sup, srep.laplacian_sup) > static_tol:
+    if max(srep.hessian_sup, srep.laplacian_sup) > 1e-6:
         flags = ("staticity-violated",)
     return WangReport(lhs=lhs, rhs=rhs, gap=gap, relative_gap=rel,
                       static_residual_sup=max(srep.hessian_sup, srep.laplacian_sup),
@@ -148,8 +149,7 @@ def _five_point_derivative(vals: np.ndarray, h: float) -> np.ndarray:
     return (-vals[4:] + 8.0 * vals[3:-1] - 8.0 * vals[1:-3] + vals[:-4]) / (12.0 * h)
 
 
-def sectional_ode_check(spec: MetricSpec, f, geodesic: GeodesicSample,
-                        grad_floor: float = 1e-10) -> SectionalReport:
+def sectional_ode_check(spec: MetricSpec, f, geodesic: GeodesicSample) -> SectionalReport:
     """Verify the parallel-plane curvature ODEs along a geodesic.
 
     The geodesic must carry two parallel-transported vectors orthogonal to
@@ -172,9 +172,9 @@ def sectional_ode_check(spec: MetricSpec, f, geodesic: GeodesicSample,
     K_mix = app.sectional(X, vel)
     jet = f.jet(coords)
     grad_norm = np.sqrt(np.einsum("pab,pa,pb->p", app.inv, jet.grad, jet.grad))
-    if np.any(grad_norm < grad_floor):
+    if np.any(grad_norm < 1e-10):
         raise ArithmeticError("critical point of the potential along the "
-                              f"geodesic: |grad f| < {grad_floor}")
+                              "geodesic: |grad f| < 1e-10")
     rho = jet.val / grad_norm
 
     drho = _five_point_derivative(rho, h)

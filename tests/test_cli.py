@@ -140,8 +140,16 @@ def test_unsupported_metric_rejected(tmp_path, capsys, command, metric):
     {"family": "conformal", "n": 3, "params": {
         "base": HYP, "profile": {"kind": "constant", "value": None}}},
     {"family": "schwarzschild_ads", "n": 3, "params": {"m": [1]}},
+    # NaN and Infinity, which Python's json reads, are not finite parameters
+    {"family": "schwarzschild_ads", "n": 3, "params": {"m": float("nan")}},
+    {"family": "schwarzschild_ads", "n": 3, "params": {"m": float("inf")}},
+    {"family": "conformal", "n": 3, "params": {"base": HYP, "profile": {
+        "kind": "power_tail", "amp": 0.1, "rate": float("inf")}}},
+    {"family": "perturbed", "n": 3, "params": {"base": HYP, "perturbation": {
+        "kind": "axis_bump", "axis": [1.0, 0.0, 0.0], "width": float("nan")}}},
 ], ids=["spec-list", "params-int", "base-list", "perturbation-list", "profile-int",
-        "profile-value-null", "mass-list"])
+        "profile-value-null", "mass-list", "mass-nan", "mass-inf",
+        "power-tail-rate-inf", "axis-bump-width-nan"])
 def test_malformed_metric_spec_rejected(tmp_path, capsys, metric):
     # a spec, or a part of one, of the wrong JSON type is a config error
     cfg = write_config(tmp_path, {"command": "mass", "metric": metric})
@@ -193,6 +201,9 @@ HYP5 = {"family": "hyperbolic", "n": 5, "params": {}}
     ("duality-check", {"radial_nodes": 100000}, HYP, EXIT_SCHEMA),
     ("first-variation", {"quad_polar": 20, "quad_azimuth": 40}, HYP4, EXIT_SCHEMA),
     ("rigidity-check", {"radial_nodes": 100000}, HYP, EXIT_SCHEMA),
+    # cosh(t)^2 of the warped metric overflows at t near 200
+    ("curvature", {"sample_points": 20, "r_min": 0.5, "r_max": 200.0, "seed": 4},
+     WARPED, EXIT_NUMERICAL),
 ], ids=["pairs-zero", "pairs-string", "quad-polar-2", "radius-nan",
         "sample-points-zero", "seed-bool", "eps-ladder-empty-schw",
         "eps-ladder-empty", "eps-ladder-one", "eps-ladder-zero",
@@ -200,7 +211,8 @@ HYP5 = {"family": "hyperbolic", "n": 5, "params": {}}
         "q-claimed-string", "ode-amp-string", "ode-decay-zero",
         "wang-radius-negative", "wang-radius-inside-inner", "tolerance-bool",
         "radii-count-huge", "sphere-nodes-huge", "duality-volume-huge",
-        "first-variation-volume-huge", "rigidity-volume-huge"])
+        "first-variation-volume-huge", "rigidity-volume-huge",
+        "curvature-warped-overflow"])
 def test_bad_numeric_value_rejected(tmp_path, capsys, command, numeric, metric, code):
     cfg = write_config(tmp_path, {"command": command, "metric": metric, "numeric": numeric})
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == code

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from ahmass.chart import ChartPoint, random_points
-from ahmass.curvature import (curvature_at, divergence, hessian, laplacian,
-                              metric_apparatus, nabla2_2tensor, nabla_2tensor,
-                              riemann_symmetry_defects, trace)
+from ahmass.curvature import (covariant_hessian, metric_apparatus, nabla2_2tensor,
+                              nabla_2tensor, riemann_symmetry_defects)
 from ahmass.fields import FiniteDifferenceTensorField, random_compact_tensor
 from ahmass.metrics import (PerturbedMetric, hyperbolic_metric,
                             schwarzschild_ads, static_potential,
@@ -26,8 +25,8 @@ def test_static_family_scalar_curvature():
     # independent symbolic derivation: R = -6 for every m (docs/oracles.md)
     s = schwarzschild_ads(3, 0.5)
     for r in (5.0, 10.0, 20.0):
-        pack = curvature_at(s, ChartPoint(3, r, (1.2, 0.4)))
-        assert abs(pack.scalar + 6.0) < 1e-6
+        app = metric_apparatus(s, ChartPoint(3, r, (1.2, 0.4)), level=2)
+        assert abs(app.scalar[0] + 6.0) < 1e-6
 
 
 def test_riemann_symmetries(rng, hyp3, schw3):
@@ -56,58 +55,51 @@ def test_sectional_sign_convention():
 def test_hessian_of_static_potentials(rng, hyp3):
     pts = random_points(3, rng, 200)
     gb = hyp3.components(pts)
+    app = metric_apparatus(hyp3, pts, level=1)
     for V in static_potential_basis(3):
-        resid = hessian(hyp3, V, pts) - V.value(pts)[:, None, None] * gb
+        resid = covariant_hessian(app, V.jet(pts)) - V.value(pts)[:, None, None] * gb
         assert np.abs(resid).max() < 1e-9
 
 
 def test_hessian_of_constant_vanishes(rng, schw3):
     from ahmass.fields import constant_field
     pts = random_points(3, rng, 50, r_range=(2.0, 30.0))
-    assert np.abs(hessian(schw3, constant_field(2.5), pts)).max() == 0.0
+    app = metric_apparatus(schw3, pts, level=1)
+    assert np.abs(covariant_hessian(app, constant_field(2.5).jet(pts))).max() == 0.0
 
 
 def test_laplacian_eigenvalue(rng, hyp3):
     pts = random_points(3, rng, 200)
     V0 = static_potential(3, 0)
-    assert np.abs(laplacian(hyp3, V0, pts) - 3 * V0.value(pts)).max() < 1e-8
+    app = metric_apparatus(hyp3, pts, level=1)
+    lap = app.trace(covariant_hessian(app, V0.jet(pts)))
+    assert np.abs(lap - 3 * V0.value(pts)).max() < 1e-8
 
 
 def test_divergence_and_trace_of_metric(rng, hyp3, schw3):
     for spec in (hyp3, schw3):
         pts = random_points(3, rng, 80, r_range=(2.0, 30.0))
-
-        class Full:
-            def component_arrays(self, coords):
-                return spec.component_jets(coords)
-
-        assert np.abs(divergence(spec, Full(), pts)).max() < 1e-10
-        assert np.abs(trace(spec, Full(), pts) - 3.0).max() < 1e-12
+        app = metric_apparatus(spec, pts, level=1)
+        g, dg, _ = spec.component_jets(pts)
+        div = np.einsum("pik,pikj->pj", app.inv, nabla_2tensor(app.gamma, g, dg))
+        assert np.abs(div).max() < 1e-10
+        assert np.abs(app.trace(g) - 3.0).max() < 1e-12
 
 
 def test_einstein_combination_of_model_vanishes(rng, hyp3):
     # T = Ric_b + (n-1) b is identically zero: divergence and trace vanish
     pts = random_points(3, rng, 50)
-
-    class EinsteinShift:
-        def component_arrays(self, coords):
-            app = metric_apparatus(hyp3, coords, level=2)
-            h = app.ricci + 2.0 * app.g
-            dh = np.zeros(app.dg.shape)
-            ddh = np.zeros(app.ddg.shape)
-            return h, dh, ddh
-
-    T = EinsteinShift()
-    h, _, _ = T.component_arrays(pts)
+    app = metric_apparatus(hyp3, pts, level=2)
+    h = app.ricci + 2.0 * app.g
     assert np.abs(h).max() < 1e-11
-    assert np.abs(trace(hyp3, T, pts)).max() < 1e-10
+    assert np.abs(app.trace(h)).max() < 1e-10
 
 
 def test_hessian_symmetry(rng, schw3):
     from ahmass.fields import random_compact_scalar
     u = random_compact_scalar(rng, 3.0, 8.0, 3)
     pts = random_points(3, rng, 100, r_range=(3.1, 7.9))
-    H = hessian(schw3, u, pts)
+    H = covariant_hessian(metric_apparatus(schw3, pts, level=1), u.jet(pts))
     assert np.abs(H - H.swapaxes(1, 2)).max() < 1e-10
 
 
@@ -144,10 +136,10 @@ def test_perturbed_with_zero_field_matches_base(rng, hyp3):
     zero = FiniteDifferenceTensorField(3, lambda c: np.zeros((c.shape[0], 3, 3)))
     pert = PerturbedMetric(hyp3, zero)
     pts = random_points(3, rng, 40)
-    p1 = curvature_at(pert, pts[0])
-    p2 = curvature_at(hyp3, pts[0])
+    p1 = metric_apparatus(pert, pts[0], level=2)
+    p2 = metric_apparatus(hyp3, pts[0], level=2)
     assert np.array_equal(p1.riemann, p2.riemann)
-    assert p1.scalar == p2.scalar
+    assert np.array_equal(p1.scalar, p2.scalar)
 
 
 def test_fd_mode_curvature_tolerance(rng):

@@ -6,7 +6,7 @@ import pytest
 from ahmass.chart import ChartPoint, random_points
 from ahmass.decay import estimate_decay_rate
 from ahmass.fields import FiniteDifferenceTensorField
-from ahmass.metrics import (DomainError, PerturbedMetric, frame_at,
+from ahmass.metrics import (DomainError, PerturbedMetric, frame_coefficients,
                             frame_components, hyperbolic_metric,
                             metric_from_dict, metric_to_dict, schwarzschild_ads,
                             static_potential_basis)
@@ -86,10 +86,10 @@ def test_positive_definite_and_symmetric(rng):
 
 
 def test_frame_coefficients_closed_forms():
-    fp = frame_at(ChartPoint(3, 0.75, (1.0, 2.0)))
-    assert abs(fp.frame[0, 0] - 1.25) < 1e-15   # sqrt(1 + 9/16) = 5/4
-    fp = frame_at(ChartPoint(3, 2.0, (1.0, 2.0)))
-    assert abs(fp.frame[1, 1] - 0.5) < 1e-15    # 1/r on the first angle
+    c = frame_coefficients(ChartPoint(3, 0.75, (1.0, 2.0)))[0]
+    assert abs(c[0] - 1.25) < 1e-15   # sqrt(1 + 9/16) = 5/4
+    c = frame_coefficients(ChartPoint(3, 2.0, (1.0, 2.0)))[0]
+    assert abs(c[1] - 0.5) < 1e-15    # 1/r on the first angle
 
 
 def test_frame_orthonormality_randomized(rng):
@@ -98,8 +98,8 @@ def test_frame_orthonormality_randomized(rng):
     gb = b.components(pts)
     for i in range(0, 1000, 97):
         p = ChartPoint(3, pts[i, 0], tuple(pts[i, 1:]))
-        fp = frame_at(p)
-        gram = fp.frame @ gb[i] @ fp.frame.T
+        frame = np.diag(frame_coefficients(p)[0])   # row a: e_a in the chart basis
+        gram = frame @ gb[i] @ frame.T
         assert np.abs(gram - np.eye(3)).max() < 1e-12
 
 

@@ -70,19 +70,24 @@ def test_smooth_bump_support_and_smoothness():
              coords[(r > 2.05) & (r < 5.95)][:20], tol=1e-4)
 
 
-def test_chart_jacobian_jets_match_cartesian_map():
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_chart_jacobian_jets_match_cartesian_map(n):
+    # angle theta_a drops out of x_c for c > n - a; at n = 3 only x_1 has no
+    # theta_2 factor, from n = 4 on whole blocks of the Jacobian vanish
     rng = np.random.default_rng(5)
-    coords = np.column_stack([rng.uniform(1, 10, 40), rng.uniform(0.3, 2.8, 40),
-                              rng.uniform(0, 6.2, 40)])
+    coords = np.column_stack([rng.uniform(1, 10, 40)]
+                             + [rng.uniform(0.3, 2.8, 40) for _ in range(n - 2)]
+                             + [rng.uniform(0, 6.2, 40)])
     jac = chart_jacobian_jets(coords)
     eps = 1e-6
-    for a in range(3):
+    for a in range(n):
         cp, cm = coords.copy(), coords.copy()
         cp[:, a] += eps
         cm[:, a] -= eps
         fd = (to_cartesian(cp) - to_cartesian(cm)) / (2 * eps)
-        for c in range(3):
+        for c in range(n):
             assert np.abs(fd[:, c] - jac[a][c].val).max() < 1e-8
+    fd_check(lambda c: J.stack(chart_jacobian_jets(c)), coords)
 
 
 HYP3 = {"family": "hyperbolic", "n": 3, "params": {}}

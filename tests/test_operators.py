@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from ahmass.chart import random_points
-from ahmass.curvature import metric_apparatus
+from ahmass.curvature import covariant_hessian, metric_apparatus
 from ahmass.fields import (ScaledMetricField, SymmetricTensorField, constant_field,
                            random_compact_scalar, random_compact_tensor)
 from ahmass.metrics import (PerturbedMetric, static_potential,
                             static_potential_basis)
-from ahmass.operators import (adjoint, duality_residual, first_variation_check,
-                              functional_value, linearized_scalar,
+from ahmass.operators import (adjoint_values, duality_residual, first_variation_check,
+                              functional_value, linearized_scalar_values,
                               static_residual, trace_identity_gap)
 from ahmass.quadrature import sphere_rule, volume_rule
 from ahmass.radial import radial_eigenfunction
@@ -30,7 +30,8 @@ def test_linearized_on_metric_itself(rng, hyp3):
     # L_g(g) = -R_g: tr g is constant, div g vanishes, <g, Ric> = R
     pts = random_points(3, rng, 30)
     h = ScaledMetricField(hyp3, constant_field(1.0))
-    vals = linearized_scalar(hyp3, h, pts)
+    vals = linearized_scalar_values(metric_apparatus(hyp3, pts, level=2),
+                                    h.component_arrays(pts))
     assert np.abs(vals - 6.0).max() < 1e-9
 
 
@@ -38,7 +39,8 @@ def test_linearized_matches_curvature_derivative(rng, hyp3):
     # independent check: L_g h against a centered difference of R(g + eps h)
     h = random_compact_tensor(rng, 3, 2.0, 6.0)
     pts = random_points(3, rng, 20, r_range=(2.2, 5.8))
-    lin = linearized_scalar(hyp3, h, pts)
+    lin = linearized_scalar_values(metric_apparatus(hyp3, pts, level=2),
+                                   h.component_arrays(pts))
     eps = 1e-6
     rp = metric_apparatus(PerturbedMetric(hyp3, scaled(h, eps)),
                           pts, level=2).scalar
@@ -56,23 +58,24 @@ def test_trace_identity_pointwise(rng, hyp3, schw3):
 
 def test_adjoint_annihilates_static_potentials(rng, hyp3):
     pts = random_points(3, rng, 100)
+    app = metric_apparatus(hyp3, pts, level=2)
     for V in static_potential_basis(3):
-        assert np.abs(adjoint(hyp3, V, pts)).max() < 1e-9
+        assert np.abs(adjoint_values(app, V.jet(pts))).max() < 1e-9
 
 
 def test_adjoint_of_zero(rng, schw3):
     pts = random_points(3, rng, 20, r_range=(2, 20))
-    assert np.abs(adjoint(schw3, constant_field(0.0), pts)).max() == 0.0
+    app = metric_apparatus(schw3, pts, level=2)
+    assert np.abs(adjoint_values(app, constant_field(0.0).jet(pts))).max() == 0.0
 
 
 def test_adjoint_trace_combination(rng, schw3):
     # tr L* V = (1-n) Lap V - R V, asserted in the literal index form
-    from ahmass.curvature import covariant_hessian
     pts = random_points(3, rng, 50, r_range=(2, 30))
     V = static_potential(3, 0)
     app = metric_apparatus(schw3, pts, level=2)
     jet = V.jet(pts)
-    adj = adjoint(schw3, V, pts)
+    adj = adjoint_values(app, jet)
     tr_adj = np.einsum("pij,pij->p", app.inv, adj)
     hess = covariant_hessian(app, jet)
     lap = np.einsum("pij,pij->p", app.inv, hess)
@@ -101,8 +104,6 @@ def test_duality_conformal_direction(rng, hyp3, annulus_rule):
     res = duality_residual(hyp3, h, u, annulus_rule)
     assert res < 1e-6
     app = metric_apparatus(hyp3, annulus_rule.coords, level=2)
-    from ahmass.curvature import covariant_hessian
-    from ahmass.operators import linearized_scalar_values
     from ahmass.quadrature import volume_weights
     w = volume_weights(annulus_rule, app.sqrt_det)
     jet = u.jet(annulus_rule.coords)
@@ -131,7 +132,6 @@ def test_static_residual_decay_on_static_family(schw3):
         rep = static_residual(schw3, V0, coords)
         app = metric_apparatus(schw3, coords, level=2)
         jet = V0.jet(coords)
-        from ahmass.curvature import covariant_hessian
         hess = covariant_hessian(app, jet)
         lap = np.einsum("pij,pij->p", app.inv, hess)
         return np.abs(lap - 3 * jet.val)

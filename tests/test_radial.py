@@ -50,11 +50,6 @@ def test_eigenfunction_shooting_cross_check(schw3):
     assert np.abs(colloc.value(r) - shoot(r)).max() < 1e-6
 
 
-def test_eigenfunction_rejects_translational_index(hyp3):
-    with pytest.raises(NotImplementedError):
-        radial_eigenfunction(hyp3, which=1)
-
-
 def test_deformation_trivial_target(hyp3):
     rep = conformal_deform_radial(hyp3, lambda r: np.zeros_like(np.asarray(r)),
                                   2.0)
