@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -30,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .fields import finite_number
 from .metrics import DomainError, metric_from_dict, metric_to_dict
 
 EXIT_CHECK_FAILURE = 1
@@ -40,6 +40,9 @@ EXIT_INTERNAL = 4
 RADII_COUNT_MAX = 256     # 32x the default 8-radius ladder
 SPHERE_NODES_MAX = 65536  # 14x the default 4,608-node sphere rule
 VOLUME_NODES_MAX = 131072  # 2.3x the 57,344-node first-variation default
+SAMPLE_POINTS_MAX = 16384  # 5x the 3,000-point curvature benchmark case
+PAIRS_MAX = 256            # 25x the default 10 duality-check pairs
+FAN_COUNT_MAX = 1024       # 16x the default 64-seed dichotomy fan
 
 
 class SchemaError(ValueError):
@@ -69,25 +72,18 @@ DEFAULT_TOLERANCES = {
 }
 
 
-def _real(val) -> bool:
-    """A finite JSON number; bools are not numbers here."""
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        return False
-    try:
-        return math.isfinite(val)
-    except OverflowError:     # an integer beyond the float range
-        return False
+def _count(minimum, maximum=None):
+    def ok(v):
+        return (isinstance(v, int) and not isinstance(v, bool) and v >= minimum
+                and (maximum is None or v <= maximum))
+    return ok, (f"an integer >= {minimum}" if maximum is None
+                else f"an integer in {minimum}..{maximum}")
 
 
-def _count(minimum):
-    return (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= minimum,
-            f"an integer >= {minimum}")
-
-
-FINITE = (_real, "a finite number")
-POSITIVE = (lambda v: _real(v) and v > 0, "a finite number > 0")
+FINITE = (finite_number, "a finite number")
+POSITIVE = (lambda v: finite_number(v) and v > 0, "a finite number > 0")
 EPS_LADDER = (lambda v: (isinstance(v, list) and len(v) >= 2
-                         and all(_real(e) and e > 0 for e in v)
+                         and all(finite_number(e) and e > 0 for e in v)
                          and len(set(map(float, v))) == len(v)),
               "a list of >= 2 distinct finite numbers > 0")
 
@@ -104,13 +100,13 @@ NUMERIC_KEYS = {
     "ode_horizon": POSITIVE,             # ODE integration horizon T
     "ode": {"p_amp": FINITE, "q_amp": FINITE, "f_amp": FINITE,   # ODE coefficient
             "decay": POSITIVE},                                   # family
-    "pairs": _count(1),                  # randomized pairs (duality-check)
+    "pairs": _count(1, PAIRS_MAX),       # randomized pairs (duality-check)
     "eps_ladder": EPS_LADDER,            # epsilon ladder (first-variation)
     "q_claimed": POSITIVE,               # claimed decay rate (verify-ah)
     "decay_rate": FINITE,                # target decay (deform / eigenfunction)
     "phi_amp": FINITE,                   # target amplitude (deform)
-    "fan_count": _count(1),              # seed fan size (dichotomy)
-    "sample_points": _count(1),          # sample count (curvature)
+    "fan_count": _count(1, FAN_COUNT_MAX),          # seed fan size (dichotomy)
+    "sample_points": _count(1, SAMPLE_POINTS_MAX),  # sample count (curvature)
     "r_min": POSITIVE,                   # inner radius override
     "r_max": POSITIVE,                   # outer radius override
     "wang_radius": POSITIVE,             # ball radius (rigidity-check)
@@ -205,7 +201,7 @@ def _radii(numeric):
                               f"3..{RADII_COUNT_MAX}, got {count!r}")
     else:
         raise SchemaError("radii must be a list or {min, max, count}")
-    if not all(_real(v) and v > 0 for v in values):
+    if not all(finite_number(v) and v > 0 for v in values):
         raise SchemaError(f"radii must be finite positive numbers, got {values!r}")
     arr = np.asarray(values, dtype=float)
     if isinstance(doc, dict):

@@ -1,10 +1,12 @@
 """Christoffel symbols, curvature tensors, and covariant calculus at chart points.
 
 All functions operate on batches: a MetricApparatus packs the metric, its
-inverse, Christoffel symbols, and (at level 2) curvature at N points.  The
-covariant derivatives take the field as the ``Jet`` its producer returns
-(``V.jet``, ``component_arrays``, ``component_jets``).  The Riemann
-convention is
+inverse, Christoffel symbols, and (at level 2) curvature at N points.  Only
+first derivatives of the inverse metric are kept: a second derivative of a
+g-contraction is taken covariantly, where nabla g = 0 moves g^{-1} outside
+(Lap tr h = g^{ab} g^{ij} nabla_a nabla_b h_ij).  The covariant derivatives
+take the field as the ``Jet`` its producer returns (``V.jet``,
+``component_arrays``, ``component_jets``).  The Riemann convention is
 
     R_kjli = g( D_k D_j e_l - D_j D_k e_l , e_i )
 
@@ -33,7 +35,12 @@ from .metrics import MetricSpec
 
 @dataclass
 class MetricApparatus:
-    """Pointwise metric data shared by curvature and operator evaluations."""
+    """Pointwise metric data shared by curvature and operator evaluations.
+
+    Level 1 holds g, dg, the inverse and its first derivative, Christoffel
+    symbols and sqrt(det g); level 2 adds ddg, d Gamma and the curvature
+    tensors.  No level carries second derivatives of the inverse metric.
+    """
 
     coords: np.ndarray
     g: np.ndarray            # (N, n, n)
@@ -44,7 +51,6 @@ class MetricApparatus:
     sqrt_det: np.ndarray     # (N,)
     level: int = 1
     ddg: np.ndarray = None
-    ddinv: np.ndarray = None
     dgamma: np.ndarray = None  # (N, a, k, i, j)
     riemann: np.ndarray = None  # (N, k, j, l, i) fully covariant
     ricci: np.ndarray = None
@@ -87,19 +93,6 @@ def _christoffel(inv, bracket):
     return gamma.reshape(N, n, n, n)
 
 
-def _second_inverse_derivative(inv, dinv, dg, ddg):
-    """d_a d_b g^-1 = -(X + X^T + g^-1 d_a d_b g g^-1) with X = d_b g^-1 d_a g g^-1.
-
-    The product term g^-1 d_a g d_b g^-1 is X^T because every factor is symmetric.
-    """
-    X = dinv[:, None] @ dg[:, :, None] @ inv[:, None, None]
-    ddinv = inv[:, None, None] @ ddg @ inv[:, None, None]
-    ddinv += X
-    ddinv += X.swapaxes(-1, -2)
-    ddinv *= -1.0
-    return ddinv
-
-
 def _lowered_riemann(g, gamma, dgamma):
     """R_kjli = R^m_kjl g_mi at (N, k, j, l, i).
 
@@ -128,16 +121,15 @@ def metric_apparatus(spec: MetricSpec, coords, level: int = 2) -> MetricApparatu
     app = MetricApparatus(coords=coords, g=g, dg=dg, inv=inv,
                           dinv=dinv, gamma=gamma, sqrt_det=sqrt_det, level=1)
     if level >= 2:
-        # the helpers drop their (N, n^4) temporaries on return, bounding peak memory
-        ddinv = _second_inverse_derivative(inv, dinv, dg, ddg)
         # d_a Gamma^k_ij at (N, a, k, i, j)
         dgamma = dinv @ bracket.reshape(N, 1, n, n * n)
         dgamma += inv[:, None] @ _bracket(ddg).reshape(N, n, n, n * n)
         dgamma *= 0.5
         dgamma = dgamma.reshape(N, n, n, n, n)
+        # the helper drops its (N, n^4) temporaries on return, bounding peak memory
         riemann = _lowered_riemann(g, gamma, dgamma)
         ricci = np.einsum("pki,pkjli->pjl", inv, riemann)
-        app.ddg, app.ddinv, app.dgamma = ddg, ddinv, dgamma
+        app.ddg, app.dgamma = ddg, dgamma
         app.riemann, app.ricci, app.scalar = riemann, ricci, app.trace(ricci)
         app.level = 2
     return app

@@ -9,6 +9,8 @@ unpacked as ``h, dh, ddh`` with the same index layout as metric families.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import jets as J
@@ -153,15 +155,21 @@ def require_object(doc, what: str):
         raise ValueError(f"{what} must be an object, got {type(doc).__name__}")
 
 
+def finite_number(value) -> bool:
+    """A finite JSON number; bools and strings are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:      # an integer beyond the float range
+        return False
+
+
 def require_finite(value, what: str) -> float:
     """A declarative spec's real parameter must be a finite number."""
-    try:
-        value = float(value)
-    except OverflowError:      # an integer beyond the float range
-        value = np.inf
-    if not np.isfinite(value):
+    if not finite_number(value):
         raise ValueError(f"{what} must be a finite number, got {value!r}")
-    return value
+    return float(value)
 
 
 def profile_from_dict(doc: dict) -> RadialProfile:
@@ -367,10 +375,11 @@ def perturbation_from_dict(doc: dict, n: int) -> SymmetricTensorField:
         extra = set(doc) - {"kind", "axis", "amp", "rate", "width", "onset"}
         if extra:
             raise ValueError(f"unknown perturbation keys: {sorted(extra)}")
-        axis = np.asarray(doc["axis"], dtype=float)
-        if axis.shape != (n,) or not np.all(np.isfinite(axis)) or not np.any(axis):
+        axis = doc["axis"]
+        if (not isinstance(axis, list) or len(axis) != n
+                or not all(map(finite_number, axis)) or not any(axis)):
             raise ValueError(f"axis_bump axis must be {n} finite numbers, not all "
-                             f"zero; got {doc['axis']!r}")
+                             f"zero; got {axis!r}")
         return AxisConcentratedPerturbation(
             n, axis, *(require_finite(doc.get(key, default), f"axis_bump {key}")
                        for key, default in (("amp", 1e-2), ("rate", 2.5),

@@ -29,7 +29,7 @@ from .curvature import (MetricApparatus, covariant_hessian, metric_apparatus,
                         nabla2_2tensor)
 from .decay import fit_log_slope
 from .metrics import HyperbolicMetric, MetricSpec, frame_components
-from .quadrature import VolumeRule, volume_weights
+from .quadrature import VolumeRule, angular_jacobian, volume_weights
 from . import jets as J
 
 
@@ -40,10 +40,14 @@ class DivergentTailError(ArithmeticError):
 # -- pointwise operators -------------------------------------------------------
 
 def linearized_scalar_values(app: MetricApparatus, h: J.Jet) -> np.ndarray:
-    """L_g h at the apparatus points for a tensor jet h (level-2 apparatus required)."""
-    tr = J.contract("ij,ij->", J.Jet(app.inv, app.dinv, app.ddinv), h)
-    lap_tr = app.trace(covariant_hessian(app, tr))
+    """L_g h at the apparatus points for a tensor jet h (level-2 apparatus required).
+
+    Both second-order terms contract the one second covariant derivative of h:
+    since nabla g = 0, Lap(tr h) = g^{ab} g^{ij} (nabla nabla h)_abij and
+    div div h = g^{ai} g^{bj} (nabla nabla h)_abij.
+    """
     nn = nabla2_2tensor(app, h)
+    lap_tr = np.einsum("pab,pij,pabij->p", app.inv, app.inv, nn)
     divdiv = np.einsum("pai,pbj,pabij->p", app.inv, app.inv, nn)
     return -lap_tr + divdiv - app.inner(h.val, app.ricci)
 
@@ -224,45 +228,42 @@ def first_variation_check(spec: MetricSpec, f, h_field, epsilons,
     """Compare (F(g + eps h) - F(g))/eps with -int <h, L_g^* f> dmu_g.
 
     Errors should shrink at first order in eps; the report carries the fitted
-    convergence order (NaN when both sides vanish identically).  Since h is
-    compactly supported, the functional difference lives entirely on the
-    support: the tails of F(g + eps h) and F(g) cancel exactly, and only the
-    scalar curvature of the perturbed metric needs recomputing per epsilon,
-    on the support nodes alone.
+    convergence order (NaN when both sides vanish identically).  A field that
+    declares ``support = (lo, hi)`` must vanish, with all its derivatives, at
+    every node whose radius lies outside [lo, hi].  There every term of the
+    reference and of F(g + eps h) - F(g) is exactly zero, and the tails of the
+    two functionals cancel, so everything (the metric apparatus, the volume
+    weights, the jet of f, h and the perturbed scalar curvature per epsilon)
+    is evaluated on the support nodes alone; without a support, on every node.
     """
     from .metrics import PerturbedMetric
     from .fields import SymmetricTensorField
 
-    n = spec.n
-    app = metric_apparatus(spec, rule.coords, level=2)
-    w = volume_weights(rule, app.sqrt_det)
-    jet = f.jet(rule.coords)
-    h = h_field.component_arrays(rule.coords)
-    pair_h = app.inner(h.val, adjoint_values(app, jet))
-    reference = -float(np.sum(w * pair_h))
-
+    coords = rule.coords
     if h_field.support is not None:
         lo, hi = h_field.support
-        mask = (rule.coords[:, 0] >= lo) & (rule.coords[:, 0] <= hi)
+        mask = (coords[:, 0] >= lo) & (coords[:, 0] <= hi)
     else:
-        mask = np.ones(rule.coords.shape[0], dtype=bool)
-    sup_coords = rule.coords[mask]
+        mask = np.ones(coords.shape[0], dtype=bool)
+    coords = coords[mask]
+    app = metric_apparatus(spec, coords, level=2)
+    # volume_weights(rule, ...) restricted to the support nodes
+    w = rule.weights[mask] * app.sqrt_det / angular_jacobian(coords[:, 1:])
+    jet = f.jet(coords)
+    h = h_field.component_arrays(coords)
+    pair_h = app.inner(h.val, adjoint_values(app, jet))
+    reference = -float(np.sum(w * pair_h))
     lin_h = linearized_scalar_values(app, h)
-    r_base = app.scalar[mask]
-    # h is linear in eps: evaluate it once on the support nodes, the only
-    # points where the perturbed metrics below are evaluated, and scale it per eps
-    h_sup = h_field.component_arrays(sup_coords)
 
     epsilons = np.asarray(sorted(epsilons, reverse=True), dtype=float)
     quotients = []
     for eps in epsilons:
-        gamma = PerturbedMetric(spec, SymmetricTensorField(
-            lambda c, eps=eps: h_sup * eps))
-        r_eps = metric_apparatus(gamma, sup_coords, level=2).scalar
-        # F(gamma) - F(g) restricted to the support: the e-linear terms shift
-        # by eps * (L_g h f - <h, L* f>) and the curvature term by R(g)-R(gamma)
-        diff = np.zeros_like(app.scalar)
-        diff[mask] = -(r_eps - r_base) * jet.val[mask]
+        # h is linear in eps: the perturbed metrics scale the one h jet above
+        gamma = PerturbedMetric(spec, SymmetricTensorField(lambda c, eps=eps: h * eps))
+        r_eps = metric_apparatus(gamma, coords, level=2).scalar
+        # F(gamma) - F(g): the e-linear terms shift by eps * (L_g h f - <h, L* f>)
+        # and the curvature term by R(g) - R(gamma)
+        diff = -(r_eps - app.scalar) * jet.val
         diff += eps * (lin_h * jet.val - pair_h)
         quotients.append(float(np.sum(w * diff)) / eps)
     quotients = np.asarray(quotients)

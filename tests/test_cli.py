@@ -147,9 +147,17 @@ def test_unsupported_metric_rejected(tmp_path, capsys, command, metric):
         "kind": "power_tail", "amp": 0.1, "rate": float("inf")}}},
     {"family": "perturbed", "n": 3, "params": {"base": HYP, "perturbation": {
         "kind": "axis_bump", "axis": [1.0, 0.0, 0.0], "width": float("nan")}}},
+    # strings and bools are not numbers, although float() would take them
+    {"family": "schwarzschild_ads", "n": 3, "params": {"m": "0.5"}},
+    {"family": "schwarzschild_ads", "n": 3, "params": {"m": True}},
+    {"family": "conformal", "n": 3, "params": {"base": HYP, "profile": {
+        "kind": "power_tail", "amp": "0.1", "rate": 3.0}}},
+    {"family": "perturbed", "n": 3, "params": {"base": HYP, "perturbation": {
+        "kind": "axis_bump", "axis": ["1", 0.0, 0.0]}}},
 ], ids=["spec-list", "params-int", "base-list", "perturbation-list", "profile-int",
         "profile-value-null", "mass-list", "mass-nan", "mass-inf",
-        "power-tail-rate-inf", "axis-bump-width-nan"])
+        "power-tail-rate-inf", "axis-bump-width-nan", "mass-string", "mass-bool",
+        "power-tail-amp-string", "axis-bump-axis-string"])
 def test_malformed_metric_spec_rejected(tmp_path, capsys, metric):
     # a spec, or a part of one, of the wrong JSON type is a config error
     cfg = write_config(tmp_path, {"command": "mass", "metric": metric})
@@ -201,6 +209,10 @@ HYP5 = {"family": "hyperbolic", "n": 5, "params": {}}
     ("duality-check", {"radial_nodes": 100000}, HYP, EXIT_SCHEMA),
     ("first-variation", {"quad_polar": 20, "quad_azimuth": 40}, HYP4, EXIT_SCHEMA),
     ("rigidity-check", {"radial_nodes": 100000}, HYP, EXIT_SCHEMA),
+    # counts beyond their bounds: rejected by load_config before anything is built
+    ("curvature", {"sample_points": 10**9}, HYP, EXIT_SCHEMA),
+    ("duality-check", {"pairs": 257}, HYP, EXIT_SCHEMA),
+    ("dichotomy", {"fan_count": 10**6}, HYP, EXIT_SCHEMA),
     # cosh(t)^2 of the warped metric overflows at t near 200
     ("curvature", {"sample_points": 20, "r_min": 0.5, "r_max": 200.0, "seed": 4},
      WARPED, EXIT_NUMERICAL),
@@ -212,6 +224,7 @@ HYP5 = {"family": "hyperbolic", "n": 5, "params": {}}
         "wang-radius-negative", "wang-radius-inside-inner", "tolerance-bool",
         "radii-count-huge", "sphere-nodes-huge", "duality-volume-huge",
         "first-variation-volume-huge", "rigidity-volume-huge",
+        "sample-points-huge", "pairs-huge", "fan-count-huge",
         "curvature-warped-overflow"])
 def test_bad_numeric_value_rejected(tmp_path, capsys, command, numeric, metric, code):
     cfg = write_config(tmp_path, {"command": command, "metric": metric, "numeric": numeric})

@@ -6,10 +6,12 @@ import pytest
 from ahmass.chart import ChartPoint, random_points
 from ahmass.curvature import (covariant_hessian, metric_apparatus, nabla2_2tensor,
                               nabla_2tensor, riemann_symmetry_defects)
+from ahmass import jets as J
 from ahmass.fields import FiniteDifferenceTensorField, random_compact_tensor
 from ahmass.metrics import (PerturbedMetric, hyperbolic_metric,
                             schwarzschild_ads, static_potential,
                             static_potential_basis)
+from ahmass.operators import linearized_scalar_values
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -221,7 +223,7 @@ def test_apparatus_matches_einsum_reference(n):
     app = metric_apparatus(spec, pts, level=2)
     ref = _einsum_apparatus(*spec.component_jets(pts))
     assert np.abs(app.g[:, 0, 1]).max() > 1e-3     # the metric is not diagonal
-    for name in ("inv", "dinv", "ddinv", "gamma", "dgamma", "riemann", "ricci", "scalar"):
+    for name in ("inv", "dinv", "gamma", "dgamma", "riemann", "ricci", "scalar"):
         _assert_close(getattr(app, name), ref[name])
     a = random_compact_tensor(rng, n, 2.0, 8.0).component_arrays(pts).val
     b = random_compact_tensor(rng, n, 2.0, 8.0).component_arrays(pts).val
@@ -233,6 +235,21 @@ def test_apparatus_matches_einsum_reference(n):
     X, Y = rng.normal(size=(2, pts.shape[0], n))
     _assert_close(app.sectional(X, Y),
                   np.einsum("pkjli,pk,pj,pl,pi->p", ref["riemann"], X, Y, Y, X))
+    # L_g h with Lap(tr h) through the jet of g^{ij} h_ij, second derivatives
+    # of the inverse metric included, against the contraction of nabla nabla h
+    h, dh, ddh = random_compact_tensor(rng, n, 2.0, 8.0).component_arrays(pts)
+    inv, dinv = ref["inv"], ref["dinv"]
+    dtr = np.einsum("paij,pij->pa", dinv, h) + np.einsum("pij,paij->pa", inv, dh)
+    ddtr = (np.einsum("pabij,pij->pab", ref["ddinv"], h)
+            + np.einsum("paij,pbij->pab", dinv, dh)
+            + np.einsum("pbij,paij->pab", dinv, dh)
+            + np.einsum("pij,pabij->pab", inv, ddh))
+    hess_tr = ddtr - np.einsum("pkab,pk->pab", ref["gamma"], dtr)
+    lap_tr = np.einsum("pab,pab->p", inv, hess_tr)
+    divdiv = np.einsum("pai,pbj,pabij->p", inv, inv, _einsum_nabla2(ref, h, dh, ddh))
+    h_ric = np.einsum("pia,pjb,pij,pab->p", inv, inv, h, ref["ricci"])
+    _assert_close(linearized_scalar_values(app, J.Jet(h, dh, ddh)),
+                  -lap_tr + divdiv - h_ric)
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -221,3 +221,44 @@ def test_first_variation_background_reference_zero(rng, hyp3, quad16):
     rep = first_variation_check(hyp3, V0, h, [1e-2, 1e-3], rule)
     assert abs(rep.reference) < 1e-10
     assert rep.order >= 0.9
+
+
+@pytest.fixture(scope="module")
+def support_case():
+    # the outer segment (4, 6) lies beyond the support (2, 4) of h
+    rule = volume_rule(3, [1.5, 2.0, 4.0, 6.0], [3, 6, 3], sphere_rule(3, 4, 8))
+    h = random_compact_tensor(np.random.default_rng(5), 3, 2.0, 4.0, amplitude=0.5)
+    mask = (rule.coords[:, 0] >= 2.0) & (rule.coords[:, 0] <= 4.0)
+    assert 0 < mask.sum() < rule.coords.shape[0]
+    return rule, h, mask
+
+
+def test_first_variation_support_matches_unrestricted(schw3, support_case):
+    # the support nodes alone give the all-node result up to summation order
+    rule, h, _ = support_case
+    f0 = static_potential(3, 0)
+    eps = [1e-2, 1e-3]
+    rep = first_variation_check(schw3, f0, h, eps, rule)
+    full = first_variation_check(schw3, f0, SymmetricTensorField(h.component_arrays),
+                                 eps, rule)
+    assert abs(rep.reference) > 1e-6
+    assert abs(rep.reference - full.reference) <= 1e-12 * abs(full.reference)
+    assert np.all(np.abs(rep.quotients - full.quotients)
+                  <= 1e-12 * np.abs(full.quotients))
+
+
+def test_first_variation_builds_level2_on_support_only(monkeypatch, schw3,
+                                                       support_case):
+    import ahmass.operators as ops
+    rule, h, mask = support_case
+    sizes = []
+
+    def recording(spec, coords, level=2):
+        if level >= 2:
+            sizes.append(np.asarray(coords).shape[0])
+        return metric_apparatus(spec, coords, level)
+
+    monkeypatch.setattr(ops, "metric_apparatus", recording)
+    first_variation_check(schw3, static_potential(3, 0), h, [1e-2, 1e-3], rule)
+    assert len(sizes) == 3
+    assert max(sizes) <= mask.sum()
