@@ -6,7 +6,6 @@ counterexample fixture."""
 
 __version__ = "0.1.0"
 
-from .chart import ChartPoint
 from .decay import DecayFit, estimate_decay_rate, verify_ah
 from .geodesics import GeodesicSample, classify_growth, integrate_geodesic
 from .massflux import (FluxReport, MassVector, mass_flux_integral, mass_vector,

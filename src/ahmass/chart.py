@@ -1,4 +1,4 @@
-"""Spherical chart on the exterior region: points, Cartesian maps, samplers.
+"""Spherical chart on the exterior region: Cartesian maps and samplers.
 
 Coordinates are (r, theta_1, ..., theta_{n-1}) with theta_1..theta_{n-2} polar
 in [0, pi] and theta_{n-1} azimuthal in [0, 2*pi).  Cartesian labels are
@@ -21,8 +21,6 @@ builds the jets of x_i / r from ``jsin``/``jcos``, and the Jacobian jets of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .jets import Jet, constant, coordinate_jets, jcos, jsin
@@ -30,44 +28,8 @@ from .jets import Jet, constant, coordinate_jets, jcos, jsin
 POLE_MARGIN = 1e-3
 
 
-class ChartError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class ChartPoint:
-    """A single chart point with validated coordinate ranges."""
-
-    n: int
-    r: float
-    angles: tuple
-
-    def __post_init__(self):
-        if self.n < 3:
-            raise ChartError(f"dimension must be >= 3, got {self.n}")
-        if len(self.angles) != self.n - 1:
-            raise ChartError(f"expected {self.n - 1} angles, got {len(self.angles)}")
-        if not self.r > 0:
-            raise ChartError(f"radial coordinate must be positive, got {self.r}")
-        for j, th in enumerate(self.angles[:-1]):
-            if not 0.0 <= th <= np.pi:
-                raise ChartError(f"polar angle theta_{j + 1}={th} outside [0, pi]")
-        last = self.angles[-1]
-        if not 0.0 <= last < 2.0 * np.pi:
-            raise ChartError(f"azimuthal angle {last} outside [0, 2*pi)")
-
-    @property
-    def coords(self) -> np.ndarray:
-        return np.array([self.r, *self.angles], dtype=float)
-
-    def cartesian(self) -> np.ndarray:
-        return to_cartesian(self.coords[None, :])[0]
-
-
 def as_coords(point) -> np.ndarray:
-    """Coerce a ChartPoint or array-like into a batch of coordinate rows."""
-    if isinstance(point, ChartPoint):
-        return point.coords[None, :]
+    """Coerce an array-like into a batch of coordinate rows."""
     arr = np.asarray(point, dtype=float)
     if arr.ndim == 1:
         return arr[None, :]
@@ -92,28 +54,6 @@ def unit_vector_values(angles: np.ndarray) -> np.ndarray:
 def to_cartesian(coords: np.ndarray) -> np.ndarray:
     coords = as_coords(coords)
     return coords[:, :1] * unit_vector_values(coords[:, 1:])
-
-
-def from_cartesian(x: np.ndarray) -> np.ndarray:
-    """Invert the chart map; rows with r = |x| > 0."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    npts, n = x.shape
-    r = np.linalg.norm(x, axis=1)
-    if np.any(r <= 0):
-        raise ChartError("cannot invert the chart at the origin")
-    coords = np.empty((npts, n))
-    coords[:, 0] = r
-    rev = x[:, ::-1]  # rev[:, k] = x_{n-k}
-    for k in range(n - 2):
-        # tail norm of components strictly after x_{n-k} in the recursion
-        rem = np.sqrt(np.sum(rev[:, k + 1:] ** 2, axis=1))
-        coords[:, 1 + k] = np.arctan2(rem, rev[:, k])
-    az = np.arctan2(rev[:, n - 1], rev[:, n - 2])
-    coords[:, n - 1] = np.mod(az, 2.0 * np.pi)
-    return coords[0] if single else coords
 
 
 def unit_vector_jets(coords: np.ndarray) -> list[Jet]:

@@ -1,10 +1,8 @@
 """Scalar and symmetric 2-tensor fields with chart derivatives.
 
-Fields either carry exact jets (built with the jet algebra) or wrap a plain
-callable and differentiate it by nested central differences with the step
-rule delta_r = 1e-5 * (1 + r) in the radial coordinate and 1e-5 in the
-angles.  Tensor fields expose ``component_arrays(coords)``, a tensor ``Jet``
-unpacked as ``h, dh, ddh`` with the same index layout as metric families.
+Fields carry exact jets built with the jet algebra.  Tensor fields expose
+``component_arrays(coords)``, a tensor ``Jet`` unpacked as ``h, dh, ddh``
+with the same index layout as metric families.
 """
 
 from __future__ import annotations
@@ -16,19 +14,14 @@ import numpy as np
 from . import jets as J
 from .chart import as_coords, chart_jacobian_jets, unit_vector_jets
 
-FD_ANGLE_STEP = 1e-5
-FD_RADIAL_SCALE = 1e-5
-
-
 # -- scalar fields -------------------------------------------------------------
 
 class ScalarField:
     """Scalar field backed by a jet-valued function of coordinate rows."""
 
-    def __init__(self, jet_fn, support=None, asymptotic_tag=("compact",)):
+    def __init__(self, jet_fn, support=None):
         self._jet_fn = jet_fn
         self.support = support
-        self.asymptotic_tag = asymptotic_tag
 
     def jet(self, coords) -> J.Jet:
         return self._jet_fn(as_coords(coords))
@@ -37,12 +30,10 @@ class ScalarField:
         return self.jet(coords).val
 
     def __add__(self, other):
-        return ScalarField(lambda c: self.jet(c) + other.jet(c),
-                           asymptotic_tag=self.asymptotic_tag)
+        return ScalarField(lambda c: self.jet(c) + other.jet(c))
 
     def __mul__(self, scale: float):
-        return ScalarField(lambda c: self.jet(c) * scale, support=self.support,
-                           asymptotic_tag=self.asymptotic_tag)
+        return ScalarField(lambda c: self.jet(c) * scale, support=self.support)
 
     __rmul__ = __mul__
 
@@ -56,7 +47,7 @@ def radial_bump_field(r_lo: float, r_hi: float, amplitude: float = 1.0) -> Scala
     def fn(coords):
         r = J.coordinate_jets(coords)[0]
         return J.smooth_bump(r, r_lo, r_hi) * amplitude
-    return ScalarField(fn, support=(r_lo, r_hi), asymptotic_tag=("compact",))
+    return ScalarField(fn, support=(r_lo, r_hi))
 
 
 def poly_bump_jet(rjet: J.Jet, lo: float, hi: float) -> J.Jet:
@@ -93,7 +84,7 @@ def random_compact_scalar(rng, r_lo: float, r_hi: float, n: int) -> ScalarField:
         r = J.coordinate_jets(coords)[0]
         return poly_bump_jet(r, r_lo, r_hi) * poly
 
-    return ScalarField(fn, support=(r_lo, r_hi), asymptotic_tag=("compact",))
+    return ScalarField(fn, support=(r_lo, r_hi))
 
 
 class RadialProfile:
@@ -132,8 +123,7 @@ class RadialProfile:
     __radd__ = __add__
 
     def as_field(self) -> ScalarField:
-        return ScalarField(lambda c: self.jet(J.coordinate_jets(c)[0]),
-                           asymptotic_tag=("radial",))
+        return ScalarField(lambda c: self.jet(J.coordinate_jets(c)[0]))
 
 
 def constant_profile(value: float) -> RadialProfile:
@@ -195,8 +185,6 @@ def profile_from_dict(doc: dict) -> RadialProfile:
 class SymmetricTensorField:
     """Symmetric 2-tensor field backed by a tensor-jet function of coordinate rows."""
 
-    analytic = True
-
     def __init__(self, jet_fn, support=None, description=None):
         self._jet_fn = jet_fn
         self.support = support
@@ -240,53 +228,6 @@ class FrameComponentField(SymmetricTensorField):
         coords = as_coords(coords)
         inv = J.stack(self._inv_frame_jets(coords))
         return self._jet_fn(coords) * J.contract("a,b->ab", inv, inv)
-
-
-class FiniteDifferenceTensorField(SymmetricTensorField):
-    """Wraps a components callable; derivatives by nested central differences."""
-
-    analytic = False
-
-    def __init__(self, n: int, comps_fn, support=None, description=None):
-        self.n = n
-        self.comps_fn = comps_fn
-        self.support = support
-        self._description = description or {"kind": "finite_difference"}
-
-    def _steps(self, coords):
-        steps = np.full(coords.shape, FD_ANGLE_STEP)
-        steps[:, 0] = FD_RADIAL_SCALE * (1.0 + coords[:, 0])
-        return steps
-
-    def component_arrays(self, coords):
-        coords = as_coords(coords)
-        npts, n = coords.shape
-        f0 = np.asarray(self.comps_fn(coords))
-        steps = self._steps(coords)
-        dh = np.zeros((npts, n, n, n))
-        ddh = np.zeros((npts, n, n, n, n))
-        shifted = {}
-
-        def ev(offsets):
-            key = tuple(offsets.items())
-            if key not in shifted:
-                pts = coords.copy()
-                for axis, mult in offsets.items():
-                    pts[:, axis] += mult * steps[:, axis]
-                shifted[key] = np.asarray(self.comps_fn(pts))
-            return shifted[key]
-
-        for a in range(n):
-            da = steps[:, a][:, None, None]
-            dh[:, a] = (ev({a: 1}) - ev({a: -1})) / (2.0 * da)
-            ddh[:, a, a] = (ev({a: 1}) - 2.0 * f0 + ev({a: -1})) / da ** 2
-            for b in range(a + 1, n):
-                db = steps[:, b][:, None, None]
-                mixed = (ev({a: 1, b: 1}) - ev({a: 1, b: -1})
-                         - ev({a: -1, b: 1}) + ev({a: -1, b: -1})) / (4.0 * da * db)
-                ddh[:, a, b] = mixed
-                ddh[:, b, a] = mixed
-        return J.Jet(f0, dh, ddh)
 
 
 class AxisConcentratedPerturbation(FrameComponentField):

@@ -5,9 +5,7 @@ The flux integral of a deviation h = g - b against a background potential V is
     I(r) = int_{S_r} [ V (div h - d tr h)(nu) + (tr h) dV(nu) - h(grad V, nu) ] dsigma
 
 with divergence, trace, gradient, normal, and measure taken with respect to
-the hyperbolic background by default (they may be switched to the metric's own
-objects; the fitted limit is insensitive to that choice).  The integrand is
-linear in the potential's 1-jet,
+the hyperbolic background.  The integrand is linear in the potential's 1-jet,
 
     V A + d_c V B^c,   A = (div h - d tr h)(nu),   B^c = tr h nu^c - g^{ca} h_ab nu^b,
 
@@ -137,25 +135,17 @@ def _normal_and_measure(app, objects: str):
     return nu, density
 
 
-def flux_integrand_values(spec: MetricSpec, potentials, coords, objects: str = "background"):
+def flux_integrand_values(spec: MetricSpec, potentials, coords):
     """Pointwise flux integrands (N, K) of the K potentials and the measure density.
 
     A and B of the module docstring's V A + d_c V B^c form are evaluated once
     and contracted with every potential's 1-jet.
     """
     coords = as_coords(coords)
-    n = spec.n
-    reference = HyperbolicMetric(n)
-    base_app = metric_apparatus(reference if objects == "background" else spec,
-                                coords, level=1)
-    if objects == "background":
-        g, dg, _ = spec.component_jets(coords)
-        h = g - base_app.g
-        dh = dg - base_app.dg
-    else:
-        g0, dg0, _ = reference.component_jets(coords)
-        h = base_app.g - g0
-        dh = base_app.dg - dg0
+    base_app = metric_apparatus(HyperbolicMetric(spec.n), coords, level=1)
+    g, dg, _ = spec.component_jets(coords)
+    h = g - base_app.g
+    dh = dg - base_app.dg
     inv, dinv, gamma = base_app.inv, base_app.dinv, base_app.gamma
 
     trh = np.einsum("pij,pij->p", inv, h)
@@ -164,7 +154,7 @@ def flux_integrand_values(spec: MetricSpec, potentials, coords, objects: str = "
     nh = nabla_2tensor(gamma, h, dh)
     divh = np.einsum("pik,pikj->pj", inv, nh)
 
-    nu, density = _normal_and_measure(base_app, objects)
+    nu, density = _normal_and_measure(base_app, "background")
     # A = (div h - d tr h)(nu),  B^c = tr h nu^c - g^{ca} h_ab nu^b
     A = np.einsum("pj,pj->p", divh - dtrh, nu)
     B = trh[:, None] * nu - (inv @ (h @ nu[:, :, None]))[:, :, 0]
@@ -194,25 +184,22 @@ def _sphere_integral(spec: MetricSpec, potentials, r: float, quad: SphereRule,
     return (quad.weights * density) @ vals
 
 
-def _flux_integrals(spec, potentials, r, quad, objects) -> np.ndarray:
+def _flux_integrals(spec, potentials, r, quad) -> np.ndarray:
     return _sphere_integral(spec, potentials, r, quad,
-                            lambda c: flux_integrand_values(spec, potentials, c, objects))
+                            lambda c: flux_integrand_values(spec, potentials, c))
 
 
-def mass_flux_integral(spec: MetricSpec, V, r: float, quad: SphereRule = None,
-                       objects: str = "background") -> float:
+def mass_flux_integral(spec: MetricSpec, V, r: float, quad: SphereRule = None) -> float:
     """Flux integral over the sphere of radius r (see ``_sphere_integral``)."""
-    return float(_flux_integrals(spec, [V], r, quad, objects)[0])
+    return float(_flux_integrals(spec, [V], r, quad)[0])
 
 
-def _flux_ladders(spec: MetricSpec, potentials, labels, radii, quad: SphereRule,
-                  objects: str) -> list:
+def _flux_ladders(spec: MetricSpec, potentials, labels, radii, quad: SphereRule) -> list:
     """One FluxReport per potential, from one integrand evaluation per radius."""
     radii = np.asarray(radii, dtype=float)
     if np.any(np.diff(radii) <= 0):
         raise ValueError("radius ladder must be strictly increasing")
-    values = np.array([_flux_integrals(spec, potentials, r, quad, objects)
-                       for r in radii])
+    values = np.array([_flux_integrals(spec, potentials, r, quad) for r in radii])
     # beta0 = n matches corrections r^(n-1-2q) at the borderline q = n
     return _fit_ladders(radii, values, labels, float(spec.n), spec.n)
 
@@ -232,8 +219,8 @@ def _fit_ladders(radii, values, labels, beta0: float, n: int) -> list:
 
 
 def flux_ladder(spec: MetricSpec, V, radii=DEFAULT_RADII, quad: SphereRule = None,
-                label: str = "V", objects: str = "background") -> FluxReport:
-    return _flux_ladders(spec, [V], [label], radii, quad, objects)[0]
+                label: str = "V") -> FluxReport:
+    return _flux_ladders(spec, [V], [label], radii, quad)[0]
 
 
 def mass_vector(spec: MetricSpec, radii=DEFAULT_RADII, quad: SphereRule = None) -> MassVector:
@@ -243,8 +230,7 @@ def mass_vector(spec: MetricSpec, radii=DEFAULT_RADII, quad: SphereRule = None) 
         raise ValueError("radius ladder should span at least one decade")
     n = spec.n
     labels = ["V_0"] + [f"x_{i}" for i in range(1, n + 1)]
-    reports = _flux_ladders(spec, static_potential_basis(n), labels, radii, quad,
-                            "background")
+    reports = _flux_ladders(spec, static_potential_basis(n), labels, radii, quad)
     flags = ()
     if getattr(spec, "borderline_decay", False):
         flags = ("borderline-decay",)

@@ -6,8 +6,7 @@ tensor ``Jet`` (see ``jets``), unpacked as ``g, dg, ddg`` with index layout
 
     g[p, i, j],   dg[p, a, i, j] = d_a g_ij,   ddg[p, a, b, i, j] = d_a d_b g_ij.
 
-Built-in families carry exact derivatives from the jet algebra; perturbed
-families may fall back to nested central differences.
+Every family carries exact derivatives from the jet algebra.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ class MetricSpec:
 
     family = "abstract"
     rotationally_symmetric = False
-    analytic = True
     exterior_chart = True  # lives on the (r, angles) chart at infinity
 
     def __init__(self, n: int):
@@ -213,7 +211,6 @@ class PerturbedMetric(MetricSpec):
         super().__init__(base.n)
         self.base = base
         self.field = field
-        self.analytic = getattr(field, "analytic", True)
         self.exterior_chart = base.exterior_chart
 
     def domain_check(self, coords):
@@ -323,8 +320,7 @@ class StaticPotential(ScalarField):
                 return J.jsqrt(1.0 + r * r)
             return r * unit_vector_jets(coords)[index - 1]
 
-        super().__init__(jet_fn, asymptotic_tag=(
-            "linear-growth", tuple(1.0 if k == index else 0.0 for k in range(n + 1))))
+        super().__init__(jet_fn)
 
     def __repr__(self):
         return f"StaticPotential(n={self.n}, k={self.index})"

@@ -187,7 +187,7 @@ def _radial_field_from(correction: RadialSolution) -> ScalarField:
     def jet_fn(coords):
         r = J.coordinate_jets(coords)[0]
         return J.jsqrt(1.0 + r * r) + v.jet(r)
-    return ScalarField(jet_fn, asymptotic_tag=("linear-growth", (1.0,)))
+    return ScalarField(jet_fn)
 
 
 def radial_eigenfunction(spec: MetricSpec, r_hi: float = 200.0,

@@ -229,8 +229,7 @@ class WarpedProductFixture:
 
 
 def sinh_potential() -> ScalarField:
-    return ScalarField(lambda c: J.jsinh(J.coordinate_jets(c)[0]),
-                       asymptotic_tag=("warp",))
+    return ScalarField(lambda c: J.jsinh(J.coordinate_jets(c)[0]))
 
 
 def warped_fixture(factor: str = "round_sphere", n: int = 3) -> WarpedProductFixture:

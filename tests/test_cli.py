@@ -1,6 +1,7 @@
 """Command-line surface: schema strictness, exit codes, determinism."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +78,12 @@ def test_unknown_keys_rejected(tmp_path):
                                   "metric": {"family": "hyperbolic", "n": 3,
                                              "params": {"bad": 1}}})
     assert main(["mass", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+
+
+def test_every_default_tolerance_is_read():
+    # a tolerance key no check reads is a knob that does nothing
+    source = Path(cli.__file__).read_text()
+    assert set(re.findall(r'_tol\(numeric, "(\w+)"\)', source)) == set(DEFAULT_TOLERANCES)
 
 
 def test_tolerances_must_be_positive(tmp_path):
@@ -204,7 +211,7 @@ HYP5 = {"family": "hyperbolic", "n": 5, "params": {}}
      EXIT_SCHEMA),
     # 100^3 x 12 nodes on S^4: rejected before the rule is built
     ("mass", {"quad_polar": 100}, HYP5, EXIT_SCHEMA),
-    # volume rules beyond VOLUME_NODES_MAX: 288 x 100000 and 16000 x 112 nodes,
+    # volume rules beyond VOLUME_NODES_MAX: 288 x 100000 and 16000 x 48 nodes,
     # rejected before the mesh is built
     ("duality-check", {"radial_nodes": 100000}, HYP, EXIT_SCHEMA),
     ("first-variation", {"quad_polar": 20, "quad_azimuth": 40}, HYP4, EXIT_SCHEMA),
@@ -216,6 +223,9 @@ HYP5 = {"family": "hyperbolic", "n": 5, "params": {}}
     # cosh(t)^2 of the warped metric overflows at t near 200
     ("curvature", {"sample_points": 20, "r_min": 0.5, "r_max": 200.0, "seed": 4},
      WARPED, EXIT_NUMERICAL),
+    # inverted radius windows, [7, 6] and [10, 5], are rejected before any numerics
+    ("duality-check", {"r_min": 7.0}, HYP, EXIT_SCHEMA),
+    ("curvature", {"r_min": 10.0, "r_max": 5.0}, HYP, EXIT_SCHEMA),
 ], ids=["pairs-zero", "pairs-string", "quad-polar-2", "radius-nan",
         "sample-points-zero", "seed-bool", "eps-ladder-empty-schw",
         "eps-ladder-empty", "eps-ladder-one", "eps-ladder-zero",
@@ -225,7 +235,8 @@ HYP5 = {"family": "hyperbolic", "n": 5, "params": {}}
         "radii-count-huge", "sphere-nodes-huge", "duality-volume-huge",
         "first-variation-volume-huge", "rigidity-volume-huge",
         "sample-points-huge", "pairs-huge", "fan-count-huge",
-        "curvature-warped-overflow"])
+        "curvature-warped-overflow", "duality-window-inverted",
+        "curvature-window-inverted"])
 def test_bad_numeric_value_rejected(tmp_path, capsys, command, numeric, metric, code):
     cfg = write_config(tmp_path, {"command": command, "metric": metric, "numeric": numeric})
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == code
@@ -443,6 +454,20 @@ def test_remaining_commands_pass(tmp_path, command, metric, numeric):
     doc = read_report(out, command)
     assert doc["command"] == command
     assert all(c["pass"] for c in doc["checks"])
+
+
+def test_first_variation_ignores_r_max(tmp_path):
+    # the rule spans the support of h alone, so an outer radius below it
+    # cannot reverse a segment into the support
+    results = []
+    for extra in ({}, {"r_max": 3.0}):
+        cfg = write_config(tmp_path, {"command": "first-variation", "metric": HYP,
+                                      "numeric": {"quad_polar": 6, "quad_azimuth": 12,
+                                                  **extra}})
+        out = tmp_path / f"out{len(results)}"
+        assert main(["first-variation", "--config", cfg, "--out", str(out)]) == 0
+        results.append(read_report(out, "first-variation")["results"])
+    assert results[0] == results[1]
 
 
 def test_reports_byte_identical(tmp_path):

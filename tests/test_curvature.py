@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from ahmass.chart import ChartPoint, random_points
+from ahmass.chart import random_points
 from ahmass.curvature import (covariant_hessian, metric_apparatus, nabla2_2tensor,
                               nabla_2tensor, riemann_symmetry_defects)
 from ahmass import jets as J
-from ahmass.fields import FiniteDifferenceTensorField, random_compact_tensor
+from ahmass.fields import SymmetricTensorField, random_compact_tensor
 from ahmass.metrics import (PerturbedMetric, hyperbolic_metric,
                             schwarzschild_ads, static_potential,
                             static_potential_basis)
@@ -27,7 +27,7 @@ def test_static_family_scalar_curvature():
     # independent symbolic derivation: R = -6 for every m (docs/oracles.md)
     s = schwarzschild_ads(3, 0.5)
     for r in (5.0, 10.0, 20.0):
-        app = metric_apparatus(s, ChartPoint(3, r, (1.2, 0.4)), level=2)
+        app = metric_apparatus(s, [r, 1.2, 0.4], level=2)
         assert abs(app.scalar[0] + 6.0) < 1e-6
 
 
@@ -135,28 +135,14 @@ def test_contracted_second_bianchi(rng, hyp3, schw3):
 
 
 def test_perturbed_with_zero_field_matches_base(rng, hyp3):
-    zero = FiniteDifferenceTensorField(3, lambda c: np.zeros((c.shape[0], 3, 3)))
+    zero = SymmetricTensorField(lambda c: J.Jet(*(np.zeros((c.shape[0],) + (3,) * k)
+                                                  for k in (2, 3, 4))))
     pert = PerturbedMetric(hyp3, zero)
     pts = random_points(3, rng, 40)
     p1 = metric_apparatus(pert, pts[0], level=2)
     p2 = metric_apparatus(hyp3, pts[0], level=2)
     assert np.array_equal(p1.riemann, p2.riemann)
     assert np.array_equal(p1.scalar, p2.scalar)
-
-
-def test_fd_mode_curvature_tolerance(rng):
-    # finite-difference metric derivatives lose roughly half the digits
-    s = schwarzschild_ads(3, 0.5)
-    b = hyperbolic_metric(3)
-
-    def comps(coords):
-        return s.components(coords) - b.components(coords)
-
-    pert = PerturbedMetric(b, FiniteDifferenceTensorField(3, comps))
-    pts = random_points(3, rng, 20, r_range=(3.0, 20.0))
-    app_fd = metric_apparatus(pert, pts, level=2)
-    app_an = metric_apparatus(s, pts, level=2)
-    assert np.abs(app_fd.scalar - app_an.scalar).max() < 1e-5
 
 
 # -- batched contractions against einsum references on a non-diagonal metric ---
