@@ -56,11 +56,12 @@ def to_cartesian(coords: np.ndarray) -> np.ndarray:
     return coords[:, :1] * unit_vector_values(coords[:, 1:])
 
 
-def unit_vector_jets(coords: np.ndarray) -> list[Jet]:
-    """Jets of the unit-sphere components x_i / r as functions of the chart."""
+def unit_vector_jets(coords: np.ndarray, order: int = 2) -> list[Jet]:
+    """Jets of the given order of the unit-sphere components x_i / r as
+    functions of the chart."""
     coords = as_coords(coords)
     n = coords.shape[1]
-    cj = coordinate_jets(coords)
+    cj = coordinate_jets(coords, order)
     angle_jets = cj[1:]
     sin_j = [jsin(a) for a in angle_jets]
     cos_j = [jcos(a) for a in angle_jets]
@@ -75,7 +76,7 @@ def unit_vector_jets(coords: np.ndarray) -> list[Jet]:
     return comps
 
 
-def chart_jacobian_jets(coords: np.ndarray) -> list[list]:
+def chart_jacobian_jets(coords: np.ndarray, order: int = 2) -> list[list]:
     """Jets of dx_c / d(chart_a), indexed [a][c], from ``unit_vector_jets``.
 
     Row 0 is dx_c/dr = x_c / r.  Each angle theta_a enters x_c / r at most
@@ -86,13 +87,13 @@ def chart_jacobian_jets(coords: np.ndarray) -> list[list]:
     """
     coords = as_coords(coords)
     npts, n = coords.shape
-    r = coordinate_jets(coords)[0]
-    zero = constant(0.0, npts, n)
-    rows = [unit_vector_jets(coords)]
+    r = coordinate_jets(coords, order)[0]
+    zero = constant(0.0, npts, n, order)
+    rows = [unit_vector_jets(coords, order)]
     for a in range(1, n):
         advanced = coords.copy()
         advanced[:, a] += 0.5 * np.pi
-        u = unit_vector_jets(advanced)
+        u = unit_vector_jets(advanced, order)
         rows.append([r * u[c] if c <= n - a else zero for c in range(n)])
     return rows
 

@@ -268,6 +268,9 @@ def run_mass(spec, numeric):
     from .reporting import check
     _require_exterior_chart(spec, "mass")
     radii = _radii(numeric)
+    if radii[-1] / radii[0] < 10.0 - 1e-9:
+        raise SchemaError(f"mass radii must span at least one decade, got "
+                          f"{radii[0]:g}..{radii[-1]:g}")
     mv = mass_vector(spec, radii, _sphere(numeric, spec.n))
     checks = [
         check("extrapolation_converged",
@@ -321,7 +324,11 @@ def run_verify_ah(spec, numeric):
     from .reporting import check
     _require_exterior_chart(spec, "verify-ah")
     radii = _radii(numeric)
-    q = float(numeric.get("q_claimed", spec.n))
+    n = spec.n
+    q = float(numeric.get("q_claimed", n))
+    if not n / 2.0 < q <= n + 1e-12:
+        raise SchemaError(f"q_claimed must lie in (n/2, n] = ({n / 2.0:g}, {n}], "
+                          f"got {q:g}")
     report = verify_ah(spec, q, radii)
     checks = [check(f"condition_{c.name}", 0.0 if c.passed else 1.0, 0.5,
                     passed=c.passed) for c in report.conditions]
@@ -489,7 +496,7 @@ def run_dichotomy(spec, numeric):
     # decaying combination along its axis
     from .metrics import static_potential
     V0, x1 = static_potential(n, 0), static_potential(n, 1)
-    diff = ScalarField(lambda c: V0.jet(c) - x1.jet(c))
+    diff = ScalarField(lambda c, order: V0.jet(c, order) - x1.jet(c, order))
     cls = classify_growth(spec, diff, axis_seed(n)[None], T)
     results["V0_minus_x1_axis"] = cls[0].to_dict()
     checks.append(check("decay_combination", 0.0 if cls[0].label == "decay" else 1.0,

@@ -108,9 +108,13 @@ def _lowered_riemann(g, gamma, dgamma):
 
 
 def metric_apparatus(spec: MetricSpec, coords, level: int = 2) -> MetricApparatus:
-    """Evaluate metric data at coordinate rows; level 2 adds curvature."""
+    """Evaluate metric data at coordinate rows; level 2 adds curvature.
+
+    The metric's jets are built to the order the level needs: level 1 asks
+    for first-order jets and computes no second derivative of g.
+    """
     coords = as_coords(coords)
-    g, dg, ddg = spec.component_jets(coords)
+    g, dg, ddg = spec.component_jets(coords, order=level)
     N, n = g.shape[:2]
     inv = np.linalg.inv(g)
     dinv = inv[:, None] @ dg @ inv[:, None]

@@ -122,9 +122,11 @@ class AHReport:
 def _ah_fields(spec: MetricSpec, coords):
     """g-b, nabla(g-b), nabla^2(g-b) in background-frame components, and R_g + n(n-1)."""
     n = spec.n
-    scalar = metric_apparatus(spec, coords, level=2).scalar + n * (n - 1)
+    spec_app = metric_apparatus(spec, coords, level=2)
+    scalar = spec_app.scalar + n * (n - 1)
     app = metric_apparatus(HyperbolicMetric(n), coords, level=2)
-    h = spec.component_jets(coords) - J.Jet(app.g, app.dg, app.ddg)
+    h = (J.Jet(spec_app.g, spec_app.dg, spec_app.ddg)
+         - J.Jet(app.g, app.dg, app.ddg))
     nh = nabla_2tensor(app.gamma, h.val, h.grad)
     nnh = nabla2_2tensor(app, h)
     c = frame_coefficients(coords)

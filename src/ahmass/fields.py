@@ -1,8 +1,13 @@
 """Scalar and symmetric 2-tensor fields with chart derivatives.
 
-Fields carry exact jets built with the jet algebra.  Tensor fields expose
-``component_arrays(coords)``, a tensor ``Jet`` unpacked as ``h, dh, ddh``
-with the same index layout as metric families.
+Fields carry exact jets built with the jet algebra.  Scalar fields expose
+``jet(coords, order)`` and tensor fields ``component_arrays(coords, order)``,
+a tensor ``Jet`` unpacked as ``h, dh, ddh`` with the same index layout as
+metric families.  ``order`` (1 or 2, default 2) is the jet order asked for:
+a field is backed by a jet function of ``(coords, order)`` that builds its
+jets from coordinate jets of that order, so a first-order request computes
+no Hessian and returns ``hess = None``.  Radial profiles take the jet of r
+itself, so they inherit its order.
 """
 
 from __future__ import annotations
@@ -23,29 +28,30 @@ class ScalarField:
         self._jet_fn = jet_fn
         self.support = support
 
-    def jet(self, coords) -> J.Jet:
-        return self._jet_fn(as_coords(coords))
+    def jet(self, coords, order: int = 2) -> J.Jet:
+        return self._jet_fn(as_coords(coords), order)
 
     def value(self, coords):
-        return self.jet(coords).val
+        return self.jet(coords, order=1).val
 
     def __add__(self, other):
-        return ScalarField(lambda c: self.jet(c) + other.jet(c))
+        return ScalarField(lambda c, order: self.jet(c, order) + other.jet(c, order))
 
     def __mul__(self, scale: float):
-        return ScalarField(lambda c: self.jet(c) * scale, support=self.support)
+        return ScalarField(lambda c, order: self.jet(c, order) * scale,
+                           support=self.support)
 
     __rmul__ = __mul__
 
 
 def constant_field(value: float) -> ScalarField:
-    return ScalarField(lambda c: J.constant(value, c.shape[0], c.shape[1]))
+    return ScalarField(lambda c, order: J.constant(value, c.shape[0], c.shape[1], order))
 
 
 def radial_bump_field(r_lo: float, r_hi: float, amplitude: float = 1.0) -> ScalarField:
     """Smooth compactly supported radial bump on the annulus (r_lo, r_hi)."""
-    def fn(coords):
-        r = J.coordinate_jets(coords)[0]
+    def fn(coords, order):
+        r = J.coordinate_jets(coords, order)[0]
         return J.smooth_bump(r, r_lo, r_hi) * amplitude
     return ScalarField(fn, support=(r_lo, r_hi))
 
@@ -63,7 +69,7 @@ def poly_bump_jet(rjet: J.Jet, lo: float, hi: float) -> J.Jet:
     wp = w
     for _ in range(6):
         wp = wp * w
-    zero = J.constant(0.0, t.val.shape[0], t.dim)
+    zero = J.constant(0.0, t.val.shape[0], t.dim, t.order)
     return J.jet_where(inside, wp, zero)
 
 
@@ -74,14 +80,14 @@ def random_compact_scalar(rng, r_lo: float, r_hi: float, n: int) -> ScalarField:
     c2 = rng.uniform(-1, 1, size=(n, n))
     c2 = 0.5 * (c2 + c2.T)
 
-    def fn(coords):
-        u = unit_vector_jets(coords)
-        poly = J.constant(c0, coords.shape[0], coords.shape[1])
+    def fn(coords, order):
+        u = unit_vector_jets(coords, order)
+        poly = J.constant(c0, coords.shape[0], coords.shape[1], order)
         for i in range(n):
             poly = poly + c1[i] * u[i]
             for k in range(n):
                 poly = poly + c2[i, k] * (u[i] * u[k])
-        r = J.coordinate_jets(coords)[0]
+        r = J.coordinate_jets(coords, order)[0]
         return poly_bump_jet(r, r_lo, r_hi) * poly
 
     return ScalarField(fn, support=(r_lo, r_hi))
@@ -123,11 +129,11 @@ class RadialProfile:
     __radd__ = __add__
 
     def as_field(self) -> ScalarField:
-        return ScalarField(lambda c: self.jet(J.coordinate_jets(c)[0]))
+        return ScalarField(lambda c, order: self.jet(J.coordinate_jets(c, order)[0]))
 
 
 def constant_profile(value: float) -> RadialProfile:
-    return RadialProfile(lambda r: J.constant(value, len(r.val), r.dim),
+    return RadialProfile(lambda r: J.constant(value, len(r.val), r.dim, r.order),
                          {"kind": "constant", "value": value})
 
 
@@ -183,15 +189,16 @@ def profile_from_dict(doc: dict) -> RadialProfile:
 # -- symmetric 2-tensor fields ---------------------------------------------------
 
 class SymmetricTensorField:
-    """Symmetric 2-tensor field backed by a tensor-jet function of coordinate rows."""
+    """Symmetric 2-tensor field backed by a tensor-jet function of coordinate
+    rows and jet order."""
 
     def __init__(self, jet_fn, support=None, description=None):
         self._jet_fn = jet_fn
         self.support = support
         self._description = description or {"kind": "callable"}
 
-    def component_arrays(self, coords) -> J.Jet:
-        return self._jet_fn(as_coords(coords))
+    def component_arrays(self, coords, order: int = 2) -> J.Jet:
+        return self._jet_fn(as_coords(coords), order)
 
     def describe(self):
         return self._description
@@ -201,7 +208,8 @@ class ScaledMetricField(SymmetricTensorField):
     """h = u * g for a scalar field u and metric spec g (used by trace identities)."""
 
     def __init__(self, spec, u: ScalarField):
-        super().__init__(lambda c: u.jet(c) * spec.component_jets(c), support=u.support)
+        super().__init__(lambda c, order: u.jet(c, order) * spec.component_jets(c, order),
+                         support=u.support)
 
 
 class FrameComponentField(SymmetricTensorField):
@@ -213,8 +221,8 @@ class FrameComponentField(SymmetricTensorField):
     """
 
     @staticmethod
-    def _inv_frame_jets(coords):
-        cj = J.coordinate_jets(coords)
+    def _inv_frame_jets(coords, order):
+        cj = J.coordinate_jets(coords, order)
         r = cj[0]
         inv = [(1.0 + r * r) ** -0.5]
         running = r
@@ -224,10 +232,10 @@ class FrameComponentField(SymmetricTensorField):
             inv.append(running)
         return inv
 
-    def component_arrays(self, coords):
+    def component_arrays(self, coords, order: int = 2):
         coords = as_coords(coords)
-        inv = J.stack(self._inv_frame_jets(coords))
-        return self._jet_fn(coords) * J.contract("a,b->ab", inv, inv)
+        inv = J.stack(self._inv_frame_jets(coords, order))
+        return self._jet_fn(coords, order) * J.contract("a,b->ab", inv, inv)
 
 
 class AxisConcentratedPerturbation(FrameComponentField):
@@ -246,13 +254,13 @@ class AxisConcentratedPerturbation(FrameComponentField):
         self.axis, self.amp, self.rate = axis, float(amp), float(rate)
         self.width, self.onset = float(width), float(onset)
 
-        def kappa(coords):
-            r = J.coordinate_jets(coords)[0]
-            u = unit_vector_jets(coords)
-            dot = sum((axis[i] * u[i] for i in range(n)), J.constant(0.0, *coords.shape))
+        def kappa(coords, order):
+            r = J.coordinate_jets(coords, order)[0]
+            u = unit_vector_jets(coords, order)
+            zero = J.constant(0.0, *coords.shape, order)
+            dot = sum((axis[i] * u[i] for i in range(n)), zero)
             radial = J.smooth_switch(r, onset) * (r ** (-rate)) * amp
             k11 = radial * J.jexp((dot - 1.0) * width)
-            zero = J.constant(0.0, *coords.shape)
             return J.stack([[k11 if i == k == 0 else zero for k in range(n)]
                             for i in range(n)])
 
@@ -274,11 +282,11 @@ class CartesianTensorField(SymmetricTensorField):
     in Cartesian terms stays smooth across the chart poles.
     """
 
-    def component_arrays(self, coords):
+    def component_arrays(self, coords, order: int = 2):
         coords = as_coords(coords)
-        jac = J.stack(chart_jacobian_jets(coords))
+        jac = J.stack(chart_jacobian_jets(coords, order))
         return J.contract("ac,bc->ab", jac,
-                          J.contract("bd,cd->bc", jac, self._jet_fn(coords)))
+                          J.contract("bd,cd->bc", jac, self._jet_fn(coords, order)))
 
 
 def random_compact_tensor(rng, n: int, r_lo: float, r_hi: float,
@@ -297,13 +305,13 @@ def random_compact_tensor(rng, n: int, r_lo: float, r_hi: float,
                    lin.transpose(1, 0, 2))
     weights = np.concatenate([coeff[:, :, None], lin], axis=2)
 
-    def H(coords):
-        r = J.coordinate_jets(coords)[0]
+    def H(coords, order):
+        r = J.coordinate_jets(coords, order)[0]
         radial = poly_bump_jet(r, r_lo, r_hi) * amplitude * (1.0 + r * r).reciprocal()
-        basis = J.stack([J.constant(1.0, *coords.shape), *unit_vector_jets(coords)])
+        basis = J.stack([J.constant(1.0, *coords.shape, order),
+                         *unit_vector_jets(coords, order)])
         # a constant linear map acts on each derivative order alike
-        return J.Jet(*(np.einsum("...q,cdq->...cd", x, weights)
-                       for x in radial * basis))
+        return (radial * basis).map(lambda x: np.einsum("...q,cdq->...cd", x, weights))
 
     return CartesianTensorField(H, support=(r_lo, r_hi),
                                 description={"kind": "random_cartesian_bump"})

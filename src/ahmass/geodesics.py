@@ -129,7 +129,7 @@ def integrate_geodesic_fan(spec: MetricSpec, points, directions, T: float,
         # velocity renormalization and transport re-orthonormalization
         x = state[:, :n]
         v = state[:, n:2 * n]
-        g = metric_apparatus(spec, x, level=1).g
+        g = spec.components(x)
         norms = np.sqrt(np.einsum("pi,pij,pj->p", v, g, v))
         drift_max = max(drift_max, float(np.max(np.abs(norms ** 2 - 1.0))))
         v /= norms[:, None]

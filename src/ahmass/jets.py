@@ -1,4 +1,4 @@
-"""Batched second-order jets: values with exact gradients and Hessians.
+"""Batched jets of order 1 or 2: values with exact gradients and, at order 2, Hessians.
 
 Every analytic quantity in the toolkit (metric components, tensor fields,
 static potentials, bump perturbations) is a ``Jet``, so chart derivatives up
@@ -10,6 +10,13 @@ finite differences.  For a batch of N points and a value of tensor shape S
 
 so a metric jet holds exactly g[p, i, j], dg[p, a, i, j], ddg[p, a, b, i, j].
 A jet unpacks as ``val, grad, hess = jet``.
+
+A jet carries its order: a first-order jet has ``hess = None``.  The order
+starts at ``coordinate_jets(coords, order)`` and the arithmetic carries it:
+every operation skips its second-order terms when an operand is first-order,
+so a result has the lower order of its operands.  The value and gradient
+arithmetic is the same at both orders, so a first-order jet's ``val`` and
+``grad`` are bit-identical to those of the second-order jet built the same way.
 """
 
 from __future__ import annotations
@@ -20,11 +27,11 @@ import numpy as np
 
 
 class Jet(NamedTuple):
-    """Value, gradient, and Hessian of a scalar or tensor quantity at a batch of points."""
+    """Value, gradient, and (order 2 only) Hessian at a batch of points."""
 
     val: np.ndarray
     grad: np.ndarray
-    hess: np.ndarray
+    hess: np.ndarray | None
 
     # numpy operands defer to the methods below instead of iterating the tuple
     __array_ufunc__ = None
@@ -33,16 +40,28 @@ class Jet(NamedTuple):
     def dim(self) -> int:
         return self.grad.shape[1]
 
+    @property
+    def order(self) -> int:
+        return 1 if self.hess is None else 2
+
+    def map(self, fn):
+        """Apply a map that acts on each derivative order alike (a linear map
+        of the tensor axes, a reshape) to every part the jet has."""
+        return Jet(fn(self.val), fn(self.grad),
+                   None if self.hess is None else fn(self.hess))
+
     # -- linear structure ---------------------------------------------------
 
     def __neg__(self):
-        return Jet(-self.val, -self.grad, -self.hess)
+        return self.map(np.negative)
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            return Jet(self.val + other.val, self.grad + other.grad,
-                       self.hess + other.hess)
-        return Jet(self.val + other, self.grad.copy(), self.hess.copy())
+            hess = (None if self.hess is None or other.hess is None
+                    else self.hess + other.hess)
+            return Jet(self.val + other.val, self.grad + other.grad, hess)
+        return Jet(self.val + other, self.grad.copy(),
+                   None if self.hess is None else self.hess.copy())
 
     __radd__ = __add__
 
@@ -60,10 +79,12 @@ class Jet(NamedTuple):
             u, v = self, other
             if u.grad.ndim != v.grad.ndim:   # give the scalar trailing unit axes
                 rank = max(u.grad.ndim, v.grad.ndim)
-                u, v = (Jet(*(x.reshape(x.shape + (1,) * (rank - w.grad.ndim))
-                              for x in w)) for w in (u, v))
+                u, v = (w.map(lambda x, w=w: x.reshape(
+                    x.shape + (1,) * (rank - w.grad.ndim))) for w in (u, v))
             val = u.val * v.val
             grad = u.grad * v.val[:, None] + v.grad * u.val[:, None]
+            if u.hess is None or v.hess is None:
+                return Jet(val, grad, None)
             cross = u.grad[:, :, None] * v.grad[:, None, :]
             hess = u.hess * v.val[:, None, None]
             hess += v.hess * u.val[:, None, None]
@@ -71,8 +92,10 @@ class Jet(NamedTuple):
             hess += np.swapaxes(cross, 1, 2)
             return Jet(val, grad, hess)
         c = np.asarray(other)
-        return Jet(self.val * c, self.grad * c[..., None] if c.ndim else self.grad * c,
-                   self.hess * c[..., None, None] if c.ndim else self.hess * c)
+        if c.ndim:
+            return Jet(self.val * c, self.grad * c[..., None],
+                       None if self.hess is None else self.hess * c[..., None, None])
+        return self.map(lambda x: x * c)
 
     __rmul__ = __mul__
 
@@ -85,24 +108,39 @@ class Jet(NamedTuple):
         return self.reciprocal() * other
 
     def reciprocal(self):
-        return compose(self, 1.0 / self.val, -self.val ** -2.0, 2.0 * self.val ** -3.0)
+        v = self.val
+        return compose(self, 1.0 / v, -v ** -2.0, lambda: 2.0 * v ** -3.0)
 
     def __pow__(self, p):
         if p == 2:
             return self * self
         v = self.val
-        return compose(self, v ** p, p * v ** (p - 1), p * (p - 1) * v ** (p - 2))
+        return compose(self, v ** p, p * v ** (p - 1), lambda: p * (p - 1) * v ** (p - 2))
 
     def copy(self):
-        return Jet(self.val.copy(), self.grad.copy(), self.hess.copy())
+        return self.map(np.copy)
 
 
 def compose(u: Jet, f, df, ddf) -> Jet:
-    """Chain rule through a scalar function given f(u), f'(u), f''(u) arrays (scalar u)."""
+    """Chain rule through a scalar function given f(u) and f'(u) arrays (scalar u).
+
+    ``ddf`` is a function of no arguments returning f''(u); it is called only
+    for a second-order u.
+    """
     grad = df[..., None] * u.grad
+    if u.hess is None:
+        return Jet(np.asarray(f), grad, None)
     outer = u.grad[..., :, None] * u.grad[..., None, :]
-    hess = ddf[..., None, None] * outer + df[..., None, None] * u.hess
+    hess = ddf()[..., None, None] * outer + df[..., None, None] * u.hess
     return Jet(np.asarray(f), grad, hess)
+
+
+def combine(fn, jets) -> Jet:
+    """Jet whose every part is ``fn`` of the same part of all ``jets``, a map
+    acting on each derivative order alike; it has the lowest order among them."""
+    vals, grads, hesses = zip(*jets)
+    return Jet(fn(vals), fn(grads),
+               None if any(h is None for h in hesses) else fn(hesses))
 
 
 def stack(components) -> Jet:
@@ -114,8 +152,8 @@ def stack(components) -> Jet:
     flat = components
     for _ in shape[1:]:
         flat = [c for row in flat for c in row]
-    return Jet(*(np.stack(parts, axis=-1).reshape(parts[0].shape + tuple(shape))
-                 for parts in zip(*flat)))
+    return combine(lambda parts: np.stack(parts, axis=-1).reshape(
+        parts[0].shape + tuple(shape)), flat)
 
 
 def contract(subscripts: str, u: Jet, v: Jet) -> Jet:
@@ -133,6 +171,8 @@ def contract(subscripts: str, u: Jet, v: Jet) -> Jet:
     val = term(u.val, "", v.val, "")
     grad = term(u.grad, "Y", v.val, "")
     grad += term(u.val, "", v.grad, "Y")
+    if u.hess is None or v.hess is None:
+        return Jet(val, grad, None)
     hess = term(u.hess, "YZ", v.val, "")
     hess += term(u.val, "", v.hess, "YZ")
     cross = term(u.grad, "Y", v.grad, "Z")
@@ -141,58 +181,62 @@ def contract(subscripts: str, u: Jet, v: Jet) -> Jet:
     return Jet(val, grad, hess)
 
 
-def constant(value, n_points: int, dim: int) -> Jet:
+def constant(value, n_points: int, dim: int, order: int = 2) -> Jet:
     val = np.full(n_points, float(value))
-    return Jet(val, np.zeros((n_points, dim)), np.zeros((n_points, dim, dim)))
+    return Jet(val, np.zeros((n_points, dim)),
+               np.zeros((n_points, dim, dim)) if order >= 2 else None)
 
 
-def coordinate_jets(coords: np.ndarray) -> list[Jet]:
-    """One jet per chart coordinate for a batch of points of shape (N, dim)."""
+def coordinate_jets(coords: np.ndarray, order: int = 2) -> list[Jet]:
+    """One jet of the given order per chart coordinate for a batch of points
+    of shape (N, dim)."""
     coords = np.asarray(coords, dtype=float)
     npts, dim = coords.shape
     jets = []
     for a in range(dim):
         grad = np.zeros((npts, dim))
         grad[:, a] = 1.0
-        jets.append(Jet(coords[:, a].copy(), grad, np.zeros((npts, dim, dim))))
+        jets.append(Jet(coords[:, a].copy(), grad,
+                        np.zeros((npts, dim, dim)) if order >= 2 else None))
     return jets
 
 
 def jsin(u: Jet) -> Jet:
     s, c = np.sin(u.val), np.cos(u.val)
-    return compose(u, s, c, -s)
+    return compose(u, s, c, lambda: -s)
 
 
 def jcos(u: Jet) -> Jet:
     s, c = np.sin(u.val), np.cos(u.val)
-    return compose(u, c, -s, -c)
+    return compose(u, c, -s, lambda: -c)
 
 
 def jexp(u: Jet) -> Jet:
     e = np.exp(u.val)
-    return compose(u, e, e, e)
+    return compose(u, e, e, lambda: e)
 
 
 def jsqrt(u: Jet) -> Jet:
     s = np.sqrt(u.val)
-    return compose(u, s, 0.5 / s, -0.25 / (s * u.val))
+    return compose(u, s, 0.5 / s, lambda: -0.25 / (s * u.val))
 
 
 def jcosh(u: Jet) -> Jet:
-    return compose(u, np.cosh(u.val), np.sinh(u.val), np.cosh(u.val))
+    ch = np.cosh(u.val)
+    return compose(u, ch, np.sinh(u.val), lambda: ch)
 
 
 def jsinh(u: Jet) -> Jet:
-    return compose(u, np.sinh(u.val), np.cosh(u.val), np.sinh(u.val))
+    sh = np.sinh(u.val)
+    return compose(u, sh, np.cosh(u.val), lambda: sh)
 
 
 def jet_where(mask: np.ndarray, a: Jet, b: Jet) -> Jet:
     """Select between two jets pointwise; mask has shape (N,)."""
     m1 = mask[..., None]
-    m2 = mask[..., None, None]
-    return Jet(np.where(mask, a.val, b.val),
-               np.where(m1, a.grad, b.grad),
-               np.where(m2, a.hess, b.hess))
+    hess = (None if a.hess is None or b.hess is None
+            else np.where(mask[..., None, None], a.hess, b.hess))
+    return Jet(np.where(mask, a.val, b.val), np.where(m1, a.grad, b.grad), hess)
 
 
 def smooth_bump(u: Jet, lo: float, hi: float) -> Jet:
@@ -208,7 +252,7 @@ def smooth_bump(u: Jet, lo: float, hi: float) -> Jet:
     w = 1.0 - t_safe * t_safe
     w = Jet(np.where(inside, w.val, 1.0), w.grad, w.hess)
     bump = jexp(1.0 - w.reciprocal())
-    zero = constant(0.0, len(t.val), t.dim)
+    zero = constant(0.0, len(t.val), t.dim, t.order)
     return jet_where(inside, bump, zero)
 
 

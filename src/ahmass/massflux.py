@@ -139,11 +139,12 @@ def flux_integrand_values(spec: MetricSpec, potentials, coords):
     """Pointwise flux integrands (N, K) of the K potentials and the measure density.
 
     A and B of the module docstring's V A + d_c V B^c form are evaluated once
-    and contracted with every potential's 1-jet.
+    and contracted with every potential's 1-jet.  The integrand needs g, dg
+    and the potentials' 1-jets only, so every jet here is first-order.
     """
     coords = as_coords(coords)
     base_app = metric_apparatus(HyperbolicMetric(spec.n), coords, level=1)
-    g, dg, _ = spec.component_jets(coords)
+    g, dg, _ = spec.component_jets(coords, order=1)
     h = g - base_app.g
     dh = dg - base_app.dg
     inv, dinv, gamma = base_app.inv, base_app.dinv, base_app.gamma
@@ -158,7 +159,7 @@ def flux_integrand_values(spec: MetricSpec, potentials, coords):
     # A = (div h - d tr h)(nu),  B^c = tr h nu^c - g^{ca} h_ab nu^b
     A = np.einsum("pj,pj->p", divh - dtrh, nu)
     B = trh[:, None] * nu - (inv @ (h @ nu[:, :, None]))[:, :, 0]
-    jets = [V.jet(coords) for V in potentials]
+    jets = [V.jet(coords, order=1) for V in potentials]
     vals = np.stack([jet.val for jet in jets], axis=1)
     grads = np.stack([jet.grad for jet in jets], axis=1)     # (N, K, n)
     return A[:, None] * vals + (grads @ B[:, :, None])[:, :, 0], density
@@ -256,7 +257,7 @@ def ricci_flux(spec: MetricSpec, V, r: float, quad: SphereRule = None,
                  else metric_apparatus(HyperbolicMetric(n), coords, level=1))
         nu, density = _normal_and_measure(frame, objects)
         vals = np.einsum("pab,pa,pb->p", app.ricci + (n - 1) * app.g,
-                         frame.sharp(V.jet(coords).grad), nu)
+                         frame.sharp(V.jet(coords, order=1).grad), nu)
         return vals[:, None], density
 
     return float(_sphere_integral(spec, [V], r, quad, integrand)[0])

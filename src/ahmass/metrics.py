@@ -1,12 +1,16 @@
 """Metric families on the exterior chart, background frame, static potentials.
 
-Every metric family exposes ``component_jets(coords)`` returning the chart
-components g_ij with their first and second coordinate derivatives as one
-tensor ``Jet`` (see ``jets``), unpacked as ``g, dg, ddg`` with index layout
+Every metric family exposes ``component_jets(coords, order)`` returning the
+chart components g_ij with their coordinate derivatives up to ``order`` (1 or
+2, default 2) as one tensor ``Jet`` (see ``jets``), unpacked as
+``g, dg, ddg`` with index layout
 
     g[p, i, j],   dg[p, a, i, j] = d_a g_ij,   ddg[p, a, b, i, j] = d_a d_b g_ij.
 
-Every family carries exact derivatives from the jet algebra.
+At order 1 ``ddg`` is None and no second derivative is computed; g and dg are
+bit-identical at both orders.  Every family carries exact derivatives from
+the jet algebra, and passes the order down to the jets it is built from
+(coordinate jets, profiles, perturbation fields).
 """
 
 from __future__ import annotations
@@ -34,11 +38,14 @@ class DomainError(ValueError):
 def _diagonal(entries) -> J.Jet:
     """Diagonal tensor jet (N, n, n) with the given scalar jets on the diagonal."""
     n = len(entries)
-    out = J.Jet(*(np.zeros(x.shape + (n, n)) for x in entries[0]))
-    for full, parts in zip(out, zip(*entries)):
+
+    def fill(parts):
+        full = np.zeros(parts[0].shape + (n, n))
         # stack the entries straight into a strided view of the diagonal
         np.stack(parts, axis=-1, out=full.reshape(full.shape[:-2] + (n * n,))[..., ::n + 1])
-    return out
+        return full
+
+    return J.combine(fill, entries)
 
 
 def _sphere_diagonal(angle_jets, prefactor: J.Jet) -> list:
@@ -67,15 +74,14 @@ class MetricSpec:
         self.n = n
 
     # subclasses implement
-    def component_jets(self, coords):
+    def component_jets(self, coords, order: int = 2):
         raise NotImplementedError
 
     def domain_check(self, coords):
         return None
 
     def components(self, point) -> np.ndarray:
-        g, _, _ = self.component_jets(as_coords(point))
-        return g
+        return self.component_jets(as_coords(point), order=1).val
 
     def params_dict(self) -> dict:
         return {}
@@ -92,8 +98,8 @@ class HyperbolicMetric(MetricSpec):
     family = "hyperbolic"
     rotationally_symmetric = True
 
-    def component_jets(self, coords):
-        cj = J.coordinate_jets(as_coords(coords))
+    def component_jets(self, coords, order: int = 2):
+        cj = J.coordinate_jets(as_coords(coords), order)
         r = cj[0]
         return _diagonal([(1.0 + r * r).reciprocal(), *_sphere_diagonal(cj[1:], r * r)])
 
@@ -149,10 +155,10 @@ class SchwarzschildAdS(MetricSpec):
                 f"schwarzschild_ads(n={self.n}, m={self.m}) evaluated at or inside "
                 f"the horizon r = {self.horizon_radius:.6g}")
 
-    def component_jets(self, coords):
+    def component_jets(self, coords, order: int = 2):
         coords = as_coords(coords)
         self.domain_check(coords)
-        cj = J.coordinate_jets(coords)
+        cj = J.coordinate_jets(coords, order)
         r = cj[0]
         lapse = 1.0 + r * r - (2.0 * self.m) * r ** (2.0 - self.n)
         return _diagonal([lapse.reciprocal(), *_sphere_diagonal(cj[1:], r * r)])
@@ -185,10 +191,10 @@ class ConformalMetric(MetricSpec):
     def domain_check(self, coords):
         self.base.domain_check(coords)
 
-    def component_jets(self, coords):
+    def component_jets(self, coords, order: int = 2):
         coords = as_coords(coords)
-        psi = self.profile.as_field().jet(coords)
-        return psi * self.base.component_jets(coords)
+        psi = self.profile.as_field().jet(coords, order)
+        return psi * self.base.component_jets(coords, order)
 
     def params_dict(self):
         desc = getattr(self.profile, "describe", lambda: {"kind": "callable"})()
@@ -216,9 +222,10 @@ class PerturbedMetric(MetricSpec):
     def domain_check(self, coords):
         self.base.domain_check(coords)
 
-    def component_jets(self, coords):
+    def component_jets(self, coords, order: int = 2):
         coords = as_coords(coords)
-        return self.base.component_jets(coords) + self.field.component_arrays(coords)
+        return (self.base.component_jets(coords, order)
+                + self.field.component_arrays(coords, order))
 
     def params_dict(self):
         desc = getattr(self.field, "describe", lambda: {"kind": "callable"})()
@@ -242,12 +249,12 @@ class WarpedProductMetric(MetricSpec):
             raise ValueError(f"unknown warped factor {factor!r}")
         self.factor = factor
 
-    def component_jets(self, coords):
+    def component_jets(self, coords, order: int = 2):
         coords = as_coords(coords)
-        cj = J.coordinate_jets(coords)
+        cj = J.coordinate_jets(coords, order)
         ch = J.jcosh(cj[0])
         warp = ch * ch
-        entries = [J.constant(1.0, *coords.shape)]
+        entries = [J.constant(1.0, *coords.shape, order)]
         if self.factor == "round_sphere":
             entries += _sphere_diagonal(cj[1:], warp)
         else:
@@ -314,11 +321,11 @@ class StaticPotential(ScalarField):
         self.n = n
         self.index = index
 
-        def jet_fn(coords):
-            r = J.coordinate_jets(coords)[0]
+        def jet_fn(coords, order):
+            r = J.coordinate_jets(coords, order)[0]
             if index == 0:
                 return J.jsqrt(1.0 + r * r)
-            return r * unit_vector_jets(coords)[index - 1]
+            return r * unit_vector_jets(coords, order)[index - 1]
 
         super().__init__(jet_fn)
 

@@ -258,8 +258,9 @@ def first_variation_check(spec: MetricSpec, f, h_field, epsilons,
     epsilons = np.asarray(sorted(epsilons, reverse=True), dtype=float)
     quotients = []
     for eps in epsilons:
-        # h is linear in eps: the perturbed metrics scale the one h jet above
-        gamma = PerturbedMetric(spec, SymmetricTensorField(lambda c, eps=eps: h * eps))
+        # h is linear in eps: the perturbed metrics scale the one (second-order)
+        # h jet above, which level 2 asks for
+        gamma = PerturbedMetric(spec, SymmetricTensorField(lambda c, order, eps=eps: h * eps))
         r_eps = metric_apparatus(gamma, coords, level=2).scalar
         # F(gamma) - F(g): the e-linear terms shift by eps * (L_g h f - <h, L* f>)
         # and the curvature term by R(g) - R(gamma)

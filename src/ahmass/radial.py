@@ -85,7 +85,7 @@ class RadialSolution:
 
     def as_profile(self) -> RadialProfile:
         return RadialProfile(lambda r: J.compose(r, self.value(r.val), self.d1(r.val),
-                                                 self.d2(r.val)),
+                                                 lambda: self.d2(r.val)),
                              {"kind": "radial_solution"})
 
     def as_field(self) -> ScalarField:
@@ -184,8 +184,8 @@ def _radial_field_from(correction: RadialSolution) -> ScalarField:
     """Scalar field sqrt(1+r^2) + v(r) with exact jets for the closed part."""
     v = correction.as_profile()
 
-    def jet_fn(coords):
-        r = J.coordinate_jets(coords)[0]
+    def jet_fn(coords, order):
+        r = J.coordinate_jets(coords, order)[0]
         return J.jsqrt(1.0 + r * r) + v.jet(r)
     return ScalarField(jet_fn)
 

@@ -101,12 +101,12 @@ def divergence_form_check(spec: MetricSpec, f, point) -> np.ndarray:
 
     def oneform(c):
         app = metric_apparatus(spec, c, level=2)
-        jet = f.jet(c)
+        jet = f.jet(c, order=1)
         S = app.ricci + (n - 1) * app.g
         return np.einsum("pab,pa->pb", S, app.sharp(jet.grad))
 
     app = metric_apparatus(spec, coords, level=2)
-    jet = f.jet(coords)
+    jet = f.jet(coords, order=1)
     S = app.ricci + (n - 1) * app.g
     S2 = app.inner(S, S)
     lhs = jet.val * S2
@@ -170,7 +170,7 @@ def sectional_ode_check(spec: MetricSpec, f, geodesic: GeodesicSample) -> Sectio
     vel = geodesic.velocities
     K = app.sectional(X, Y)
     K_mix = app.sectional(X, vel)
-    jet = f.jet(coords)
+    jet = f.jet(coords, order=1)
     grad_norm = np.sqrt(np.einsum("pab,pa,pb->p", app.inv, jet.grad, jet.grad))
     if np.any(grad_norm < 1e-10):
         raise ArithmeticError("critical point of the potential along the "
@@ -229,7 +229,7 @@ class WarpedProductFixture:
 
 
 def sinh_potential() -> ScalarField:
-    return ScalarField(lambda c: J.jsinh(J.coordinate_jets(c)[0]))
+    return ScalarField(lambda c, order: J.jsinh(J.coordinate_jets(c, order)[0]))
 
 
 def warped_fixture(factor: str = "round_sphere", n: int = 3) -> WarpedProductFixture:

@@ -212,7 +212,7 @@ def test_criterion_07_dichotomy():
         counts.append(grown)
         assert grown >= 1
     V0, x1 = static_potential(3, 0), static_potential(3, 1)
-    diff = ScalarField(lambda c: V0.jet(c) - x1.jet(c))
+    diff = ScalarField(lambda c, order: V0.jet(c, order) - x1.jet(c, order))
     cls = classify_growth(b, diff, axis_seed(3)[None], 9.0)
     assert cls[0].label == "decay"
     report(7, f"each background potential grows linearly on "

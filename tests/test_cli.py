@@ -201,6 +201,11 @@ HYP5 = {"family": "hyperbolic", "n": 5, "params": {}}
     ("curvature", {"r_max": "x"}, HYP, EXIT_SCHEMA),
     ("deform", {"decay_rate": "two"}, HYP, EXIT_SCHEMA),
     ("verify-ah", {"q_claimed": "x"}, HYP, EXIT_SCHEMA),
+    # q_claimed outside (n/2, n] and a ladder short of a decade are config
+    # errors, rejected before any numerics
+    ("verify-ah", {"q_claimed": 10.0}, HYP, EXIT_SCHEMA),
+    ("verify-ah", {"q_claimed": 1.0}, HYP, EXIT_SCHEMA),
+    ("mass", {"radii": [20.0, 30.0, 40.0]}, HYP, EXIT_SCHEMA),
     ("ode-verify", {"ode": dict(ODE, p_amp="a")}, None, EXIT_SCHEMA),
     ("ode-verify", {"ode": dict(ODE, decay=0)}, None, EXIT_SCHEMA),
     ("rigidity-check", {"wang_radius": -1.0}, HYP, EXIT_SCHEMA),
@@ -230,7 +235,8 @@ HYP5 = {"family": "hyperbolic", "n": 5, "params": {}}
         "sample-points-zero", "seed-bool", "eps-ladder-empty-schw",
         "eps-ladder-empty", "eps-ladder-one", "eps-ladder-zero",
         "decay-rate-string", "r-max-string", "deform-decay-rate-string",
-        "q-claimed-string", "ode-amp-string", "ode-decay-zero",
+        "q-claimed-string", "q-claimed-above-n", "q-claimed-below-half-n",
+        "mass-radii-short-of-decade", "ode-amp-string", "ode-decay-zero",
         "wang-radius-negative", "wang-radius-inside-inner", "tolerance-bool",
         "radii-count-huge", "sphere-nodes-huge", "duality-volume-huge",
         "first-variation-volume-huge", "rigidity-volume-huge",

@@ -8,7 +8,7 @@ from ahmass.curvature import (covariant_hessian, metric_apparatus, nabla2_2tenso
                               nabla_2tensor, riemann_symmetry_defects)
 from ahmass import jets as J
 from ahmass.fields import SymmetricTensorField, random_compact_tensor
-from ahmass.metrics import (PerturbedMetric, hyperbolic_metric,
+from ahmass.metrics import (PerturbedMetric, hyperbolic_metric, metric_from_dict,
                             schwarzschild_ads, static_potential,
                             static_potential_basis)
 from ahmass.operators import linearized_scalar_values
@@ -135,8 +135,8 @@ def test_contracted_second_bianchi(rng, hyp3, schw3):
 
 
 def test_perturbed_with_zero_field_matches_base(rng, hyp3):
-    zero = SymmetricTensorField(lambda c: J.Jet(*(np.zeros((c.shape[0],) + (3,) * k)
-                                                  for k in (2, 3, 4))))
+    zero = SymmetricTensorField(lambda c, order: J.Jet(*(np.zeros((c.shape[0],) + (3,) * k)
+                                                         for k in (2, 3, 4))))
     pert = PerturbedMetric(hyp3, zero)
     pts = random_points(3, rng, 40)
     p1 = metric_apparatus(pert, pts[0], level=2)
@@ -247,3 +247,37 @@ def test_nabla2_matches_einsum_reference(n):
     ref = _einsum_apparatus(*spec.component_jets(pts))
     jet = random_compact_tensor(rng, n, 2.0, 8.0).component_arrays(pts)
     _assert_close(nabla2_2tensor(app, jet), _einsum_nabla2(ref, *jet))
+
+
+HYP3 = {"family": "hyperbolic", "n": 3, "params": {}}
+LEVEL1_FAMILIES = {
+    "hyperbolic": HYP3,
+    "hyperbolic_n4": {"family": "hyperbolic", "n": 4, "params": {}},
+    "schwarzschild_ads": {"family": "schwarzschild_ads", "n": 3, "params": {"m": 0.5}},
+    "conformal": {"family": "conformal", "n": 3, "params": {
+        "base": HYP3, "profile": {"kind": "power_tail", "amp": 0.3, "rate": 3.0}}},
+    "warped_round_sphere": {"family": "warped_product", "n": 3, "params": {}},
+    "warped_hyperbolic": {"family": "warped_product", "n": 4,
+                          "params": {"factor": "hyperbolic"}},
+    "perturbed_axis_bump": {"family": "perturbed", "n": 3, "params": {
+        "base": HYP3, "perturbation": {"kind": "axis_bump", "axis": [1.0, 0.5, 0.2],
+                                       "amp": 0.2, "width": 2.0, "onset": 2.0}}},
+    "perturbed_cartesian_bump": None,
+}
+
+
+@pytest.mark.parametrize("name", LEVEL1_FAMILIES)
+def test_level1_apparatus_matches_level2(name):
+    # the level-1 apparatus builds first-order jets; its fields must be the
+    # level-2 apparatus's own, bit for bit
+    rng = np.random.default_rng(17)
+    doc = LEVEL1_FAMILIES[name]
+    n = doc["n"] if doc else 3
+    spec = _non_diagonal_metric(rng, n) if doc is None else metric_from_dict(doc)
+    pts = _off_pole_points(rng, n, 40)
+    one, two = metric_apparatus(spec, pts, level=1), metric_apparatus(spec, pts, level=2)
+    assert one.level == 1 and one.ddg is None
+    for field in ("g", "dg", "inv", "dinv", "gamma", "sqrt_det"):
+        assert np.array_equal(getattr(one, field), getattr(two, field)), field
+    assert spec.component_jets(pts, order=1).hess is None
+    assert np.array_equal(spec.components(pts), two.g)

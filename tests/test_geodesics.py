@@ -60,14 +60,14 @@ def test_growth_classification_of_potentials(hyp3):
 
 def test_decaying_combination_along_axis(hyp3):
     V0, x1 = static_potential(3, 0), static_potential(3, 1)
-    diff = ScalarField(lambda c: V0.jet(c) - x1.jet(c))
+    diff = ScalarField(lambda c, order: V0.jet(c, order) - x1.jet(c, order))
     cls = classify_growth(hyp3, diff, axis_seed(3)[None], T=9.0)
     assert cls[0].label == "decay"
     assert abs(cls[0].decay_rate - 1.0) < 0.05
 
 
 def test_vanishing_field_labels_infinite_decay(hyp3):
-    zero = ScalarField(lambda c: static_potential(3, 0).jet(c) * 0.0)
+    zero = ScalarField(lambda c, order: static_potential(3, 0).jet(c, order) * 0.0)
     cls = classify_growth(hyp3, zero, axis_seed(3)[None], T=6.0)
     assert cls[0].label == "decay"
     assert cls[0].decay_rate == np.inf
@@ -89,8 +89,8 @@ def test_decaying_radial_solution_classifies_decay(hyp3):
                     method="DOP853", rtol=1e-10, atol=1e-30, dense_output=True)
     assert out.success
 
-    field = ScalarField(lambda c: Jet(out.sol(c[:, 0])[0], np.zeros_like(c),
-                                      np.zeros((c.shape[0], 3, 3))))
+    field = ScalarField(lambda c, order: Jet(out.sol(c[:, 0])[0], np.zeros_like(c),
+                                             np.zeros((c.shape[0], 3, 3))))
     cls = classify_growth(hyp3, field, seed_fan(3, 9), T=8.0)
     for c in cls:
         assert c.label == "decay"

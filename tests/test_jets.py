@@ -142,3 +142,80 @@ def test_scalar_field_jets_match_finite_differences(name):
     val = jet_fn(coords).val
     assert val.shape == (len(coords),)
     fd_check(jet_fn, coords, tol=1e-7 * (1.0 + np.abs(val).max()))
+
+
+# -- jet order: a first-order jet carries no Hessian ------------------------------
+
+def _args(coords, order):
+    """Three non-trivial scalar jets of the given order; the first is positive."""
+    r, th, ph = J.coordinate_jets(coords, order)
+    return r + (th * ph) * 0.1, J.jcos(th) * r, ph - th
+
+
+def _pair(x, y):
+    return J.stack([[x, y], [y, x * y]])
+
+
+ORDER_OPS = {
+    "mul": lambda x, y, z: x * y,
+    "mul_scalar_by_tensor": lambda x, y, z: x * J.stack([y, z]),
+    "mul_constant": lambda x, y, z: x * 2.5,
+    "add": lambda x, y, z: x + y,
+    "add_constant": lambda x, y, z: 1.5 + x,
+    "sub": lambda x, y, z: x - y,
+    "rsub": lambda x, y, z: 2.0 - y,
+    "neg": lambda x, y, z: -z,
+    "div": lambda x, y, z: y / x,
+    "rdiv": lambda x, y, z: 3.0 / x,
+    "pow": lambda x, y, z: x ** -2.5,
+    "square": lambda x, y, z: z ** 2,
+    "reciprocal": lambda x, y, z: x.reciprocal(),
+    "jsin": lambda x, y, z: J.jsin(y),
+    "jcos": lambda x, y, z: J.jcos(z),
+    "jexp": lambda x, y, z: J.jexp(y * 0.1),
+    "jsqrt": lambda x, y, z: J.jsqrt(x),
+    "jcosh": lambda x, y, z: J.jcosh(z),
+    "jsinh": lambda x, y, z: J.jsinh(y * 0.1),
+    "stack": lambda x, y, z: _pair(x, z),
+    "contract": lambda x, y, z: J.contract("ab,bc->ac", _pair(x, y), _pair(z, x)),
+    "jet_where": lambda x, y, z: J.jet_where(x.val > 5.0, x, z),
+    "smooth_bump": lambda x, y, z: J.smooth_bump(x, 2.0, 6.0),
+    "smooth_switch": lambda x, y, z: J.smooth_switch(x, 3.0),
+}
+POINTS = st.lists(st.tuples(st.floats(0.5, 30.0), st.floats(0.2, 2.9), st.floats(0.0, 6.2)),
+                  min_size=1, max_size=6)
+
+
+@pytest.mark.parametrize("op", ORDER_OPS)
+@settings(max_examples=15, deadline=None)
+@given(points=POINTS)
+def test_first_order_matches_second_order(op, points):
+    coords = np.array(points)
+    first = ORDER_OPS[op](*_args(coords, 1))
+    second = ORDER_OPS[op](*_args(coords, 2))
+    assert first.hess is None and first.order == 1
+    assert second.hess is not None and second.order == 2
+    assert np.array_equal(first.val, second.val)
+    assert np.array_equal(first.grad, second.grad)
+
+
+@pytest.mark.parametrize("op", ["mul", "mul_scalar_by_tensor", "add", "sub", "div",
+                                "stack", "contract", "jet_where"])
+def test_mixed_orders_give_the_lower_order(op):
+    coords = random_points(3, np.random.default_rng(3), 8, r_range=(2.0, 8.0))
+    (x1, y1, z1), (x2, y2, z2) = _args(coords, 1), _args(coords, 2)
+    second = ORDER_OPS[op](x2, y2, z2)
+    for mixed in (ORDER_OPS[op](x1, y2, z2), ORDER_OPS[op](x2, y1, z1)):
+        assert mixed.order == 1
+        assert np.array_equal(mixed.val, second.val)
+        assert np.array_equal(mixed.grad, second.grad)
+
+
+@pytest.mark.parametrize("name", SCALAR_JETS)
+def test_scalar_field_first_order_jets(name):
+    coords = random_points(3, np.random.default_rng(11), 30, r_range=(2.2, 5.8))
+    field = SCALAR_JETS[name]()
+    first, second = field.jet(coords, order=1), field.jet(coords)
+    assert first.hess is None
+    assert np.array_equal(first.val, second.val)
+    assert np.array_equal(first.grad, second.grad)

@@ -182,7 +182,7 @@ def test_potential_perturbation_same_limit(quad48):
     s = schwarzschild_ads(3, 0.5)
     V0 = static_potential(3, 0)
     w = radial_bump_field(5.0, 15.0, 0.5)
-    Vp = ScalarField(lambda c: V0.jet(c) + w.jet(c))
+    Vp = ScalarField(lambda c, order: V0.jet(c, order) + w.jet(c, order))
     fb = flux_ladder(s, V0, LADDER, quad48)
     fp = flux_ladder(s, Vp, LADDER, quad48)
     assert abs(fb.fitted_limit - fp.fitted_limit) < 1e-10

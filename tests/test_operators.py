@@ -18,7 +18,8 @@ from ahmass.radial import radial_eigenfunction
 
 def scaled(h, eps):
     """The tensor field eps * h."""
-    return SymmetricTensorField(lambda c: h.component_arrays(c) * eps, support=h.support)
+    return SymmetricTensorField(lambda c, order: h.component_arrays(c, order) * eps,
+                                support=h.support)
 
 
 @pytest.fixture(scope="module")

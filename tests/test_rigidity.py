@@ -24,7 +24,7 @@ def test_wang_identity_exact_static(hyp3, r):
 
 def test_wang_identity_shifted_potential(hyp3):
     V0, V1 = static_potential(3, 0), static_potential(3, 1)
-    f = ScalarField(lambda c: V0.jet(c) + V1.jet(c))
+    f = ScalarField(lambda c, order: V0.jet(c, order) + V1.jet(c, order))
     rep = wang_identity_check(hyp3, f, 10.0, quad=QUAD, radial_nodes=48)
     assert rep.gap < 1e-8
     assert not rep.flags  # sqrt(1+r^2) + x_1 > 0 everywhere, still static
@@ -33,7 +33,7 @@ def test_wang_identity_shifted_potential(hyp3):
 def test_wang_identity_diagnostic_on_nonstatic(hyp3):
     V0 = static_potential(3, 0)
     bump = radial_bump_field(2.0, 6.0, 0.1)
-    f = ScalarField(lambda c: V0.jet(c) + bump.jet(c))
+    f = ScalarField(lambda c, order: V0.jet(c, order) + bump.jet(c, order))
     rep = wang_identity_check(hyp3, f, 10.0, quad=QUAD, radial_nodes=48)
     assert "staticity-violated" in rep.flags
     assert rep.gap > 1.0  # genuinely nonzero defect, reported as diagnostic
@@ -41,7 +41,7 @@ def test_wang_identity_diagnostic_on_nonstatic(hyp3):
 
 def test_wang_identity_positivity_precondition(hyp3):
     V0 = static_potential(3, 0)
-    f = ScalarField(lambda c: V0.jet(c) * -1.0)
+    f = ScalarField(lambda c, order: V0.jet(c, order) * -1.0)
     with pytest.raises(ValueError):
         wang_identity_check(hyp3, f, 5.0, quad=QUAD)
 
@@ -55,11 +55,11 @@ def test_divergence_form_background(hyp3, rng):
 
 def test_divergence_form_constant_potential(hyp3):
     # f = 1 on the background: S = 0 so both sides vanish
-    one = ScalarField(lambda c: static_potential(3, 0).jet(c) * 0.0 + 1.0)
+    one = ScalarField(lambda c, order: static_potential(3, 0).jet(c, order) * 0.0 + 1.0)
 
-    def jet_one(c):
+    def jet_one(c, order):
         from ahmass.jets import constant
-        return constant(1.0, c.shape[0], c.shape[1])
+        return constant(1.0, c.shape[0], c.shape[1], order)
 
     one = ScalarField(jet_one)
     pts = np.array([[3.0, 1.2, 0.7], [8.0, 0.9, 2.0]])
@@ -196,11 +196,11 @@ def test_sectional_aborts_at_critical_point():
     geo = integrate_geodesic(fx.metric, p0, np.array([1.0, 0.0, 0.0]), T=2.0,
                              sample_step=0.01,
                              transported=_transported_pair(fx.metric, p0))
-    const = ScalarField(lambda c: fx.potential.jet(c) * 0.0 + 1.0)
+    const = ScalarField(lambda c, order: fx.potential.jet(c, order) * 0.0 + 1.0)
 
-    def jet_const(c):
+    def jet_const(c, order):
         from ahmass.jets import constant
-        return constant(1.0, c.shape[0], c.shape[1])
+        return constant(1.0, c.shape[0], c.shape[1], order)
 
     const = ScalarField(jet_const)
     with pytest.raises(ArithmeticError):
