@@ -336,7 +336,7 @@ def run_verify_ah(spec, numeric):
 
 
 def run_duality(spec, numeric):
-    from .fields import random_compact_scalar, random_compact_tensor
+    from .fields import CompactBasis, random_compact_scalar, random_compact_tensor
     from .operators import duality_residual
     from .curvature import metric_apparatus
     from .quadrature import volume_rule
@@ -350,12 +350,14 @@ def run_duality(spec, numeric):
     _check_volume(sphere, radial)
     rule = volume_rule(spec.n, [lo, hi], [radial], sphere)
     app = metric_apparatus(spec, rule.coords, level=2)
+    # every pair's fields are linear in one set of jets on the rule's nodes
+    basis = CompactBasis(rule.coords, (lo, hi))
     worst = 0.0
     values = []
     for _ in range(pairs):
         h = random_compact_tensor(rng, spec.n, lo, hi)
         u = random_compact_scalar(rng, lo, hi, spec.n)
-        res = duality_residual(spec, h, u, rule, app=app)
+        res = duality_residual(spec, h.evaluate(basis), u.evaluate(basis), rule, app=app)
         values.append(res)
         worst = max(worst, res)
     checks = [check("duality_residual_max", worst, _tol(numeric, "duality_residual"))]

@@ -107,20 +107,27 @@ def _lowered_riemann(g, gamma, dgamma):
     return (rm.reshape(N, n ** 3, n) @ g).reshape(N, n, n, n, n)
 
 
-def metric_apparatus(spec: MetricSpec, coords, level: int = 2) -> MetricApparatus:
+def _connection(g, dg):
+    """The inverse metric, the bracket of dg and the Christoffel symbols."""
+    inv = np.linalg.inv(g)
+    bracket = _bracket(dg)
+    return inv, bracket, _christoffel(inv, bracket)
+
+
+def metric_apparatus(spec: MetricSpec | J.Jet, coords, level: int = 2) -> MetricApparatus:
     """Evaluate metric data at coordinate rows; level 2 adds curvature.
 
-    The metric's jets are built to the order the level needs: level 1 asks
-    for first-order jets and computes no second derivative of g.
+    ``spec`` is a metric spec, or the metric's component jet at ``coords``
+    when the caller holds it already (of order ``level`` or more).  A spec's
+    jets are built to the order the level needs: level 1 asks for first-order
+    jets and computes no second derivative of g.
     """
     coords = as_coords(coords)
-    g, dg, ddg = spec.component_jets(coords, order=level)
+    g, dg, ddg = spec if isinstance(spec, J.Jet) else spec.component_jets(coords, order=level)
     N, n = g.shape[:2]
-    inv = np.linalg.inv(g)
+    inv, bracket, gamma = _connection(g, dg)
     dinv = inv[:, None] @ dg @ inv[:, None]
     dinv *= -1.0
-    bracket = _bracket(dg)
-    gamma = _christoffel(inv, bracket)
     sqrt_det = np.sqrt(np.linalg.det(g))
     app = MetricApparatus(coords=coords, g=g, dg=dg, inv=inv,
                           dinv=dinv, gamma=gamma, sqrt_det=sqrt_det, level=1)

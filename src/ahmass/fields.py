@@ -8,11 +8,17 @@ a field is backed by a jet function of ``(coords, order)`` that builds its
 jets from coordinate jets of that order, so a first-order request computes
 no Hessian and returns ``hess = None``.  Radial profiles take the jet of r
 itself, so they inherit its order.
+
+The random compactly supported fields of the duality and first-variation
+checks are constant linear combinations of jets that depend only on the
+nodes and the support: a ``CompactBasis`` holds those jets once per rule, and
+each field's ``evaluate(basis)`` applies its own coefficients to them.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -73,24 +79,96 @@ def poly_bump_jet(rjet: J.Jet, lo: float, hi: float) -> J.Jet:
     return J.jet_where(inside, wp, zero)
 
 
-def random_compact_scalar(rng, r_lo: float, r_hi: float, n: int) -> ScalarField:
-    """Polynomial radial bump times a random quadratic in the unit components."""
+class CompactBasis:
+    """Jets shared by every random compact field of one support on one node set.
+
+    The fields of ``random_compact_scalar`` and ``random_compact_tensor`` with
+    support (lo, hi) are constant linear combinations of these jets, so one
+    basis per quadrature rule serves every field drawn on it.  Each part is
+    built on first use, so a basis asked only for tensors builds no scalar
+    products:
+
+    - ``bump``: the polynomial bump ``poly_bump_jet`` of r on (lo, hi);
+    - ``unit``: the unit-vector jets u_i = x_i / r;
+    - ``quadratic``: the products u_i u_k, indexed [i][k];
+    - ``radial_linear``: bump (1+r^2)^(-1) times the stack [1, u_1..u_n];
+    - ``jacobian``: the chart Jacobian jets dx_c / d(chart_a), indexed (a, c).
+    """
+
+    def __init__(self, coords, support, order: int = 2):
+        self.coords = as_coords(coords)
+        self.support = tuple(support)
+        self.order = order
+
+    @cached_property
+    def _radius(self) -> J.Jet:
+        return J.coordinate_jets(self.coords, self.order)[0]
+
+    @cached_property
+    def bump(self) -> J.Jet:
+        return poly_bump_jet(self._radius, *self.support)
+
+    @cached_property
+    def unit(self) -> list:
+        return unit_vector_jets(self.coords, self.order)
+
+    @cached_property
+    def quadratic(self) -> list:
+        u = self.unit
+        return [[ui * uk for uk in u] for ui in u]
+
+    @cached_property
+    def radial_linear(self) -> J.Jet:
+        r = self._radius
+        radial = self.bump * (1.0 + r * r).reciprocal()
+        return radial * J.stack([J.constant(1.0, *self.coords.shape, self.order),
+                                 *self.unit])
+
+    @cached_property
+    def jacobian(self) -> J.Jet:
+        return J.stack(chart_jacobian_jets(self.coords, self.order))
+
+    def require_support(self, support):
+        if tuple(support) != self.support:
+            raise ValueError(f"field support {tuple(support)} differs from the "
+                             f"basis support {self.support}")
+
+
+class CompactScalarField(ScalarField):
+    """bump(r) * (c0 + c1_i u_i + c2_ik u_i u_k) on the support of the bump.
+
+    The field holds its coefficients only; ``evaluate`` applies them to the
+    ``CompactBasis`` of a rule, and ``jet`` builds the basis of its coordinates
+    and evaluates against it.
+    """
+
+    def __init__(self, c0, c1, c2, support):
+        self.c0, self.c1, self.c2 = c0, c1, c2
+        super().__init__(lambda c, order: self.evaluate(CompactBasis(c, support, order)),
+                         support=support)
+
+    def evaluate(self, basis: CompactBasis) -> J.Jet:
+        basis.require_support(self.support)
+        n = len(self.c1)
+        poly = J.constant(self.c0, *basis.coords.shape, basis.order)
+        for i in range(n):
+            poly = poly + self.c1[i] * basis.unit[i]
+            for k in range(n):
+                poly = poly + self.c2[i, k] * basis.quadratic[i][k]
+        return basis.bump * poly
+
+
+def random_compact_scalar(rng, r_lo: float, r_hi: float, n: int) -> CompactScalarField:
+    """Polynomial radial bump times a random quadratic in the unit components.
+
+    Draws the coefficients (c0, then c1, then c2) and returns a
+    ``CompactScalarField`` evaluated against the ``CompactBasis`` of (r_lo, r_hi).
+    """
     c0 = rng.uniform(-1, 1)
     c1 = rng.uniform(-1, 1, size=n)
     c2 = rng.uniform(-1, 1, size=(n, n))
     c2 = 0.5 * (c2 + c2.T)
-
-    def fn(coords, order):
-        u = unit_vector_jets(coords, order)
-        poly = J.constant(c0, coords.shape[0], coords.shape[1], order)
-        for i in range(n):
-            poly = poly + c1[i] * u[i]
-            for k in range(n):
-                poly = poly + c2[i, k] * (u[i] * u[k])
-        r = J.coordinate_jets(coords, order)[0]
-        return poly_bump_jet(r, r_lo, r_hi) * poly
-
-    return ScalarField(fn, support=(r_lo, r_hi))
+    return CompactScalarField(c0, c1, c2, (r_lo, r_hi))
 
 
 class RadialProfile:
@@ -275,27 +353,41 @@ class AxisConcentratedPerturbation(FrameComponentField):
 
 
 class CartesianTensorField(SymmetricTensorField):
-    """Tensor prescribed by Cartesian components H_cd(x), pulled back to the chart.
+    """Tensor prescribed by Cartesian components H_cd, pulled back to the chart.
 
-    Chart components are h_ab = J_ac J_bd H_cd with J_ac = dx_c/d(chart_a); the
-    Jacobian jets are exact (``chart.chart_jacobian_jets``), so a field smooth
-    in Cartesian terms stays smooth across the chart poles.
+    H_cd = W_cdq B_q is a constant linear map ``weights`` (shape (n, n, n+1))
+    of the ``CompactBasis`` stack B = bump (1+r^2)^(-1) [1, u_1..u_n], and the
+    chart components are h_ab = J_ac J_bd H_cd with the basis' Jacobian jets
+    J_ac = dx_c/d(chart_a).  Those jets are exact (``chart.chart_jacobian_jets``),
+    so a field smooth in Cartesian terms stays smooth across the chart poles.
+    ``evaluate`` pulls back against a rule's basis; ``component_arrays`` builds
+    the basis of its coordinates and evaluates against it.
     """
 
-    def component_arrays(self, coords, order: int = 2):
-        coords = as_coords(coords)
-        jac = J.stack(chart_jacobian_jets(coords, order))
-        return J.contract("ac,bc->ab", jac,
-                          J.contract("bd,cd->bc", jac, self._jet_fn(coords, order)))
+    def __init__(self, weights, support, description=None):
+        self.weights = weights
+        super().__init__(lambda c, order: self.evaluate(CompactBasis(c, support, order)),
+                         support=support, description=description)
+
+    def evaluate(self, basis: CompactBasis) -> J.Jet:
+        basis.require_support(self.support)
+        jac = basis.jacobian
+        # a constant linear map acts on each derivative order alike
+        H = basis.radial_linear.map(
+            lambda x: np.einsum("...q,cdq->...cd", x, self.weights))
+        return J.contract("ac,bc->ab", jac, J.contract("bd,cd->bc", jac, H))
 
 
 def random_compact_tensor(rng, n: int, r_lo: float, r_hi: float,
                           amplitude: float = 1.0) -> CartesianTensorField:
     """Random symmetric Cartesian-component bump supported in (r_lo, r_hi).
 
-    Entries carry a (1+r^2)^(-1) factor so that ``amplitude`` calibrates the
-    size of the background-frame components rather than the Euclidean ones
-    (frame components of a Euclidean-bounded tensor grow like r^2).
+    H_cd = amplitude * (coeff_cd + lin_cdq x_q/r) * bump (1+r^2)^(-1): the
+    draws (coeff, then lin) become the weights of a ``CartesianTensorField``
+    on the ``CompactBasis`` of (r_lo, r_hi).  The (1+r^2)^(-1) factor makes
+    ``amplitude`` calibrate the size of the background-frame components rather
+    than the Euclidean ones (frame components of a Euclidean-bounded tensor
+    grow like r^2).
     """
     coeff = rng.uniform(-1, 1, size=(n, n))
     coeff = 0.5 * (coeff + coeff.T)
@@ -303,17 +395,8 @@ def random_compact_tensor(rng, n: int, r_lo: float, r_hi: float,
     # H_cd = coeff_cd + lin_cdq x_q/r for c <= d, mirrored below the diagonal
     lin = np.where(np.triu(np.ones((n, n), bool))[:, :, None], lin,
                    lin.transpose(1, 0, 2))
-    weights = np.concatenate([coeff[:, :, None], lin], axis=2)
-
-    def H(coords, order):
-        r = J.coordinate_jets(coords, order)[0]
-        radial = poly_bump_jet(r, r_lo, r_hi) * amplitude * (1.0 + r * r).reciprocal()
-        basis = J.stack([J.constant(1.0, *coords.shape, order),
-                         *unit_vector_jets(coords, order)])
-        # a constant linear map acts on each derivative order alike
-        return (radial * basis).map(lambda x: np.einsum("...q,cdq->...cd", x, weights))
-
-    return CartesianTensorField(H, support=(r_lo, r_hi),
+    weights = amplitude * np.concatenate([coeff[:, :, None], lin], axis=2)
+    return CartesianTensorField(weights, (r_lo, r_hi),
                                 description={"kind": "random_cartesian_bump"})
 
 

@@ -4,8 +4,8 @@ Geodesics are integrated in chart coordinates by an adaptive embedded
 Runge-Kutta pair, in arc-length parametrization, with the velocity projected
 back onto the unit sphere of the metric at fixed segment boundaries; the
 projection magnitude is logged and must stay tiny.  Whole fans of seeds are
-integrated as one batched system so the metric apparatus is shared per
-right-hand-side call.
+integrated as one batched system so each right-hand-side call evaluates the
+Christoffel symbols, all it reads of the metric, once for the whole fan.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .chart import as_coords
-from .curvature import metric_apparatus
+from .curvature import _connection
 from .metrics import MetricSpec
 
 
@@ -62,15 +62,16 @@ def _fan_rhs(spec: MetricSpec, n: int, n_seeds: int, k_extra: int):
         v = state[:, n:2 * n]
         if radial_chart and np.any(x[:, 0] <= 1e-8):
             raise ChartExitError("geodesic reached the chart boundary r = 0")
-        app = metric_apparatus(spec, x, level=1)
-        acc = -np.einsum("pkij,pi,pj->pk", app.gamma, v, v)
+        g, dg, _ = spec.component_jets(x, order=1)
+        gamma = _connection(g, dg)[2]
+        acc = -np.einsum("pkij,pi,pj->pk", gamma, v, v)
         out = np.empty_like(state)
         out[:, :n] = v
         out[:, n:2 * n] = acc
         for m in range(k_extra):
             X = state[:, (2 + m) * n:(3 + m) * n]
             out[:, (2 + m) * n:(3 + m) * n] = -np.einsum(
-                "pkij,pi,pj->pk", app.gamma, v, X)
+                "pkij,pi,pj->pk", gamma, v, X)
         return out.ravel()
 
     return rhs

@@ -76,20 +76,19 @@ def trace_identity_gap(spec: MetricSpec, u, point) -> np.ndarray:
 
 # -- integration-by-parts self-test ---------------------------------------------
 
-def duality_residual(spec: MetricSpec, h_field, u_field, rule: VolumeRule,
+def duality_residual(spec: MetricSpec, h: J.Jet, jet: J.Jet, rule: VolumeRule,
                      app: MetricApparatus = None) -> float:
     """Relative gap between <L_g h, u> and <h, L_g^* u> over compact supports.
 
-    Both integrals are computed by the same quadrature rule but through
-    independent integrands; the scale is the larger L^1 norm of the two.
-    A precomputed level-2 apparatus at the rule's nodes may be passed in when
-    many pairs share one metric.
+    ``h`` is the tensor jet and ``jet`` the scalar jet of u at the rule's
+    nodes, input data to both sides.  Both integrals are computed by the same
+    quadrature rule but through independent integrands; the scale is the
+    larger L^1 norm of the two.  A precomputed level-2 apparatus at the rule's
+    nodes may be passed in when many pairs share one metric.
     """
     if app is None:
         app = metric_apparatus(spec, rule.coords, level=2)
     w = volume_weights(rule, app.sqrt_det)
-    h = h_field.component_arrays(rule.coords)
-    jet = u_field.jet(rule.coords)
     lhs_density = jet.val * linearized_scalar_values(app, h)
     rhs_density = app.inner(h.val, adjoint_values(app, jet))
     lhs = float(np.sum(w * lhs_density))
@@ -235,10 +234,9 @@ def first_variation_check(spec: MetricSpec, f, h_field, epsilons,
     two functionals cancel, so everything (the metric apparatus, the volume
     weights, the jet of f, h and the perturbed scalar curvature per epsilon)
     is evaluated on the support nodes alone; without a support, on every node.
+    The metric's component jets are evaluated once there and serve the
+    apparatus of g and of every g + eps h.
     """
-    from .metrics import PerturbedMetric
-    from .fields import SymmetricTensorField
-
     coords = rule.coords
     if h_field.support is not None:
         lo, hi = h_field.support
@@ -246,7 +244,8 @@ def first_variation_check(spec: MetricSpec, f, h_field, epsilons,
     else:
         mask = np.ones(coords.shape[0], dtype=bool)
     coords = coords[mask]
-    app = metric_apparatus(spec, coords, level=2)
+    base = spec.component_jets(coords)
+    app = metric_apparatus(base, coords, level=2)
     # volume_weights(rule, ...) restricted to the support nodes
     w = rule.weights[mask] * app.sqrt_det / angular_jacobian(coords[:, 1:])
     jet = f.jet(coords)
@@ -254,17 +253,20 @@ def first_variation_check(spec: MetricSpec, f, h_field, epsilons,
     pair_h = app.inner(h.val, adjoint_values(app, jet))
     reference = -float(np.sum(w * pair_h))
     lin_h = linearized_scalar_values(app, h)
+    r_g = app.scalar
+    # only R(g) is read below: release the level-2 arrays before the
+    # perturbed apparatus, which sets the peak memory of this check
+    del app
 
     epsilons = np.asarray(sorted(epsilons, reverse=True), dtype=float)
     quotients = []
     for eps in epsilons:
-        # h is linear in eps: the perturbed metrics scale the one (second-order)
-        # h jet above, which level 2 asks for
-        gamma = PerturbedMetric(spec, SymmetricTensorField(lambda c, order, eps=eps: h * eps))
-        r_eps = metric_apparatus(gamma, coords, level=2).scalar
+        # g + eps h is linear in eps: its jets are the base jets above plus
+        # the one (second-order) h jet scaled, which level 2 asks for
+        r_eps = metric_apparatus(base + h * eps, coords, level=2).scalar
         # F(gamma) - F(g): the e-linear terms shift by eps * (L_g h f - <h, L* f>)
         # and the curvature term by R(g) - R(gamma)
-        diff = -(r_eps - app.scalar) * jet.val
+        diff = -(r_eps - r_g) * jet.val
         diff += eps * (lin_h * jet.val - pair_h)
         quotients.append(float(np.sum(w * diff)) / eps)
     quotients = np.asarray(quotients)

@@ -11,7 +11,7 @@ import numpy as np
 
 from ahmass.chart import random_points
 from ahmass.curvature import metric_apparatus
-from ahmass.fields import (ScalarField, power_tail_profile,
+from ahmass.fields import (CompactBasis, ScalarField, power_tail_profile,
                            random_compact_scalar, random_compact_tensor)
 from ahmass.geodesics import (axis_seed, classify_growth, integrate_geodesic,
                               integrate_geodesic_fan, seed_fan,
@@ -96,10 +96,12 @@ def test_criterion_04_adjoint_duality():
     worst = 0.0
     for spec in (hyperbolic_metric(3), schwarzschild_ads(3, 0.5)):
         app = metric_apparatus(spec, rule.coords, level=2)
+        basis = CompactBasis(rule.coords, (2.0, 6.0))
         for _ in range(50):
             h = random_compact_tensor(rng, 3, 2.0, 6.0)
             u = random_compact_scalar(rng, 2.0, 6.0, 3)
-            res = duality_residual(spec, h, u, rule, app=app)
+            res = duality_residual(spec, h.evaluate(basis), u.evaluate(basis),
+                                   rule, app=app)
             worst = max(worst, res)
             assert res < 1e-6
     report(4, f"50 randomized integration-by-parts pairs on both metrics: "

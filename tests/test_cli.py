@@ -1,7 +1,10 @@
 """Command-line surface: schema strictness, exit codes, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -517,3 +520,27 @@ def test_csv_format(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "a,b"
     assert float(lines[1].split(",")[0]) == 1.0 / 3.0
+
+
+SETUP_PROBE = """
+import json, sys, tempfile
+from pathlib import Path
+from ahmass.cli import load_config, resolve_metric
+path = Path(tempfile.mkdtemp()) / "config.json"
+metric = {"family": "schwarzschild_ads", "n": 3, "params": {"m": 0.5}}
+path.write_text(json.dumps({"command": "duality-check", "metric": metric,
+                            "numeric": {"pairs": 10, "seed": 1}}))
+resolve_metric(load_config(path)["metric"])
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_config_setup_imports_no_scipy():
+    # loading and validating a config (the set-up of every command) stays
+    # clear of scipy: the package namespace imports its modules on demand
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", SETUP_PROBE], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(src)},
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -90,19 +90,24 @@ def test_duality_residual_randomized(rng, hyp3, schw3, annulus_rule):
         for _ in range(5):
             h = random_compact_tensor(rng, 3, 2.0, 6.0)
             u = random_compact_scalar(rng, 2.0, 6.0, 3)
-            assert duality_residual(spec, h, u, annulus_rule, app=app) < 1e-6
+            assert duality_residual(spec, h.component_arrays(annulus_rule.coords),
+                                    u.jet(annulus_rule.coords), annulus_rule,
+                                    app=app) < 1e-6
 
 
 def test_duality_zero_scalr(rng, hyp3, annulus_rule):
     h = random_compact_tensor(rng, 3, 2.0, 6.0)
-    assert duality_residual(hyp3, h, constant_field(0.0), annulus_rule) == 0.0
+    coords = annulus_rule.coords
+    assert duality_residual(hyp3, h.component_arrays(coords),
+                            constant_field(0.0).jet(coords), annulus_rule) == 0.0
 
 
 def test_duality_conformal_direction(rng, hyp3, annulus_rule):
     # h = u g: both pairings equal int u (1-n)(Lap u + R u / (n-1))
     u = random_compact_scalar(rng, 2.0, 6.0, 3)
     h = ScaledMetricField(hyp3, u)
-    res = duality_residual(hyp3, h, u, annulus_rule)
+    res = duality_residual(hyp3, h.component_arrays(annulus_rule.coords),
+                           u.jet(annulus_rule.coords), annulus_rule)
     assert res < 1e-6
     app = metric_apparatus(hyp3, annulus_rule.coords, level=2)
     from ahmass.quadrature import volume_weights
@@ -190,6 +195,40 @@ def test_first_variation_converges(rng, schw3, quad16):
     rep2 = first_variation_check(schw3, f0, h, [1e-2, 5e-3], rule)
     richardson = 2 * rep2.quotients[1] - rep2.quotients[0]
     assert abs(richardson - rep2.reference) < 0.2 * rep2.errors[1]
+
+
+def test_first_variation_matches_perturbed_metric_reference(schw3):
+    # the shared base jets give the bits of one PerturbedMetric per epsilon
+    from ahmass.decay import fit_log_slope
+    from ahmass.operators import adjoint_values, linearized_scalar_values
+    from ahmass.quadrature import angular_jacobian
+    rule = volume_rule(3, [2.0, 6.0], [6], sphere_rule(3, 6, 12))
+    f0 = radial_eigenfunction(schw3).potential
+    h_field = random_compact_tensor(np.random.default_rng(3), 3, 2.0, 6.0,
+                                    amplitude=0.5)
+    eps = [3e-2, 1e-2, 3e-3, 1e-3]
+    rep = first_variation_check(schw3, f0, h_field, eps, rule)
+
+    coords = rule.coords
+    app = metric_apparatus(schw3, coords, level=2)
+    w = rule.weights * app.sqrt_det / angular_jacobian(coords[:, 1:])
+    jet = f0.jet(coords)
+    h = h_field.component_arrays(coords)
+    pair_h = app.inner(h.val, adjoint_values(app, jet))
+    reference = -float(np.sum(w * pair_h))
+    lin_h = linearized_scalar_values(app, h)
+    quotients = []
+    for e in eps:
+        gamma = PerturbedMetric(schw3, SymmetricTensorField(
+            lambda c, order, e=e: h * e))
+        diff = -(metric_apparatus(gamma, coords, level=2).scalar - app.scalar) * jet.val
+        diff += e * (lin_h * jet.val - pair_h)
+        quotients.append(float(np.sum(w * diff)) / e)
+    errors = np.abs(np.asarray(quotients) - reference)
+    order, _ = fit_log_slope(np.asarray(eps), errors)
+    assert rep.to_dict() == {"reference": reference, "epsilons": eps,
+                             "quotients": quotients, "errors": list(errors),
+                             "order": float(order), "exact_zero": False}
 
 
 def test_first_variation_zero_field(rng, hyp3, quad16):
