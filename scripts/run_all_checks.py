@@ -20,6 +20,10 @@ PERTURBED_4 = {"family": "perturbed", "n": 4, "params": {
     "base": {"family": "hyperbolic", "n": 4, "params": {}},
     "perturbation": {"kind": "axis_bump", "axis": [1.0, 0.0, 0.0, 0.0], "rate": 4.0}}}
 STATIC_FAMILY_4 = {"family": "schwarzschild_ads", "n": 4, "params": {"m": 0.5}}
+# a conformal metric keeps the horizon clamp of its base: curvature samples
+# from 1.3 x horizon = 0.887, above the r_min asked for
+CONFORMAL_STATIC = {"family": "conformal", "n": 3, "params": {
+    "base": STATIC_FAMILY, "profile": {"kind": "power_tail", "amp": 0.05, "rate": 3.0}}}
 
 BATTERY = [
     ("mass", HYPERBOLIC, {}),
@@ -39,6 +43,7 @@ BATTERY = [
                                         "radial_nodes": 16, "pairs": 3}),
     # no quad_*: the 16 x 32 default scaled to 6 x 12 on S^3
     ("first-variation", {"family": "hyperbolic", "n": 4, "params": {}}, {}),
+    ("curvature", CONFORMAL_STATIC, {"r_min": 0.5}),
 ]
 
 

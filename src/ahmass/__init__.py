@@ -23,8 +23,7 @@ _EXPORTS = {
                 "static_potential", "static_potential_basis"),
     "odes": ("FundamentalPair", "ODEProblem", "build_decaying_solution",
              "fundamental_pair", "particular_solution"),
-    "operators": ("duality_residual", "first_variation_check", "functional_value",
-                  "static_residual"),
+    "operators": ("duality_residual", "first_variation_check", "static_residual"),
     "radial": ("conformal_deform_radial", "radial_eigenfunction"),
     "rigidity": ("WarpedProductFixture", "divergence_form_check",
                  "sectional_ode_check", "wang_identity_check", "warped_fixture"),

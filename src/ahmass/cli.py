@@ -29,8 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .fields import finite_number
-from .metrics import DomainError, metric_from_dict, metric_to_dict
+from .fields import FINITE, POSITIVE, SchemaError, check_document, integer_in
+from .metrics import (DomainError, inner_truncation_radius, metric_from_dict,
+                      metric_to_dict)
 
 EXIT_CHECK_FAILURE = 1
 EXIT_SCHEMA = 2
@@ -44,10 +45,6 @@ SAMPLE_POINTS_MAX = 16384  # 5x the 3,000-point curvature benchmark case
 PAIRS_MAX = 256            # 25x the default 10 duality-check pairs
 FAN_COUNT_MAX = 1024       # 16x the default 64-seed dichotomy fan
 DEFAULT_SEED = 20240801
-
-
-class SchemaError(ValueError):
-    pass
 
 
 class OutputError(OSError):
@@ -71,51 +68,38 @@ DEFAULT_TOLERANCES = {
 }
 
 
-def _count(minimum, maximum=None):
-    def ok(v):
-        return (isinstance(v, int) and not isinstance(v, bool) and v >= minimum
-                and (maximum is None or v <= maximum))
-    return ok, (f"an integer >= {minimum}" if maximum is None
-                else f"an integer in {minimum}..{maximum}")
-
-
-FINITE = (finite_number, "a finite number")
-POSITIVE = (lambda v: finite_number(v) and v > 0, "a finite number > 0")
 EPS_LADDER = (lambda v: (isinstance(v, list) and len(v) >= 2
-                         and all(finite_number(e) and e > 0 for e in v)
+                         and all(map(POSITIVE[0], v))
                          and len(set(map(float, v))) == len(v)),
               "a list of >= 2 distinct finite numbers > 0")
 
-# The numeric keys a config may set.  Each maps to a (test, requirement) rule,
-# to the table of an object-valued key's own keys, or (radii) to None: the
-# radius ladder is checked by its parser ``_radii``.
+CONFIG_KEYS = dict.fromkeys(["command", "metric", "numeric", "output"])
+# The numeric keys a config may set, as a ``fields.check_document`` table; the
+# radius ladder (None) is checked by its parser ``_radii``.
 NUMERIC_KEYS = {
     "radii": None,                       # list of radii or {min, max, count}
-    "quad_polar": _count(4),             # polar quadrature nodes
-    "quad_azimuth": _count(4),           # azimuthal quadrature nodes
-    "radial_nodes": _count(1),           # radial quadrature nodes per segment
-    "seed": _count(0),                   # random seed recorded in the report
+    "quad_polar": integer_in(4),         # polar quadrature nodes
+    "quad_azimuth": integer_in(4),       # azimuthal quadrature nodes
+    "radial_nodes": integer_in(1),       # radial quadrature nodes per segment
+    "seed": integer_in(0),               # random seed recorded in the report
     "tolerances": dict.fromkeys(DEFAULT_TOLERANCES, POSITIVE),  # per-check overrides
     "ode_horizon": POSITIVE,             # ODE integration horizon T
     "ode": {"p_amp": FINITE, "q_amp": FINITE, "f_amp": FINITE,   # ODE coefficient
             "decay": POSITIVE},                                   # family
-    "pairs": _count(1, PAIRS_MAX),       # randomized pairs (duality-check)
+    "pairs": integer_in(1, PAIRS_MAX),   # randomized pairs (duality-check)
     "eps_ladder": EPS_LADDER,            # epsilon ladder (first-variation)
     "q_claimed": POSITIVE,               # claimed decay rate (verify-ah)
     "decay_rate": FINITE,                # target decay (deform / eigenfunction)
     "phi_amp": FINITE,                   # target amplitude (deform)
-    "fan_count": _count(1, FAN_COUNT_MAX),          # seed fan size (dichotomy)
-    "sample_points": _count(1, SAMPLE_POINTS_MAX),  # sample count (curvature)
+    "fan_count": integer_in(1, FAN_COUNT_MAX),          # seed fan size (dichotomy)
+    "sample_points": integer_in(1, SAMPLE_POINTS_MAX),  # sample count (curvature)
     "r_min": POSITIVE,                   # inner radius override
     "r_max": POSITIVE,                   # outer radius override
     "wang_radius": POSITIVE,             # ball radius (rigidity-check)
 }
-
-
-def _require_keys(doc: dict, allowed: dict | set, where: str):
-    unknown = set(doc) - set(allowed)
-    if unknown:
-        raise SchemaError(f"unknown keys in {where}: {sorted(unknown)}")
+# the {min, max, count} form of ``radii``, every key required
+RADII_RANGE = {"min": POSITIVE, "max": POSITIVE,
+               "count": integer_in(3, RADII_COUNT_MAX)}
 
 
 def _read_json(path):
@@ -127,10 +111,7 @@ def _read_json(path):
 
 
 def load_config(path, overrides=None) -> dict:
-    raw = _read_json(path)
-    if not isinstance(raw, dict):
-        raise SchemaError("config must be a JSON object")
-    _require_keys(raw, {"command", "metric", "numeric", "output"}, "config")
+    raw = check_document(_read_json(path), CONFIG_KEYS, "config")
     numeric = raw.get("numeric")
     numeric = {} if numeric is None else numeric
     if not isinstance(numeric, dict):
@@ -153,23 +134,10 @@ def load_config(path, overrides=None) -> dict:
         numeric["tolerances"] = tols
         if overrides.get("out") is not None:
             raw["output"] = overrides["out"]
-    _check_numeric(numeric)
+    check_document(numeric, NUMERIC_KEYS, "numeric")
+    if numeric.get("radii") is not None:   # the default ladder needs no check
+        _radii(numeric)
     return raw
-
-
-def _check_numeric(doc, table=NUMERIC_KEYS, where="numeric"):
-    """Keys, types and ranges of a numeric document against its rule table."""
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{where} must be an object")
-    _require_keys(doc, table, where)
-    for key, val in doc.items():
-        rule = table[key]
-        if rule is None:
-            _radii(doc)
-        elif isinstance(rule, dict):
-            _check_numeric(val, rule, f"{where}.{key}")
-        elif not rule[0](val):
-            raise SchemaError(f"{where}.{key} must be {rule[1]}, got {val!r}")
 
 
 def resolve_metric(doc) -> tuple:
@@ -179,7 +147,7 @@ def resolve_metric(doc) -> tuple:
         doc = _read_json(doc)
     try:
         spec = metric_from_dict(doc)
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         raise SchemaError(f"bad metric spec: {exc}") from exc
     return spec, metric_to_dict(spec)
 
@@ -189,23 +157,14 @@ def _radii(numeric):
     if doc is None:
         from .massflux import DEFAULT_RADII
         return np.array(DEFAULT_RADII)
-    if isinstance(doc, list):
-        values = doc
-    elif isinstance(doc, dict):
-        _require_keys(doc, {"min", "max", "count"}, "numeric.radii")
-        values = [doc.get("min"), doc.get("max")]
-        count = doc.get("count")
-        if (isinstance(count, bool) or not isinstance(count, int)
-                or not 3 <= count <= RADII_COUNT_MAX):
-            raise SchemaError(f"radii count must be an integer in "
-                              f"3..{RADII_COUNT_MAX}, got {count!r}")
-    else:
-        raise SchemaError("radii must be a list or {min, max, count}")
-    if not all(finite_number(v) and v > 0 for v in values):
-        raise SchemaError(f"radii must be finite positive numbers, got {values!r}")
-    arr = np.asarray(values, dtype=float)
     if isinstance(doc, dict):
-        arr = np.geomspace(arr[0], arr[1], count)
+        check_document(doc, RADII_RANGE, "numeric.radii", tuple(RADII_RANGE))
+        arr = np.geomspace(float(doc["min"]), float(doc["max"]), doc["count"])
+    elif isinstance(doc, list) and all(map(POSITIVE[0], doc)):
+        arr = np.asarray(doc, dtype=float)
+    else:
+        raise SchemaError(f"radii must be a list of finite numbers > 0 or "
+                          f"{{min, max, count}}, got {doc!r}")
     if arr.size < 3 or np.any(np.diff(arr) <= 0):
         raise SchemaError("radii must be >= 3 strictly increasing values")
     return arr
@@ -249,8 +208,8 @@ def _window(lo, hi):
     """The radius window [lo, hi] a command integrates or samples over, once
     its own clamps are applied; an empty or inverted window is a config error."""
     if not lo < hi:
-        raise SchemaError(f"radius window [{lo:g}, {hi:g}] is empty: r_min "
-                          f"must lie below r_max")
+        raise SchemaError(f"radius window [{lo:g}, {hi:g}] is empty: r_max must "
+                          f"lie above r_min or the command's inner radius")
     return lo, hi
 
 
@@ -268,9 +227,6 @@ def run_mass(spec, numeric):
     from .reporting import check
     _require_exterior_chart(spec, "mass")
     radii = _radii(numeric)
-    if radii[-1] / radii[0] < 10.0 - 1e-9:
-        raise SchemaError(f"mass radii must span at least one decade, got "
-                          f"{radii[0]:g}..{radii[-1]:g}")
     mv = mass_vector(spec, radii, _sphere(numeric, spec.n))
     checks = [
         check("extrapolation_converged",
@@ -289,11 +245,8 @@ def run_curvature(spec, numeric):
     from .reporting import check
     rng = _rng(numeric)
     count = int(numeric.get("sample_points", 200))
-    r_min = float(numeric.get("r_min", 1.0))
-    rh = getattr(spec, "horizon_radius", 0.0)
-    if rh:
-        r_min = max(r_min, 1.3 * rh)
-    window = _window(r_min, float(numeric.get("r_max", 50.0)))
+    window = _window(inner_truncation_radius(spec, float(numeric.get("r_min", 1.0))),
+                     float(numeric.get("r_max", 50.0)))
     pts = random_points(spec.n, rng, count, r_range=window)
     with np.errstate(over="ignore", invalid="ignore"):
         app = metric_apparatus(spec, pts, level=2)
@@ -324,12 +277,7 @@ def run_verify_ah(spec, numeric):
     from .reporting import check
     _require_exterior_chart(spec, "verify-ah")
     radii = _radii(numeric)
-    n = spec.n
-    q = float(numeric.get("q_claimed", n))
-    if not n / 2.0 < q <= n + 1e-12:
-        raise SchemaError(f"q_claimed must lie in (n/2, n] = ({n / 2.0:g}, {n}], "
-                          f"got {q:g}")
-    report = verify_ah(spec, q, radii)
+    report = verify_ah(spec, float(numeric.get("q_claimed", spec.n)), radii)
     checks = [check(f"condition_{c.name}", 0.0 if c.passed else 1.0, 0.5,
                     passed=c.passed) for c in report.conditions]
     return report.to_dict(), checks, {}
@@ -369,8 +317,8 @@ def run_duality(spec, numeric):
 def run_eigenfunction(spec, numeric):
     from .radial import radial_eigenfunction
     from .reporting import check
-    rep = radial_eigenfunction(spec, r_hi=float(numeric.get("r_max", 200.0)),
-                               decay_rate=numeric.get("decay_rate"))
+    _, r_hi = _window(inner_truncation_radius(spec), float(numeric.get("r_max", 200.0)))
+    rep = radial_eigenfunction(spec, r_hi=r_hi, decay_rate=numeric.get("decay_rate"))
     checks = [
         check("eigen_residual", rep.residual_sup, _tol(numeric, "eigenfunction_residual")),
         check("positivity", 0.0 if rep.positive else 1.0, 0.5, passed=rep.positive),
@@ -386,8 +334,8 @@ def run_deform(spec, numeric):
     amp = float(numeric.get("phi_amp", 0.05))
     prof = power_tail_profile(amp, s)
     phi = lambda r: prof(np.asarray(r, dtype=float))[0]
-    rep = conformal_deform_radial(spec, phi, s, r_hi=float(numeric.get("r_max", 150.0)),
-                                  newton_steps=3)
+    _, r_hi = _window(inner_truncation_radius(spec), float(numeric.get("r_max", 150.0)))
+    rep = conformal_deform_radial(spec, phi, s, r_hi=r_hi, newton_steps=3)
     worst_ratio = max(rep.contraction_ratios) if rep.contraction_ratios else 0.0
     checks = [
         check("linear_residual", rep.linear_residual,

@@ -16,6 +16,7 @@ import numpy as np
 from . import jets as J
 from .chart import angular_grid
 from .curvature import metric_apparatus, nabla_2tensor, nabla2_2tensor
+from .fields import SchemaError
 from .metrics import (HyperbolicMetric, MetricSpec, frame_coefficients,
                       frame_components)
 
@@ -148,7 +149,8 @@ def verify_ah(spec: MetricSpec, q_claimed: float, radii,
     """
     n = spec.n
     if not (n / 2.0 < q_claimed <= n + 1e-12):
-        raise ValueError(f"q_claimed must lie in (n/2, n], got {q_claimed}")
+        raise SchemaError(f"q_claimed must lie in (n/2, n] = ({n / 2.0:g}, {n}], "
+                          f"got {q_claimed:g}")
     borderline = q_claimed > n - 1e-9 or getattr(spec, "borderline_decay", False)
     if nodes_per_angle is None:
         nodes_per_angle = {3: 32, 4: 12}.get(n, 8)

@@ -25,6 +25,72 @@ import numpy as np
 from . import jets as J
 from .chart import as_coords, chart_jacobian_jets, unit_vector_jets
 
+# -- document schema -------------------------------------------------------------
+
+class SchemaError(ValueError):
+    """A config or spec document, or an input value, the toolkit cannot serve."""
+
+
+def finite_number(value) -> bool:
+    """A finite JSON number; bools and strings are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:      # an integer beyond the float range
+        return False
+
+
+def integer_in(minimum, maximum=None):
+    """The rule of an integer (not a bool) in minimum..maximum."""
+    def ok(v):
+        return (isinstance(v, int) and not isinstance(v, bool) and v >= minimum
+                and (maximum is None or v <= maximum))
+    return ok, (f"an integer >= {minimum}" if maximum is None
+                else f"an integer in {minimum}..{maximum}")
+
+
+FINITE = (finite_number, "a finite number")
+POSITIVE = (lambda v: finite_number(v) and v > 0, "a finite number > 0")
+
+
+def check_document(doc, table, where, required=()):
+    """Check a JSON object against its rule table; returns ``doc``.
+
+    Each key of ``table`` maps to a (test, requirement) rule, to the table of
+    an object-valued key's own keys, or to None for a key whose parser checks
+    it.  A document that is not an object, an unknown key, a missing
+    ``required`` key and a value failing its rule raise SchemaError.
+    """
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where} must be an object, got {type(doc).__name__}")
+    unknown = set(doc) - set(table)
+    if unknown:
+        raise SchemaError(f"unknown keys in {where}: {sorted(unknown)}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise SchemaError(f"{where} needs the keys {missing}")
+    for key, val in doc.items():
+        rule = table[key]
+        if isinstance(rule, dict):
+            check_document(val, rule, f"{where}.{key}")
+        elif rule is not None and not rule[0](val):
+            raise SchemaError(f"{where}.{key} must be {rule[1]}, got {val!r}")
+    return doc
+
+
+def check_kind(doc, kinds, where) -> str:
+    """Check a document whose "kind" names its (rule table, required keys)
+    entry in ``kinds`` against that entry; returns the kind."""
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if not (isinstance(kind, str) and kind in kinds):
+        raise SchemaError(f"{where} must be an object whose kind is one of "
+                          f"{sorted(kinds)}, got {doc!r}")
+    table, required = kinds[kind]
+    check_document(doc, {"kind": None, **table}, f"{kind} {where}", required)
+    return kind
+
+
 # -- scalar fields -------------------------------------------------------------
 
 class ScalarField:
@@ -223,45 +289,15 @@ def power_tail_profile(amp: float, rate: float, onset: float = 5.0) -> RadialPro
                                   "onset": onset})
 
 
-def require_object(doc, what: str):
-    """A declarative spec must be a JSON object (a dict)."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{what} must be an object, got {type(doc).__name__}")
-
-
-def finite_number(value) -> bool:
-    """A finite JSON number; bools and strings are not numbers here."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:      # an integer beyond the float range
-        return False
-
-
-def require_finite(value, what: str) -> float:
-    """A declarative spec's real parameter must be a finite number."""
-    if not finite_number(value):
-        raise ValueError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
-
-
 def profile_from_dict(doc: dict) -> RadialProfile:
-    require_object(doc, "radial profile")
-    kind = doc.get("kind")
+    kind = check_kind(doc, {
+        "constant": ({"value": FINITE}, ("value",)),
+        "power_tail": ({"amp": FINITE, "rate": FINITE, "onset": FINITE}, ("amp", "rate")),
+    }, "radial profile")
+    values = {key: float(val) for key, val in doc.items() if key != "kind"}
     if kind == "constant":
-        extra = set(doc) - {"kind", "value"}
-        if extra:
-            raise ValueError(f"unknown profile keys: {sorted(extra)}")
-        return constant_profile(require_finite(doc["value"], "profile value"))
-    if kind == "power_tail":
-        extra = set(doc) - {"kind", "amp", "rate", "onset"}
-        if extra:
-            raise ValueError(f"unknown profile keys: {sorted(extra)}")
-        return power_tail_profile(require_finite(doc["amp"], "power_tail amp"),
-                                  require_finite(doc["rate"], "power_tail rate"),
-                                  require_finite(doc.get("onset", 5.0), "power_tail onset"))
-    raise ValueError(f"unknown radial profile kind {kind!r}")
+        return constant_profile(**values)
+    return power_tail_profile(**values)
 
 
 # -- symmetric 2-tensor fields ---------------------------------------------------
@@ -328,6 +364,9 @@ class AxisConcentratedPerturbation(FrameComponentField):
     def __init__(self, n: int, axis, amp: float = 1e-2, rate: float = 2.5,
                  width: float = 6.0, onset: float = 4.0):
         axis = np.asarray(axis, dtype=float)
+        # scaled to a largest entry of 1 first, so that the norm of finite
+        # entries of any size neither overflows nor underflows
+        axis = axis / np.abs(axis).max()
         axis = axis / np.linalg.norm(axis)
         self.axis, self.amp, self.rate = axis, float(amp), float(rate)
         self.width, self.onset = float(width), float(onset)
@@ -401,19 +440,11 @@ def random_compact_tensor(rng, n: int, r_lo: float, r_hi: float,
 
 
 def perturbation_from_dict(doc: dict, n: int) -> SymmetricTensorField:
-    require_object(doc, "perturbation")
-    kind = doc.get("kind")
-    if kind == "axis_bump":
-        extra = set(doc) - {"kind", "axis", "amp", "rate", "width", "onset"}
-        if extra:
-            raise ValueError(f"unknown perturbation keys: {sorted(extra)}")
-        axis = doc["axis"]
-        if (not isinstance(axis, list) or len(axis) != n
-                or not all(map(finite_number, axis)) or not any(axis)):
-            raise ValueError(f"axis_bump axis must be {n} finite numbers, not all "
-                             f"zero; got {axis!r}")
-        return AxisConcentratedPerturbation(
-            n, axis, *(require_finite(doc.get(key, default), f"axis_bump {key}")
-                       for key, default in (("amp", 1e-2), ("rate", 2.5),
-                                            ("width", 6.0), ("onset", 4.0))))
-    raise ValueError(f"unknown perturbation kind {kind!r}")
+    axis = (lambda v: (isinstance(v, list) and len(v) == n
+                       and all(map(finite_number, v)) and any(v)),
+            f"{n} finite numbers, not all zero")
+    check_kind(doc, {"axis_bump": ({"axis": axis, "amp": FINITE, "rate": FINITE,
+                                    "width": FINITE, "onset": FINITE}, ("axis",))},
+               "perturbation")
+    return AxisConcentratedPerturbation(n, **{key: val if key == "axis" else float(val)
+                                              for key, val in doc.items() if key != "kind"})

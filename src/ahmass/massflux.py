@@ -29,6 +29,7 @@ from scipy.optimize import least_squares
 
 from .chart import as_coords
 from .curvature import metric_apparatus, nabla_2tensor
+from .fields import SchemaError
 from .metrics import HyperbolicMetric, MetricSpec, static_potential_basis
 from .quadrature import SphereRule, sphere_coords_at_radius, sphere_rule
 
@@ -228,7 +229,8 @@ def mass_vector(spec: MetricSpec, radii=DEFAULT_RADII, quad: SphereRule = None) 
     """Fitted flux limits against every background static potential."""
     radii = np.asarray(radii, dtype=float)
     if radii[-1] / radii[0] < 10.0 - 1e-9:
-        raise ValueError("radius ladder should span at least one decade")
+        raise SchemaError(f"mass radii must span at least one decade, got "
+                          f"{radii[0]:g}..{radii[-1]:g}")
     n = spec.n
     labels = ["V_0"] + [f"x_{i}" for i in range(1, n + 1)]
     reports = _flux_ladders(spec, static_potential_basis(n), labels, radii, quad)

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .fields import SchemaError
+
 DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-14
 
@@ -63,14 +65,14 @@ class ODEProblem:
         t = self.grid(T)
         one_q = 1.0 + np.asarray(self.q(t))
         if np.any(one_q <= 0):
-            raise ValueError("hypothesis 1 + Q > 0 fails on the sample grid")
+            raise SchemaError("hypothesis 1 + Q > 0 fails on the sample grid")
         if self.bounds is not None:
             c0, d = self.bounds
             env = c0 * np.exp(-d * t) + 1e-12
             for name, fn in (("P", self.p), ("Q", self.q), ("f", self.f)):
                 vals = np.abs(np.asarray(fn(t)))
                 if np.any(vals > env):
-                    raise ValueError(f"claimed bound |{name}| <= C_0 e^(-d t) "
+                    raise SchemaError(f"claimed bound |{name}| <= C_0 e^(-d t) "
                                      f"fails on the sample grid")
         return True
 

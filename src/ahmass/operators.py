@@ -1,18 +1,19 @@
-"""Linearized scalar-curvature operator, its adjoint, and the mass functional.
+"""Linearized scalar-curvature operator, its adjoint, and the first variation
+of the mass functional.
 
 The linearization at g acting on a symmetric 2-tensor h is
 
     L_g h = -Lap(tr h) + div div h - <h, Ric_g>,
 
 its formal L^2-adjoint on scalars is  L_g^* V = -(Lap V) g + Hess V - V Ric_g,
-and all contractions are taken with respect to g.  The module also evaluates
-the volume functional built from a linear-growth potential f,
+and all contractions are taken with respect to g.  The module also checks the
+first variation -int <h, L_g^* f> dmu_g of the volume functional built from a
+linear-growth potential f,
 
     F(gamma) = int ( [L_g(gamma - bb) - (R(gamma) + n(n-1))] f
                      - (gamma - bb) . L_g^* f ) dmu_g,
 
-with bb fixed to the hyperbolic background on the whole exterior chart, and
-its first variation -int <h, L_g^* f> dmu_g.
+with bb fixed to the hyperbolic background on the whole exterior chart.
 
 Fields enter as the ``Jet`` their producer returns: a scalar jet ``V.jet(c)``
 for the potential and a tensor jet ``component_arrays(c)`` for h.
@@ -28,13 +29,9 @@ from .chart import as_coords
 from .curvature import (MetricApparatus, covariant_hessian, metric_apparatus,
                         nabla2_2tensor)
 from .decay import fit_log_slope
-from .metrics import HyperbolicMetric, MetricSpec, frame_components
+from .metrics import MetricSpec, frame_components
 from .quadrature import VolumeRule, angular_jacobian, volume_weights
 from . import jets as J
-
-
-class DivergentTailError(ArithmeticError):
-    """Fitted integrand decay too slow for a convergent volume integral."""
 
 
 # -- pointwise operators -------------------------------------------------------
@@ -108,10 +105,6 @@ class StaticResidualReport:
     laplacian_sup: float
     samples: int
 
-    def to_dict(self):
-        return {"hessian_sup": self.hessian_sup, "laplacian_sup": self.laplacian_sup,
-                "samples": self.samples}
-
 
 def static_residual(spec: MetricSpec, V, point) -> StaticResidualReport:
     """Sup of |Hess V - (Ric + n g) V| and |Lap V - n V| over the sample set.
@@ -137,73 +130,7 @@ def static_residual(spec: MetricSpec, V, point) -> StaticResidualReport:
                                 samples=coords.shape[0])
 
 
-# -- the functional and its first variation --------------------------------------
-
-@dataclass
-class FunctionalReport:
-    value: float
-    truncated_integral: float
-    tail_estimate: float
-    tail_error: float
-    integrand_decay: float
-
-    def to_dict(self):
-        return {"value": self.value, "truncated_integral": self.truncated_integral,
-                "tail_estimate": self.tail_estimate, "tail_error": self.tail_error,
-                "integrand_decay": self.integrand_decay}
-
-
-def functional_value(g_base: MetricSpec, f, gamma: MetricSpec,
-                     rule: VolumeRule) -> FunctionalReport:
-    """Evaluate the potential-weighted curvature functional on the volume rule.
-
-    The comparison tensor is the hyperbolic background on the whole chart.
-    The radial tail beyond the rule is estimated from fitted decay of the
-    per-radius density at the outermost six radii; a fitted pointwise integrand decay at or below the
-    dimension raises DivergentTailError.
-    """
-    n = g_base.n
-    coords = rule.coords
-    app = metric_apparatus(g_base, coords, level=2)
-    bb = HyperbolicMetric(n)
-    e = gamma.component_jets(coords) - bb.component_jets(coords)
-    lin = linearized_scalar_values(app, e)
-    r_gamma = metric_apparatus(gamma, coords, level=2).scalar
-    jet = f.jet(coords)
-    pairing = app.inner(e.val, adjoint_values(app, jet))
-    integrand = (lin - (r_gamma + n * (n - 1))) * jet.val - pairing
-
-    w = volume_weights(rule, app.sqrt_det)
-    truncated = float(np.sum(w * integrand))
-
-    # per-radius density and pointwise decay on the outer part of the rule
-    m = rule.sphere.node_count
-    density = np.sum((w * integrand).reshape(-1, m), axis=1) / rule.radial_weights
-    sup_pt = np.max(np.abs(integrand).reshape(-1, m), axis=1)
-    radii = rule.radii
-    k = min(6, radii.size)
-    r_tail, d_tail, s_tail = radii[-k:], density[-k:], sup_pt[-k:]
-    tail_est = 0.0
-    tail_err = 0.0
-    decay = np.inf
-    # below the floor the samples are curvature-assembly roundoff, not signal
-    noise_floor = 1e-9 * (1.0 + float(np.max(np.abs(jet.val))))
-    if np.max(s_tail) > noise_floor:
-        decay, _ = fit_log_slope(r_tail, np.maximum(s_tail, 1e-300))
-        decay = -decay
-        if decay <= n:
-            raise DivergentTailError(
-                f"integrand decay {decay:.3f} too slow (needs > {n})")
-        dslope, _ = fit_log_slope(r_tail, np.maximum(np.abs(d_tail), 1e-300))
-        beta = -dslope
-        if beta > 1.0:
-            tail_est = float(d_tail[-1] * radii[-1] / (beta - 1.0))
-            tail_err = abs(tail_est)
-    return FunctionalReport(value=truncated + tail_est,
-                            truncated_integral=truncated,
-                            tail_estimate=tail_est, tail_error=tail_err,
-                            integrand_decay=float(decay))
-
+# -- the first variation of the functional --------------------------------------
 
 @dataclass
 class FirstVariationReport:

@@ -24,24 +24,13 @@ from scipy.integrate import solve_bvp
 
 from .curvature import covariant_hessian, metric_apparatus
 from .decay import fit_log_slope
-from .fields import RadialProfile, ScalarField
-from .metrics import ConformalMetric, MetricSpec
+from .fields import RadialProfile, ScalarField, SchemaError
+from .metrics import ConformalMetric, MetricSpec, inner_truncation_radius
 from . import jets as J
 
 
 class RadialSolveError(RuntimeError):
     pass
-
-
-def inner_truncation_radius(spec: MetricSpec, default: float = 0.1) -> float:
-    """Default inner radius; pushed outside the horizon for horizon families."""
-    rh = getattr(spec, "horizon_radius", 0.0)
-    if rh and rh > 0:
-        return max(default, 1.3 * rh)
-    base = getattr(spec, "base", None)
-    if base is not None:
-        return inner_truncation_radius(base, default)
-    return default
 
 
 def radial_operator_coefficients(spec: MetricSpec):
@@ -273,7 +262,7 @@ def conformal_deform_radial(spec: MetricSpec, phi_fn, s: float, r_hi: float = 20
     """
     n = spec.n
     if not (-1.0 < s < n):
-        raise ValueError(f"target decay s={s} outside the solvable window (-1, {n})")
+        raise SchemaError(f"target decay s={s} outside the solvable window (-1, {n})")
     r_lo = inner_truncation_radius(spec)
 
     def solve_linear(metric, rhs_fn):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .chart import as_coords
 from .curvature import covariant_hessian, divergence_of_oneform, metric_apparatus
-from .fields import ScalarField
+from .fields import ScalarField, SchemaError
 from .geodesics import GeodesicSample
 from .massflux import ricci_flux
 from .metrics import MetricSpec, WarpedProductMetric
@@ -62,7 +62,7 @@ def wang_identity_check(spec: MetricSpec, f, r: float, quad: SphereRule = None,
     n = spec.n
     r_inner = 0.01
     if r <= r_inner:
-        raise ValueError(f"ball radius {r} must exceed the inner radius {r_inner}")
+        raise SchemaError(f"ball radius {r} must exceed the inner radius {r_inner}")
     if quad is None:
         quad = sphere_rule(n, 32, 64)
     rule = volume_rule(n, [r_inner, r], [radial_nodes], quad)

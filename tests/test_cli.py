@@ -14,7 +14,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from ahmass import cli
 from ahmass.cli import (DEFAULT_TOLERANCES, EXIT_CHECK_FAILURE, EXIT_INTERNAL,
                         EXIT_NUMERICAL, EXIT_SCHEMA, NUMERIC_KEYS, SchemaError,
-                        load_config, main, run)
+                        load_config, main, resolve_metric, run)
+from ahmass.metrics import N_MAX
 from ahmass.reporting import dump_json, format_float, write_csv
 
 
@@ -31,6 +32,7 @@ def read_report(out_dir, command):
 
 
 HYP = {"family": "hyperbolic", "n": 3, "params": {}}
+HYP4 = {"family": "hyperbolic", "n": 4, "params": {}}
 SCHW = {"family": "schwarzschild_ads", "n": 3, "params": {"m": 0.5}}
 
 
@@ -164,16 +166,41 @@ def test_unsupported_metric_rejected(tmp_path, capsys, command, metric):
         "kind": "power_tail", "amp": "0.1", "rate": 3.0}}},
     {"family": "perturbed", "n": 3, "params": {"base": HYP, "perturbation": {
         "kind": "axis_bump", "axis": ["1", 0.0, 0.0]}}},
+    # a base has the n of the spec around it
+    {"family": "conformal", "n": 3, "params": {"base": HYP4, "profile": {
+        "kind": "power_tail", "amp": 0.05, "rate": 3.0}}},
+    {"family": "perturbed", "n": 3, "params": {"base": HYP4, "perturbation": {
+        "kind": "axis_bump", "axis": [1.0, 0.0, 0.0]}}},
+    {"family": "hyperbolic", "n": N_MAX + 1, "params": {}},
 ], ids=["spec-list", "params-int", "base-list", "perturbation-list", "profile-int",
         "profile-value-null", "mass-list", "mass-nan", "mass-inf",
         "power-tail-rate-inf", "axis-bump-width-nan", "mass-string", "mass-bool",
-        "power-tail-amp-string", "axis-bump-axis-string"])
+        "power-tail-amp-string", "axis-bump-axis-string", "conformal-base-other-n",
+        "perturbed-base-other-n", "n-above-bound"])
 def test_malformed_metric_spec_rejected(tmp_path, capsys, metric):
     # a spec, or a part of one, of the wrong JSON type is a config error
     cfg = write_config(tmp_path, {"command": "mass", "metric": metric})
     assert main(["mass", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
     err = capsys.readouterr().err
     assert err.startswith("config error: bad metric spec: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("axis,unit", [([1e308, 1e308, 0.0], [1.0, 1.0, 0.0]),
+                                       ([1e-320, 0.0, 0.0], [1.0, 0.0, 0.0])],
+                         ids=["axis-huge", "axis-tiny"])
+def test_axis_bump_axis_is_a_direction(tmp_path, axis, unit):
+    # the axis is scaled by its largest entry before it is normalised, so
+    # finite entries of any size neither overflow nor underflow its norm
+    reports = []
+    for a in (axis, unit):
+        metric = {"family": "perturbed", "n": 3, "params": {
+            "base": HYP, "perturbation": {"kind": "axis_bump", "axis": a}}}
+        cfg = write_config(tmp_path, {"command": "mass", "metric": metric, "numeric": {
+            "quad_polar": 8, "quad_azimuth": 16}})
+        out = tmp_path / f"out{len(reports)}"
+        assert main(["mass", "--config", cfg, "--out", str(out)]) == 0
+        reports.append((out / "mass_report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_mass_without_rotational_symmetry_n4(tmp_path):
@@ -185,7 +212,6 @@ def test_mass_without_rotational_symmetry_n4(tmp_path):
 
 
 ODE = {"p_amp": 0.1, "q_amp": 0.1, "f_amp": 1.0, "decay": 2.0}
-HYP4 = {"family": "hyperbolic", "n": 4, "params": {}}
 HYP5 = {"family": "hyperbolic", "n": 5, "params": {}}
 
 
@@ -212,8 +238,16 @@ HYP5 = {"family": "hyperbolic", "n": 5, "params": {}}
     ("ode-verify", {"ode": dict(ODE, p_amp="a")}, None, EXIT_SCHEMA),
     ("ode-verify", {"ode": dict(ODE, decay=0)}, None, EXIT_SCHEMA),
     ("rigidity-check", {"wang_radius": -1.0}, HYP, EXIT_SCHEMA),
-    # a ball inside the inner radius of the identity's volume rule
-    ("rigidity-check", {"wang_radius": 0.005}, HYP, EXIT_NUMERICAL),
+    # input ranges the library states are config errors too: a ball inside
+    # the inner radius of the identity's volume rule, a target decay outside
+    # the solvable window (-1, n), an outer radius at or below the inner
+    # truncation radius (1.3 x horizon = 0.887 here) and 1 + Q <= 0
+    ("rigidity-check", {"wang_radius": 0.005}, HYP, EXIT_SCHEMA),
+    ("deform", {"decay_rate": 3.5}, HYP, EXIT_SCHEMA),
+    ("deform", {"decay_rate": -1.5}, HYP, EXIT_SCHEMA),
+    ("eigenfunction", {"r_max": 0.5}, SCHW, EXIT_SCHEMA),
+    ("deform", {"r_max": 0.1}, HYP, EXIT_SCHEMA),
+    ("ode-verify", {"ode": {"q_amp": -2, "decay": 1}}, None, EXIT_SCHEMA),
     ("mass", {"tolerances": {"wang_gap": True}}, HYP, EXIT_SCHEMA),
     ("mass", {"radii": {"min": 20.0, "max": 200.0, "count": 10**7}}, HYP,
      EXIT_SCHEMA),
@@ -240,7 +274,9 @@ HYP5 = {"family": "hyperbolic", "n": 5, "params": {}}
         "decay-rate-string", "r-max-string", "deform-decay-rate-string",
         "q-claimed-string", "q-claimed-above-n", "q-claimed-below-half-n",
         "mass-radii-short-of-decade", "ode-amp-string", "ode-decay-zero",
-        "wang-radius-negative", "wang-radius-inside-inner", "tolerance-bool",
+        "wang-radius-negative", "wang-radius-inside-inner", "deform-decay-rate-above-n",
+        "deform-decay-rate-below-minus-one", "eigenfunction-r-max-inside-clamp",
+        "deform-r-max-at-inner-radius", "ode-one-plus-q-negative", "tolerance-bool",
         "radii-count-huge", "sphere-nodes-huge", "duality-volume-huge",
         "first-variation-volume-huge", "rigidity-volume-huge",
         "sample-points-huge", "pairs-huge", "fan-count-huge",
@@ -302,6 +338,81 @@ def test_load_config_returns_or_raises_schema_error(tmp_path, numeric, tol):
             load_config(cfg, overrides)
         except SchemaError:
             pass
+
+
+# Metric documents of every family and kind, valid except for up to two
+# corrupted entries: values of the wrong JSON type, NaN and +-inf, bools,
+# numeric strings, an n out of range or another n in a nested base, missing
+# and unknown keys.  Valid axes include huge and tiny entries.
+JUNK = st.one_of(st.none(), st.booleans(),
+                 st.sampled_from(["0.5", "3", "x", float("nan"), float("inf"),
+                                  -float("inf"), 10**400, -1.0, 0, 2, 3, 4,
+                                  N_MAX + 1, 10**9]),
+                 st.lists(st.sampled_from([0, 1.0, "1", True, None]), max_size=4),
+                 st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=1))
+PARAM = st.floats(0.1, 5.0)
+AXIS_ENTRY = st.sampled_from([0.0, 1.0, -0.5, 2, 1e308, -1e308, 1e-320, 5e-324])
+
+
+@st.composite
+def valid_metric_docs(draw, n=None, depth=0):
+    n = draw(st.sampled_from([3, 4])) if n is None else n
+    family = draw(st.sampled_from(["hyperbolic", "schwarzschild_ads", "warped_product"]
+                                  + ["conformal", "perturbed"] * (depth < 2)))
+    params = {}
+    if family == "schwarzschild_ads":
+        params["m"] = draw(PARAM)
+    elif family == "warped_product":
+        params["factor"] = draw(st.sampled_from(["round_sphere", "hyperbolic"]))
+    elif family == "conformal":
+        params["base"] = draw(valid_metric_docs(n, depth + 1))
+        params["profile"] = draw(st.one_of(
+            st.fixed_dictionaries({"kind": st.just("constant"), "value": PARAM}),
+            st.fixed_dictionaries({"kind": st.just("power_tail"), "amp": PARAM,
+                                   "rate": PARAM}, optional={"onset": PARAM})))
+    elif family == "perturbed":
+        params["base"] = draw(valid_metric_docs(n, depth + 1))
+        params["perturbation"] = draw(st.fixed_dictionaries(
+            {"kind": st.just("axis_bump"),
+             "axis": st.lists(AXIS_ENTRY, min_size=n, max_size=n)},
+            optional=dict.fromkeys(["amp", "rate", "width", "onset"], PARAM)))
+    return {"family": family, "n": n, "params": params}
+
+
+def _objects(doc):
+    """Every object of a document, outermost first."""
+    found = [doc]
+    for val in doc.values():
+        if isinstance(val, dict):
+            found += _objects(val)
+    return found
+
+
+@st.composite
+def metric_docs(draw):
+    doc = draw(valid_metric_docs())
+    for _ in range(draw(st.integers(0, 2))):
+        obj = draw(st.sampled_from(_objects(doc)))
+        action = draw(st.sampled_from(["junk", "drop", "unknown"]))
+        if action == "unknown" or not obj:
+            obj[draw(st.sampled_from(["extra", "kind", "family", "n"]))] = draw(JUNK)
+        elif action == "junk":
+            obj[draw(st.sampled_from(sorted(obj)))] = draw(JUNK)
+        else:
+            del obj[draw(st.sampled_from(sorted(obj)))]
+    return doc
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(doc=metric_docs())
+def test_resolve_metric_returns_spec_or_raises_schema_error(doc):
+    try:
+        spec, resolved = resolve_metric(doc)
+    except SchemaError:
+        return
+    assert resolved["n"] == doc["n"]
+    base = getattr(spec, "base", None)
+    assert base is None or base.n == spec.n
 
 
 # End-to-end fuzz of main: every command, valid and malformed metric specs, and
@@ -454,6 +565,11 @@ def test_check_failure_exit(tmp_path):
      {"quad_polar": 10, "quad_azimuth": 20, "radial_nodes": 16, "pairs": 1}),
     # no quad_*: the 16 x 32 default is scaled to 6 x 12 on S^3
     ("first-variation", HYP4, {}),
+    # a metric built on schwarzschild_ads keeps its horizon clamp (0.887)
+    ("curvature", {"family": "conformal", "n": 3, "params": {"base": SCHW, "profile": {
+        "kind": "power_tail", "amp": 0.05, "rate": 3.0}}}, {"sample_points": 50, "r_min": 0.5}),
+    ("curvature", {"family": "perturbed", "n": 3, "params": {"base": SCHW, "perturbation": {
+        "kind": "axis_bump", "axis": [1.0, 0.0, 0.0]}}}, {"sample_points": 50, "r_min": 0.5}),
 ])
 def test_remaining_commands_pass(tmp_path, command, metric, numeric):
     cfg = write_config(tmp_path, {"command": command, "metric": metric,

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from ahmass.fields import power_tail_profile
-from ahmass.metrics import hyperbolic_metric, schwarzschild_ads
-from ahmass.radial import (conformal_deform_radial, inner_truncation_radius,
-                           radial_eigenfunction, shooting_radial_solve,
-                           solve_radial_bvp)
+from ahmass.metrics import (hyperbolic_metric, inner_truncation_radius,
+                            schwarzschild_ads)
+from ahmass.radial import (conformal_deform_radial, radial_eigenfunction,
+                           shooting_radial_solve, solve_radial_bvp)
 
 
 def test_background_eigenfunction_is_exact(hyp3):
