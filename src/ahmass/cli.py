@@ -44,6 +44,9 @@ VOLUME_NODES_MAX = 131072  # 5.3x the 24,576-node first-variation/rigidity defau
 SAMPLE_POINTS_MAX = 16384  # 5x the 3,000-point curvature benchmark case
 PAIRS_MAX = 256            # 25x the default 10 duality-check pairs
 FAN_COUNT_MAX = 1024       # 16x the default 64-seed dichotomy fan
+# ode-verify's exhaustion needs two-point solutions at ceil(T) + 2 and
+# ceil(T) + 4, both at most 40, so it cannot settle above T = 36
+ODE_HORIZON_MAX = 36.0
 DEFAULT_SEED = 20240801
 
 
@@ -72,6 +75,8 @@ EPS_LADDER = (lambda v: (isinstance(v, list) and len(v) >= 2
                          and all(map(POSITIVE[0], v))
                          and len(set(map(float, v))) == len(v)),
               "a list of >= 2 distinct finite numbers > 0")
+ODE_HORIZON = (lambda v: POSITIVE[0](v) and v <= ODE_HORIZON_MAX,
+               f"a finite number in (0, {ODE_HORIZON_MAX:g}]")
 
 CONFIG_KEYS = dict.fromkeys(["command", "metric", "numeric", "output"])
 # The numeric keys a config may set, as a ``fields.check_document`` table; the
@@ -83,7 +88,7 @@ NUMERIC_KEYS = {
     "radial_nodes": integer_in(1),       # radial quadrature nodes per segment
     "seed": integer_in(0),               # random seed recorded in the report
     "tolerances": dict.fromkeys(DEFAULT_TOLERANCES, POSITIVE),  # per-check overrides
-    "ode_horizon": POSITIVE,             # ODE integration horizon T
+    "ode_horizon": ODE_HORIZON,          # ODE integration horizon T
     "ode": {"p_amp": FINITE, "q_amp": FINITE, "f_amp": FINITE,   # ODE coefficient
             "decay": POSITIVE},                                   # family
     "pairs": integer_in(1, PAIRS_MAX),   # randomized pairs (duality-check)
@@ -317,8 +322,8 @@ def run_duality(spec, numeric):
 def run_eigenfunction(spec, numeric):
     from .radial import radial_eigenfunction
     from .reporting import check
-    _, r_hi = _window(inner_truncation_radius(spec), float(numeric.get("r_max", 200.0)))
-    rep = radial_eigenfunction(spec, r_hi=r_hi, decay_rate=numeric.get("decay_rate"))
+    rep = radial_eigenfunction(spec, r_hi=float(numeric.get("r_max", 200.0)),
+                               decay_rate=numeric.get("decay_rate"))
     checks = [
         check("eigen_residual", rep.residual_sup, _tol(numeric, "eigenfunction_residual")),
         check("positivity", 0.0 if rep.positive else 1.0, 0.5, passed=rep.positive),
@@ -334,8 +339,8 @@ def run_deform(spec, numeric):
     amp = float(numeric.get("phi_amp", 0.05))
     prof = power_tail_profile(amp, s)
     phi = lambda r: prof(np.asarray(r, dtype=float))[0]
-    _, r_hi = _window(inner_truncation_radius(spec), float(numeric.get("r_max", 150.0)))
-    rep = conformal_deform_radial(spec, phi, s, r_hi=r_hi, newton_steps=3)
+    rep = conformal_deform_radial(spec, phi, s, r_hi=float(numeric.get("r_max", 150.0)),
+                                  newton_steps=3)
     worst_ratio = max(rep.contraction_ratios) if rep.contraction_ratios else 0.0
     checks = [
         check("linear_residual", rep.linear_residual,

@@ -46,10 +46,26 @@ def radial_operator_coefficients(spec: MetricSpec):
     return coeffs
 
 
+def _ray(n: int, lo: float, hi: float, count: int):
+    """``count`` geometric radii on [lo, hi] and their chart points along the
+    fixed off-pole angular direction theta = pi/2."""
+    r = np.geomspace(lo, hi, count)
+    return r, np.column_stack([r] + [np.full(count, np.pi / 2)] * (n - 1))
+
+
+def _sample_ray(n: int, r_lo: float, r_hi: float, count: int):
+    """The residual-check ray, kept 2% inside [r_lo, r_hi]; a window too
+    narrow for that margin is a config error, raised before any solve."""
+    if not r_lo * 1.02 < r_hi * 0.98:
+        raise SchemaError(f"r_max = {r_hi:g} leaves no sample radii inside "
+                          f"[{r_lo:g}, r_max]: it must exceed "
+                          f"{r_lo * 1.02 / 0.98:g}, the inner radius x 1.02/0.98")
+    return _ray(n, r_lo * 1.02, r_hi * 0.98, count)
+
+
 def scalar_curvature_profile(spec: MetricSpec, r_lo: float, r_hi: float) -> CubicSpline:
     """Spline of R_g(r) at 2000 radii along a fixed off-pole angular direction."""
-    r = np.geomspace(r_lo, r_hi, 2000)
-    coords = np.column_stack([r] + [np.full(r.size, np.pi / 2)] * (spec.n - 1))
+    r, coords = _ray(spec.n, r_lo, r_hi, 2000)
     scal = metric_apparatus(spec, coords, level=2).scalar
     return CubicSpline(r, scal)
 
@@ -192,6 +208,7 @@ def radial_eigenfunction(spec: MetricSpec, r_hi: float = 200.0,
                                   "symmetric metric")
     n = spec.n
     r_lo = inner_truncation_radius(spec)
+    r_samp, coords = _sample_ray(n, r_lo, r_hi, 400)
     if decay_rate is None:
         decay_rate = float(n - 1)  # v ~ r^(1-q) with q at the borderline value n
 
@@ -209,9 +226,7 @@ def radial_eigenfunction(spec: MetricSpec, r_hi: float = 200.0,
                                   decay_rate, r_lo, r_hi)
     f0 = _radial_field_from(correction)
 
-    # residual through the full tensor pipeline on a fresh sample ladder
-    r_samp = np.geomspace(r_lo * 1.02, r_hi * 0.98, 400)
-    coords = np.column_stack([r_samp] + [np.full(r_samp.size, np.pi / 2)] * (n - 1))
+    # residual through the full tensor pipeline on the sample ladder
     app = metric_apparatus(spec, coords, level=1)
     jet = f0.jet(coords)
     lap = app.trace(covariant_hessian(app, jet))
@@ -264,6 +279,7 @@ def conformal_deform_radial(spec: MetricSpec, phi_fn, s: float, r_hi: float = 20
     if not (-1.0 < s < n):
         raise SchemaError(f"target decay s={s} outside the solvable window (-1, {n})")
     r_lo = inner_truncation_radius(spec)
+    r_samp, coords = _sample_ray(n, r_lo, r_hi, 300)
 
     def solve_linear(metric, rhs_fn):
         r_spline = scalar_curvature_profile(metric, r_lo * 0.999, r_hi * 1.001)
@@ -275,8 +291,6 @@ def conformal_deform_radial(spec: MetricSpec, phi_fn, s: float, r_hi: float = 20
     # linear residual via the full linearized operator on u * g
     from .fields import ScaledMetricField
     from .operators import linearized_scalar_values
-    r_samp = np.geomspace(r_lo * 1.02, r_hi * 0.98, 300)
-    coords = np.column_stack([r_samp] + [np.full(r_samp.size, np.pi / 2)] * (n - 1))
     app = metric_apparatus(spec, coords, level=2)
     h = ScaledMetricField(spec, first.as_field()).component_arrays(coords)
     lin = linearized_scalar_values(app, h)

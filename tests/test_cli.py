@@ -262,6 +262,14 @@ HYP5 = {"family": "hyperbolic", "n": 5, "params": {}}
     ("curvature", {"sample_points": 10**9}, HYP, EXIT_SCHEMA),
     ("duality-check", {"pairs": 257}, HYP, EXIT_SCHEMA),
     ("dichotomy", {"fan_count": 10**6}, HYP, EXIT_SCHEMA),
+    # horizons beyond ODE_HORIZON_MAX = 36, where ode-verify's exhaustion
+    # cannot settle: rejected before any grid or fan is built
+    ("ode-verify", {"ode_horizon": 1e12, "ode": ODE}, None, EXIT_SCHEMA),
+    ("dichotomy", {"ode_horizon": 37}, HYP, EXIT_SCHEMA),
+    # an r_max within the 2% sample margins of the inner radius 0.1 leaves
+    # no residual-check radii (it must exceed 0.1 x 1.02/0.98 = 0.1041)
+    ("eigenfunction", {"r_max": 0.102}, HYP, EXIT_SCHEMA),
+    ("deform", {"r_max": 0.102}, HYP, EXIT_SCHEMA),
     # cosh(t)^2 of the warped metric overflows at t near 200
     ("curvature", {"sample_points": 20, "r_min": 0.5, "r_max": 200.0, "seed": 4},
      WARPED, EXIT_NUMERICAL),
@@ -280,6 +288,8 @@ HYP5 = {"family": "hyperbolic", "n": 5, "params": {}}
         "radii-count-huge", "sphere-nodes-huge", "duality-volume-huge",
         "first-variation-volume-huge", "rigidity-volume-huge",
         "sample-points-huge", "pairs-huge", "fan-count-huge",
+        "ode-verify-horizon-huge", "dichotomy-horizon-above-max",
+        "eigenfunction-r-max-inside-margin", "deform-r-max-inside-margin",
         "curvature-warped-overflow", "duality-window-inverted",
         "curvature-window-inverted"])
 def test_bad_numeric_value_rejected(tmp_path, capsys, command, numeric, metric, code):

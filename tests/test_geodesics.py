@@ -45,6 +45,49 @@ def test_fan_matches_single(hyp3):
     assert np.abs(fan[2].coords - single.coords).max() < 1e-9
 
 
+def _orthonormal_frame(spec, point, vectors):
+    """Gram-Schmidt of ``vectors`` in the metric at ``point``."""
+    g = spec.components(point[None])[0]
+    frame = []
+    for w in vectors:
+        for u in frame:
+            w = w - (u @ g @ w) * u
+        frame.append(w / np.sqrt(w @ g @ w))
+    return np.stack(frame)
+
+
+def test_fan_with_carried_frames_matches_single(schw3):
+    # generic directions and 2-frames: each seed of the batched frame moves as
+    # it does alone; the fan's shared step sequence differs from a lone seed's,
+    # so agreement is at the integrator tolerance (rtol = atol = 1e-12)
+    rng = np.random.default_rng(3)
+    seeds = seed_fan(3, 4, r0=2.0)[:3]
+    frames = np.stack([_orthonormal_frame(schw3, p, rng.normal(size=(3, 3)))
+                       for p in seeds])
+    fan = integrate_geodesic_fan(schw3, seeds, frames[:, 0], T=2.0,
+                                 transported=frames[:, 1:])
+    for s, sample in enumerate(fan):
+        single = integrate_geodesic(schw3, seeds[s], frames[s, 0], T=2.0,
+                                    transported=frames[s, 1:])
+        for name in ("coords", "velocities", "transported"):
+            got, want = getattr(sample, name), getattr(single, name)
+            assert np.abs(got - want).max() < 1e-11 * np.abs(want).max()
+        assert sample.transported.shape == (sample.ts.size, 2, 3)
+        assert sample.norm_drift < 1e-8 and sample.transport_drift < 1e-8
+
+
+def test_transported_angular_vector_closed_form(hyp3):
+    # Gamma^theta_{r theta} = 1/r: along the radial geodesic the unit angular
+    # vector e_theta / r stays (0, 1/r(t), 0), with r(t) = sinh(t + asinh 2)
+    p0 = axis_seed(3)
+    g = integrate_geodesic(hyp3, p0, unit_radial_direction(hyp3, p0), T=10.0,
+                           transported=np.array([[0.0, 1.0 / p0[0], 0.0]]))
+    r = np.sinh(g.ts + np.arcsinh(2.0))
+    expected = np.column_stack([np.zeros_like(r), 1.0 / r, np.zeros_like(r)])
+    assert (np.abs(g.transported[:, 0] - expected).max(axis=1) * r).max() < 1e-10
+    assert g.transport_drift < 1e-8
+
+
 def test_growth_classification_of_potentials(hyp3):
     seeds = seed_fan(3, 64)
     assert len(seeds) == 64
