@@ -4,9 +4,9 @@ Run with:  python scripts/derive_oracles.py     (needs sympy)
 
 Everything here is independent of the package: plain sympy computations of
 closed forms for the static spherically symmetric test family, the flux
-integrand, the warped-product fixture, and the forced ODE solutions.  The
-printed values are recorded in docs/oracles.md and asserted in tests; the
-package itself never imports sympy.
+integrand, the warped-product fixture, and the forced ODE solutions and their
+finite-horizon remainders.  The printed values are recorded in docs/oracles.md
+and asserted in tests; the package itself never imports sympy.
 """
 
 import sympy as sp
@@ -157,6 +157,31 @@ def forced_ode_constants():
     return c1, c2, particular, sp.expand(resonant.rhs)
 
 
+def finite_horizon_remainder(d):
+    """Variation-of-parameters tails of u'' = u + e^(-d t) on [0, T], d != 1.
+
+    u1 = e^t, u2 = e^(-t), W = -2.  Integrates tau_1, tau_2, alpha_2 and
+    asserts they equal the closed forms tests/test_odes.py uses, and that the
+    remainder solves the forced equation.
+    """
+    t, s, T = sp.symbols("t s T", positive=True)
+    u1, u2, W, f = sp.exp(s), sp.exp(-s), -2, sp.exp(-d*s)
+    tau1 = sp.integrate(u2 * f / W, (s, t, T))
+    tau2 = sp.integrate(u1 * f / W, (s, t, T))
+    alpha2 = sp.integrate(u1 * f / W, (s, 0, t))
+    closed = (-(sp.exp(-(1 + d)*t) - sp.exp(-(1 + d)*T)) / (2*(1 + d)),
+              -(sp.exp((1 - d)*T) - sp.exp((1 - d)*t)) / (2*(1 - d)),
+              -(sp.exp((1 - d)*t) - 1) / (2*(1 - d)))
+    for derived, frozen in zip((tau1, tau2, alpha2), closed):
+        assert sp.simplify(derived - frozen) == 0, (d, derived, frozen)
+    if d > 1:
+        remainder = tau1 * sp.exp(t) - tau2 * sp.exp(-t)
+    else:
+        remainder = tau1 * sp.exp(t) + alpha2 * sp.exp(-t)
+    assert sp.simplify(remainder.diff(t, 2) - remainder - sp.exp(-d*t)) == 0
+    return sp.simplify(remainder), sp.simplify(-tau1.subs(t, 0))
+
+
 def main():
     print("== static family: scalar curvature ==")
     for n in (3, 4, 5):
@@ -195,6 +220,11 @@ def main():
     print("  decaying coefficient c2 =", c2)
     print("  remainder =", particular)
     print("  resonant-case solution (f = e^-t):", resonant)
+
+    print("\n== finite-horizon remainder of u'' = u + e^(-d t) on [0, T] ==")
+    for d in (sp.Rational(1, 2), sp.Rational(3, 2), sp.Integer(2)):
+        remainder, c1 = finite_horizon_remainder(d)
+        print(f"  d={d}: remainder =", remainder, "  c1 =", c1)
 
 
 if __name__ == "__main__":

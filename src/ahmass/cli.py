@@ -407,9 +407,9 @@ def run_ode_verify(spec, numeric):
             rel = abs(prep.fitted_decay - d) / d
             checks.append(check("remainder_decay_relative", rel,
                                 _tol(numeric, "remainder_decay_relative")))
-    t = pair.grid[:: max(1, pair.grid.size // 2000)]
-    (v1, d1), (v2, d2) = pair.u1.at(t), pair.u2.at(t)
-    rows = np.column_stack([t, v1, v2, v1 * d2 - v2 * d1])
+    v1, _, v2, _ = pair.on_grid
+    rows = np.column_stack([pair.grid, v1, v2, pair.wronskian])
+    rows = rows[:: max(1, pair.grid.size // 2000)]
     return results, checks, {"ode_solutions": (["t", "u1", "u2", "wronskian"],
                                                [list(map(float, r)) for r in rows])}
 

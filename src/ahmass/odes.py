@@ -13,10 +13,13 @@ numerically stable evaluation of the same solution a shooting iteration would
 converge to: forward shooting loses all accuracy once e^(2t) exceeds 1/eps,
 long before the horizons used here.
 
-Every consumer of a dense branch reads the value and the derivative from one
-interpolant evaluation (``ODESolution.at``): the variation-of-parameters
-integrands evaluate each branch once per quadrature point, and the
-certificate, the exhaustion check and the CLI rows once per grid.
+Each branch is evaluated on the report grid once, value and derivative from
+one interpolant call (``ODESolution.at``); the fundamental pair keeps those
+values for the certificate, the forced remainder and the CLI rows.  The
+variation-of-parameters integrals are a panel quadrature on the same grid: an
+8-node Gauss-Legendre rule on every grid cell, one vectorised evaluation per
+branch at all nodes, a forward cumulative sum for alpha_2 and reverse
+cumulative sums from the horizon for the tail integrals tau_1 and tau_2.
 """
 
 from __future__ import annotations
@@ -60,8 +63,24 @@ class ODEProblem:
         T = self.horizon if T is None else T
         return np.arange(0.0, T + 0.5 * self.grid_step, self.grid_step)
 
+    def forced(self, t) -> bool:
+        """Whether f is nonzero somewhere on the sample points t."""
+        return not np.all(np.abs(np.asarray(self.f(t))) < 1e-290)
+
+    def fit_window(self):
+        """Mask of the remainder fit window 2 <= t <= min(T - 2, 18) on the grid."""
+        T = self.horizon
+        t = self.grid()
+        window = (t >= 2.0) & (t <= min(T - 2.0, 18.0))
+        if np.count_nonzero(window) < 3:
+            raise SchemaError(f"horizon T = {T:g} leaves fewer than 3 samples in the "
+                              f"remainder fit window 2 <= t <= T - 2; it must be at "
+                              f"least {4.0 + 3 * self.grid_step:g}")
+        return window
+
     def validate(self, T=None):
-        """Check 1 + Q > 0 and any claimed coefficient bounds on the grid."""
+        """Check 1 + Q > 0, any claimed coefficient bounds and, when forced,
+        the remainder fit window on the grid."""
         t = self.grid(T)
         one_q = 1.0 + np.asarray(self.q(t))
         if np.any(one_q <= 0):
@@ -74,6 +93,8 @@ class ODEProblem:
                 if np.any(vals > env):
                     raise SchemaError(f"claimed bound |{name}| <= C_0 e^(-d t) "
                                      f"fails on the sample grid")
+        if self.forced(t):
+            self.fit_window()
         return True
 
 
@@ -188,6 +209,7 @@ class FundamentalPair:
     u1: ODESolution
     u2: ODESolution
     grid: np.ndarray
+    on_grid: np.ndarray         # rows u1, u1', u2, u2' at the grid points
     C_certificate: float
     wronskian: np.ndarray
     flags: tuple = ()
@@ -225,8 +247,8 @@ def fundamental_pair(prob: ODEProblem, T=None) -> FundamentalPair:
                 np.max(v2 / e_minus), np.max(e_minus / v2),
                 np.max(-d2 / e_minus), np.max(e_minus / -d2),
                 np.max(np.sqrt(2.0 / -wr)))
-    return FundamentalPair(u1=u1, u2=u2, grid=t, C_certificate=float(C),
-                           wronskian=wr, flags=tuple(flags))
+    return FundamentalPair(u1=u1, u2=u2, grid=t, on_grid=np.array([v1, d1, v2, d2]),
+                           C_certificate=float(C), wronskian=wr, flags=tuple(flags))
 
 
 @dataclass
@@ -247,14 +269,23 @@ class ParticularReport:
                 "profile_residual": self.profile_residual}
 
 
+# Gauss-Legendre nodes and weights on [-1, 1] for the panel quadrature
+GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+
 def particular_solution(prob: ODEProblem, pair: FundamentalPair = None) -> ParticularReport:
     """Variation of parameters against the fundamental pair.
 
-    The remainder u_p - (c_1 u_1 + c_2 u_2) is assembled from tail integrals
-    integrated backward from the horizon, which avoids the catastrophic
-    cancellation of subtracting two e^t-sized quantities; its decay is fitted
-    and compared with the forcing class: exponent d for d != 1, the t e^(-t)
-    profile at the resonant rate d = 1.
+    The integrands u_i f / W are integrated by an 8-node Gauss-Legendre rule
+    on every cell of the pair's grid, plus the cell from the last grid point
+    to the horizon T; each branch is evaluated once at all nodes.  alpha_2 =
+    int_0^t u1 f / W is a forward cumulative sum of the cell integrals, and
+    the tail integrals tau_1 = int_t^T u2 f / W, tau_2 = int_t^T u1 f / W are
+    reverse cumulative sums from the horizon.  The remainder
+    u_p - (c_1 u_1 + c_2 u_2) is assembled from the tails, which avoids the
+    catastrophic cancellation of subtracting two e^t-sized quantities; its
+    decay is fitted and compared with the forcing class: exponent d for
+    d != 1, the t e^(-t) profile at the resonant rate d = 1.
     """
     T = prob.horizon
     if pair is None:
@@ -264,55 +295,32 @@ def particular_solution(prob: ODEProblem, pair: FundamentalPair = None) -> Parti
     d_claim = float(prob.bounds[1])
     t = pair.grid
 
-    f_vals = np.asarray(prob.f(t))
-    if np.all(np.abs(f_vals) < 1e-290):
+    if not prob.forced(t):
         zeros = np.zeros_like(t)
         return ParticularReport(c1=0.0, c2=0.0, grid=t, remainder=zeros,
                                 fitted_decay=np.inf, profile_residual=0.0,
                                 claimed_d=d_claim)
+    window = prob.fit_window()
 
-    window = (t >= 2.0) & (t <= min(T - 2.0, 18.0))
-    if np.count_nonzero(window) < 3:
-        raise ValueError(f"horizon T = {T:g} leaves fewer than 3 samples in the remainder "
-                         f"fit window 2 <= t <= T - 2; it must be at least "
-                         f"{4.0 + 3 * prob.grid_step:g}")
-
-    def terms(s):
-        """u1(s), u2(s), f(s) and the Wronskian W(s): one dense call per branch."""
-        v1, d1 = pair.u1.at(s)
-        v2, d2 = pair.u2.at(s)
-        return v1, v2, prob.f(s), v1 * d2 - v2 * d1
-
-    def forward(s, y):
-        v1, _, f, W = terms(s)
-        return [v1 * f / W]
-
-    def backward(s, y):
-        v1, v2, f, W = terms(s)
-        return [-v2 * f / W, -v1 * f / W]
-
-    # alpha_2(t) = int_0^t u1 f / W, forward
-    fwd = solve_ivp(forward, (0.0, T), [0.0],
-                    method="DOP853", rtol=DEFAULT_RTOL, atol=1e-30,
-                    first_step=1e-3, dense_output=True)
-    # tail integrals from the horizon: tau1 = int_t^T u2 f / W, tau2 = int_t^T u1 f / W
-    back = solve_ivp(backward, (T, 0.0), [0.0, 0.0], method="DOP853",
-                     rtol=DEFAULT_RTOL, atol=1e-30, first_step=1e-3,
-                     dense_output=True)
-    if not (fwd.success and back.success):
-        raise ArithmeticError("variation-of-parameters quadrature failed")
-    alpha2 = fwd.sol(t)[0]
-    tau1 = back.sol(t)[0]
-    tau2 = back.sol(t)[1]
-    A1 = float(-(tau1[0]))          # alpha_1(T) = -int_0^T u2 f / W
-    c1 = A1
+    edges = np.append(t, T)
+    half = 0.5 * np.diff(edges)[:, None]
+    s = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * GAUSS_NODES).ravel()
+    v1, d1 = pair.u1.at(s)
+    v2, d2 = pair.u2.at(s)
+    weighted = (half * GAUSS_WEIGHTS).ravel() * np.asarray(prob.f(s)) / (v1 * d2 - v2 * d1)
+    cell1 = (v1 * weighted).reshape(half.size, -1).sum(axis=1)   # cells of u1 f / W
+    cell2 = (v2 * weighted).reshape(half.size, -1).sum(axis=1)   # cells of u2 f / W
+    alpha2 = np.cumsum(cell1)                   # alpha_2 at the cells' right ends
+    tau1 = np.cumsum(cell2[::-1])[::-1]         # tails from the cells' left ends
+    tau2 = np.cumsum(cell1[::-1])[::-1]
+    c1 = float(-tau1[0])                        # alpha_1(T) = -int_0^T u2 f / W
+    u1_t, _, u2_t, _ = pair.on_grid
     if d_claim > 1.0:
-        A2 = float(alpha2[-1])
-        c2 = A2
-        remainder = tau1 * pair.u1.value(t) - tau2 * pair.u2.value(t)
+        c2 = float(alpha2[-1])
+        remainder = tau1 * u1_t - tau2 * u2_t
     else:
         c2 = 0.0
-        remainder = tau1 * pair.u1.value(t) + alpha2 * pair.u2.value(t)
+        remainder = tau1 * u1_t + np.append(0.0, alpha2[:-1]) * u2_t
 
     rem_w = np.abs(remainder[window])
     t_w = t[window]

@@ -312,14 +312,23 @@ def test_non_utf8_file_rejected(tmp_path, capsys, where):
 
 
 def test_short_ode_horizon_rejected(tmp_path, capsys):
-    # the forced-remainder fit window 2 <= t <= T - 2 is empty at T = 3
+    # the forced-remainder fit window 2 <= t <= T - 2 is empty at T = 3: a
+    # config error, raised before the fundamental pair is integrated
     cfg = write_config(tmp_path, {"command": "ode-verify",
                                   "numeric": {"ode_horizon": 3.0, "ode": ODE}})
     assert main(["ode-verify", "--config", cfg,
-                 "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+                 "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: ") and "Traceback" not in err
+    assert err.startswith("config error: ") and "Traceback" not in err
     assert len(err.splitlines()) == 1 and "at least 4.03" in err
+
+
+def test_short_unforced_ode_horizon_passes(tmp_path):
+    # without forcing there is no remainder fit, so T = 3 runs
+    cfg = write_config(tmp_path, {"command": "ode-verify",
+                                  "numeric": {"ode_horizon": 3.0,
+                                              "ode": dict(ODE, f_amp=0.0)}})
+    assert main(["ode-verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
 # mixed-type JSON values; integers stay small so a fuzzed radii count cannot

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ahmass.fields import SchemaError
 from ahmass.odes import (ODEProblem, build_decaying_solution, fundamental_pair,
                          particular_solution, solve_second_order,
                          two_point_solution)
@@ -192,29 +193,59 @@ def test_at_matches_value_and_d1():
 
 
 def test_particular_solution_one_dense_call_per_branch(monkeypatch):
-    # each right-hand-side call of the two quadratures evaluates each branch once
+    # the panel quadrature integrates no ODE and evaluates each branch once
     import ahmass.odes as odes
     prob = ODEProblem(p=lambda t: 0.3 * np.exp(-2 * t), q=lambda t: 0.5 * np.exp(-2 * t),
                       f=lambda t: np.exp(-2 * t), horizon=25.0, bounds=(1.0, 2.0))
     pair = fundamental_pair(prob)
-    calls = [0]
+    calls = {"u1": 0, "u2": 0}
 
-    def counted(sol):
+    def counted(name, sol):
         def call(t):
-            calls[0] += 1
+            calls[name] += 1
             return sol(t)
         return call
 
-    pair.u1.sol, pair.u2.sol = counted(pair.u1.sol), counted(pair.u2.sol)
-    nfev = []
-    solve_ivp = odes.solve_ivp
+    pair.u1.sol, pair.u2.sol = counted("u1", pair.u1.sol), counted("u2", pair.u2.sol)
 
-    def recording(*args, **kwargs):
-        out = solve_ivp(*args, **kwargs)
-        nfev.append(out.nfev)
-        return out
+    def forbidden(*args, **kwargs):
+        raise AssertionError("particular_solution called solve_ivp")
 
-    monkeypatch.setattr(odes, "solve_ivp", recording)
+    monkeypatch.setattr(odes, "solve_ivp", forbidden)
     particular_solution(prob, pair)
-    assert len(nfev) == 2
-    assert calls[0] <= 2 * sum(nfev) + 4
+    assert calls["u1"] <= 1 and calls["u2"] <= 1
+
+
+@pytest.mark.parametrize("d", [0.5, 1.5, 2.0])
+def test_particular_finite_horizon_closed_form(d):
+    # P = Q = 0, f = e^(-d t): u1 = e^t, u2 = e^(-t), W = -2, and the
+    # finite-horizon tails (docs/oracles.md, scripts/derive_oracles.py) are exact
+    T = 25.0
+    prob = ODEProblem(f=lambda t: np.exp(-d * t), horizon=T, bounds=(1.0, d))
+    rep = particular_solution(prob)
+    t = rep.grid
+    tau1 = -(np.exp(-(1 + d) * t) - np.exp(-(1 + d) * T)) / (2 * (1 + d))
+    tau2 = -(np.exp((1 - d) * T) - np.exp((1 - d) * t)) / (2 * (1 - d))
+    alpha2 = -(np.exp((1 - d) * t) - 1) / (2 * (1 - d))
+    if d > 1.0:
+        exact = tau1 * np.exp(t) - tau2 * np.exp(-t)
+    else:
+        exact = tau1 * np.exp(t) + alpha2 * np.exp(-t)
+    m = (t >= 2.0) & (t <= 18.0)
+    assert np.abs(rep.remainder[m] / exact[m] - 1.0).max() < 1e-10
+    c1 = (1.0 - np.exp(-(1 + d) * T)) / (2 * (1 + d))
+    assert abs(rep.c1 / c1 - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("T", [3.0, 4.0, 4.02])
+def test_short_forced_horizon_rejected_before_integration(monkeypatch, T):
+    import ahmass.odes as odes
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve_ivp called before the fit-window rule")
+
+    monkeypatch.setattr(odes, "solve_ivp", forbidden)
+    prob = ODEProblem(f=lambda t: np.exp(-2 * t), horizon=T, bounds=(1.0, 2.0))
+    with pytest.raises(SchemaError, match="at least 4.03"):
+        fundamental_pair(prob)
+    ODEProblem(horizon=T, bounds=(1.0, 2.0)).validate()    # unforced: no window
