@@ -44,6 +44,9 @@ BATTERY = [
     # no quad_*: the 16 x 32 default scaled to 6 x 12 on S^3
     ("first-variation", {"family": "hyperbolic", "n": 4, "params": {}}, {}),
     ("curvature", CONFORMAL_STATIC, {"r_min": 0.5}),
+    # the resonant branch d = 1: the t e^(-t) remainder profile
+    ("ode-verify", None, {"ode": {"p_amp": 0.3, "q_amp": 0.5, "f_amp": 1.0,
+                                  "decay": 1.0}}),
 ]
 
 

@@ -422,8 +422,12 @@ def run_dichotomy(spec, numeric):
     n = spec.n
     T = float(numeric.get("ode_horizon", 9.0))
     seeds = seed_fan(n, int(numeric.get("fan_count", 64)))
-    dirs = np.stack([unit_radial_direction(spec, p) for p in seeds])
-    fan = integrate_geodesic_fan(spec, seeds, dirs, T)
+    # the decaying combination's axis seed rides last in the one fan
+    axis = axis_seed(n)[None]
+    fan_seeds = np.vstack([seeds, axis])
+    dirs = np.stack([unit_radial_direction(spec, p) for p in fan_seeds])
+    fan = integrate_geodesic_fan(spec, fan_seeds, dirs, T)
+    fan, axis_fan = fan[:-1], fan[-1:]
     basis = static_potential_basis(n)
     checks = []
     results = {}
@@ -452,7 +456,7 @@ def run_dichotomy(spec, numeric):
     from .metrics import static_potential
     V0, x1 = static_potential(n, 0), static_potential(n, 1)
     diff = ScalarField(lambda c, order: V0.jet(c, order) - x1.jet(c, order))
-    cls = classify_growth(spec, diff, axis_seed(n)[None], T)
+    cls = classify_growth(spec, diff, axis, T, fan=axis_fan)
     results["V0_minus_x1_axis"] = cls[0].to_dict()
     checks.append(check("decay_combination", 0.0 if cls[0].label == "decay" else 1.0,
                         0.5, passed=cls[0].label == "decay"))

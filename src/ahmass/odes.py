@@ -7,19 +7,28 @@ certificate C is the smallest constant for which the two-sided exponential
 bounds and the Wronskian bound W <= -2/C^2 hold on the sample grid.
 
 The decaying branch is constructed by exhaustion over two-point problems
-u_j(0) = 1, u_j(j) = 0 for increasing j.  Each two-point solution is computed
-by a single backward integration from t = j (then normalized), which is the
-numerically stable evaluation of the same solution a shooting iteration would
-converge to: forward shooting loses all accuracy once e^(2t) exceeds 1/eps,
-long before the horizons used here.
+u_j(0) = 1, u_j(j) = 0 for j = ceil(T) + 2, ceil(T) + 4, ..., up to 40.  Each
+two-point solution is a backward integration from (u, u') = (0, -1) at t = j,
+normalized at t = 0: that is the numerically stable evaluation of the solution
+a shooting iteration would converge to, since forward shooting loses all
+accuracy once e^(2t) exceeds 1/eps, long before the horizons used here.  The
+whole ladder is one batched DOP853 solve: with t = j tau every rung runs tau
+from 1 to 0, its right-hand side scaled by j, and P and Q are evaluated once
+per stage for all rungs.  DOP853 takes its error norm (a root mean square)
+over the whole batched state, so a rung's steps are those its neighbours
+need too.  One dense evaluation at the concatenated t / j gives every rung on
+the report grid; the convergence test, and the chosen rung's values and
+derivatives, read those.
 
-Each branch is evaluated on the report grid once, value and derivative from
-one interpolant call (``ODESolution.at``); the fundamental pair keeps those
-values for the certificate, the forced remainder and the CLI rows.  The
-variation-of-parameters integrals are a panel quadrature on the same grid: an
-8-node Gauss-Legendre rule on every grid cell, one vectorised evaluation per
-branch at all nodes, a forward cumulative sum for alpha_2 and reverse
-cumulative sums from the horizon for the tail integrals tau_1 and tau_2.
+Each branch is evaluated on the report grid once, value and derivative
+together: the growing branch by one interpolant call (``ODESolution.at``),
+the decaying branch by the ladder's grid evaluation.  The fundamental pair
+keeps those values for the certificate, the forced remainder and the CLI
+rows.  The variation-of-parameters integrals are a panel quadrature on the
+same grid: an 8-node Gauss-Legendre rule on every grid cell, one vectorised
+evaluation per branch at all nodes, a forward cumulative sum for alpha_2 and
+reverse cumulative sums from the horizon for the tail integrals tau_1 and
+tau_2.
 """
 
 from __future__ import annotations
@@ -133,30 +142,57 @@ def solve_second_order(prob: ODEProblem, u0: float, du0: float, T=None,
     return ODESolution(sol=out.sol, t_span=(0.0, T))
 
 
-def two_point_solution(prob: ODEProblem, j: float, rtol: float = DEFAULT_RTOL) -> ODESolution:
-    """The homogeneous solution with u(0) = 1, u(j) = 0 on [0, j].
+def _backward_ladder(prob: ODEProblem, js: np.ndarray, rtol: float):
+    """Dense output of one backward solve of every two-point problem.
 
-    Computed by backward integration from (u, u') = (0, -1) at t = j followed
-    by normalization at t = 0; backward integration keeps the forward-decaying
-    branch dominant, so the evaluation is stable for large j.
+    The state holds (u_k, u_k') of rung k at indices 2k, 2k + 1 as functions
+    of tau = t / j_k, integrated from (0, -1) at tau = 1 to tau = 0.
     """
-    def rhs(t, y):
-        return [y[1], prob.p(t) * y[1] + (1.0 + prob.q(t)) * y[0]]
+    def rhs(tau, y):
+        t = js * tau
+        u, du = y[0::2], y[1::2]
+        out = np.empty_like(y)
+        out[0::2] = js * du
+        out[1::2] = js * (prob.p(t) * du + (1.0 + prob.q(t)) * u)
+        return out
 
-    out = solve_ivp(rhs, (float(j), 0.0), [0.0, -1.0], method="DOP853",
-                    rtol=rtol, atol=1e-30, first_step=1e-3, dense_output=True)
+    out = solve_ivp(rhs, (1.0, 0.0), np.tile([0.0, -1.0], js.size), method="DOP853",
+                    rtol=rtol, atol=1e-30, first_step=1e-3 / js.max(),
+                    dense_output=True)
     if not out.success:
         raise ArithmeticError(f"backward integration failed: {out.message}")
-    scale = out.sol(0.0)[0]
-    if scale <= 0:
+    return out.sol
+
+
+class _Rung:
+    """Rung k of a backward ladder as a function of t, normalized at t = 0."""
+
+    def __init__(self, dense, k: int, j: float, scale: float):
+        self.dense, self.k, self.j, self.scale = dense, k, j, scale
+
+    def __call__(self, t):
+        return self.dense(t / self.j)[2 * self.k: 2 * self.k + 2] / self.scale
+
+
+def _rungs(dense, js: np.ndarray, scales: np.ndarray) -> list:
+    """Each rung of a backward ladder as an ODESolution; ``scales`` are u_k(0)."""
+    if np.any(scales <= 0):
         raise ArithmeticError("two-point solution fails positivity at t = 0")
-    dense = out.sol
+    return [ODESolution(sol=_Rung(dense, k, j, scale), t_span=(0.0, j))
+            for k, (j, scale) in enumerate(zip(js, scales))]
 
-    class _Scaled:
-        def __call__(self, t):
-            return dense(t) / scale
 
-    return ODESolution(sol=_Scaled(), t_span=(0.0, float(j)))
+def two_point_solutions(prob: ODEProblem, js, rtol: float = DEFAULT_RTOL) -> list:
+    """The homogeneous solutions with u(0) = 1, u(j) = 0 on [0, j], one per j.
+
+    All of them come from one backward DOP853 solve in tau = t / j (see the
+    module docstring); its error norm is taken over the whole batched state.
+    Backward integration keeps the forward-decaying branch dominant, so the
+    evaluation is stable for large j.
+    """
+    js = np.asarray(js, dtype=float)
+    dense = _backward_ladder(prob, js, rtol)
+    return _rungs(dense, js, dense(0.0)[0::2])
 
 
 @dataclass
@@ -166,40 +202,46 @@ class DecayingSolution:
     sup_diffs: list
     positive: bool
     decreasing: bool
+    on_grid: np.ndarray         # rows u, u' of the solution at the grid points
 
 
 def build_decaying_solution(prob: ODEProblem, T=None,
                             rtol: float = DEFAULT_RTOL) -> DecayingSolution:
     """Exhaustion limit of two-point solutions: positive and decreasing.
 
-    Takes two-point solutions at j = ceil(T) + 2, ceil(T) + 4, ... and stops
-    when successive ones differ by less than 1e-10 on the reporting grid,
-    measured against the e^(-t) envelope (plain sup would declare convergence
-    while the far end of the grid is still off by a relative factor); fails
-    if that does not happen by j = 40.
+    Solves the two-point problems at j = ceil(T) + 2, ceil(T) + 4, ..., 40 in
+    one backward DOP853 solve, whose error norm is taken over the whole
+    batched state, and evaluates every rung on the reporting grid with one
+    dense call.  The limit is the first rung that differs from the one
+    before by less than 1e-10 on the grid, measured against the e^(-t)
+    envelope (plain sup would declare convergence while the far end of the
+    grid is still off by a relative factor); fails if no rung up to j = 40
+    does.
     """
     T = prob.horizon if T is None else T
     t = prob.grid(T)
+    js = np.arange(np.ceil(T) + 2.0, 40.0 + 1e-9, 2.0)
+    if js.size < 2:
+        raise ArithmeticError("exhaustion did not settle below 1e-10 by j = 40.0")
+    dense = _backward_ladder(prob, js, rtol)
+    K, N = js.size, t.size
+    raw = dense(np.concatenate([t / j for j in js])).reshape(K, 2, K, N)
+    grid = raw[np.arange(K), :, np.arange(K)]           # (K, 2, N): u_k, u_k'
+    scales = grid[:, 0, 0]                              # u_k(0), as t[0] = 0
+    members = _rungs(dense, js, scales)
+    grid = grid / scales[:, None, None]
     envelope = np.exp(-t)
-    j = float(np.ceil(T) + 2.0)
-    prev = None
     diffs = []
-    current = None
-    while j <= 40.0 + 1e-9:
-        current = two_point_solution(prob, j, rtol=rtol)
-        vals = current.value(np.minimum(t, current.t_span[1] - 1e-12))
-        if prev is not None:
-            diffs.append(float(np.max(np.abs(vals - prev) / envelope)))
-            if diffs[-1] < 1e-10:
-                break
-        prev = vals
-        j += 2.0
+    for k in range(1, K):
+        diffs.append(float(np.max(np.abs(grid[k, 0] - grid[k - 1, 0]) / envelope)))
+        if diffs[-1] < 1e-10:
+            break
     else:
         raise ArithmeticError("exhaustion did not settle below 1e-10 by j = 40.0")
-    vals, dvals = current.at(t)
-    return DecayingSolution(solution=current, j_used=j, sup_diffs=diffs,
+    vals, dvals = grid[k]
+    return DecayingSolution(solution=members[k], j_used=float(js[k]), sup_diffs=diffs,
                             positive=bool(np.all(vals > 0)),
-                            decreasing=bool(np.all(dvals < 0)))
+                            decreasing=bool(np.all(dvals < 0)), on_grid=grid[k])
 
 
 @dataclass
@@ -232,7 +274,7 @@ def fundamental_pair(prob: ODEProblem, T=None) -> FundamentalPair:
     t = prob.grid(T)
     e_plus, e_minus = np.exp(t), np.exp(-t)
     v1, d1 = u1.at(t)
-    v2, d2 = u2.at(t)
+    v2, d2 = dec.on_grid
     wr = v1 * d2 - v2 * d1
     flags = []
     if np.any(v1 <= 0) or np.any(d1 <= 0) or np.any(v2 <= 0) or np.any(-d2 <= 0):

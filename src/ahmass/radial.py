@@ -281,12 +281,15 @@ def conformal_deform_radial(spec: MetricSpec, phi_fn, s: float, r_hi: float = 20
     r_lo = inner_truncation_radius(spec)
     r_samp, coords = _sample_ray(n, r_lo, r_hi, 300)
 
-    def solve_linear(metric, rhs_fn):
-        r_spline = scalar_curvature_profile(metric, r_lo * 0.999, r_hi * 1.001)
+    def scalar_spline(metric):
+        return scalar_curvature_profile(metric, r_lo * 0.999, r_hi * 1.001)
+
+    def solve_linear(metric, r_spline, rhs_fn):
         zero_order = lambda r: r_spline(r) / (n - 1.0)
         return solve_radial_bvp(metric, rhs_fn, zero_order, s, r_lo, r_hi, tol=1e-11)
 
-    first = solve_linear(spec, lambda r: np.asarray(phi_fn(r)) / (1.0 - n))
+    base_scal = scalar_spline(spec)
+    first = solve_linear(spec, base_scal, lambda r: np.asarray(phi_fn(r)) / (1.0 - n))
 
     # linear residual via the full linearized operator on u * g
     from .fields import ScaledMetricField
@@ -309,7 +312,6 @@ def conformal_deform_radial(spec: MetricSpec, phi_fn, s: float, r_hi: float = 20
     if newton_steps <= 0:
         return report
 
-    base_scal = scalar_curvature_profile(spec, r_lo * 0.999, r_hi * 1.001)
     target = lambda r: base_scal(r) + np.asarray(phi_fn(r))
 
     def sup_residual(metric):
@@ -324,7 +326,8 @@ def conformal_deform_radial(spec: MetricSpec, phi_fn, s: float, r_hi: float = 20
     report.newton_residuals.append(res_k)
     for _ in range(newton_steps - 1):
         rho_spline = CubicSpline(r_samp, vals - target(r_samp))
-        step = solve_linear(gamma, lambda r: rho_spline(r) / (n - 1.0))
+        step = solve_linear(gamma, scalar_spline(gamma),
+                            lambda r: rho_spline(r) / (n - 1.0))
         psi = psi * (1.0 + step.as_profile())
         gamma = ConformalMetric(spec, psi)
         res_k, vals = sup_residual(gamma)

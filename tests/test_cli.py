@@ -600,6 +600,32 @@ def test_remaining_commands_pass(tmp_path, command, metric, numeric):
     assert all(c["pass"] for c in doc["checks"])
 
 
+def test_dichotomy_axis_seed_rides_in_the_fan(hyp3, monkeypatch):
+    # one solve_ivp call for the seed fan and the decaying combination's axis
+    # seed; the axis result matches a standalone one-seed classification
+    import ahmass.geodesics as geodesics
+    from ahmass.fields import ScalarField
+    from ahmass.metrics import static_potential
+    V0, x1 = static_potential(3, 0), static_potential(3, 1)
+    diff = ScalarField(lambda c, order: V0.jet(c, order) - x1.jet(c, order))
+    alone = geodesics.classify_growth(hyp3, diff, geodesics.axis_seed(3)[None], 9.0)[0]
+    calls = []
+    solve_ivp = geodesics.solve_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(geodesics, "solve_ivp", counted)
+    results, checks, tables = cli.run_dichotomy(hyp3, {"fan_count": 16})
+    assert len(calls) == 1
+    axis = results["V0_minus_x1_axis"]
+    assert axis["label"] == alone.label == "decay"
+    assert abs(axis["slope"] - alone.slope) < 1e-8
+    assert {row[1] for row in tables["labels"][1]} == set(range(16))
+    assert {row[0] for row in tables["trajectories"][1]} == set(range(16))
+
+
 def test_first_variation_ignores_r_max(tmp_path):
     # the rule spans the support of h alone, so an outer radius below it
     # cannot reverse a segment into the support

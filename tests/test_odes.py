@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ahmass.fields import SchemaError
 from ahmass.odes import (ODEProblem, build_decaying_solution, fundamental_pair,
                          particular_solution, solve_second_order,
-                         two_point_solution)
+                         two_point_solutions)
 
 
 def random_problem(rng, horizon=15.0, with_forcing=False):
@@ -113,7 +114,7 @@ def test_exhaustion_monotone():
     # two-point solutions increase with the endpoint on shared domains
     prob = ODEProblem(q=lambda t: 0.5 * np.exp(-t), horizon=10.0,
                       bounds=(0.5, 1.0))
-    sols = [two_point_solution(prob, j) for j in (1, 2, 3, 4, 5, 6)]
+    sols = two_point_solutions(prob, [1, 2, 3, 4, 5, 6])
     for j, (a, b) in enumerate(zip(sols[:-1], sols[1:]), start=1):
         t = np.linspace(0.05, j - 1e-6, 50)
         assert np.all(a.value(t) < b.value(t))
@@ -185,7 +186,7 @@ def test_at_matches_value_and_d1():
                       horizon=10.0, bounds=(0.5, 1.0))
     grid = prob.grid()
     for sol in (solve_second_order(prob, 1.0, 1.0, homogeneous=True),
-                two_point_solution(prob, 12.0)):
+                two_point_solutions(prob, [10.0, 12.0])[1]):
         for t in (3.7, grid):
             u, du = sol.at(t)
             assert np.array_equal(u, sol.value(t))
@@ -249,3 +250,63 @@ def test_short_forced_horizon_rejected_before_integration(monkeypatch, T):
     with pytest.raises(SchemaError, match="at least 4.03"):
         fundamental_pair(prob)
     ODEProblem(horizon=T, bounds=(1.0, 2.0)).validate()    # unforced: no window
+
+
+def _battery_problem(d=2.0, T=25.0):
+    return ODEProblem(p=lambda t: 0.3 * np.exp(-d * t), q=lambda t: 0.5 * np.exp(-d * t),
+                      f=lambda t: np.exp(-d * t), horizon=T, bounds=(1.0, d))
+
+
+def _count_solve_ivp(monkeypatch):
+    import ahmass.odes as odes
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(odes, "solve_ivp", counted)
+    return calls
+
+
+def test_exhaustion_ladder_is_one_solve(monkeypatch):
+    calls = _count_solve_ivp(monkeypatch)
+    dec = build_decaying_solution(_battery_problem())
+    assert len(calls) == 1
+    assert dec.j_used <= 40.0 and len(dec.sup_diffs) >= 1
+
+
+def test_fundamental_pair_two_solves_and_no_second_grid_call(monkeypatch):
+    # the growing IVP and the ladder; the decaying branch's grid values come
+    # from the ladder's evaluation, not from another dense call
+    import ahmass.odes as odes
+    calls = _count_solve_ivp(monkeypatch)
+
+    def forbidden(self, t):
+        raise AssertionError("decaying branch evaluated again on the grid")
+
+    monkeypatch.setattr(odes._Rung, "__call__", forbidden)
+    pair = fundamental_pair(_battery_problem())
+    assert len(calls) == 2
+    assert np.all(pair.wronskian < 0)
+
+
+@pytest.mark.parametrize("d", [2.0, 1.0])
+def test_ladder_matches_standalone_backward_solves(d):
+    # every rung of the batched solve against its own backward DOP853 solve
+    # from (0, -1) at t = j, normalized at t = 0
+    prob = _battery_problem(d)
+    t = prob.grid()
+    js = np.arange(27.0, 40.5, 2.0)
+    for j, member in zip(js, two_point_solutions(prob, js)):
+        def rhs(s, y):
+            return [y[1], prob.p(s) * y[1] + (1.0 + prob.q(s)) * y[0]]
+
+        out = solve_ivp(rhs, (j, 0.0), [0.0, -1.0], method="DOP853", rtol=1e-12,
+                        atol=1e-30, first_step=1e-3, dense_output=True)
+        ref = out.sol(t) / out.sol(0.0)[0]
+        u, du = member.at(t)
+        assert np.abs(u / ref[0] - 1.0).max() < 1e-10
+        assert np.abs(du / ref[1] - 1.0).max() < 1e-10
+    dec = build_decaying_solution(prob)
+    assert np.allclose(dec.on_grid, dec.solution.at(t), rtol=1e-14, atol=0.0)

@@ -7,7 +7,8 @@ from ahmass.fields import power_tail_profile
 from ahmass.metrics import (hyperbolic_metric, inner_truncation_radius,
                             schwarzschild_ads)
 from ahmass.radial import (conformal_deform_radial, radial_eigenfunction,
-                           shooting_radial_solve, solve_radial_bvp)
+                           scalar_curvature_profile, shooting_radial_solve,
+                           solve_radial_bvp)
 
 
 def test_background_eigenfunction_is_exact(hyp3):
@@ -68,6 +69,23 @@ def test_deformation_power_tail(hyp3):
     for ratio in rep.contraction_ratios:
         assert ratio <= 0.1
     assert rep.newton_residuals[-1] < 1e-9
+
+
+def test_deformation_builds_base_scalar_spline_once(hyp3, monkeypatch):
+    # one spline of R_g for the first solve and the Newton target, then one
+    # per later Newton step for the deformed metric
+    import ahmass.radial as radial
+    built = []
+
+    def counted(spec, r_lo, r_hi):
+        built.append(spec)
+        return scalar_curvature_profile(spec, r_lo, r_hi)
+
+    monkeypatch.setattr(radial, "scalar_curvature_profile", counted)
+    prof = power_tail_profile(0.05, 2.0)
+    conformal_deform_radial(hyp3, lambda r: prof(np.asarray(r, dtype=float))[0],
+                            2.0, r_hi=150.0, newton_steps=2)
+    assert len(built) == 2 and built[0] is hyp3 and built[1] is not hyp3
 
 
 def test_deformation_rejects_bad_decay(hyp3):

@@ -39,6 +39,37 @@ def test_wang_identity_diagnostic_on_nonstatic(hyp3):
     assert rep.gap > 1.0  # genuinely nonzero defect, reported as diagnostic
 
 
+def test_wang_identity_interior_is_level_one(hyp3, monkeypatch):
+    # no level-2 apparatus larger than the sphere rule (the flux and the
+    # static-residual sample need curvature, the interior does not), and the
+    # level-1 interior gives the level-2 lhs bit for bit
+    import ahmass.curvature as curvature
+    import ahmass.massflux as massflux
+    import ahmass.operators as operators
+    import ahmass.rigidity as rigidity
+    from ahmass.quadrature import volume_rule, volume_weights
+    level2_points = []
+
+    def recorded(spec, coords, level=2):
+        app = curvature.metric_apparatus(spec, coords, level=level)
+        if level >= 2:
+            level2_points.append(app.coords.shape[0])
+        return app
+
+    for module in (rigidity, massflux, operators):
+        monkeypatch.setattr(module, "metric_apparatus", recorded)
+    V0 = static_potential(3, 0)
+    rep = wang_identity_check(hyp3, V0, 10.0, quad=QUAD, radial_nodes=48)
+    assert level2_points and max(level2_points) <= QUAD.node_count
+
+    rule = volume_rule(3, [0.01, 10.0], [48], QUAD)
+    app = curvature.metric_apparatus(hyp3, rule.coords, level=2)
+    jet = V0.jet(rule.coords)
+    defect = curvature.covariant_hessian(app, jet) - jet.val[:, None, None] * app.g
+    w = volume_weights(rule, app.sqrt_det)
+    assert rep.lhs == float(np.sum(w * app.inner(defect, defect) / jet.val))
+
+
 def test_wang_identity_positivity_precondition(hyp3):
     V0 = static_potential(3, 0)
     f = ScalarField(lambda c, order: V0.jet(c, order) * -1.0)
