@@ -15,8 +15,11 @@ geodesic shooting along that axis.  The chart degenerates where any polar
 sine vanishes; samplers keep a margin of POLE_MARGIN around those bands.
 
 Derivatives of the map come from the jet algebra alone: ``unit_vector_jets``
-builds the jets of x_i / r from ``jsin``/``jcos``, and the Jacobian jets of
-``chart_jacobian_jets`` are those same jets at angles advanced by pi/2.
+builds the jets of x_i / r from ``jsin``/``jcos``.  The chart Jacobian
+separates as dx_c / d(chart_a) = s_a(r) U_ac(theta) with s_0 = 1 and
+s_a = r for a >= 1; ``chart_jacobian_jets`` builds the angular factor U as
+jets in the angles alone, from the same unit-vector jets at angles advanced
+by pi/2.
 """
 
 from __future__ import annotations
@@ -56,13 +59,9 @@ def to_cartesian(coords: np.ndarray) -> np.ndarray:
     return coords[:, :1] * unit_vector_values(coords[:, 1:])
 
 
-def unit_vector_jets(coords: np.ndarray, order: int = 2) -> list[Jet]:
-    """Jets of the given order of the unit-sphere components x_i / r as
-    functions of the chart."""
-    coords = as_coords(coords)
-    n = coords.shape[1]
-    cj = coordinate_jets(coords, order)
-    angle_jets = cj[1:]
+def _unit_components(angle_jets: list[Jet]) -> list[Jet]:
+    """The jets of x_i / r, indexed i = 0..n-1, from the jets of the n-1 angles."""
+    n = len(angle_jets) + 1
     sin_j = [jsin(a) for a in angle_jets]
     cos_j = [jcos(a) for a in angle_jets]
     comps: list[Jet] = [None] * n
@@ -76,25 +75,31 @@ def unit_vector_jets(coords: np.ndarray, order: int = 2) -> list[Jet]:
     return comps
 
 
-def chart_jacobian_jets(coords: np.ndarray, order: int = 2) -> list[list]:
-    """Jets of dx_c / d(chart_a), indexed [a][c], from ``unit_vector_jets``.
+def unit_vector_jets(coords: np.ndarray, order: int = 2) -> list[Jet]:
+    """Jets of the given order of the unit-sphere components x_i / r as
+    functions of the chart."""
+    return _unit_components(coordinate_jets(as_coords(coords), order)[1:])
 
-    Row 0 is dx_c/dr = x_c / r.  Each angle theta_a enters x_c / r at most
-    once, as a sin or a cos factor, and only when c <= n - a (0-based c);
-    advancing theta_a by pi/2 turns that factor into its derivative, so
-    dx_c / d(theta_a) is r times x_c / r at the advanced angle, and zero for
-    c > n - a.
+
+def chart_jacobian_jets(angles: np.ndarray, order: int = 2) -> list[list]:
+    """Jets in the angles of the angular factor U of the chart Jacobian,
+    indexed [a][c], for angle rows of shape (N, n-1).
+
+    dx_c / d(chart_a) = s_a(r) U_ac(theta) with s_0 = 1 and s_a = r.  Row 0
+    is U_0c = x_c / r.  Each angle theta_a enters x_c / r at most once, as a
+    sin or a cos factor, and only when c <= n - a (0-based c); advancing
+    theta_a by pi/2 turns that factor into its derivative, so U_ac is x_c / r
+    at the advanced angle, and zero for c > n - a.
     """
-    coords = as_coords(coords)
-    npts, n = coords.shape
-    r = coordinate_jets(coords, order)[0]
-    zero = constant(0.0, npts, n, order)
-    rows = [unit_vector_jets(coords, order)]
+    angles = np.asarray(angles, dtype=float)
+    npts, n = angles.shape[0], angles.shape[1] + 1
+    zero = constant(0.0, npts, n - 1, order)
+    rows = [_unit_components(coordinate_jets(angles, order))]
     for a in range(1, n):
-        advanced = coords.copy()
-        advanced[:, a] += 0.5 * np.pi
-        u = unit_vector_jets(advanced, order)
-        rows.append([r * u[c] if c <= n - a else zero for c in range(n)])
+        advanced = angles.copy()
+        advanced[:, a - 1] += 0.5 * np.pi
+        u = _unit_components(coordinate_jets(advanced, order))
+        rows.append([u[c] if c <= n - a else zero for c in range(n)])
     return rows
 
 

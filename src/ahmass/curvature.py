@@ -120,15 +120,22 @@ def metric_apparatus(spec: MetricSpec | J.Jet, coords, level: int = 2) -> Metric
     ``spec`` is a metric spec, or the metric's component jet at ``coords``
     when the caller holds it already (of order ``level`` or more).  A spec's
     jets are built to the order the level needs: level 1 asks for first-order
-    jets and computes no second derivative of g.
+    jets and computes no second derivative of g.  A tensor with det g <= 0 at
+    some point is not a metric there: the call raises ArithmeticError with
+    the count of such points.
     """
     coords = as_coords(coords)
     g, dg, ddg = spec if isinstance(spec, J.Jet) else spec.component_jets(coords, order=level)
     N, n = g.shape[:2]
+    det = np.linalg.det(g)
+    bad = int(np.count_nonzero(det <= 0.0))
+    if bad:
+        raise ArithmeticError(f"the metric is not positive definite: det g <= 0 "
+                              f"at {bad} of {N} points")
     inv, bracket, gamma = _connection(g, dg)
     dinv = inv[:, None] @ dg @ inv[:, None]
     dinv *= -1.0
-    sqrt_det = np.sqrt(np.linalg.det(g))
+    sqrt_det = np.sqrt(det)
     app = MetricApparatus(coords=coords, g=g, dg=dg, inv=inv,
                           dinv=dinv, gamma=gamma, sqrt_det=sqrt_det, level=1)
     if level >= 2:

@@ -11,8 +11,10 @@ itself, so they inherit its order.
 
 The random compactly supported fields of the duality and first-variation
 checks are constant linear combinations of jets that depend only on the
-nodes and the support: a ``CompactBasis`` holds those jets once per rule, and
-each field's ``evaluate(basis)`` applies its own coefficients to them.
+nodes and the support, and each is a radial factor times an angular one: a
+``CompactBasis`` holds those jets once per rule, on the rule's distinct radii
+and distinct directions, and each field's ``evaluate(basis)`` applies its own
+coefficients to the angular jets before one product assembles the node jet.
 """
 
 from __future__ import annotations
@@ -150,33 +152,63 @@ class CompactBasis:
 
     The fields of ``random_compact_scalar`` and ``random_compact_tensor`` with
     support (lo, hi) are constant linear combinations of these jets, so one
-    basis per quadrature rule serves every field drawn on it.  Each part is
+    basis per quadrature rule serves every field drawn on it.  Every field is
+    separable, a radial factor times an angular one, so the radial jets live
+    on the distinct radii of the nodes and the angular jets on their distinct
+    directions (a volume rule has a few dozen radii and a few hundred
+    directions; scattered rows have as many of each as rows).  Each part is
     built on first use, so a basis asked only for tensors builds no scalar
     products:
 
-    - ``bump``: the polynomial bump ``poly_bump_jet`` of r on (lo, hi);
-    - ``unit``: the unit-vector jets u_i = x_i / r;
-    - ``quadratic``: the products u_i u_k, indexed [i][k];
-    - ``radial_linear``: bump (1+r^2)^(-1) times the stack [1, u_1..u_n];
-    - ``jacobian``: the chart Jacobian jets dx_c / d(chart_a), indexed (a, c).
+    - ``bump``: the polynomial bump ``poly_bump_jet`` of r on (lo, hi), per radius;
+    - ``radial_tensor``: rho(r) r^(k_a + k_b) at (a, b), per radius, with
+      rho = bump (1+r^2)^(-1), k_0 = 0 and k_a = 1 for a >= 1;
+    - ``unit``: the unit-vector jets u_i = x_i / r, per direction;
+    - ``linear``: the stack [1, u_1..u_n], per direction;
+    - ``quadratic``: the products u_i u_k, indexed [i][k], per direction;
+    - ``frame``: the angular factor U of the chart Jacobian
+      dx_c / d(chart_a) = s_a(r) U_ac with s_0 = 1 and s_a = r
+      (``chart.chart_jacobian_jets``), per direction.
+
+    Radial jets are jets in r alone and angular jets in the angles alone;
+    ``assemble`` multiplies one of each into the jet at the nodes.
     """
 
     def __init__(self, coords, support, order: int = 2):
         self.coords = as_coords(coords)
         self.support = tuple(support)
         self.order = order
-
-    @cached_property
-    def _radius(self) -> J.Jet:
-        return J.coordinate_jets(self.coords, self.order)[0]
+        radii, self._radius_index = np.unique(self.coords[:, 0], return_inverse=True)
+        self.directions, self._direction_index = np.unique(
+            self.coords[:, 1:], axis=0, return_inverse=True)
+        self._radius = J.coordinate_jets(radii[:, None], order)[0]
 
     @cached_property
     def bump(self) -> J.Jet:
         return poly_bump_jet(self._radius, *self.support)
 
     @cached_property
+    def radial_tensor(self) -> J.Jet:
+        r = self._radius
+        scaled = [self.bump * (1.0 + r * r).reciprocal()]     # rho r^k, k = 0, 1, 2
+        for _ in range(2):
+            scaled.append(scaled[-1] * r)
+        k = [0] + [1] * (self.coords.shape[1] - 1)
+        return J.stack([[scaled[ka + kb] for kb in k] for ka in k])
+
+    @cached_property
+    def _frame_rows(self) -> list:
+        return chart_jacobian_jets(self.directions, self.order)
+
+    @property
     def unit(self) -> list:
-        return unit_vector_jets(self.coords, self.order)
+        return self._frame_rows[0]
+
+    @cached_property
+    def linear(self) -> J.Jet:
+        one = J.constant(1.0, self.directions.shape[0], self.directions.shape[1],
+                         self.order)
+        return J.stack([one, *self.unit])
 
     @cached_property
     def quadratic(self) -> list:
@@ -184,15 +216,31 @@ class CompactBasis:
         return [[ui * uk for uk in u] for ui in u]
 
     @cached_property
-    def radial_linear(self) -> J.Jet:
-        r = self._radius
-        radial = self.bump * (1.0 + r * r).reciprocal()
-        return radial * J.stack([J.constant(1.0, *self.coords.shape, self.order),
-                                 *self.unit])
+    def frame(self) -> J.Jet:
+        return J.stack(self._frame_rows)
 
-    @cached_property
-    def jacobian(self) -> J.Jet:
-        return J.stack(chart_jacobian_jets(self.coords, self.order))
+    def assemble(self, radial: J.Jet, angular: J.Jet) -> J.Jet:
+        """The node jet of radial(r) * angular(theta) for a radial jet on the
+        distinct radii and an angular jet on the distinct directions.
+
+        d_r falls on the radial factor and d_theta on the angular one; the
+        mixed Hessian block is radial' * d_theta angular.
+        """
+        R = radial.map(lambda x: x[self._radius_index])
+        A = angular.map(lambda x: x[self._direction_index])
+        val = R.val * A.val
+        npts, n = self.coords.shape
+        grad = np.empty((npts, n) + val.shape[1:])
+        np.multiply(R.grad, A.val[:, None], out=grad[:, :1])
+        np.multiply(A.grad, R.val[:, None], out=grad[:, 1:])
+        if R.hess is None or A.hess is None:
+            return J.Jet(val, grad, None)
+        hess = np.empty((npts, n, n) + val.shape[1:])
+        np.multiply(R.hess, A.val[:, None, None], out=hess[:, :1, :1])
+        np.multiply(A.hess, R.val[:, None, None], out=hess[:, 1:, 1:])
+        np.multiply(A.grad, R.grad, out=hess[:, 1:, 0])
+        hess[:, 0, 1:] = hess[:, 1:, 0]
+        return J.Jet(val, grad, hess)
 
     def require_support(self, support):
         if tuple(support) != self.support:
@@ -204,8 +252,9 @@ class CompactScalarField(ScalarField):
     """bump(r) * (c0 + c1_i u_i + c2_ik u_i u_k) on the support of the bump.
 
     The field holds its coefficients only; ``evaluate`` applies them to the
-    ``CompactBasis`` of a rule, and ``jet`` builds the basis of its coordinates
-    and evaluates against it.
+    angular jets of the ``CompactBasis`` of a rule and assembles the product
+    with its bump, and ``jet`` builds the basis of its coordinates and
+    evaluates against it.
     """
 
     def __init__(self, c0, c1, c2, support):
@@ -216,12 +265,12 @@ class CompactScalarField(ScalarField):
     def evaluate(self, basis: CompactBasis) -> J.Jet:
         basis.require_support(self.support)
         n = len(self.c1)
-        poly = J.constant(self.c0, *basis.coords.shape, basis.order)
+        poly = J.constant(self.c0, *basis.directions.shape, basis.order)
         for i in range(n):
             poly = poly + self.c1[i] * basis.unit[i]
             for k in range(n):
                 poly = poly + self.c2[i, k] * basis.quadratic[i][k]
-        return basis.bump * poly
+        return basis.assemble(basis.bump, poly)
 
 
 def random_compact_scalar(rng, r_lo: float, r_hi: float, n: int) -> CompactScalarField:
@@ -394,13 +443,17 @@ class AxisConcentratedPerturbation(FrameComponentField):
 class CartesianTensorField(SymmetricTensorField):
     """Tensor prescribed by Cartesian components H_cd, pulled back to the chart.
 
-    H_cd = W_cdq B_q is a constant linear map ``weights`` (shape (n, n, n+1))
-    of the ``CompactBasis`` stack B = bump (1+r^2)^(-1) [1, u_1..u_n], and the
-    chart components are h_ab = J_ac J_bd H_cd with the basis' Jacobian jets
-    J_ac = dx_c/d(chart_a).  Those jets are exact (``chart.chart_jacobian_jets``),
-    so a field smooth in Cartesian terms stays smooth across the chart poles.
-    ``evaluate`` pulls back against a rule's basis; ``component_arrays`` builds
-    the basis of its coordinates and evaluates against it.
+    H_cd = rho(r) (W_cd0 + W_cdq u_q) is a constant linear map ``weights``
+    (shape (n, n, n+1)) of the ``CompactBasis`` stack [1, u_1..u_n] times
+    rho = bump (1+r^2)^(-1), and the chart components are h_ab = J_ac J_bd H_cd
+    with the chart Jacobian J_ac = dx_c/d(chart_a) = s_a(r) U_ac(theta).  The
+    field therefore separates as h_ab = rho(r) r^(k_a + k_b) (U H~ U^T)_ab(theta)
+    with H~ = W_cd0 + W_cdq u_q: ``evaluate`` pulls H~ back by U on the basis'
+    distinct directions and assembles the product with the basis'
+    ``radial_tensor``.  The U jets are exact (``chart.chart_jacobian_jets``), so
+    a field smooth in Cartesian terms stays smooth across the chart poles.
+    ``component_arrays`` builds the basis of its coordinates and evaluates
+    against it.
     """
 
     def __init__(self, weights, support, description=None):
@@ -410,11 +463,11 @@ class CartesianTensorField(SymmetricTensorField):
 
     def evaluate(self, basis: CompactBasis) -> J.Jet:
         basis.require_support(self.support)
-        jac = basis.jacobian
+        U = basis.frame
         # a constant linear map acts on each derivative order alike
-        H = basis.radial_linear.map(
-            lambda x: np.einsum("...q,cdq->...cd", x, self.weights))
-        return J.contract("ac,bc->ab", jac, J.contract("bd,cd->bc", jac, H))
+        H = basis.linear.map(lambda x: np.einsum("...q,cdq->...cd", x, self.weights))
+        angular = J.contract("ac,bc->ab", U, J.contract("bd,cd->bc", U, H))
+        return basis.assemble(basis.radial_tensor, angular)
 
 
 def random_compact_tensor(rng, n: int, r_lo: float, r_hi: float,

@@ -153,14 +153,15 @@ def first_variation_check(spec: MetricSpec, f, h_field, epsilons,
                           rule: VolumeRule) -> FirstVariationReport:
     """Compare (F(g + eps h) - F(g))/eps with -int <h, L_g^* f> dmu_g.
 
-    Errors should shrink at first order in eps; the report carries the fitted
-    convergence order (NaN when both sides vanish identically).  A field that
-    declares ``support = (lo, hi)`` must vanish, with all its derivatives, at
-    every node whose radius lies outside [lo, hi].  There every term of the
-    reference and of F(g + eps h) - F(g) is exactly zero, and the tails of the
-    two functionals cancel, so everything (the metric apparatus, the volume
-    weights, the jet of f, h and the perturbed scalar curvature per epsilon)
-    is evaluated on the support nodes alone; without a support, on every node.
+    Errors should shrink at first order in eps; the report carries the
+    convergence order between the two smallest epsilons (NaN when both sides
+    vanish identically).  A field that declares ``support = (lo, hi)`` must
+    vanish, with all its derivatives, at every node whose radius lies outside
+    [lo, hi].  There every term of the reference and of F(g + eps h) - F(g)
+    is exactly zero, and the tails of the two functionals cancel, so
+    everything (the metric apparatus, the volume weights, the jet of f, h and
+    the perturbed scalar curvature per epsilon) is evaluated on the support
+    nodes alone; without a support, on every node.
     The metric's component jets are evaluated once there and serve the
     apparatus of g and of every g + eps h.
     """
@@ -202,7 +203,10 @@ def first_variation_check(spec: MetricSpec, f, h_field, epsilons,
         return FirstVariationReport(reference=reference, epsilons=epsilons,
                                     quotients=quotients, errors=errors,
                                     order=np.nan, exact_zero=True)
-    slope, _ = fit_log_slope(epsilons, np.maximum(errors, 1e-300))
+    # the order is the local order of the two smallest epsilons, the
+    # asymptotic end of the ladder: a fit over the whole ladder is pulled
+    # below 1 by the eps^2 term at its large end
+    slope, _ = fit_log_slope(epsilons[-2:], np.maximum(errors[-2:], 1e-300))
     return FirstVariationReport(reference=reference, epsilons=epsilons,
                                 quotients=quotients, errors=errors,
                                 order=float(slope), exact_zero=False)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -638,6 +639,50 @@ def test_first_variation_ignores_r_max(tmp_path):
         assert main(["first-variation", "--config", cfg, "--out", str(out)]) == 0
         results.append(read_report(out, "first-variation")["results"])
     assert results[0] == results[1]
+
+
+# a first-order-correct draw whose eps^2 term at eps = 0.03 pulls a fit over
+# the whole ladder to order 0.896; the two smallest epsilons give 0.98
+FIRST_ORDER_DRAW = {"command": "first-variation", "numeric": {"seed": 847720050},
+                    "metric": {"family": "schwarzschild_ads", "n": 3,
+                               "params": {"m": 0.636646}}}
+
+
+def test_first_variation_order_is_taken_at_the_small_end(tmp_path):
+    cfg = write_config(tmp_path, FIRST_ORDER_DRAW)
+    out = tmp_path / "out"
+    assert main(["first-variation", "--config", cfg, "--out", str(out)]) == 0
+    results = read_report(out, "first-variation")["results"]
+    eps, errors = results["epsilons"], results["errors"]
+    local = np.log(errors[-2] / errors[-1]) / np.log(eps[-2] / eps[-1])
+    assert results["order"] == pytest.approx(local, rel=1e-12)
+    assert 0.9 <= results["order"] < 1.1
+
+
+def test_first_variation_wrong_side_fails(tmp_path, monkeypatch):
+    # L_g h off by 1% shifts every difference quotient by a constant, so the
+    # errors stop shrinking with eps
+    import ahmass.operators as ops
+    exact = ops.linearized_scalar_values
+    monkeypatch.setattr(ops, "linearized_scalar_values",
+                        lambda app, h: 1.01 * exact(app, h))
+    cfg = write_config(tmp_path, FIRST_ORDER_DRAW)
+    out = tmp_path / "out"
+    assert main(["first-variation", "--config", cfg, "--out", str(out)]) == EXIT_CHECK_FAILURE
+    assert read_report(out, "first-variation")["results"]["order"] < 0.9
+
+
+def test_first_variation_on_an_indefinite_metric_is_a_numerical_failure(tmp_path, capsys):
+    # at eps = 100, g + eps h has det <= 0 at some nodes: no report is computed
+    # on a tensor that is not a metric, and numpy warns of no invalid sqrt
+    doc = dict(FIRST_ORDER_DRAW, numeric={"seed": 847720050, "eps_ladder": [100, 50],
+                                          "quad_polar": 6, "quad_azimuth": 12})
+    cfg = write_config(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        status = main(["first-variation", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert status == EXIT_NUMERICAL
+    assert re.search(r"det g <= 0 at \d+ of \d+ points", capsys.readouterr().err)
 
 
 def test_reports_byte_identical(tmp_path):
