@@ -77,6 +77,15 @@ class MetricApparatus:
         return np.einsum("pkjli,pk,pj,pl,pi->p", self.riemann, X, Y, Y, X)
 
 
+class DegenerateMetricError(ArithmeticError):
+    """A symmetric tensor with det g <= 0 at the points flagged in ``mask``."""
+
+    def __init__(self, mask: np.ndarray):
+        super().__init__(f"the metric is not positive definite: det g <= 0 "
+                         f"at {np.count_nonzero(mask)} of {mask.size} points")
+        self.mask = mask
+
+
 def _bracket(dg):
     # d_i g_lj + d_j g_li - d_l g_ij at index (..., l, i, j), from dg at (..., a, i, j)
     t = dg.swapaxes(-3, -2)
@@ -121,17 +130,16 @@ def metric_apparatus(spec: MetricSpec | J.Jet, coords, level: int = 2) -> Metric
     when the caller holds it already (of order ``level`` or more).  A spec's
     jets are built to the order the level needs: level 1 asks for first-order
     jets and computes no second derivative of g.  A tensor with det g <= 0 at
-    some point is not a metric there: the call raises ArithmeticError with
-    the count of such points.
+    some point is not a metric there: the call raises DegenerateMetricError
+    with the mask of such points.
     """
     coords = as_coords(coords)
     g, dg, ddg = spec if isinstance(spec, J.Jet) else spec.component_jets(coords, order=level)
     N, n = g.shape[:2]
     det = np.linalg.det(g)
-    bad = int(np.count_nonzero(det <= 0.0))
-    if bad:
-        raise ArithmeticError(f"the metric is not positive definite: det g <= 0 "
-                              f"at {bad} of {N} points")
+    bad = det <= 0.0
+    if bad.any():
+        raise DegenerateMetricError(bad)
     inv, bracket, gamma = _connection(g, dg)
     dinv = inv[:, None] @ dg @ inv[:, None]
     dinv *= -1.0

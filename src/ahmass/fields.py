@@ -15,6 +15,9 @@ nodes and the support, and each is a radial factor times an angular one: a
 ``CompactBasis`` holds those jets once per rule, on the rule's distinct radii
 and distinct directions, and each field's ``evaluate(basis)`` applies its own
 coefficients to the angular jets before one product assembles the node jet.
+``basis.node_jets(field)`` applies the coefficients once and assembles any
+block of nodes on demand, which is how the volume checks evaluate their
+fields block by block.
 """
 
 from __future__ import annotations
@@ -171,7 +174,8 @@ class CompactBasis:
       (``chart.chart_jacobian_jets``), per direction.
 
     Radial jets are jets in r alone and angular jets in the angles alone;
-    ``assemble`` multiplies one of each into the jet at the nodes.
+    ``assemble`` multiplies one of each into the jet at the nodes, or at a
+    block of them.
     """
 
     def __init__(self, coords, support, order: int = 2):
@@ -219,17 +223,18 @@ class CompactBasis:
     def frame(self) -> J.Jet:
         return J.stack(self._frame_rows)
 
-    def assemble(self, radial: J.Jet, angular: J.Jet) -> J.Jet:
-        """The node jet of radial(r) * angular(theta) for a radial jet on the
-        distinct radii and an angular jet on the distinct directions.
+    def assemble(self, radial: J.Jet, angular: J.Jet, rows=slice(None)) -> J.Jet:
+        """The jet of radial(r) * angular(theta) at the nodes ``rows`` (all
+        by default) for a radial jet on the distinct radii and an angular jet
+        on the distinct directions.
 
         d_r falls on the radial factor and d_theta on the angular one; the
         mixed Hessian block is radial' * d_theta angular.
         """
-        R = radial.map(lambda x: x[self._radius_index])
-        A = angular.map(lambda x: x[self._direction_index])
+        R = radial.map(lambda x: x[self._radius_index[rows]])
+        A = angular.map(lambda x: x[self._direction_index[rows]])
         val = R.val * A.val
-        npts, n = self.coords.shape
+        npts, n = val.shape[0], self.coords.shape[1]
         grad = np.empty((npts, n) + val.shape[1:])
         np.multiply(R.grad, A.val[:, None], out=grad[:, :1])
         np.multiply(A.grad, R.val[:, None], out=grad[:, 1:])
@@ -241,6 +246,13 @@ class CompactBasis:
         np.multiply(A.grad, R.grad, out=hess[:, 1:, 0])
         hess[:, 0, 1:] = hess[:, 1:, 0]
         return J.Jet(val, grad, hess)
+
+    def node_jets(self, field):
+        """The jet of a compact ``field`` of this basis at the nodes ``rows``,
+        as a function of ``rows``: the field's coefficients are applied here,
+        once, and each call only assembles."""
+        radial, angular = field.factors(self)
+        return lambda rows: self.assemble(radial, angular, rows)
 
     def require_support(self, support):
         if tuple(support) != self.support:
@@ -262,7 +274,8 @@ class CompactScalarField(ScalarField):
         super().__init__(lambda c, order: self.evaluate(CompactBasis(c, support, order)),
                          support=support)
 
-    def evaluate(self, basis: CompactBasis) -> J.Jet:
+    def factors(self, basis: CompactBasis) -> tuple:
+        """(radial, angular) jets on the basis' distinct radii and directions."""
         basis.require_support(self.support)
         n = len(self.c1)
         poly = J.constant(self.c0, *basis.directions.shape, basis.order)
@@ -270,7 +283,10 @@ class CompactScalarField(ScalarField):
             poly = poly + self.c1[i] * basis.unit[i]
             for k in range(n):
                 poly = poly + self.c2[i, k] * basis.quadratic[i][k]
-        return basis.assemble(basis.bump, poly)
+        return basis.bump, poly
+
+    def evaluate(self, basis: CompactBasis) -> J.Jet:
+        return basis.assemble(*self.factors(basis))
 
 
 def random_compact_scalar(rng, r_lo: float, r_hi: float, n: int) -> CompactScalarField:
@@ -363,6 +379,11 @@ class SymmetricTensorField:
     def component_arrays(self, coords, order: int = 2) -> J.Jet:
         return self._jet_fn(as_coords(coords), order)
 
+    def node_jets(self, coords):
+        """The second-order jet at ``coords[rows]`` as a function of ``rows``."""
+        coords = as_coords(coords)
+        return lambda rows: self.component_arrays(coords[rows])
+
     def describe(self):
         return self._description
 
@@ -452,8 +473,8 @@ class CartesianTensorField(SymmetricTensorField):
     distinct directions and assembles the product with the basis'
     ``radial_tensor``.  The U jets are exact (``chart.chart_jacobian_jets``), so
     a field smooth in Cartesian terms stays smooth across the chart poles.
-    ``component_arrays`` builds the basis of its coordinates and evaluates
-    against it.
+    ``component_arrays`` and ``node_jets`` build the basis of their
+    coordinates and evaluate against it.
     """
 
     def __init__(self, weights, support, description=None):
@@ -461,13 +482,20 @@ class CartesianTensorField(SymmetricTensorField):
         super().__init__(lambda c, order: self.evaluate(CompactBasis(c, support, order)),
                          support=support, description=description)
 
-    def evaluate(self, basis: CompactBasis) -> J.Jet:
+    def factors(self, basis: CompactBasis) -> tuple:
+        """(radial, angular) jets on the basis' distinct radii and directions."""
         basis.require_support(self.support)
         U = basis.frame
         # a constant linear map acts on each derivative order alike
         H = basis.linear.map(lambda x: np.einsum("...q,cdq->...cd", x, self.weights))
         angular = J.contract("ac,bc->ab", U, J.contract("bd,cd->bc", U, H))
-        return basis.assemble(basis.radial_tensor, angular)
+        return basis.radial_tensor, angular
+
+    def evaluate(self, basis: CompactBasis) -> J.Jet:
+        return basis.assemble(*self.factors(basis))
+
+    def node_jets(self, coords):
+        return CompactBasis(coords, self.support).node_jets(self)
 
 
 def random_compact_tensor(rng, n: int, r_lo: float, r_hi: float,

@@ -128,15 +128,24 @@ class ODESolution:
 
 def solve_second_order(prob: ODEProblem, u0: float, du0: float, T=None,
                        homogeneous: bool = False) -> ODESolution:
-    """Adaptive high-order integration of the problem from t = 0."""
+    """Adaptive high-order integration of the problem from t = 0.
+
+    A homogeneous solution is linear in (u0, du0), so its absolute tolerance
+    scales with the larger of the two: the accuracy asked for does not depend
+    on the size of the data, and data near the underflow range (du0 ~ 1e-161)
+    does not drive the solver's error norm to 0 / 0.
+    """
     T = prob.horizon if T is None else T
+    atol = DEFAULT_ATOL
+    if homogeneous:
+        atol *= max(abs(u0), abs(du0)) or 1.0
 
     def rhs(t, y):
         forcing = 0.0 if homogeneous else prob.f(t)
         return [y[1], prob.p(t) * y[1] + (1.0 + prob.q(t)) * y[0] + forcing]
 
     out = solve_ivp(rhs, (0.0, T), [u0, du0], method="DOP853", rtol=DEFAULT_RTOL,
-                    atol=DEFAULT_ATOL, dense_output=True)
+                    atol=atol, dense_output=True)
     if not out.success:
         raise ArithmeticError(f"integration failed: {out.message}")
     return ODESolution(sol=out.sol, t_span=(0.0, T))

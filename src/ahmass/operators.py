@@ -16,7 +16,11 @@ linear-growth potential f,
 with bb fixed to the hyperbolic background on the whole exterior chart.
 
 Fields enter as the ``Jet`` their producer returns: a scalar jet ``V.jet(c)``
-for the potential and a tensor jet ``component_arrays(c)`` for h.
+for the potential and a tensor jet ``component_arrays(c)`` for h.  The two
+volume checks evaluate everything pointwise in node blocks
+(``quadrature.map_node_blocks``) and sum the joined per-node arrays of the
+whole rule, so their results do not depend on the blocks.  A metric with
+det g <= 0 in any block is reported with its count over the whole rule.
 """
 
 from __future__ import annotations
@@ -26,11 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import as_coords
-from .curvature import (MetricApparatus, covariant_hessian, metric_apparatus,
-                        nabla2_2tensor)
+from .curvature import (DegenerateMetricError, MetricApparatus, covariant_hessian,
+                        metric_apparatus, nabla2_2tensor)
 from .decay import fit_log_slope
 from .metrics import MetricSpec, frame_components
-from .quadrature import VolumeRule, angular_jacobian, volume_weights
+from .quadrature import VolumeRule, angular_jacobian, map_node_blocks
 from . import jets as J
 
 
@@ -71,30 +75,66 @@ def trace_identity_gap(spec: MetricSpec, u, point) -> np.ndarray:
     return np.abs(lhs - rhs)
 
 
+# -- node blocks ---------------------------------------------------------------
+
+def _level2(metric, coords, degenerate) -> MetricApparatus | None:
+    """The level-2 apparatus of ``metric`` at ``coords``, or None with the
+    points where det g <= 0 set in the boolean array ``degenerate``."""
+    try:
+        return metric_apparatus(metric, coords, level=2)
+    except DegenerateMetricError as err:
+        degenerate |= err.mask
+        return None
+
+
+def _raise_if_degenerate(degenerate: np.ndarray):
+    """Raise for the first column (metric) of a node-by-metric mask, joined
+    over the whole rule, that flags any point with det g <= 0."""
+    columns = degenerate.reshape(degenerate.shape[0], -1)
+    failing = np.flatnonzero(columns.any(axis=0))
+    if failing.size:
+        raise DegenerateMetricError(columns[:, failing[0]])
+
+
 # -- integration-by-parts self-test ---------------------------------------------
 
-def duality_residual(spec: MetricSpec, h: J.Jet, jet: J.Jet, rule: VolumeRule,
-                     app: MetricApparatus = None) -> float:
-    """Relative gap between <L_g h, u> and <h, L_g^* u> over compact supports.
+def duality_residual(spec: MetricSpec, pairs, rule: VolumeRule) -> list:
+    """Relative gaps between <L_g h, u> and <h, L_g^* u> over compact supports.
 
-    ``h`` is the tensor jet and ``jet`` the scalar jet of u at the rule's
-    nodes, input data to both sides.  Both integrals are computed by the same
-    quadrature rule but through independent integrands; the scale is the
-    larger L^1 norm of the two.  A precomputed level-2 apparatus at the rule's
-    nodes may be passed in when many pairs share one metric.
+    Each entry of ``pairs`` holds the jets of h and of u at the rule's nodes
+    ``rows`` as functions of ``rows`` (``CompactBasis.node_jets``,
+    ``SymmetricTensorField.node_jets``), input data to both sides.  Each node
+    block builds one level-2 apparatus for every pair.  Both integrals are
+    computed by the same quadrature rule but through independent integrands;
+    the scale is the larger L^1 norm of the two.  Returns one gap per pair.
     """
-    if app is None:
-        app = metric_apparatus(spec, rule.coords, level=2)
-    w = volume_weights(rule, app.sqrt_det)
-    lhs_density = jet.val * linearized_scalar_values(app, h)
-    rhs_density = app.inner(h.val, adjoint_values(app, jet))
-    lhs = float(np.sum(w * lhs_density))
-    rhs = float(np.sum(w * rhs_density))
-    scale = max(float(np.sum(np.abs(w * lhs_density))),
-                float(np.sum(np.abs(w * rhs_density))))
-    if scale < 1e-300:
-        return 0.0
-    return abs(lhs - rhs) / scale
+    npairs = len(pairs)
+
+    def densities(rows):
+        coords = rule.coords[rows]
+        m = coords.shape[0]
+        degenerate = np.zeros(m, dtype=bool)
+        w = np.full(m, np.nan)
+        lhs, rhs = np.full((m, npairs), np.nan), np.full((m, npairs), np.nan)
+        app = _level2(spec, coords, degenerate)
+        if app is not None:
+            # volume_weights(rule, ...) at the block's nodes
+            w = rule.weights[rows] * app.sqrt_det / angular_jacobian(coords[:, 1:])
+            for k, (h_at, u_at) in enumerate(pairs):
+                h, jet = h_at(rows), u_at(rows)
+                lhs[:, k] = jet.val * linearized_scalar_values(app, h)
+                rhs[:, k] = app.inner(h.val, adjoint_values(app, jet))
+        return degenerate, w, lhs, rhs
+
+    degenerate, w, lhs, rhs = map_node_blocks(densities, rule.coords.shape[0])
+    _raise_if_degenerate(degenerate)
+    residuals = []
+    for k in range(npairs):
+        lhs_w, rhs_w = w * lhs[:, k], w * rhs[:, k]
+        scale = max(float(np.sum(np.abs(lhs_w))), float(np.sum(np.abs(rhs_w))))
+        gap = abs(float(np.sum(lhs_w)) - float(np.sum(rhs_w)))
+        residuals.append(0.0 if scale < 1e-300 else gap / scale)
+    return residuals
 
 
 # -- static equation residuals ---------------------------------------------------
@@ -162,8 +202,9 @@ def first_variation_check(spec: MetricSpec, f, h_field, epsilons,
     everything (the metric apparatus, the volume weights, the jet of f, h and
     the perturbed scalar curvature per epsilon) is evaluated on the support
     nodes alone; without a support, on every node.
-    The metric's component jets are evaluated once there and serve the
-    apparatus of g and of every g + eps h.
+    The metric's component jets are evaluated once per node block and serve
+    the apparatus of g and of every g + eps h; the sums run over the joined
+    per-node arrays of all blocks.
     """
     coords = rule.coords
     if h_field.support is not None:
@@ -171,33 +212,45 @@ def first_variation_check(spec: MetricSpec, f, h_field, epsilons,
         mask = (coords[:, 0] >= lo) & (coords[:, 0] <= hi)
     else:
         mask = np.ones(coords.shape[0], dtype=bool)
-    coords = coords[mask]
-    base = spec.component_jets(coords)
-    app = metric_apparatus(base, coords, level=2)
-    # volume_weights(rule, ...) restricted to the support nodes
-    w = rule.weights[mask] * app.sqrt_det / angular_jacobian(coords[:, 1:])
-    jet = f.jet(coords)
-    h = h_field.component_arrays(coords)
-    pair_h = app.inner(h.val, adjoint_values(app, jet))
-    reference = -float(np.sum(w * pair_h))
-    lin_h = linearized_scalar_values(app, h)
-    r_g = app.scalar
-    # only R(g) is read below: release the level-2 arrays before the
-    # perturbed apparatus, which sets the peak memory of this check
-    del app
-
+    coords, weights = coords[mask], rule.weights[mask]
+    h_at = h_field.node_jets(coords)
     epsilons = np.asarray(sorted(epsilons, reverse=True), dtype=float)
-    quotients = []
-    for eps in epsilons:
-        # g + eps h is linear in eps: its jets are the base jets above plus
-        # the one (second-order) h jet scaled, which level 2 asks for
-        r_eps = metric_apparatus(base + h * eps, coords, level=2).scalar
-        # F(gamma) - F(g): the e-linear terms shift by eps * (L_g h f - <h, L* f>)
-        # and the curvature term by R(g) - R(gamma)
-        diff = -(r_eps - r_g) * jet.val
-        diff += eps * (lin_h * jet.val - pair_h)
-        quotients.append(float(np.sum(w * diff)) / eps)
-    quotients = np.asarray(quotients)
+
+    def block(rows):
+        c = coords[rows]
+        m = c.shape[0]
+        # column 0 flags g, column 1 + k flags g + epsilons[k]
+        degenerate = np.zeros((m, 1 + epsilons.size), dtype=bool)
+        w, pair_h = np.full(m, np.nan), np.full(m, np.nan)
+        diffs = np.full((m, epsilons.size), np.nan)
+        base = spec.component_jets(c)
+        app = _level2(base, c, degenerate[:, 0])
+        if app is None:
+            return degenerate, w, pair_h, diffs
+        # volume_weights(rule, ...) restricted to the support nodes
+        w = weights[rows] * app.sqrt_det / angular_jacobian(c[:, 1:])
+        jet = f.jet(c)
+        h = h_at(rows)
+        pair_h = app.inner(h.val, adjoint_values(app, jet))
+        lin_h = linearized_scalar_values(app, h)
+        for k, eps in enumerate(epsilons):
+            # g + eps h is linear in eps: its jets are the base jets above plus
+            # the one (second-order) h jet scaled, which level 2 asks for
+            perturbed = _level2(base + h * eps, c, degenerate[:, 1 + k])
+            if perturbed is None:
+                continue
+            # F(gamma) - F(g): the e-linear terms shift by eps * (L_g h f - <h, L* f>)
+            # and the curvature term by R(g) - R(gamma)
+            diff = -(perturbed.scalar - app.scalar) * jet.val
+            diff += eps * (lin_h * jet.val - pair_h)
+            diffs[:, k] = diff
+        return degenerate, w, pair_h, diffs
+
+    degenerate, w, pair_h, diffs = map_node_blocks(block, coords.shape[0])
+    _raise_if_degenerate(degenerate)
+    reference = -float(np.sum(w * pair_h))
+    quotients = np.asarray([float(np.sum(w * diffs[:, k])) / eps
+                            for k, eps in enumerate(epsilons)])
     errors = np.abs(quotients - reference)
     if np.all(errors < 1e-9) and abs(reference) < 1e-9:
         return FirstVariationReport(reference=reference, epsilons=epsilons,

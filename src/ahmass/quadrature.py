@@ -8,10 +8,17 @@ Every factor is a Gaussian rule for its own weight, so the product is exact
 for polynomials in the Cartesian unit vector up to a degree that grows with the
 node counts, in every dimension.  Summations use numpy's pairwise reduction
 over a fixed node ordering, so repeated runs are bit-identical.
+
+Pointwise work over the nodes of a rule runs in node blocks
+(``map_node_blocks``) on a thread pool with one worker per usable CPU; the
+blocks' arrays are joined in node order before any reduction, so results do
+not depend on the block size or the number of workers.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +26,9 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi
 
 DEFAULT_POLAR_NODES = 48   # the 48 x 96 rule on S^2
+NODE_BLOCK = 2048          # nodes per block of map_node_blocks
+
+_node_pool = None          # made on the first call that has blocks to share
 
 
 @dataclass(frozen=True)
@@ -149,3 +159,41 @@ def volume_weights(rule: VolumeRule, sqrt_det: np.ndarray) -> np.ndarray:
     """
     return rule.weights * sqrt_det / angular_jacobian(rule.coords[:, 1:])
 
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:         # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def map_node_blocks(fn, count: int) -> tuple:
+    """Apply ``fn`` to consecutive blocks of ``count`` nodes and join the results.
+
+    ``fn(rows)`` takes a slice of at most NODE_BLOCK nodes and returns a tuple
+    of arrays whose first axis runs over those nodes; the result is the tuple
+    of their concatenations in node order.  The blocks run on a thread pool
+    with one worker per usable CPU, made on first use; with one usable CPU, or
+    one block, they run inline.  Each block runs in a copy of the caller's
+    context, so the caller's ``np.errstate`` holds in it.  The first exception
+    in node order reaches the caller unchanged, and blocks not yet started
+    are cancelled.
+    """
+    global _node_pool
+    blocks = [slice(lo, min(lo + NODE_BLOCK, count))
+              for lo in range(0, max(count, 1), NODE_BLOCK)]
+    workers = _usable_cpus()
+    if workers == 1 or len(blocks) == 1:
+        parts = [fn(rows) for rows in blocks]
+    else:
+        if _node_pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _node_pool = ThreadPoolExecutor(workers, thread_name_prefix="node-block")
+        futures = [_node_pool.submit(contextvars.copy_context().run, fn, rows)
+                   for rows in blocks]
+        try:
+            parts = [future.result() for future in futures]
+        finally:
+            for future in futures:
+                future.cancel()
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ahmass import cli
+from ahmass import cli, quadrature
 from ahmass.cli import (DEFAULT_TOLERANCES, EXIT_CHECK_FAILURE, EXIT_INTERNAL,
                         EXIT_NUMERICAL, EXIT_SCHEMA, NUMERIC_KEYS, SchemaError,
                         load_config, main, resolve_metric, run)
@@ -682,7 +682,64 @@ def test_first_variation_on_an_indefinite_metric_is_a_numerical_failure(tmp_path
         warnings.simplefilter("error", RuntimeWarning)
         status = main(["first-variation", "--config", cfg, "--out", str(tmp_path / "o")])
     assert status == EXIT_NUMERICAL
-    assert re.search(r"det g <= 0 at \d+ of \d+ points", capsys.readouterr().err)
+    # the 48 x 6 x 12 = 3,456 support nodes span two node blocks; the count
+    # is taken over all of them
+    found = re.search(r"det g <= 0 at (\d+) of (\d+) points", capsys.readouterr().err)
+    assert int(found.group(2)) == 48 * 6 * 12 > quadrature.NODE_BLOCK
+    assert 0 < int(found.group(1)) < int(found.group(2))
+
+
+# 72 directions x 32 radii = 2,304 duality nodes and 72 x 48 = 3,456
+# first-variation nodes: two node blocks each, the second a short one
+BLOCKED_RUNS = [
+    {"command": "duality-check", "metric": SCHW,
+     "numeric": {"seed": 5, "pairs": 3, "quad_polar": 6, "quad_azimuth": 12}},
+    dict(FIRST_ORDER_DRAW, numeric={"seed": 847720050, "quad_polar": 6,
+                                    "quad_azimuth": 12}),
+]
+
+
+def _volume_reports(tmp_path, label):
+    reports = {}
+    for doc in BLOCKED_RUNS:
+        command = doc["command"]
+        out = tmp_path / label / command
+        cfg = write_config(tmp_path, doc, name=f"{command}.json")
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        reports.update({p.name: p.read_bytes() for p in out.iterdir()
+                        if not p.name.endswith("_meta.json")})
+    return reports
+
+
+def test_volume_reports_do_not_depend_on_node_blocks(tmp_path, monkeypatch):
+    from concurrent.futures import ThreadPoolExecutor
+    default = _volume_reports(tmp_path, "default")
+    assert len(default) == 3      # two reports and the duality CSV
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "NODE_BLOCK", 10 ** 6)        # the whole rule
+        assert _volume_reports(tmp_path, "whole") == default
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "_usable_cpus", lambda: 1)    # inline blocks
+        assert _volume_reports(tmp_path, "inline") == default
+    with monkeypatch.context() as m, ThreadPoolExecutor(1) as pool:
+        m.setattr(quadrature, "_usable_cpus", lambda: 2)
+        m.setattr(quadrature, "_node_pool", pool)           # one pool worker
+        assert _volume_reports(tmp_path, "one_worker") == default
+
+
+def test_an_error_in_one_node_block_is_a_numerical_failure(tmp_path, monkeypatch):
+    import ahmass.operators as ops
+    adjoint = ops.adjoint_values
+
+    def failing_in_the_short_block(app, jet):
+        if len(app.coords) < quadrature.NODE_BLOCK:
+            raise ArithmeticError("not finite")
+        return adjoint(app, jet)
+
+    monkeypatch.setattr(ops, "adjoint_values", failing_in_the_short_block)
+    cfg = write_config(tmp_path, BLOCKED_RUNS[0])
+    out = tmp_path / "out"
+    assert main(["duality-check", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
 
 
 def test_reports_byte_identical(tmp_path):

@@ -61,6 +61,18 @@ def test_comparison_property_hypothesis(a_p, a_q, d, u0, du0):
     assert np.all(hi.d1(t) > lo.d1(t))
 
 
+def test_homogeneous_solution_of_data_near_underflow():
+    # found by the property test above: at du0 ~ 1e-161 an absolute
+    # tolerance of 1e-14 drove DOP853's error norm to 0 / 0
+    prob = ODEProblem(p=lambda t: 0.0 * t, q=lambda t: 0.0 * t, horizon=8.0,
+                      bounds=(1e-9, 1.0))
+    du0 = 2.2025024910398255e-161
+    tiny = solve_second_order(prob, 0.0, du0, homogeneous=True, T=8.0)
+    unit = solve_second_order(prob, 0.0, 1.0, homogeneous=True, T=8.0)
+    t = np.linspace(0.05, 8.0, 60)
+    assert np.allclose(tiny.value(t) / du0, unit.value(t), rtol=1e-10, atol=0.0)
+
+
 def test_comparison_property(rng):
     # u(0) >= v(0), u'(0) >= v'(0), not identical  =>  u > v and u' > v'
     for _ in range(20):
