@@ -16,8 +16,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "decay": ("DecayFit", "estimate_decay_rate", "verify_ah"),
     "geodesics": ("GeodesicSample", "classify_growth", "integrate_geodesic"),
-    "massflux": ("FluxReport", "MassVector", "mass_flux_integral", "mass_vector",
-                 "prop27_check", "ricci_flux"),
+    "massflux": ("FluxReport", "MassVector", "flux_ladder", "mass_vector",
+                 "prop27_check", "ricci_ladder"),
     "metrics": ("MetricSpec", "frame_components", "hyperbolic_metric",
                 "metric_from_dict", "metric_to_dict", "schwarzschild_ads",
                 "static_potential", "static_potential_basis"),

@@ -161,6 +161,18 @@ def metric_apparatus(spec: MetricSpec | J.Jet, coords, level: int = 2) -> Metric
     return app
 
 
+def finite_curvature(spec: MetricSpec, coords) -> MetricApparatus:
+    """The level-2 apparatus at ``coords``, built without overflow warnings;
+    a Riemann array not finite at some point raises ArithmeticError instead."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        app = metric_apparatus(spec, coords, level=2)
+    count = app.coords.shape[0]
+    bad = count - int(np.isfinite(app.riemann.reshape(count, -1)).all(axis=1).sum())
+    if bad:
+        raise ArithmeticError(f"curvature is not finite at {bad} of {count} points")
+    return app
+
+
 def riemann_symmetry_defects(riemann: np.ndarray) -> tuple:
     """Max violations of first-pair/last-pair antisymmetry and first Bianchi."""
     anti_first = float(np.abs(riemann + np.einsum("pjkli->pkjli", riemann)).max())

@@ -2,9 +2,9 @@
 
 Decay rates are fitted by least squares on log(sup-over-angles |field|)
 against log r, with the convention that a field behaving like r^(-q) reports
-exponent q.  Membership checks are sample-level only: sup norms of frame
-components and their covariant frame derivatives over an angular grid, no
-Holder seminorms.
+exponent q; each ladder passes ``fields.radius_ladder``.  Membership checks
+are sample-level only: sup norms of frame components and their covariant
+frame derivatives over an angular grid, no Holder seminorms.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from . import jets as J
 from .chart import angular_grid
 from .curvature import metric_apparatus, nabla_2tensor, nabla2_2tensor
-from .fields import SchemaError
+from .fields import SchemaError, radius_ladder
 from .metrics import (HyperbolicMetric, MetricSpec, frame_coefficients,
                       frame_components)
 
@@ -78,14 +78,7 @@ def estimate_decay_rate(field_eval, radii, n: int, nodes_per_angle=32) -> DecayF
     any) are reduced by max(abs(.)); the sup over a fixed off-pole angular
     grid is taken at each radius.
     """
-    radii = np.asarray(radii, dtype=float)
-    if radii.size < 3:
-        raise ValueError("decay fit needs at least 3 radii")
-    if np.any(np.diff(radii) <= 0):
-        raise ValueError("radius ladder must be strictly increasing")
-    if radii[-1] / radii[0] < 10.0 - 1e-9:
-        raise ValueError("radius ladder should span at least one decade")
-    return _sup_decay_fits(lambda c: (field_eval(c),), radii,
+    return _sup_decay_fits(lambda c: (field_eval(c),), radius_ladder(radii),
                            angular_grid(n, nodes_per_angle))[0]
 
 
@@ -154,8 +147,7 @@ def verify_ah(spec: MetricSpec, q_claimed: float, radii,
     borderline = q_claimed > n - 1e-9 or getattr(spec, "borderline_decay", False)
     if nodes_per_angle is None:
         nodes_per_angle = {3: 32, 4: 12}.get(n, 8)
-    radii = np.asarray(radii, dtype=float)
-    *fits, scal = _sup_decay_fits(lambda c: _ah_fields(spec, c), radii,
+    *fits, scal = _sup_decay_fits(lambda c: _ah_fields(spec, c), radius_ladder(radii),
                                   angular_grid(n, nodes_per_angle))
     required = q_claimed - 0.1
     conditions = [AHCondition(name=name,

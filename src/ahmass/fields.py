@@ -84,6 +84,20 @@ def check_document(doc, table, where, required=()):
     return doc
 
 
+def radius_ladder(radii) -> np.ndarray:
+    """The radius ladder of a fit, as floats: at least 3 radii, strictly
+    increasing, spanning at least one decade; any other raises SchemaError."""
+    radii = np.asarray(radii, dtype=float)
+    if radii.size < 3:
+        raise SchemaError(f"a radius ladder needs at least 3 radii, got {radii.size}")
+    if np.any(np.diff(radii) <= 0):
+        raise SchemaError("a radius ladder must be strictly increasing")
+    if radii[-1] / radii[0] < 10.0 - 1e-9:
+        raise SchemaError(f"a radius ladder must span at least one decade, got "
+                          f"{radii[0]:g}..{radii[-1]:g}")
+    return radii
+
+
 def check_kind(doc, kinds, where) -> str:
     """Check a document whose "kind" names its (rule table, required keys)
     entry in ``kinds`` against that entry; returns the kind."""

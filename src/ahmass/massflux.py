@@ -11,13 +11,16 @@ the hyperbolic background.  The integrand is linear in the potential's 1-jet,
 
 so A and B are evaluated once per radius and contracted with every potential:
 the mass vector costs one metric evaluation per radius for all n+1 potentials.
-The Ricci flux int_{S_r} (Ric_g + (n-1) g)(grad V, nu) dsigma has one
-integrand, ``ricci_flux``, used with background objects (the cross-check
+The Ricci flux int_{S_r} (Ric_g + (n-1) g)(grad V, nu) dsigma is also linear
+in dV, so one level-2 apparatus per radius serves every potential.  Two
+ladders return the (radii, potentials) arrays: ``flux_ladder`` and
+``ricci_ladder``, the latter with background objects (the cross-check
 ``prop27_check``) or with the metric's own (the rigidity module's boundary
-flux); it stays separate from the mass-flux integrand, the other side of that
-cross-check.  Both go through one sphere reduction, ``_sphere_integral``, the
-same product rule in every dimension with no symmetry assumed of the metric,
-and both ladders through one fit of I(r) = I_inf + c r^(-beta), ``_fit_ladders``.
+flux).  Their integrands stay separate, as the two sides of that cross-check;
+they share one sphere reduction, ``_ladder``, the same product rule in every
+dimension with no symmetry assumed of the metric, and one fit of
+I(r) = I_inf + c r^(-beta), ``_fit_ladders``.  Every fitted ladder is
+checked by ``fields.radius_ladder``.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ from scipy.optimize import least_squares
 
 from .chart import as_coords
 from .curvature import metric_apparatus, nabla_2tensor
-from .fields import SchemaError
+from .fields import radius_ladder
 from .metrics import HyperbolicMetric, MetricSpec, static_potential_basis
-from .quadrature import SphereRule, sphere_coords_at_radius, sphere_rule
+from .quadrature import SphereRule, angular_jacobian, sphere_coords_at_radius, sphere_rule
 
 DEFAULT_RADII = tuple(np.geomspace(20.0, 200.0, 8))
 
@@ -130,7 +133,6 @@ def _normal_and_measure(app, objects: str):
     grad_r = app.inv[:, 0, :]
     norm = np.sqrt(app.inv[:, 0, 0])
     nu = grad_r / norm[:, None]
-    from .quadrature import angular_jacobian
     ang_block = app.g[:, 1:, 1:]
     density = np.sqrt(np.linalg.det(ang_block)) / angular_jacobian(app.coords[:, 1:])
     return nu, density
@@ -166,13 +168,11 @@ def flux_integrand_values(spec: MetricSpec, potentials, coords):
     return A[:, None] * vals + (grads @ B[:, :, None])[:, :, 0], density
 
 
-def _sphere_integral(spec: MetricSpec, potentials, r: float, quad: SphereRule,
-                     integrand) -> np.ndarray:
-    """Integrate ``integrand(coords) -> (values (N, K), density)`` over S_r.
-
-    Returns one integral per potential, from the product rule ``quad`` on
-    S^{n-1} (default ``sphere_rule(n)``) in every dimension.
-    """
+def _ladder(spec: MetricSpec, radii, quad: SphereRule, integrand) -> np.ndarray:
+    """Integrals (radii, K) of ``integrand(coords) -> (values (N, K), density)``
+    over each S_r, by the product rule ``quad`` on S^{n-1} (default
+    ``sphere_rule(n)``) in every dimension.  The radii are not checked here:
+    Wang's boundary flux takes two, and each fit checks its own ladder."""
     n = spec.n
     if quad is None:
         quad = sphere_rule(n)
@@ -181,76 +181,28 @@ def _sphere_integral(spec: MetricSpec, potentials, r: float, quad: SphereRule,
                          f"the sphere S^{n - 1} needs {n - 1}")
     if quad.node_count < 4 ** (n - 1):
         raise ValueError("quadrature spec needs at least 4 nodes per angle")
-    coords = sphere_coords_at_radius(quad, r)
-    vals, density = integrand(coords)
-    return (quad.weights * density) @ vals
+    rows = []
+    for r in np.asarray(radii, dtype=float):
+        vals, density = integrand(sphere_coords_at_radius(quad, r))
+        weights = quad.weights * density
+        # one dot per contiguous column, so no column depends on the others
+        rows.append([weights @ column for column in np.ascontiguousarray(vals.T)])
+    return np.array(rows)
 
 
-def _flux_integrals(spec, potentials, r, quad) -> np.ndarray:
-    return _sphere_integral(spec, potentials, r, quad,
-                            lambda c: flux_integrand_values(spec, potentials, c))
+def flux_ladder(spec: MetricSpec, potentials, radii, quad: SphereRule = None) -> np.ndarray:
+    """Mass-flux integrals (radii, potentials): one metric evaluation per radius."""
+    return _ladder(spec, radii, quad,
+                   lambda c: flux_integrand_values(spec, potentials, c))
 
 
-def mass_flux_integral(spec: MetricSpec, V, r: float, quad: SphereRule = None) -> float:
-    """Flux integral over the sphere of radius r (see ``_sphere_integral``)."""
-    return float(_flux_integrals(spec, [V], r, quad)[0])
-
-
-def _flux_ladders(spec: MetricSpec, potentials, labels, radii, quad: SphereRule) -> list:
-    """One FluxReport per potential, from one integrand evaluation per radius."""
-    radii = np.asarray(radii, dtype=float)
-    if np.any(np.diff(radii) <= 0):
-        raise ValueError("radius ladder must be strictly increasing")
-    values = np.array([_flux_integrals(spec, potentials, r, quad) for r in radii])
-    # beta0 = n matches corrections r^(n-1-2q) at the borderline q = n
-    return _fit_ladders(radii, values, labels, float(spec.n), spec.n)
-
-
-def _fit_ladders(radii, values, labels, beta0: float, n: int) -> list:
-    """One FluxReport per column of the (radii, labels) array ``values``."""
-    reports = []
-    for label, column in zip(labels, values.T):
-        if not np.all(np.isfinite(column)):
-            raise ArithmeticError(f"flux integrand produced non-finite values for {label}")
-        limit, beta, resid, flags = extrapolate_limit(radii, column, beta0,
-                                                      beta_bounds=(0.5, 2.0 * n))
-        reports.append(FluxReport(integrand_label=label, radii=radii, values=column,
-                                  fitted_limit=limit, fit_exponent=beta,
-                                  fit_residual=resid, flags=flags))
-    return reports
-
-
-def flux_ladder(spec: MetricSpec, V, radii=DEFAULT_RADII, quad: SphereRule = None,
-                label: str = "V") -> FluxReport:
-    return _flux_ladders(spec, [V], [label], radii, quad)[0]
-
-
-def mass_vector(spec: MetricSpec, radii=DEFAULT_RADII, quad: SphereRule = None) -> MassVector:
-    """Fitted flux limits against every background static potential."""
-    radii = np.asarray(radii, dtype=float)
-    if radii[-1] / radii[0] < 10.0 - 1e-9:
-        raise SchemaError(f"mass radii must span at least one decade, got "
-                          f"{radii[0]:g}..{radii[-1]:g}")
-    n = spec.n
-    labels = ["V_0"] + [f"x_{i}" for i in range(1, n + 1)]
-    reports = _flux_ladders(spec, static_potential_basis(n), labels, radii, quad)
-    flags = ()
-    if getattr(spec, "borderline_decay", False):
-        flags = ("borderline-decay",)
-    extra = tuple(f for r in reports for f in r.flags if f == "no-extrapolation")
-    return MassVector(p=np.array([r.fitted_limit for r in reports]),
-                      reports=reports, flags=flags + extra)
-
-
-def ricci_flux(spec: MetricSpec, V, r: float, quad: SphereRule = None,
-               objects: str = "background") -> float:
-    """int_{S_r} (Ric_g + (n-1) g)(grad V, nu) dsigma (see ``_sphere_integral``).
-
-    The gradient, unit normal and measure are the hyperbolic background's
-    (``objects="background"``, the curvature side of ``prop27_check``) or the
-    metric's own (``objects="metric"``, the boundary flux of the rigidity
-    module's ``wang_identity_check``).
-    """
+def ricci_ladder(spec: MetricSpec, potentials, radii, quad: SphereRule = None,
+                 objects: str = "background") -> np.ndarray:
+    """int_{S_r} (Ric_g + (n-1) g)(grad V, nu) dsigma as (radii, potentials),
+    from one level-2 apparatus per radius.  Gradient, unit normal and measure
+    are the hyperbolic background's (``objects="background"``, the curvature
+    side of ``prop27_check``) or the metric's own (``objects="metric"``, the
+    boundary flux of ``rigidity.wang_identity_check``)."""
     n = spec.n
 
     def integrand(coords):
@@ -258,11 +210,42 @@ def ricci_flux(spec: MetricSpec, V, r: float, quad: SphereRule = None,
         frame = (app if objects == "metric"
                  else metric_apparatus(HyperbolicMetric(n), coords, level=1))
         nu, density = _normal_and_measure(frame, objects)
-        vals = np.einsum("pab,pa,pb->p", app.ricci + (n - 1) * app.g,
-                         frame.sharp(V.jet(coords, order=1).grad), nu)
-        return vals[:, None], density
+        S = app.ricci + (n - 1) * app.g
+        vals = [np.einsum("pab,pa,pb->p", S, frame.sharp(V.jet(coords, order=1).grad), nu)
+                for V in potentials]
+        return np.stack(vals, axis=1), density
 
-    return float(_sphere_integral(spec, [V], r, quad, integrand)[0])
+    return _ladder(spec, radii, quad, integrand)
+
+
+def _fit_ladders(radii, values, labels, n: int) -> list:
+    """One FluxReport per column of the (radii, labels) array ``values``; the
+    fit starts at beta = n, the corrections r^(n-1-2q) at the borderline q = n."""
+    reports = []
+    for label, column in zip(labels, values.T):
+        if not np.all(np.isfinite(column)):
+            raise ArithmeticError(f"flux integrand produced non-finite values for {label}")
+        limit, beta, resid, flags = extrapolate_limit(radii, column, float(n),
+                                                      beta_bounds=(0.5, 2.0 * n))
+        reports.append(FluxReport(integrand_label=label, radii=radii, values=column,
+                                  fitted_limit=limit, fit_exponent=beta,
+                                  fit_residual=resid, flags=flags))
+    return reports
+
+
+def mass_vector(spec: MetricSpec, radii=DEFAULT_RADII, quad: SphereRule = None) -> MassVector:
+    """Fitted flux limits against every background static potential."""
+    radii = radius_ladder(radii)
+    n = spec.n
+    labels = ["V_0"] + [f"x_{i}" for i in range(1, n + 1)]
+    values = flux_ladder(spec, static_potential_basis(n), radii, quad)
+    reports = _fit_ladders(radii, values, labels, n)
+    flags = ()
+    if getattr(spec, "borderline_decay", False):
+        flags = ("borderline-decay",)
+    extra = tuple(f for r in reports for f in r.flags if f == "no-extrapolation")
+    return MassVector(p=np.array([r.fitted_limit for r in reports]),
+                      reports=reports, flags=flags + extra)
 
 
 @dataclass
@@ -291,11 +274,11 @@ def prop27_check(spec: MetricSpec, V, radii=DEFAULT_RADII,
     relative; the two paths share no intermediate quantities beyond the
     metric itself.
     """
-    radii = np.asarray(radii, dtype=float)
+    radii = radius_ladder(radii)
     n = spec.n
-    flux_rep = flux_ladder(spec, V, radii, quad, label="flux")
-    vals = np.array([[ricci_flux(spec, V, r, quad)] for r in radii])
-    ricci_rep, = _fit_ladders(radii, vals, ["ricci"], float(n), n)
+    values = np.hstack([flux_ladder(spec, [V], radii, quad),
+                        ricci_ladder(spec, [V], radii, quad)])
+    flux_rep, ricci_rep = _fit_ladders(radii, values, ["flux", "ricci"], n)
     target = -(n - 2) / 2.0 * flux_rep.fitted_limit
     gap = abs(ricci_rep.fitted_limit - target)
     scale = max(abs(ricci_rep.fitted_limit), abs(target), 1e-12)

@@ -68,9 +68,8 @@ class ODEProblem:
         self.q = _as_callable(self.q)
         self.f = _as_callable(self.f)
 
-    def grid(self, T=None):
-        T = self.horizon if T is None else T
-        return np.arange(0.0, T + 0.5 * self.grid_step, self.grid_step)
+    def grid(self):
+        return np.arange(0.0, self.horizon + 0.5 * self.grid_step, self.grid_step)
 
     def forced(self, t) -> bool:
         """Whether f is nonzero somewhere on the sample points t."""
@@ -87,10 +86,10 @@ class ODEProblem:
                               f"least {4.0 + 3 * self.grid_step:g}")
         return window
 
-    def validate(self, T=None):
+    def validate(self):
         """Check 1 + Q > 0, any claimed coefficient bounds and, when forced,
         the remainder fit window on the grid."""
-        t = self.grid(T)
+        t = self.grid()
         one_q = 1.0 + np.asarray(self.q(t))
         if np.any(one_q <= 0):
             raise SchemaError("hypothesis 1 + Q > 0 fails on the sample grid")
@@ -126,16 +125,16 @@ class ODESolution:
         return self.sol(np.asarray(t, dtype=float))[1]
 
 
-def solve_second_order(prob: ODEProblem, u0: float, du0: float, T=None,
+def solve_second_order(prob: ODEProblem, u0: float, du0: float,
                        homogeneous: bool = False) -> ODESolution:
-    """Adaptive high-order integration of the problem from t = 0.
+    """Adaptive high-order integration of the problem from t = 0 to its horizon.
 
     A homogeneous solution is linear in (u0, du0), so its absolute tolerance
     scales with the larger of the two: the accuracy asked for does not depend
     on the size of the data, and data near the underflow range (du0 ~ 1e-161)
     does not drive the solver's error norm to 0 / 0.
     """
-    T = prob.horizon if T is None else T
+    T = prob.horizon
     atol = DEFAULT_ATOL
     if homogeneous:
         atol *= max(abs(u0), abs(du0)) or 1.0
@@ -214,7 +213,7 @@ class DecayingSolution:
     on_grid: np.ndarray         # rows u, u' of the solution at the grid points
 
 
-def build_decaying_solution(prob: ODEProblem, T=None,
+def build_decaying_solution(prob: ODEProblem,
                             rtol: float = DEFAULT_RTOL) -> DecayingSolution:
     """Exhaustion limit of two-point solutions: positive and decreasing.
 
@@ -227,9 +226,8 @@ def build_decaying_solution(prob: ODEProblem, T=None,
     grid is still off by a relative factor); fails if no rung up to j = 40
     does.
     """
-    T = prob.horizon if T is None else T
-    t = prob.grid(T)
-    js = np.arange(np.ceil(T) + 2.0, 40.0 + 1e-9, 2.0)
+    t = prob.grid()
+    js = np.arange(np.ceil(prob.horizon) + 2.0, 40.0 + 1e-9, 2.0)
     if js.size < 2:
         raise ArithmeticError("exhaustion did not settle below 1e-10 by j = 40.0")
     dense = _backward_ladder(prob, js, rtol)
@@ -269,18 +267,17 @@ class FundamentalPair:
         return bool(np.all(self.wronskian <= -2.0 / self.C_certificate ** 2 + 1e-12))
 
 
-def fundamental_pair(prob: ODEProblem, T=None) -> FundamentalPair:
+def fundamental_pair(prob: ODEProblem) -> FundamentalPair:
     """Growing branch from an IVP, decaying branch from the exhaustion.
 
     The certificate is the smallest grid constant C satisfying all four
     two-sided bounds and the Wronskian inequality simultaneously.
     """
-    T = prob.horizon if T is None else T
-    prob.validate(T)
-    u1 = solve_second_order(prob, 1.0, 1.0, T=T, homogeneous=True)
-    dec = build_decaying_solution(prob, T=T)
+    prob.validate()
+    u1 = solve_second_order(prob, 1.0, 1.0, homogeneous=True)
+    dec = build_decaying_solution(prob)
     u2 = dec.solution
-    t = prob.grid(T)
+    t = prob.grid()
     e_plus, e_minus = np.exp(t), np.exp(-t)
     v1, d1 = u1.at(t)
     v2, d2 = dec.on_grid

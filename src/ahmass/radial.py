@@ -22,7 +22,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.integrate import solve_bvp
 
-from .curvature import covariant_hessian, metric_apparatus
+from .curvature import covariant_hessian, finite_curvature, metric_apparatus
 from .decay import fit_log_slope
 from .fields import RadialProfile, ScalarField, SchemaError
 from .metrics import ConformalMetric, MetricSpec, inner_truncation_radius
@@ -66,8 +66,7 @@ def _sample_ray(n: int, r_lo: float, r_hi: float, count: int):
 def scalar_curvature_profile(spec: MetricSpec, r_lo: float, r_hi: float) -> CubicSpline:
     """Spline of R_g(r) at 2000 radii along a fixed off-pole angular direction."""
     r, coords = _ray(spec.n, r_lo, r_hi, 2000)
-    scal = metric_apparatus(spec, coords, level=2).scalar
-    return CubicSpline(r, scal)
+    return CubicSpline(r, finite_curvature(spec, coords).scalar)
 
 
 @dataclass

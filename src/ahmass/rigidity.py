@@ -4,9 +4,9 @@ Three families of checks:
 
 * a divergence identity relating the interior defect f^(-1)|Hess f - f g|^2
   to a curvature flux through the boundary sphere, valid when f solves the
-  static equation; the flux is ``massflux.ricci_flux``, the one Ricci-flux
-  integrand, taken here with the metric's own gradient, normal and measure
-  (the mass cross-check uses it with the background's);
+  static equation; the flux is a two-radius ``massflux.ricci_ladder``, the
+  one Ricci-flux integrand, taken here with the metric's own gradient, normal
+  and measure (the mass cross-check uses it with the background's);
 * the evolution of the sectional curvature of a parallel plane along a
   geodesic through the gradient flow of f: K' = -2 (f/|grad f|)(K+1) with
   (f/|grad f|)' = 1 - (f/|grad f|)^2;
@@ -25,7 +25,7 @@ from .chart import as_coords
 from .curvature import covariant_hessian, divergence_of_oneform, metric_apparatus
 from .fields import ScalarField, SchemaError
 from .geodesics import GeodesicSample
-from .massflux import ricci_flux
+from .massflux import ricci_ladder
 from .metrics import MetricSpec, WarpedProductMetric
 from .operators import static_residual
 from .quadrature import SphereRule, sphere_rule, volume_rule, volume_weights
@@ -77,8 +77,8 @@ def wang_identity_check(spec: MetricSpec, f, r: float, quad: SphereRule = None,
     norm2 = app.inner(defect, defect)
     w = volume_weights(rule, app.sqrt_det)
     lhs = float(np.sum(w * norm2 / jet.val))
-    rhs = (ricci_flux(spec, f, r, quad, objects="metric")
-           - ricci_flux(spec, f, r_inner, quad, objects="metric"))
+    (inner,), (outer,) = ricci_ladder(spec, [f], [r_inner, r], quad, objects="metric")
+    rhs = float(outer - inner)
     gap = abs(lhs - rhs)
     rel = gap / max(abs(lhs), abs(rhs), 1e-12)
 

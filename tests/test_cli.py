@@ -236,6 +236,7 @@ HYP5 = {"family": "hyperbolic", "n": 5, "params": {}}
     ("verify-ah", {"q_claimed": 10.0}, HYP, EXIT_SCHEMA),
     ("verify-ah", {"q_claimed": 1.0}, HYP, EXIT_SCHEMA),
     ("mass", {"radii": [20.0, 30.0, 40.0]}, HYP, EXIT_SCHEMA),
+    ("verify-ah", {"radii": [20.0, 21.0, 22.0]}, SCHW, EXIT_SCHEMA),
     ("ode-verify", {"ode": dict(ODE, p_amp="a")}, None, EXIT_SCHEMA),
     ("ode-verify", {"ode": dict(ODE, decay=0)}, None, EXIT_SCHEMA),
     ("rigidity-check", {"wang_radius": -1.0}, HYP, EXIT_SCHEMA),
@@ -274,6 +275,9 @@ HYP5 = {"family": "hyperbolic", "n": 5, "params": {}}
     # cosh(t)^2 of the warped metric overflows at t near 200
     ("curvature", {"sample_points": 20, "r_min": 0.5, "r_max": 200.0, "seed": 4},
      WARPED, EXIT_NUMERICAL),
+    # and near t = 178 its det and lowered Riemann array overflow in deform's
+    # scalar-curvature profile: a numerical failure, with no warning leaked
+    ("deform", {"r_max": 178.0}, WARPED, EXIT_NUMERICAL),
     # inverted radius windows, [7, 6] and [10, 5], are rejected before any numerics
     ("duality-check", {"r_min": 7.0}, HYP, EXIT_SCHEMA),
     ("curvature", {"r_min": 10.0, "r_max": 5.0}, HYP, EXIT_SCHEMA),
@@ -282,7 +286,8 @@ HYP5 = {"family": "hyperbolic", "n": 5, "params": {}}
         "eps-ladder-empty", "eps-ladder-one", "eps-ladder-zero",
         "decay-rate-string", "r-max-string", "deform-decay-rate-string",
         "q-claimed-string", "q-claimed-above-n", "q-claimed-below-half-n",
-        "mass-radii-short-of-decade", "ode-amp-string", "ode-decay-zero",
+        "mass-radii-short-of-decade", "verify-ah-radii-short-of-decade",
+        "ode-amp-string", "ode-decay-zero",
         "wang-radius-negative", "wang-radius-inside-inner", "deform-decay-rate-above-n",
         "deform-decay-rate-below-minus-one", "eigenfunction-r-max-inside-clamp",
         "deform-r-max-at-inner-radius", "ode-one-plus-q-negative", "tolerance-bool",
@@ -291,14 +296,15 @@ HYP5 = {"family": "hyperbolic", "n": 5, "params": {}}
         "sample-points-huge", "pairs-huge", "fan-count-huge",
         "ode-verify-horizon-huge", "dichotomy-horizon-above-max",
         "eigenfunction-r-max-inside-margin", "deform-r-max-inside-margin",
-        "curvature-warped-overflow", "duality-window-inverted",
-        "curvature-window-inverted"])
+        "curvature-warped-overflow", "deform-warped-overflow",
+        "duality-window-inverted", "curvature-window-inverted"])
 def test_bad_numeric_value_rejected(tmp_path, capsys, command, numeric, metric, code):
     cfg = write_config(tmp_path, {"command": command, "metric": metric, "numeric": numeric})
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == code
     err = capsys.readouterr().err
     prefix = "config error: " if code == EXIT_SCHEMA else "numerical failure: "
     assert err.startswith(prefix) and "Traceback" not in err
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("where", ["config", "metric-file"])
@@ -508,11 +514,18 @@ def run_numeric(draw):
 @given(command=st.sampled_from(cli.COMMANDS),
        metric=RUN_SPECS, numeric=run_numeric())
 def test_main_exit_code_contract(tmp_path, capfd, command, metric, numeric):
+    # exit 4 is an input that reached a failure nobody classified, and a
+    # warning a numerical event nobody classified: both fail.  Every warning
+    # is an error here, numpy's RankWarning too (numpy files it under an
+    # "always" filter, which -W error::RuntimeWarning cannot override)
     cfg = write_config(tmp_path, {"command": command, "metric": metric,
                                   "numeric": numeric})
-    code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
-    assert code in (0, EXIT_CHECK_FAILURE, EXIT_SCHEMA, EXIT_NUMERICAL, EXIT_INTERNAL)
-    assert "Traceback" not in capfd.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capfd.readouterr().err
+    assert code in (0, EXIT_CHECK_FAILURE, EXIT_SCHEMA, EXIT_NUMERICAL), err
+    assert "Traceback" not in err and "Warning" not in err
 
 
 def test_null_tolerances_without_overrides(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ahmass.decay import estimate_decay_rate, fit_log_slope, verify_ah
-from ahmass.fields import AxisConcentratedPerturbation
+from ahmass.fields import AxisConcentratedPerturbation, SchemaError
 from ahmass.metrics import (PerturbedMetric, frame_components,
                             hyperbolic_metric, schwarzschild_ads)
 
@@ -31,9 +31,10 @@ def test_exact_zero_field():
 
 
 def test_ladder_validation():
-    with pytest.raises(ValueError):
+    # the one radius-ladder rule, fields.radius_ladder
+    with pytest.raises(SchemaError, match="at least 3 radii"):
         estimate_decay_rate(lambda c: c[:, 0], [10.0, 20.0], 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaError, match="one decade"):
         estimate_decay_rate(lambda c: c[:, 0], [10.0, 20.0, 30.0], 3)
 
 

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from ahmass.curvature import metric_apparatus
-from ahmass.fields import (AxisConcentratedPerturbation, ScalarField, radial_bump_field,
-                           random_compact_tensor)
+from ahmass.fields import (AxisConcentratedPerturbation, ScalarField, SchemaError,
+                           radial_bump_field, random_compact_tensor)
 from ahmass.massflux import (extrapolate_limit, flux_integrand_values, flux_ladder,
-                             mass_flux_integral, mass_vector, prop27_check, ricci_flux)
+                             mass_vector, prop27_check, ricci_ladder)
 from ahmass.metrics import (PerturbedMetric, hyperbolic_metric,
                             schwarzschild_ads, static_potential,
                             static_potential_basis)
@@ -28,24 +28,21 @@ def closed_form_flux(m, r):
 
 
 def test_background_flux_exactly_zero(hyp3, quad48):
-    V0 = static_potential(3, 0)
-    for r in (5.0, 50.0):
-        assert mass_flux_integral(hyp3, V0, r, quad48) == 0.0
+    values = flux_ladder(hyp3, [static_potential(3, 0)], [5.0, 50.0], quad48)
+    assert np.array_equal(values, np.zeros((2, 1)))
 
 
 def test_static_family_flux_matches_oracle(quad48):
     s = schwarzschild_ads(3, 0.5)
-    V0 = static_potential(3, 0)
-    val = mass_flux_integral(s, V0, 50.0, quad48)
+    (val,), = flux_ladder(s, [static_potential(3, 0)], [50.0], quad48)
     assert abs(val - closed_form_flux(0.5, 50.0)) < 1e-8
     assert abs(val - SLOPE_ORACLE * 0.5) < 0.01 * SLOPE_ORACLE * 0.5
 
 
 def test_translational_flux_vanishes_by_parity(quad48):
     s = schwarzschild_ads(3, 0.5)
-    for k in (1, 2, 3):
-        V = static_potential(3, k)
-        assert abs(mass_flux_integral(s, V, 50.0, quad48)) < 1e-12
+    basis = [static_potential(3, k) for k in (1, 2, 3)]
+    assert np.abs(flux_ladder(s, basis, [50.0], quad48)).max() < 1e-12
 
 
 def test_quadrature_node_rejection(hyp3):
@@ -57,11 +54,11 @@ def test_quadrature_node_rejection(hyp3):
     tiny = SphereRule(angles=np.array([[1.0, 1.0], [2.0, 2.0]]),
                       weights=np.array([6.0, 6.0]))
     with pytest.raises(ValueError):
-        mass_flux_integral(hyp3, static_potential(3, 0), 10.0, tiny)
+        flux_ladder(hyp3, [static_potential(3, 0)], [10.0], tiny)
     # a rule on S^2 has too few angles for the sphere of an n = 4 metric
     with pytest.raises(ValueError, match="angles"):
-        mass_flux_integral(hyperbolic_metric(4), static_potential(4, 0), 10.0,
-                           sphere_rule(3, 8, 16))
+        flux_ladder(hyperbolic_metric(4), [static_potential(4, 0)], [10.0],
+                    sphere_rule(3, 8, 16))
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -80,11 +77,11 @@ def test_quadrature_order_convergence(quad48):
     # doubling angular nodes changes the value below 1e-8 for analytic data
     pert = AxisConcentratedPerturbation(3, [1.0, 0, 0], amp=1e-2, rate=2.5)
     spec = PerturbedMetric(hyperbolic_metric(3), pert)
-    V0 = static_potential(3, 0)
+    V0 = [static_potential(3, 0)]
     fine = sphere_rule(3, 96, 192)
-    a = mass_flux_integral(spec, V0, 50.0, quad48)
-    bb = mass_flux_integral(spec, V0, 50.0, fine)
-    assert abs(a - bb) < 1e-8
+    a = flux_ladder(spec, V0, [50.0], quad48)
+    bb = flux_ladder(spec, V0, [50.0], fine)
+    assert abs(a - bb).max() < 1e-8
 
 
 def test_mass_vector_background_exact(hyp3, quad48):
@@ -125,15 +122,13 @@ def test_higher_dimensional_rotationally_symmetric(n):
 
 def test_ricci_flux_matches_oracle(quad48):
     s = schwarzschild_ads(3, 0.5)
-    V0 = static_potential(3, 0)
-    val = ricci_flux(s, V0, 50.0, quad48)
+    (val,), = ricci_ladder(s, [static_potential(3, 0)], [50.0], quad48)
     expected = -8 * np.pi * 0.5 * (1 + 2500) / (1 + 2500 - 1.0 / 50)
     assert abs(val - expected) < 1e-6
 
 
 def test_ricci_flux_identity_background(hyp3, quad48):
-    V0 = static_potential(3, 0)
-    assert abs(ricci_flux(hyp3, V0, 20.0, quad48)) < 1e-10
+    assert abs(ricci_ladder(hyp3, [static_potential(3, 0)], [20.0], quad48)).max() < 1e-10
 
 
 def _metric_ricci_flux_reference(spec, f, r, quad):
@@ -148,18 +143,50 @@ def _metric_ricci_flux_reference(spec, f, r, quad):
     return float(np.sum(quad.weights * density * vals))
 
 
+def _asymmetric_metric():
+    """schwarzschild_ads (n = 3, m = 0.5) plus a random compact perturbation."""
+    h = random_compact_tensor(np.random.default_rng(5), 3, 2.0, 8.0, amplitude=0.3)
+    return PerturbedMetric(schwarzschild_ads(3, 0.5), h)
+
+
 def test_ricci_flux_metric_objects_match_reference():
     # a perturbation without symmetry: the metric's normal and measure differ
     # from the background's, so mixing them in would show
-    h = random_compact_tensor(np.random.default_rng(5), 3, 2.0, 8.0, amplitude=0.3)
-    spec = PerturbedMetric(schwarzschild_ads(3, 0.5), h)
+    spec = _asymmetric_metric()
     quad = sphere_rule(3, 16, 32)
     V0 = static_potential(3, 0)
-    for r in (3.0, 5.0):
+    radii = [3.0, 5.0]
+    metric = ricci_ladder(spec, [V0], radii, quad, objects="metric")[:, 0]
+    background = ricci_ladder(spec, [V0], radii, quad)[:, 0]
+    for r, val, other in zip(radii, metric, background):
         ref = _metric_ricci_flux_reference(spec, V0, r, quad)
-        val = ricci_flux(spec, V0, r, quad, objects="metric")
         assert abs(val - ref) <= 1e-13 * abs(ref)
-        assert abs(ricci_flux(spec, V0, r, quad) - ref) > 1e-3 * abs(ref)
+        assert abs(other - ref) > 1e-3 * abs(ref)
+
+
+@pytest.mark.parametrize("objects", ["background", "metric"])
+def test_ricci_ladder_one_level2_apparatus_per_radius(monkeypatch, objects):
+    # the Ricci integrand is linear in dV: all n+1 potentials share each
+    # radius's level-2 apparatus, and a column's integrals do not depend on
+    # the other potentials of its ladder (prop27_check and
+    # wang_identity_check take one potential each)
+    import ahmass.massflux as massflux
+    level2 = []
+
+    def recorded(spec, coords, level=2):
+        if level >= 2:
+            level2.append(coords.shape[0])
+        return metric_apparatus(spec, coords, level=level)
+
+    monkeypatch.setattr(massflux, "metric_apparatus", recorded)
+    spec, radii, quad = _asymmetric_metric(), [3.0, 5.0, 9.0], sphere_rule(3, 16, 32)
+    basis = static_potential_basis(3)
+    values = ricci_ladder(spec, basis, radii, quad, objects)
+    assert level2 == [quad.node_count] * len(radii)
+    assert values.shape == (len(radii), len(basis))
+    for k, V in enumerate(basis):
+        single = ricci_ladder(spec, [V], radii, quad, objects)
+        assert np.array_equal(values[:, k], single[:, 0])
 
 
 def test_prop27_agreement(quad48):
@@ -183,9 +210,9 @@ def test_potential_perturbation_same_limit(quad48):
     V0 = static_potential(3, 0)
     w = radial_bump_field(5.0, 15.0, 0.5)
     Vp = ScalarField(lambda c, order: V0.jet(c, order) + w.jet(c, order))
-    fb = flux_ladder(s, V0, LADDER, quad48)
-    fp = flux_ladder(s, Vp, LADDER, quad48)
-    assert abs(fb.fitted_limit - fp.fitted_limit) < 1e-10
+    fb, fp = (extrapolate_limit(LADDER, column, 3.0, beta_bounds=(0.5, 6.0))[0]
+              for column in flux_ladder(s, [V0, Vp], LADDER, quad48).T)
+    assert abs(fb - fp) < 1e-10
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -237,10 +264,11 @@ def test_extrapolation_fallbacks():
 
 
 def test_ladder_validation(hyp3, quad48):
-    with pytest.raises(ValueError):
-        mass_vector(hyp3, np.geomspace(20, 100, 6), quad48)  # under one decade
-    with pytest.raises(ValueError):
-        flux_ladder(hyp3, static_potential(3, 0), [30.0, 20.0, 40.0], quad48)
+    # every fitted ladder passes the one rule, fields.radius_ladder
+    with pytest.raises(SchemaError, match="one decade"):
+        mass_vector(hyp3, np.geomspace(20, 100, 6), quad48)
+    with pytest.raises(SchemaError, match="strictly increasing"):
+        prop27_check(hyp3, static_potential(3, 0), [30.0, 20.0, 40.0], quad48)
 
 
 def _term_flux_integrand(spec, V, coords):

@@ -54,8 +54,8 @@ def test_comparison_property_hypothesis(a_p, a_q, d, u0, du0):
     prob = ODEProblem(p=lambda t: a_p * np.exp(-d * t),
                       q=lambda t: a_q * np.exp(-d * t),
                       horizon=8.0, bounds=(max(abs(a_p), abs(a_q)) + 1e-9, d))
-    hi = solve_second_order(prob, u0 + 0.1, du0 + 0.1, homogeneous=True, T=8.0)
-    lo = solve_second_order(prob, u0, du0, homogeneous=True, T=8.0)
+    hi = solve_second_order(prob, u0 + 0.1, du0 + 0.1, homogeneous=True)
+    lo = solve_second_order(prob, u0, du0, homogeneous=True)
     t = np.linspace(0.05, 8.0, 60)
     assert np.all(hi.value(t) > lo.value(t))
     assert np.all(hi.d1(t) > lo.d1(t))
@@ -67,8 +67,8 @@ def test_homogeneous_solution_of_data_near_underflow():
     prob = ODEProblem(p=lambda t: 0.0 * t, q=lambda t: 0.0 * t, horizon=8.0,
                       bounds=(1e-9, 1.0))
     du0 = 2.2025024910398255e-161
-    tiny = solve_second_order(prob, 0.0, du0, homogeneous=True, T=8.0)
-    unit = solve_second_order(prob, 0.0, 1.0, homogeneous=True, T=8.0)
+    tiny = solve_second_order(prob, 0.0, du0, homogeneous=True)
+    unit = solve_second_order(prob, 0.0, 1.0, homogeneous=True)
     t = np.linspace(0.05, 8.0, 60)
     assert np.allclose(tiny.value(t) / du0, unit.value(t), rtol=1e-10, atol=0.0)
 
@@ -78,10 +78,10 @@ def test_comparison_property(rng):
     for _ in range(20):
         prob = random_problem(rng, horizon=10.0)
         u0, du0 = rng.uniform(0.2, 2.0), rng.uniform(-0.5, 1.0)
-        u = solve_second_order(prob, u0, du0, homogeneous=True, T=10.0)
+        u = solve_second_order(prob, u0, du0, homogeneous=True)
         v = solve_second_order(prob, u0 - rng.uniform(0.01, 0.2),
                                du0 - rng.uniform(0.01, 0.2),
-                               homogeneous=True, T=10.0)
+                               homogeneous=True)
         t = np.linspace(0.05, 10.0, 120)
         assert np.all(u.value(t) > v.value(t))
         assert np.all(u.d1(t) > v.d1(t))
@@ -91,7 +91,7 @@ def test_at_most_one_zero(rng):
     for _ in range(30):
         prob = random_problem(rng, horizon=12.0)
         u = solve_second_order(prob, rng.uniform(-1, 1), rng.uniform(-1, 1),
-                               homogeneous=True, T=12.0)
+                               homogeneous=True)
         vals = u.value(np.linspace(0.0, 12.0, 2000))
         if np.abs(vals).max() == 0.0:
             continue
@@ -154,7 +154,7 @@ def test_fundamental_pair_perturbed_horizon_stable():
 
 def test_wronskian_bound_randomized(rng):
     for _ in range(5):
-        pair = fundamental_pair(random_problem(rng, horizon=15.0), T=15.0)
+        pair = fundamental_pair(random_problem(rng, horizon=15.0))
         assert pair.wronskian_bound_ok()
         assert np.all(pair.wronskian < 0)
 
