@@ -425,7 +425,7 @@ def run_dichotomy(spec, numeric):
     results = {}
     label_rows = []
     for k, V in enumerate(basis):
-        cls = classify_growth(spec, V, seeds, T, fan=fan)
+        cls = classify_growth(V, fan)
         grown = sum(1 for c in cls if c.label == "linear-growth")
         results[f"V_{k}"] = {"linear_growth_seeds": grown,
                              "labels": [c.label for c in cls]}
@@ -448,7 +448,7 @@ def run_dichotomy(spec, numeric):
     from .metrics import static_potential
     V0, x1 = static_potential(n, 0), static_potential(n, 1)
     diff = ScalarField(lambda c, order: V0.jet(c, order) - x1.jet(c, order))
-    cls = classify_growth(spec, diff, axis, T, fan=axis_fan)
+    cls = classify_growth(diff, axis_fan)
     results["V0_minus_x1_axis"] = cls[0].to_dict()
     checks.append(check("decay_combination", 0.0 if cls[0].label == "decay" else 1.0,
                         0.5, passed=cls[0].label == "decay"))

@@ -1,10 +1,12 @@
 """Decay-rate estimation and sampled verification of asymptotic hyperbolicity.
 
-Decay rates are fitted by least squares on log(sup-over-angles |field|)
-against log r, with the convention that a field behaving like r^(-q) reports
-exponent q; each ladder passes ``fields.radius_ladder``.  Membership checks
-are sample-level only: sup norms of frame components and their covariant
-frame derivatives over an angular grid, no Holder seminorms.
+Every rate in the package, a decay or growth exponent or a convergence
+order, is one least-squares slope of log |samples| against an abscissa,
+taken by ``fit_log_slope``.  Decay rates here fit log(sup-over-angles
+|field|) against log r, with the convention that a field behaving like
+r^(-q) reports exponent q; each ladder passes ``fields.radius_ladder``.
+Membership checks are sample-level only: sup norms of frame components and
+their covariant frame derivatives over an angular grid, no Holder seminorms.
 """
 
 from __future__ import annotations
@@ -30,18 +32,23 @@ class DecayFit:
     radii: np.ndarray
     samples: np.ndarray
     fitted_exponent: float
-    fit_residual: float
     exact_zero: bool = False
 
 
-def fit_log_slope(radii, values):
-    """Least-squares slope and rms residual of log(values) vs log(radii)."""
-    x = np.log(np.asarray(radii, dtype=float))
-    y = np.log(np.asarray(values, dtype=float))
-    coeffs, res = np.polyfit(x, y, 1), None
-    fit = np.polyval(coeffs, x)
-    res = float(np.sqrt(np.mean((y - fit) ** 2)))
-    return float(coeffs[0]), res
+def fit_log_slope(x, values) -> float:
+    """Least-squares slope of log |values| against the abscissae ``x``.
+
+    |values| is floored at 1e-300 so its log is finite.  Callers pass the
+    abscissae they fit against: log r, log eps or t.  A fit of rank below 2,
+    fewer than two abscissae that the least-squares solve can tell apart,
+    raises ArithmeticError: its slope means nothing.
+    """
+    y = np.log(np.maximum(np.abs(np.asarray(values, dtype=float)), 1e-300))
+    coeffs, _, rank, _, _ = np.polyfit(np.asarray(x, dtype=float), y, 1, full=True)
+    if rank < 2:
+        raise ArithmeticError(f"cannot fit a rate: the abscissae give a "
+                              f"least-squares fit of rank {rank}, not 2")
+    return float(coeffs[0])
 
 
 def _sup_decay_fits(field_eval, radii, grid) -> list:
@@ -63,11 +70,10 @@ def _sup_decay_fits(field_eval, radii, grid) -> list:
     for col in np.array(sups).T:
         if np.all(col < ZERO_THRESHOLD):
             fits.append(DecayFit(radii=radii, samples=col, fitted_exponent=np.inf,
-                                 fit_residual=0.0, exact_zero=True))
+                                 exact_zero=True))
         else:
-            slope, resid = fit_log_slope(radii, np.maximum(col, 1e-300))
-            fits.append(DecayFit(radii=radii, samples=col, fitted_exponent=-slope,
-                                 fit_residual=resid))
+            fits.append(DecayFit(radii=radii, samples=col,
+                                 fitted_exponent=-fit_log_slope(np.log(radii), col)))
     return fits
 
 

@@ -7,7 +7,9 @@ one transport equation, dF/dt = -Gamma(v, F) on the frame F = [v, X_1..X_k].
 Nothing is projected back: the drift of the frame's Gram matrix from the
 identity is measured at every sample and reported.  Whole fans of seeds are
 integrated as one batched system so each right-hand-side call evaluates the
-Christoffel symbols, all it reads of the metric, once for the whole fan.
+Christoffel symbols, all it reads of the metric, once for the whole fan.  A
+potential's growth along an integrated fan is the slope of log |V| against arc
+length on each geodesic's tail half, fitted by ``decay.fit_log_slope``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from scipy.integrate import solve_ivp
 
 from .chart import as_coords
 from .curvature import _connection
+from .decay import fit_log_slope
 from .metrics import MetricSpec
 
 
@@ -161,31 +164,26 @@ GROWTH_BAND = (0.8, 1.2)
 DECAY_SLOPE = -0.1
 
 
-def classify_growth(spec: MetricSpec, V, seeds, T: float = 9.0,
-                    fan: list = None) -> list:
-    """Classify |V| along radially shot geodesics: linear growth vs decay.
+def classify_growth(V, fan: list) -> list:
+    """Classify |V| along a fan of radially shot geodesics: linear growth vs decay.
 
-    Fits the slope of log |V(gamma(t))| against arc length on the tail half of
+    Each sample's seed is its first point and T its last time.  The slope of
+    log |V(gamma(t))| against arc length is fitted on the tail half of
     [0, T]: slopes inside ``GROWTH_BAND`` mean |V| is comparable to |x|,
     slopes at or below ``DECAY_SLOPE`` mean decay at the fitted rate, fields
     vanishing along the ray report infinite decay, anything else is labeled
-    indeterminate.  A precomputed ``fan`` of geodesics over the same seeds may
-    be passed when several potentials share one seed set.
+    indeterminate.  A tail of fewer than 2 samples raises ArithmeticError.
     """
-    seeds = as_coords(seeds)
-    if fan is None:
-        dirs = np.stack([unit_radial_direction(spec, p) for p in seeds])
-        fan = integrate_geodesic_fan(spec, seeds, dirs, T)
     out = []
-    for seed, sample in zip(seeds, fan):
-        tail = sample.ts >= T / 2.0
+    for sample in fan:
+        seed = sample.coords[0]
+        tail = sample.ts >= sample.ts[-1] / 2.0
         vals = np.abs(V.value(sample.coords[tail]))
         if np.all(vals < 1e-280):
             out.append(SeedClassification(point=seed, label="decay",
                                           slope=-np.inf, decay_rate=np.inf))
             continue
-        slope = float(np.polyfit(sample.ts[tail],
-                                 np.log(np.maximum(vals, 1e-300)), 1)[0])
+        slope = fit_log_slope(sample.ts[tail], vals)
         if GROWTH_BAND[0] <= slope <= GROWTH_BAND[1]:
             out.append(SeedClassification(point=seed, label="linear-growth",
                                           slope=slope))

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .decay import fit_log_slope
 from .fields import SchemaError
 
 DEFAULT_RTOL = 1e-12
@@ -380,7 +381,7 @@ def particular_solution(prob: ODEProblem, pair: FundamentalPair = None) -> Parti
                                 fitted_decay=None, profile_residual=resid,
                                 claimed_d=d_claim)
     # exponential fit in t: remainder ~ e^(slope * t)
-    slope = float(np.polyfit(t_w, np.log(np.maximum(rem_w, 1e-300)), 1)[0])
+    slope = fit_log_slope(t_w, rem_w)
     return ParticularReport(c1=c1, c2=c2, grid=t, remainder=remainder,
                             fitted_decay=-slope, profile_residual=None,
                             claimed_d=d_claim)

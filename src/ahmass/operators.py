@@ -259,7 +259,7 @@ def first_variation_check(spec: MetricSpec, f, h_field, epsilons,
     # the order is the local order of the two smallest epsilons, the
     # asymptotic end of the ladder: a fit over the whole ladder is pulled
     # below 1 by the eps^2 term at its large end
-    slope, _ = fit_log_slope(epsilons[-2:], np.maximum(errors[-2:], 1e-300))
+    slope = fit_log_slope(np.log(epsilons[-2:]), errors[-2:])
     return FirstVariationReport(reference=reference, epsilons=epsilons,
                                 quotients=quotients, errors=errors,
                                 order=float(slope), exact_zero=False)

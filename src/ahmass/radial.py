@@ -10,7 +10,9 @@ and second-order problems (Lap + c(r)) u = rhs are solved as two-point BVPs:
 even-extension regularity u'(r_min) = 0 at the inner truncation radius, and a
 Robin condition r u' + s u = 0 at r_max matching the decaying indicial
 behavior u ~ r^(-s).  A single linear shooting pass provides an independent
-cross-check of the collocation solution.
+cross-check of the collocation solution.  Both solvers reject a metric that is
+not rotationally symmetric before any numerics, and fit a solution's decay on
+the outer decade of its sample radii with ``decay.fit_log_slope``.
 """
 
 from __future__ import annotations
@@ -25,12 +27,30 @@ from scipy.integrate import solve_bvp
 from .curvature import covariant_hessian, finite_curvature, metric_apparatus
 from .decay import fit_log_slope
 from .fields import RadialProfile, ScalarField, SchemaError
-from .metrics import ConformalMetric, MetricSpec, inner_truncation_radius
+from .metrics import (ConformalMetric, MetricSpec, inner_truncation_radius,
+                      static_potential)
 from . import jets as J
 
 
 class RadialSolveError(RuntimeError):
     pass
+
+
+def _require_radial_reduction(spec: MetricSpec):
+    """Only a rotationally symmetric metric reduces to radial ODEs."""
+    if not spec.rotationally_symmetric:
+        raise NotImplementedError(f"the radial solvers need a rotationally "
+                                  f"symmetric metric; {spec.family} is not")
+
+
+def _tail_decay(r_samp, values, r_hi: float, zero: float) -> float:
+    """Decay exponent q of |values| ~ r^(-q) over the sample radii in the outer
+    decade [r_hi / 10, r_hi]; infinite when every |value| is below ``zero``."""
+    v_abs = np.abs(values)
+    if np.all(v_abs < zero):
+        return np.inf
+    outer = r_samp >= r_hi / 10.0
+    return -fit_log_slope(np.log(r_samp[outer]), v_abs[outer])
 
 
 def radial_operator_coefficients(spec: MetricSpec):
@@ -76,7 +96,6 @@ class RadialSolution:
     r_lo: float
     r_hi: float
     sol: object
-    rms_residual: float
 
     def value(self, r):
         return self.sol(np.asarray(r, dtype=float))[0]
@@ -116,8 +135,7 @@ def solve_radial_bvp(spec: MetricSpec, rhs_fn, zero_order_fn, robin_decay: float
     res = solve_bvp(fun, bc, x0, y0, tol=tol, max_nodes=200000)
     if not res.success:
         raise RadialSolveError(f"collocation failed: {res.message}")
-    return RadialSolution(r_lo=r_lo, r_hi=r_hi, sol=res.sol,
-                          rms_residual=float(np.max(res.rms_residuals)))
+    return RadialSolution(r_lo=r_lo, r_hi=r_hi, sol=res.sol)
 
 
 def shooting_radial_solve(spec: MetricSpec, rhs_fn, zero_order_fn,
@@ -184,16 +202,6 @@ class EigenfunctionReport:
                 "positive": self.positive, "flags": list(self.flags)}
 
 
-def _radial_field_from(correction: RadialSolution) -> ScalarField:
-    """Scalar field sqrt(1+r^2) + v(r) with exact jets for the closed part."""
-    v = correction.as_profile()
-
-    def jet_fn(coords, order):
-        r = J.coordinate_jets(coords, order)[0]
-        return J.jsqrt(1.0 + r * r) + v.jet(r)
-    return ScalarField(jet_fn)
-
-
 def radial_eigenfunction(spec: MetricSpec, r_hi: float = 200.0,
                          decay_rate: float = None) -> EigenfunctionReport:
     """Solve (Lap - n) v = -(Lap - n) sqrt(1+r^2) and return f = sqrt(1+r^2) + v.
@@ -202,9 +210,7 @@ def radial_eigenfunction(spec: MetricSpec, r_hi: float = 200.0,
     built here; candidates asymptotic to the translational potentials can be
     residual-checked but not solved radially.
     """
-    if not spec.rotationally_symmetric:
-        raise NotImplementedError("radial eigenfunction needs a rotationally "
-                                  "symmetric metric")
+    _require_radial_reduction(spec)
     n = spec.n
     r_lo = inner_truncation_radius(spec)
     r_samp, coords = _sample_ray(n, r_lo, r_hi, 400)
@@ -223,7 +229,7 @@ def radial_eigenfunction(spec: MetricSpec, r_hi: float = 200.0,
     correction = solve_radial_bvp(spec, lambda r: -rho(r),
                                   lambda r: -float(n) * np.ones_like(r),
                                   decay_rate, r_lo, r_hi)
-    f0 = _radial_field_from(correction)
+    f0 = static_potential(n, 0) + correction.as_field()
 
     # residual through the full tensor pipeline on the sample ladder
     app = metric_apparatus(spec, coords, level=1)
@@ -231,17 +237,9 @@ def radial_eigenfunction(spec: MetricSpec, r_hi: float = 200.0,
     lap = app.trace(covariant_hessian(app, jet))
     residual = float(np.abs(lap - n * jet.val).max())
 
-    v_abs = np.abs(correction.value(r_samp))
-    flags = ()
-    if np.all(v_abs < 1e-10):
-        decay = np.inf
-        flags = ("zero-correction",)
-    else:
-        outer = r_samp >= r_hi / 10.0
-        slope, _ = fit_log_slope(r_samp[outer], np.maximum(v_abs[outer], 1e-300))
-        decay = -slope
-        if decay < 0.5:
-            flags = ("slow-decay",)
+    decay = _tail_decay(r_samp, correction.value(r_samp), r_hi, 1e-10)
+    flags = (("zero-correction",) if decay == np.inf
+             else ("slow-decay",) if decay < 0.5 else ())
     positive = bool(np.all(jet.val > 0))
     return EigenfunctionReport(potential=f0, correction=correction,
                                residual_sup=residual, decay_exponent=float(decay),
@@ -274,6 +272,7 @@ def conformal_deform_radial(spec: MetricSpec, phi_fn, s: float, r_hi: float = 20
     curvature of (1 + u_k) g is driven toward R_g + phi, reporting the
     nonlinear sup-residual per iteration.
     """
+    _require_radial_reduction(spec)
     n = spec.n
     if not (-1.0 < s < n):
         raise SchemaError(f"target decay s={s} outside the solvable window (-1, {n})")
@@ -298,16 +297,9 @@ def conformal_deform_radial(spec: MetricSpec, phi_fn, s: float, r_hi: float = 20
     lin = linearized_scalar_values(app, h)
     linear_residual = float(np.abs(lin - phi_fn(r_samp)).max())
 
-    u_abs = np.abs(first.value(r_samp))
-    if np.all(u_abs < 1e-13):
-        u_decay = np.inf
-    else:
-        outer = r_samp >= r_hi / 10.0
-        slope, _ = fit_log_slope(r_samp[outer], np.maximum(u_abs[outer], 1e-300))
-        u_decay = -slope
-
-    report = DeformationReport(solution=first, linear_residual=linear_residual,
-                               solution_decay=float(u_decay))
+    report = DeformationReport(
+        solution=first, linear_residual=linear_residual,
+        solution_decay=float(_tail_decay(r_samp, first.value(r_samp), r_hi, 1e-13)))
     if newton_steps <= 0:
         return report
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ahmass import cli, quadrature
 from ahmass.cli import (DEFAULT_TOLERANCES, EXIT_CHECK_FAILURE, EXIT_INTERNAL,
@@ -129,19 +129,30 @@ PERTURBED4 = {"family": "perturbed", "n": 4, "params": {
 WARPED = {"family": "warped_product", "n": 3}
 
 
-@pytest.mark.parametrize("command,metric", [
-    ("deform", PERTURBED3),          # no radial reduction
-    ("eigenfunction", PERTURBED3),   # no radial reduction
-    ("mass", WARPED),                # not on the exterior chart
-    ("verify-ah", WARPED),           # not on the exterior chart
-    ("rigidity-check", {"family": "hyperbolic", "n": 4}),   # n = 3 fixture only
-], ids=["deform", "eigenfunction", "mass-warped", "verify-ah-warped",
-        "rigidity-check-n4"])
-def test_unsupported_metric_rejected(tmp_path, capsys, command, metric):
-    cfg = write_config(tmp_path, {"command": command, "metric": metric})
+@pytest.mark.parametrize("command,metric,numeric", [
+    ("deform", PERTURBED3, {}),          # no radial reduction
+    ("eigenfunction", PERTURBED3, {}),   # no radial reduction
+    # no radial reduction either, and rejected before the curvature profile,
+    # whose det and lowered Riemann array would overflow near t = 178
+    ("deform", WARPED, {"r_max": 178.0}),
+    ("mass", WARPED, {}),                # not on the exterior chart
+    ("verify-ah", WARPED, {}),           # not on the exterior chart
+    ("rigidity-check", {"family": "hyperbolic", "n": 4}, {}),   # n = 3 fixture only
+], ids=["deform", "eigenfunction", "deform-warped-overflow", "mass-warped",
+        "verify-ah-warped", "rigidity-check-n4"])
+def test_unsupported_metric_rejected(tmp_path, capsys, monkeypatch, command, metric,
+                                     numeric):
+    import ahmass.radial as radial
+    profiles = []
+    monkeypatch.setattr(radial, "scalar_curvature_profile",
+                        lambda *args: profiles.append(args))
+    cfg = write_config(tmp_path, {"command": command, "metric": metric,
+                                  "numeric": numeric})
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
     err = capsys.readouterr().err
     assert err.startswith("unsupported: ") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert profiles == []
 
 
 @pytest.mark.parametrize("metric", [
@@ -275,9 +286,6 @@ HYP5 = {"family": "hyperbolic", "n": 5, "params": {}}
     # cosh(t)^2 of the warped metric overflows at t near 200
     ("curvature", {"sample_points": 20, "r_min": 0.5, "r_max": 200.0, "seed": 4},
      WARPED, EXIT_NUMERICAL),
-    # and near t = 178 its det and lowered Riemann array overflow in deform's
-    # scalar-curvature profile: a numerical failure, with no warning leaked
-    ("deform", {"r_max": 178.0}, WARPED, EXIT_NUMERICAL),
     # inverted radius windows, [7, 6] and [10, 5], are rejected before any numerics
     ("duality-check", {"r_min": 7.0}, HYP, EXIT_SCHEMA),
     ("curvature", {"r_min": 10.0, "r_max": 5.0}, HYP, EXIT_SCHEMA),
@@ -296,7 +304,7 @@ HYP5 = {"family": "hyperbolic", "n": 5, "params": {}}
         "sample-points-huge", "pairs-huge", "fan-count-huge",
         "ode-verify-horizon-huge", "dichotomy-horizon-above-max",
         "eigenfunction-r-max-inside-margin", "deform-r-max-inside-margin",
-        "curvature-warped-overflow", "deform-warped-overflow",
+        "curvature-warped-overflow",
         "duality-window-inverted", "curvature-window-inverted"])
 def test_bad_numeric_value_rejected(tmp_path, capsys, command, numeric, metric, code):
     cfg = write_config(tmp_path, {"command": command, "metric": metric, "numeric": numeric})
@@ -513,11 +521,16 @@ def run_numeric(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(command=st.sampled_from(cli.COMMANDS),
        metric=RUN_SPECS, numeric=run_numeric())
+# two smallest epsilons one ulp apart leave the order fit rank 1
+@example(command="first-variation", metric=SCHW, numeric={
+    "quad_polar": 4, "quad_azimuth": 4,
+    "eps_ladder": [0.03, 0.001, 0.0010000000000000002]})
+# a horizon of 0.01 leaves one sample in every tail-half growth fit
+@example(command="dichotomy", metric=HYP, numeric={"fan_count": 1, "ode_horizon": 0.01})
 def test_main_exit_code_contract(tmp_path, capfd, command, metric, numeric):
     # exit 4 is an input that reached a failure nobody classified, and a
     # warning a numerical event nobody classified: both fail.  Every warning
-    # is an error here, numpy's RankWarning too (numpy files it under an
-    # "always" filter, which -W error::RuntimeWarning cannot override)
+    # is an error here
     cfg = write_config(tmp_path, {"command": command, "metric": metric,
                                   "numeric": numeric})
     with warnings.catch_warnings():
@@ -622,7 +635,10 @@ def test_dichotomy_axis_seed_rides_in_the_fan(hyp3, monkeypatch):
     from ahmass.metrics import static_potential
     V0, x1 = static_potential(3, 0), static_potential(3, 1)
     diff = ScalarField(lambda c, order: V0.jet(c, order) - x1.jet(c, order))
-    alone = geodesics.classify_growth(hyp3, diff, geodesics.axis_seed(3)[None], 9.0)[0]
+    axis = geodesics.axis_seed(3)[None]
+    axis_fan = geodesics.integrate_geodesic_fan(
+        hyp3, axis, geodesics.unit_radial_direction(hyp3, axis[0])[None], 9.0)
+    alone = geodesics.classify_growth(diff, axis_fan)[0]
     calls = []
     solve_ivp = geodesics.solve_ivp
 

@@ -88,13 +88,17 @@ def test_transported_angular_vector_closed_form(hyp3):
     assert g.transport_drift < 1e-8
 
 
+def radial_fan(spec, seeds, T):
+    dirs = np.stack([unit_radial_direction(spec, p) for p in seeds])
+    return integrate_geodesic_fan(spec, seeds, dirs, T)
+
+
 def test_growth_classification_of_potentials(hyp3):
     seeds = seed_fan(3, 64)
     assert len(seeds) == 64
-    dirs = np.stack([unit_radial_direction(hyp3, p) for p in seeds])
-    fan = integrate_geodesic_fan(hyp3, seeds, dirs, T=9.0)
+    fan = radial_fan(hyp3, seeds, 9.0)
     for V in static_potential_basis(3):
-        cls = classify_growth(hyp3, V, seeds, T=9.0, fan=fan)
+        cls = classify_growth(V, fan)
         grown = [c for c in cls if c.label == "linear-growth"]
         assert len(grown) >= 1
         for c in grown:
@@ -104,14 +108,14 @@ def test_growth_classification_of_potentials(hyp3):
 def test_decaying_combination_along_axis(hyp3):
     V0, x1 = static_potential(3, 0), static_potential(3, 1)
     diff = ScalarField(lambda c, order: V0.jet(c, order) - x1.jet(c, order))
-    cls = classify_growth(hyp3, diff, axis_seed(3)[None], T=9.0)
+    cls = classify_growth(diff, radial_fan(hyp3, axis_seed(3)[None], 9.0))
     assert cls[0].label == "decay"
     assert abs(cls[0].decay_rate - 1.0) < 0.05
 
 
 def test_vanishing_field_labels_infinite_decay(hyp3):
     zero = ScalarField(lambda c, order: static_potential(3, 0).jet(c, order) * 0.0)
-    cls = classify_growth(hyp3, zero, axis_seed(3)[None], T=6.0)
+    cls = classify_growth(zero, radial_fan(hyp3, axis_seed(3)[None], 6.0))
     assert cls[0].label == "decay"
     assert cls[0].decay_rate == np.inf
 
@@ -134,7 +138,7 @@ def test_decaying_radial_solution_classifies_decay(hyp3):
 
     field = ScalarField(lambda c, order: Jet(out.sol(c[:, 0])[0], np.zeros_like(c),
                                              np.zeros((c.shape[0], 3, 3))))
-    cls = classify_growth(hyp3, field, seed_fan(3, 9), T=8.0)
+    cls = classify_growth(field, radial_fan(hyp3, seed_fan(3, 9), 8.0))
     for c in cls:
         assert c.label == "decay"
         assert abs(c.decay_rate - 3.0) < 0.2

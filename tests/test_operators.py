@@ -234,7 +234,7 @@ def test_first_variation_matches_perturbed_metric_reference(schw3):
         quotients.append(float(np.sum(w * diff)) / e)
     errors = np.abs(np.asarray(quotients) - reference)
     # the order is the local one between the two smallest epsilons
-    order, _ = fit_log_slope(np.asarray(eps[-2:]), errors[-2:])
+    order = fit_log_slope(np.log(eps[-2:]), errors[-2:])
     assert rep.to_dict() == {"reference": reference, "epsilons": eps,
                              "quotients": quotients, "errors": list(errors),
                              "order": float(order), "exact_zero": False}
