@@ -70,6 +70,9 @@ DEFAULT_TOLERANCES = {
     "remainder_decay_relative": 0.1,
     "resonant_profile_residual": 0.05,
 }
+# the tolerance ``--tol`` sets: the one key each command's checks read
+TOL_KEYS = {"curvature": "curvature_identity", "duality-check": "duality_residual",
+            "rigidity-check": "wang_gap"}
 
 
 EPS_LADDER = (lambda v: (isinstance(v, list) and len(v) >= 2
@@ -134,9 +137,13 @@ def load_config(path, overrides=None) -> dict:
             numeric["quad_azimuth"] = 2 * overrides["quad_order"]
         if overrides.get("seed") is not None:
             numeric["seed"] = overrides["seed"]
-        if overrides.get("tol") is not None and isinstance(tols, dict):
-            tols = tols | {k: overrides["tol"] for k in
-                           ("duality_residual", "wang_gap", "curvature_identity")}
+        if overrides.get("tol") is not None:
+            command = overrides.get("command") or raw.get("command")
+            if command not in TOL_KEYS:
+                raise SchemaError(f"--tol applies only to {', '.join(TOL_KEYS)}; "
+                                  f"{command} reads none of their tolerances")
+            if isinstance(tols, dict):
+                tols = tols | {TOL_KEYS[command]: overrides["tol"]}
         numeric["tolerances"] = tols
         if overrides.get("out") is not None:
             raw["output"] = overrides["out"]
@@ -253,13 +260,12 @@ def run_curvature(spec, numeric):
                      float(numeric.get("r_max", 50.0)))
     pts = random_points(spec.n, rng, count, r_range=window)
     app = finite_curvature(spec, pts)
-    anti1, anti2, bianchi = riemann_symmetry_defects(app.riemann)
+    anti_last, bianchi = riemann_symmetry_defects(app.riemann)
     ric_sym = np.abs(app.ricci - app.ricci.swapaxes(1, 2)).max()
     tol = _tol(numeric, "curvature_identity")
     scale = max(1.0, float(np.abs(app.riemann).max()))
     checks = [
-        check("riemann_antisymmetry_first", float(anti1 / scale), tol),
-        check("riemann_antisymmetry_last", float(anti2 / scale), tol),
+        check("riemann_antisymmetry_last", float(anti_last / scale), tol),
         check("first_bianchi", float(bianchi / scale), tol),
         check("ricci_symmetry", float(ric_sym / scale), tol),
     ]
@@ -408,11 +414,19 @@ def run_ode_verify(spec, numeric):
 
 def run_dichotomy(spec, numeric):
     from .fields import ScalarField
-    from .geodesics import axis_seed, classify_growth, seed_fan, unit_radial_direction, integrate_geodesic_fan
+    from .geodesics import (SAMPLE_STEP, axis_seed, classify_growth, growth_tail,
+                            integrate_geodesic_fan, sample_times, seed_fan,
+                            unit_radial_direction)
     from .metrics import static_potential_basis
     from .reporting import check
     n = spec.n
     T = float(numeric.get("ode_horizon", 9.0))
+    # each growth rate needs as many tail samples as ode-verify's fit window
+    tail = int(np.count_nonzero(growth_tail(sample_times(T))))
+    if tail < 3:
+        raise SchemaError(f"ode_horizon {T:g} leaves {tail} geodesic sample(s) in the "
+                          f"tail half [T/2, T] where growth is fitted; dichotomy needs "
+                          f"3, so ode_horizon must exceed {3 * SAMPLE_STEP:g}")
     seeds = seed_fan(n, int(numeric.get("fan_count", 64)))
     # the decaying combination's axis seed rides last in the one fan
     axis = axis_seed(n)[None]
@@ -578,7 +592,8 @@ def main(argv=None) -> int:
     parser.add_argument("--quad-order", type=int, default=None,
                         help="polar quadrature order (azimuth doubled)")
     parser.add_argument("--tol", type=float, default=None,
-                        help="override the main tolerance of the command")
+                        help="override the tolerance read by curvature, "
+                             "duality-check or rigidity-check; other commands exit 2")
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
     try:

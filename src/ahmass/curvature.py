@@ -174,13 +174,13 @@ def finite_curvature(spec: MetricSpec, coords) -> MetricApparatus:
 
 
 def riemann_symmetry_defects(riemann: np.ndarray) -> tuple:
-    """Max violations of first-pair/last-pair antisymmetry and first Bianchi."""
-    anti_first = float(np.abs(riemann + np.einsum("pjkli->pkjli", riemann)).max())
+    """Max violations of last-pair antisymmetry and first Bianchi; first-pair
+    antisymmetry holds by construction (``_lowered_riemann`` forms B - B^T)."""
     anti_last = float(np.abs(riemann + np.einsum("pkjil->pkjli", riemann)).max())
     cyc2 = np.einsum("pjlki->pkjli", riemann)
     cyc3 = np.einsum("plkji->pkjli", riemann)
     bianchi = float(np.abs(riemann + cyc2 + cyc3).max())
-    return anti_first, anti_last, bianchi
+    return anti_last, bianchi
 
 
 # -- covariant calculus of scalar fields --------------------------------------

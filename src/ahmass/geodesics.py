@@ -25,6 +25,9 @@ from .decay import fit_log_slope
 from .metrics import MetricSpec
 
 
+SAMPLE_STEP = 0.05
+
+
 class ChartExitError(RuntimeError):
     pass
 
@@ -73,8 +76,19 @@ def _fan_rhs(spec: MetricSpec, shape):
     return rhs
 
 
+def sample_times(T: float, sample_step: float = SAMPLE_STEP) -> np.ndarray:
+    """Arc-length samples of a geodesic: the multiples of ``sample_step`` below T, and T."""
+    ts = np.arange(int(np.ceil(T / sample_step - 1e-9))) * sample_step
+    return np.append(ts, T)
+
+
+def growth_tail(ts: np.ndarray) -> np.ndarray:
+    """Mask of the samples in the tail half [T/2, T], where growth is fitted."""
+    return ts >= ts[-1] / 2.0
+
+
 def integrate_geodesic_fan(spec: MetricSpec, points, directions, T: float,
-                           sample_step: float = 0.05,
+                           sample_step: float = SAMPLE_STEP,
                            transported: np.ndarray = None) -> list:
     """Integrate many geodesics at once; returns a GeodesicSample per seed.
 
@@ -97,8 +111,7 @@ def integrate_geodesic_fan(spec: MetricSpec, points, directions, T: float,
     if k_extra:
         state[:, 2:] = transported
 
-    ts = np.arange(int(np.ceil(T / sample_step - 1e-9))) * sample_step
-    ts = np.append(ts, T)
+    ts = sample_times(T, sample_step)
     out = solve_ivp(_fan_rhs(spec, state.shape), (0.0, T), state.ravel(),
                     method="DOP853", t_eval=ts, rtol=1e-12, atol=1e-12)
     if not out.success:
@@ -123,7 +136,7 @@ def integrate_geodesic_fan(spec: MetricSpec, points, directions, T: float,
 
 
 def integrate_geodesic(spec: MetricSpec, point, direction, T: float,
-                       sample_step: float = 0.05,
+                       sample_step: float = SAMPLE_STEP,
                        transported: np.ndarray = None) -> GeodesicSample:
     """Single arc-length geodesic; see integrate_geodesic_fan."""
     trans = None if transported is None else np.asarray(transported)[None]
@@ -177,7 +190,7 @@ def classify_growth(V, fan: list) -> list:
     out = []
     for sample in fan:
         seed = sample.coords[0]
-        tail = sample.ts >= sample.ts[-1] / 2.0
+        tail = growth_tail(sample.ts)
         vals = np.abs(V.value(sample.coords[tail]))
         if np.all(vals < 1e-280):
             out.append(SeedClassification(point=seed, label="decay",

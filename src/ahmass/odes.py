@@ -4,7 +4,9 @@ Problems have the normal form u'' = P u' + (1 + Q) u + f on [0, T] with
 decaying coefficients.  The solution space is spanned by a growing branch
 (comparable to e^t) and a decaying branch (comparable to e^(-t)); the grid
 certificate C is the smallest constant for which the two-sided exponential
-bounds and the Wronskian bound W <= -2/C^2 hold on the sample grid.
+bounds and the Wronskian bound W <= -2/C^2 hold on the sample grid.  The
+forward solver integrates the unforced equation only; forced solutions come
+from variation of parameters against the fundamental pair.
 
 The decaying branch is constructed by exhaustion over two-point problems
 u_j(0) = 1, u_j(j) = 0 for j = ceil(T) + 2, ceil(T) + 4, ..., up to 40.  Each
@@ -18,7 +20,8 @@ per stage for all rungs.  DOP853 takes its error norm (a root mean square)
 over the whole batched state, so a rung's steps are those its neighbours
 need too.  One dense evaluation at the concatenated t / j gives every rung on
 the report grid; the convergence test, and the chosen rung's values and
-derivatives, read those.
+derivatives, read those.  Only the chosen rung becomes an ``ODESolution``,
+which reads the same dense output at t / j.
 
 Each branch is evaluated on the report grid once, value and derivative
 together: the growing branch by one interpolant call (``ODESolution.at``),
@@ -43,6 +46,7 @@ from .fields import SchemaError
 
 DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-14
+GRID_STEP = 0.01            # spacing of the report grid on [0, T]
 
 
 def _as_callable(c):
@@ -62,7 +66,6 @@ class ODEProblem:
     f: object = None
     horizon: float = 25.0
     bounds: tuple = None        # (C_0, d) with |P|,|Q|,|f| <= C_0 e^(-d t)
-    grid_step: float = 0.01
 
     def __post_init__(self):
         self.p = _as_callable(self.p)
@@ -70,7 +73,7 @@ class ODEProblem:
         self.f = _as_callable(self.f)
 
     def grid(self):
-        return np.arange(0.0, self.horizon + 0.5 * self.grid_step, self.grid_step)
+        return np.arange(0.0, self.horizon + 0.5 * GRID_STEP, GRID_STEP)
 
     def forced(self, t) -> bool:
         """Whether f is nonzero somewhere on the sample points t."""
@@ -84,7 +87,7 @@ class ODEProblem:
         if np.count_nonzero(window) < 3:
             raise SchemaError(f"horizon T = {T:g} leaves fewer than 3 samples in the "
                               f"remainder fit window 2 <= t <= T - 2; it must be at "
-                              f"least {4.0 + 3 * self.grid_step:g}")
+                              f"least {4.0 + 3 * GRID_STEP:g}")
         return window
 
     def validate(self):
@@ -112,7 +115,6 @@ class ODESolution:
     """Dense solution with derivative access."""
 
     sol: object
-    t_span: tuple
 
     def at(self, t):
         """(u(t), u'(t)) from one dense evaluation."""
@@ -126,29 +128,23 @@ class ODESolution:
         return self.sol(np.asarray(t, dtype=float))[1]
 
 
-def solve_second_order(prob: ODEProblem, u0: float, du0: float,
-                       homogeneous: bool = False) -> ODESolution:
-    """Adaptive high-order integration of the problem from t = 0 to its horizon.
+def solve_second_order(prob: ODEProblem, u0: float, du0: float) -> ODESolution:
+    """Adaptive high-order solve of the unforced u'' = P u' + (1 + Q) u on [0, T].
 
-    A homogeneous solution is linear in (u0, du0), so its absolute tolerance
-    scales with the larger of the two: the accuracy asked for does not depend
-    on the size of the data, and data near the underflow range (du0 ~ 1e-161)
-    does not drive the solver's error norm to 0 / 0.
+    The solution is linear in (u0, du0), so the absolute tolerance scales with
+    the larger of the two: the accuracy asked for does not depend on the size
+    of the data, and data near the underflow range (du0 ~ 1e-161) does not
+    drive the solver's error norm to 0 / 0.
     """
-    T = prob.horizon
-    atol = DEFAULT_ATOL
-    if homogeneous:
-        atol *= max(abs(u0), abs(du0)) or 1.0
-
     def rhs(t, y):
-        forcing = 0.0 if homogeneous else prob.f(t)
-        return [y[1], prob.p(t) * y[1] + (1.0 + prob.q(t)) * y[0] + forcing]
+        return [y[1], prob.p(t) * y[1] + (1.0 + prob.q(t)) * y[0]]
 
-    out = solve_ivp(rhs, (0.0, T), [u0, du0], method="DOP853", rtol=DEFAULT_RTOL,
-                    atol=atol, dense_output=True)
+    atol = DEFAULT_ATOL * (max(abs(u0), abs(du0)) or 1.0)
+    out = solve_ivp(rhs, (0.0, prob.horizon), [u0, du0], method="DOP853",
+                    rtol=DEFAULT_RTOL, atol=atol, dense_output=True)
     if not out.success:
         raise ArithmeticError(f"integration failed: {out.message}")
-    return ODESolution(sol=out.sol, t_span=(0.0, T))
+    return ODESolution(sol=out.sol)
 
 
 def _backward_ladder(prob: ODEProblem, js: np.ndarray, rtol: float):
@@ -171,37 +167,6 @@ def _backward_ladder(prob: ODEProblem, js: np.ndarray, rtol: float):
     if not out.success:
         raise ArithmeticError(f"backward integration failed: {out.message}")
     return out.sol
-
-
-class _Rung:
-    """Rung k of a backward ladder as a function of t, normalized at t = 0."""
-
-    def __init__(self, dense, k: int, j: float, scale: float):
-        self.dense, self.k, self.j, self.scale = dense, k, j, scale
-
-    def __call__(self, t):
-        return self.dense(t / self.j)[2 * self.k: 2 * self.k + 2] / self.scale
-
-
-def _rungs(dense, js: np.ndarray, scales: np.ndarray) -> list:
-    """Each rung of a backward ladder as an ODESolution; ``scales`` are u_k(0)."""
-    if np.any(scales <= 0):
-        raise ArithmeticError("two-point solution fails positivity at t = 0")
-    return [ODESolution(sol=_Rung(dense, k, j, scale), t_span=(0.0, j))
-            for k, (j, scale) in enumerate(zip(js, scales))]
-
-
-def two_point_solutions(prob: ODEProblem, js, rtol: float = DEFAULT_RTOL) -> list:
-    """The homogeneous solutions with u(0) = 1, u(j) = 0 on [0, j], one per j.
-
-    All of them come from one backward DOP853 solve in tau = t / j (see the
-    module docstring); its error norm is taken over the whole batched state.
-    Backward integration keeps the forward-decaying branch dominant, so the
-    evaluation is stable for large j.
-    """
-    js = np.asarray(js, dtype=float)
-    dense = _backward_ladder(prob, js, rtol)
-    return _rungs(dense, js, dense(0.0)[0::2])
 
 
 @dataclass
@@ -236,7 +201,8 @@ def build_decaying_solution(prob: ODEProblem,
     raw = dense(np.concatenate([t / j for j in js])).reshape(K, 2, K, N)
     grid = raw[np.arange(K), :, np.arange(K)]           # (K, 2, N): u_k, u_k'
     scales = grid[:, 0, 0]                              # u_k(0), as t[0] = 0
-    members = _rungs(dense, js, scales)
+    if np.any(scales <= 0):
+        raise ArithmeticError("two-point solution fails positivity at t = 0")
     grid = grid / scales[:, None, None]
     envelope = np.exp(-t)
     diffs = []
@@ -247,7 +213,9 @@ def build_decaying_solution(prob: ODEProblem,
     else:
         raise ArithmeticError("exhaustion did not settle below 1e-10 by j = 40.0")
     vals, dvals = grid[k]
-    return DecayingSolution(solution=members[k], j_used=float(js[k]), sup_diffs=diffs,
+    j, scale = js[k], scales[k]
+    solution = ODESolution(sol=lambda s: dense(s / j)[2 * k: 2 * k + 2] / scale)
+    return DecayingSolution(solution=solution, j_used=float(j), sup_diffs=diffs,
                             positive=bool(np.all(vals > 0)),
                             decreasing=bool(np.all(dvals < 0)), on_grid=grid[k])
 
@@ -275,7 +243,7 @@ def fundamental_pair(prob: ODEProblem) -> FundamentalPair:
     two-sided bounds and the Wronskian inequality simultaneously.
     """
     prob.validate()
-    u1 = solve_second_order(prob, 1.0, 1.0, homogeneous=True)
+    u1 = solve_second_order(prob, 1.0, 1.0)
     dec = build_decaying_solution(prob)
     u2 = dec.solution
     t = prob.grid()

@@ -125,9 +125,6 @@ class VolumeRule:
 
     coords: np.ndarray
     weights: np.ndarray         # combined radial x sphere weights
-    radii: np.ndarray           # distinct radial nodes
-    radial_weights: np.ndarray
-    sphere: SphereRule
 
 
 def volume_rule(n: int, breakpoints, nodes_per_segment, sphere: SphereRule) -> VolumeRule:
@@ -137,8 +134,7 @@ def volume_rule(n: int, breakpoints, nodes_per_segment, sphere: SphereRule) -> V
     coords[:, 0] = np.repeat(r, m)
     coords[:, 1:] = np.tile(sphere.angles, (r.size, 1))
     weights = np.repeat(wr, m) * np.tile(sphere.weights, r.size)
-    return VolumeRule(coords=coords, weights=weights, radii=r, radial_weights=wr,
-                      sphere=sphere)
+    return VolumeRule(coords=coords, weights=weights)
 
 
 def angular_jacobian(angles: np.ndarray) -> np.ndarray:

@@ -149,16 +149,14 @@ def test_criterion_06_ode_growth_decay_structure():
         prob = _random_problem(rng, horizon)
         prob.validate()
         # (1) at most one zero
-        u = solve_second_order(prob, rng.uniform(-1, 1), rng.uniform(-1, 1),
-                               homogeneous=True)
+        u = solve_second_order(prob, rng.uniform(-1, 1), rng.uniform(-1, 1))
         vals = u.value(t)
         signs = np.sign(vals[np.abs(vals) > 1e-12])
         assert np.count_nonzero(np.diff(signs) != 0) <= 1
         # (2) comparison
         u0, du0 = rng.uniform(0.1, 1.5), rng.uniform(-0.5, 1.0)
-        hi = solve_second_order(prob, u0, du0, homogeneous=True)
-        lo = solve_second_order(prob, u0 - 0.05, du0 - 0.05,
-                                homogeneous=True)
+        hi = solve_second_order(prob, u0, du0)
+        lo = solve_second_order(prob, u0 - 0.05, du0 - 0.05)
         assert np.all(hi.value(t_pos) > lo.value(t_pos))
         assert np.all(hi.d1(t_pos) > lo.d1(t_pos))
         # (3) positive decreasing decaying branch (every 10th problem: costly)

@@ -289,6 +289,11 @@ HYP5 = {"family": "hyperbolic", "n": 5, "params": {}}
     # inverted radius windows, [7, 6] and [10, 5], are rejected before any numerics
     ("duality-check", {"r_min": 7.0}, HYP, EXIT_SCHEMA),
     ("curvature", {"r_min": 10.0, "r_max": 5.0}, HYP, EXIT_SCHEMA),
+    # geodesics are sampled every 0.05 and at T; up to T = 0.15 the tail half
+    # [T/2, T] of the growth fits holds fewer than 3 samples
+    ("dichotomy", {"fan_count": 1, "ode_horizon": 0.05}, HYP, EXIT_SCHEMA),
+    ("dichotomy", {"fan_count": 1, "ode_horizon": 0.0501}, HYP, EXIT_SCHEMA),
+    ("dichotomy", {"fan_count": 1, "ode_horizon": 0.15}, HYP, EXIT_SCHEMA),
 ], ids=["pairs-zero", "pairs-string", "quad-polar-2", "radius-nan",
         "sample-points-zero", "seed-bool", "eps-ladder-empty-schw",
         "eps-ladder-empty", "eps-ladder-one", "eps-ladder-zero",
@@ -305,7 +310,9 @@ HYP5 = {"family": "hyperbolic", "n": 5, "params": {}}
         "ode-verify-horizon-huge", "dichotomy-horizon-above-max",
         "eigenfunction-r-max-inside-margin", "deform-r-max-inside-margin",
         "curvature-warped-overflow",
-        "duality-window-inverted", "curvature-window-inverted"])
+        "duality-window-inverted", "curvature-window-inverted",
+        "dichotomy-tail-one-sample", "dichotomy-tail-two-samples",
+        "dichotomy-tail-two-samples-at-0.15"])
 def test_bad_numeric_value_rejected(tmp_path, capsys, command, numeric, metric, code):
     cfg = write_config(tmp_path, {"command": command, "metric": metric, "numeric": numeric})
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == code
@@ -336,6 +343,58 @@ def test_short_ode_horizon_rejected(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "Traceback" not in err
     assert len(err.splitlines()) == 1 and "at least 4.03" in err
+
+
+@pytest.mark.parametrize("T, rejected", [(0.15, True), (0.1501, False)])
+def test_short_dichotomy_horizon_rejected_before_integration(tmp_path, monkeypatch,
+                                                            capsys, T, rejected):
+    # the fan's tail half [T/2, T] holds 2 samples at T = 0.15 and 3 at 0.1501
+    import ahmass.geodesics as geodesics
+    calls = []
+
+    def counted(*args, **kwargs):
+        if rejected:
+            raise AssertionError("geodesic fan integrated before the tail rule")
+        calls.append(args[3])
+        return fan(*args, **kwargs)
+
+    fan = geodesics.integrate_geodesic_fan
+    monkeypatch.setattr(geodesics, "integrate_geodesic_fan", counted)
+    cfg = write_config(tmp_path, {"command": "dichotomy", "metric": HYP,
+                                  "numeric": {"fan_count": 1, "ode_horizon": T}})
+    code = main(["dichotomy", "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    if rejected:
+        assert code == EXIT_SCHEMA and len(err.splitlines()) == 1
+        assert err.startswith("config error: ") and "exceed 0.15" in err
+    else:
+        assert code in (0, EXIT_CHECK_FAILURE) and calls == [T] and err == ""
+
+
+def test_tol_on_command_that_reads_none_of_its_keys_rejected(tmp_path, capsys):
+    # eigenfunction's checks read none of the tolerances --tol can set
+    cfg = write_config(tmp_path, {"command": "eigenfunction", "metric": HYP})
+    out = tmp_path / "o"
+    assert main(["eigenfunction", "--config", cfg, "--out", str(out),
+                 "--tol", "1e-3"]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.splitlines()) == 1
+    assert "Warning" not in err and not out.exists()
+
+
+def test_tol_sets_only_the_key_the_command_reads(tmp_path):
+    # on this coarse rule the residual is about 0.011: it fails the default
+    # 1e-6 and passes --tol 0.1
+    cfg = write_config(tmp_path, {"command": "duality-check", "metric": SCHW,
+                                  "numeric": {"pairs": 1, "quad_polar": 6,
+                                              "quad_azimuth": 12, "radial_nodes": 8}})
+    out = tmp_path / "o"
+    assert main(["duality-check", "--config", cfg, "--out", str(out),
+                 "--tol", "0.1"]) == 0
+    doc = read_report(out, "duality-check")
+    assert doc["config"]["numeric"]["tolerances"] == {"duality_residual": 0.1}
+    assert [c["tolerance"] for c in doc["checks"]] == [0.1]
+    assert main(["duality-check", "--config", cfg, "--out", str(out)]) == 1
 
 
 def test_short_unforced_ode_horizon_passes(tmp_path):

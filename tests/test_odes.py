@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ahmass.fields import SchemaError
-from ahmass.odes import (ODEProblem, build_decaying_solution, fundamental_pair,
-                         particular_solution, solve_second_order,
-                         two_point_solutions)
+from ahmass.odes import (DEFAULT_RTOL, ODEProblem, ODESolution, _backward_ladder,
+                         build_decaying_solution, fundamental_pair,
+                         particular_solution, solve_second_order)
 
 
 def random_problem(rng, horizon=15.0, with_forcing=False):
@@ -25,6 +25,17 @@ def random_problem(rng, horizon=15.0, with_forcing=False):
         q=lambda t: a_q * np.exp(-d * t) * np.sin(w_q * t + 0.3),
         f=(lambda t: a_f * np.exp(-d * t)) if with_forcing else None,
         horizon=horizon, bounds=(c0, d))
+
+
+def ladder_rungs(prob, js):
+    """The two-point solutions u(0) = 1, u(j) = 0, one per j: each rung of one
+    batched backward solve, read from its dense output at t / j and
+    normalized at t = 0."""
+    js = np.asarray(js, dtype=float)
+    dense = _backward_ladder(prob, js, DEFAULT_RTOL)
+    scales = dense(0.0)[0::2]
+    return [ODESolution(sol=lambda t, k=k: dense(t / js[k])[2 * k: 2 * k + 2] / scales[k])
+            for k in range(js.size)]
 
 
 def test_exponential_solutions():
@@ -54,8 +65,8 @@ def test_comparison_property_hypothesis(a_p, a_q, d, u0, du0):
     prob = ODEProblem(p=lambda t: a_p * np.exp(-d * t),
                       q=lambda t: a_q * np.exp(-d * t),
                       horizon=8.0, bounds=(max(abs(a_p), abs(a_q)) + 1e-9, d))
-    hi = solve_second_order(prob, u0 + 0.1, du0 + 0.1, homogeneous=True)
-    lo = solve_second_order(prob, u0, du0, homogeneous=True)
+    hi = solve_second_order(prob, u0 + 0.1, du0 + 0.1)
+    lo = solve_second_order(prob, u0, du0)
     t = np.linspace(0.05, 8.0, 60)
     assert np.all(hi.value(t) > lo.value(t))
     assert np.all(hi.d1(t) > lo.d1(t))
@@ -67,8 +78,8 @@ def test_homogeneous_solution_of_data_near_underflow():
     prob = ODEProblem(p=lambda t: 0.0 * t, q=lambda t: 0.0 * t, horizon=8.0,
                       bounds=(1e-9, 1.0))
     du0 = 2.2025024910398255e-161
-    tiny = solve_second_order(prob, 0.0, du0, homogeneous=True)
-    unit = solve_second_order(prob, 0.0, 1.0, homogeneous=True)
+    tiny = solve_second_order(prob, 0.0, du0)
+    unit = solve_second_order(prob, 0.0, 1.0)
     t = np.linspace(0.05, 8.0, 60)
     assert np.allclose(tiny.value(t) / du0, unit.value(t), rtol=1e-10, atol=0.0)
 
@@ -78,10 +89,9 @@ def test_comparison_property(rng):
     for _ in range(20):
         prob = random_problem(rng, horizon=10.0)
         u0, du0 = rng.uniform(0.2, 2.0), rng.uniform(-0.5, 1.0)
-        u = solve_second_order(prob, u0, du0, homogeneous=True)
+        u = solve_second_order(prob, u0, du0)
         v = solve_second_order(prob, u0 - rng.uniform(0.01, 0.2),
-                               du0 - rng.uniform(0.01, 0.2),
-                               homogeneous=True)
+                               du0 - rng.uniform(0.01, 0.2))
         t = np.linspace(0.05, 10.0, 120)
         assert np.all(u.value(t) > v.value(t))
         assert np.all(u.d1(t) > v.d1(t))
@@ -90,8 +100,7 @@ def test_comparison_property(rng):
 def test_at_most_one_zero(rng):
     for _ in range(30):
         prob = random_problem(rng, horizon=12.0)
-        u = solve_second_order(prob, rng.uniform(-1, 1), rng.uniform(-1, 1),
-                               homogeneous=True)
+        u = solve_second_order(prob, rng.uniform(-1, 1), rng.uniform(-1, 1))
         vals = u.value(np.linspace(0.0, 12.0, 2000))
         if np.abs(vals).max() == 0.0:
             continue
@@ -126,7 +135,7 @@ def test_exhaustion_monotone():
     # two-point solutions increase with the endpoint on shared domains
     prob = ODEProblem(q=lambda t: 0.5 * np.exp(-t), horizon=10.0,
                       bounds=(0.5, 1.0))
-    sols = two_point_solutions(prob, [1, 2, 3, 4, 5, 6])
+    sols = ladder_rungs(prob, [1, 2, 3, 4, 5, 6])
     for j, (a, b) in enumerate(zip(sols[:-1], sols[1:]), start=1):
         t = np.linspace(0.05, j - 1e-6, 50)
         assert np.all(a.value(t) < b.value(t))
@@ -197,8 +206,8 @@ def test_at_matches_value_and_d1():
     prob = ODEProblem(p=lambda t: 0.3 * np.exp(-t), q=lambda t: 0.5 * np.exp(-2 * t),
                       horizon=10.0, bounds=(0.5, 1.0))
     grid = prob.grid()
-    for sol in (solve_second_order(prob, 1.0, 1.0, homogeneous=True),
-                two_point_solutions(prob, [10.0, 12.0])[1]):
+    for sol in (solve_second_order(prob, 1.0, 1.0),
+                ladder_rungs(prob, [10.0, 12.0])[1]):
         for t in (3.7, grid):
             u, du = sol.at(t)
             assert np.array_equal(u, sol.value(t))
@@ -291,15 +300,18 @@ def test_exhaustion_ladder_is_one_solve(monkeypatch):
 def test_fundamental_pair_two_solves_and_no_second_grid_call(monkeypatch):
     # the growing IVP and the ladder; the decaying branch's grid values come
     # from the ladder's evaluation, not from another dense call
-    import ahmass.odes as odes
     calls = _count_solve_ivp(monkeypatch)
+    evaluated = []
+    at = ODESolution.at
 
-    def forbidden(self, t):
-        raise AssertionError("decaying branch evaluated again on the grid")
+    def counted(self, t):
+        evaluated.append(self)
+        return at(self, t)
 
-    monkeypatch.setattr(odes._Rung, "__call__", forbidden)
+    monkeypatch.setattr(ODESolution, "at", counted)
     pair = fundamental_pair(_battery_problem())
     assert len(calls) == 2
+    assert len(evaluated) == 1 and evaluated[0] is pair.u1
     assert np.all(pair.wronskian < 0)
 
 
@@ -310,7 +322,7 @@ def test_ladder_matches_standalone_backward_solves(d):
     prob = _battery_problem(d)
     t = prob.grid()
     js = np.arange(27.0, 40.5, 2.0)
-    for j, member in zip(js, two_point_solutions(prob, js)):
+    for j, member in zip(js, ladder_rungs(prob, js)):
         def rhs(s, y):
             return [y[1], prob.p(s) * y[1] + (1.0 + prob.q(s)) * y[0]]
 
