@@ -3,7 +3,7 @@
 Usage:
 
     ahmass <command> --config config.json [--out DIR] [--quad-order K]
-                     [--tol X] [--seed N]
+                     [--seed N]
 
 Commands: mass, curvature, verify-ah, duality-check, eigenfunction, deform,
 first-variation, ode-verify, dichotomy, rigidity-check.
@@ -70,9 +70,6 @@ DEFAULT_TOLERANCES = {
     "remainder_decay_relative": 0.1,
     "resonant_profile_residual": 0.05,
 }
-# the tolerance ``--tol`` sets: the one key each command's checks read
-TOL_KEYS = {"curvature": "curvature_identity", "duality-check": "duality_residual",
-            "rigidity-check": "wang_gap"}
 
 
 EPS_LADDER = (lambda v: (isinstance(v, list) and len(v) >= 2
@@ -131,20 +128,11 @@ def load_config(path, overrides=None) -> dict:
             numeric[key] = {}
     raw = dict(raw, numeric=numeric)
     if overrides:
-        tols = numeric.get("tolerances", {})
         if overrides.get("quad_order") is not None:
             numeric["quad_polar"] = overrides["quad_order"]
             numeric["quad_azimuth"] = 2 * overrides["quad_order"]
         if overrides.get("seed") is not None:
             numeric["seed"] = overrides["seed"]
-        if overrides.get("tol") is not None:
-            command = overrides.get("command") or raw.get("command")
-            if command not in TOL_KEYS:
-                raise SchemaError(f"--tol applies only to {', '.join(TOL_KEYS)}; "
-                                  f"{command} reads none of their tolerances")
-            if isinstance(tols, dict):
-                tols = tols | {TOL_KEYS[command]: overrides["tol"]}
-        numeric["tolerances"] = tols
         if overrides.get("out") is not None:
             raw["output"] = overrides["out"]
     check_document(numeric, NUMERIC_KEYS, "numeric")
@@ -591,9 +579,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--quad-order", type=int, default=None,
                         help="polar quadrature order (azimuth doubled)")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="override the tolerance read by curvature, "
-                             "duality-check or rigidity-check; other commands exit 2")
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
     try:

@@ -371,32 +371,6 @@ def test_short_dichotomy_horizon_rejected_before_integration(tmp_path, monkeypat
         assert code in (0, EXIT_CHECK_FAILURE) and calls == [T] and err == ""
 
 
-def test_tol_on_command_that_reads_none_of_its_keys_rejected(tmp_path, capsys):
-    # eigenfunction's checks read none of the tolerances --tol can set
-    cfg = write_config(tmp_path, {"command": "eigenfunction", "metric": HYP})
-    out = tmp_path / "o"
-    assert main(["eigenfunction", "--config", cfg, "--out", str(out),
-                 "--tol", "1e-3"]) == EXIT_SCHEMA
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and len(err.splitlines()) == 1
-    assert "Warning" not in err and not out.exists()
-
-
-def test_tol_sets_only_the_key_the_command_reads(tmp_path):
-    # on this coarse rule the residual is about 0.011: it fails the default
-    # 1e-6 and passes --tol 0.1
-    cfg = write_config(tmp_path, {"command": "duality-check", "metric": SCHW,
-                                  "numeric": {"pairs": 1, "quad_polar": 6,
-                                              "quad_azimuth": 12, "radial_nodes": 8}})
-    out = tmp_path / "o"
-    assert main(["duality-check", "--config", cfg, "--out", str(out),
-                 "--tol", "0.1"]) == 0
-    doc = read_report(out, "duality-check")
-    assert doc["config"]["numeric"]["tolerances"] == {"duality_residual": 0.1}
-    assert [c["tolerance"] for c in doc["checks"]] == [0.1]
-    assert main(["duality-check", "--config", cfg, "--out", str(out)]) == 1
-
-
 def test_short_unforced_ode_horizon_passes(tmp_path):
     # without forcing there is no remainder fit, so T = 3 runs
     cfg = write_config(tmp_path, {"command": "ode-verify",
@@ -423,14 +397,13 @@ NUMERIC_DOCS = st.fixed_dictionaries({}, optional=dict.fromkeys(NUMERIC_KEYS, VA
 
 @settings(derandomize=True, max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(numeric=NUMERIC_DOCS, tol=st.one_of(st.none(), st.floats()))
-def test_load_config_returns_or_raises_schema_error(tmp_path, numeric, tol):
+@given(numeric=NUMERIC_DOCS)
+def test_load_config_returns_or_raises_schema_error(tmp_path, numeric):
     cfg = write_config(tmp_path, {"command": "mass", "metric": HYP, "numeric": numeric})
-    for overrides in (None, {"tol": tol}):
-        try:
-            load_config(cfg, overrides)
-        except SchemaError:
-            pass
+    try:
+        load_config(cfg)
+    except SchemaError:
+        pass
 
 
 # Metric documents of every family and kind, valid except for up to two

@@ -299,19 +299,24 @@ def test_exhaustion_ladder_is_one_solve(monkeypatch):
 
 def test_fundamental_pair_two_solves_and_no_second_grid_call(monkeypatch):
     # the growing IVP and the ladder; the decaying branch's grid values come
-    # from the ladder's evaluation, not from another dense call
+    # from the ladder's one batched evaluation, not from another dense call
+    import ahmass.odes as odes
     calls = _count_solve_ivp(monkeypatch)
-    evaluated = []
-    at = ODESolution.at
+    dense_calls = []
+    ladder = odes._backward_ladder
 
-    def counted(self, t):
-        evaluated.append(self)
-        return at(self, t)
+    def counted_ladder(*args):
+        dense = ladder(*args)
 
-    monkeypatch.setattr(ODESolution, "at", counted)
+        def counted(t):
+            dense_calls.append(np.shape(t))
+            return dense(t)
+        return counted
+
+    monkeypatch.setattr(odes, "_backward_ladder", counted_ladder)
     pair = fundamental_pair(_battery_problem())
     assert len(calls) == 2
-    assert len(evaluated) == 1 and evaluated[0] is pair.u1
+    assert len(dense_calls) == 1
     assert np.all(pair.wronskian < 0)
 
 
