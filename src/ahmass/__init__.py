@@ -19,8 +19,8 @@ _EXPORTS = {
     "massflux": ("FluxReport", "MassVector", "flux_ladder", "mass_vector",
                  "prop27_check", "ricci_ladder"),
     "metrics": ("MetricSpec", "frame_components", "hyperbolic_metric",
-                "metric_from_dict", "metric_to_dict", "schwarzschild_ads",
-                "static_potential", "static_potential_basis"),
+                "metric_from_dict", "schwarzschild_ads", "static_potential",
+                "static_potential_basis"),
     "odes": ("FundamentalPair", "ODEProblem", "build_decaying_solution",
              "fundamental_pair", "particular_solution"),
     "operators": ("duality_residual", "first_variation_check", "static_residual"),

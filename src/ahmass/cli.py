@@ -31,8 +31,7 @@ import numpy as np
 from . import __version__
 from .fields import (FINITE, POSITIVE, SchemaError, check_document, integer_in,
                      radius_ladder)
-from .metrics import (DomainError, inner_truncation_radius, metric_from_dict,
-                      metric_to_dict)
+from .metrics import DomainError, inner_truncation_radius, metric_from_dict
 
 EXIT_CHECK_FAILURE = 1
 EXIT_SCHEMA = 2
@@ -142,6 +141,8 @@ def load_config(path, overrides=None) -> dict:
 
 
 def resolve_metric(doc) -> tuple:
+    """(spec, document): the metric and the spec document it was built from,
+    read from its file when ``doc`` is a path; reports echo the document."""
     if doc is None:
         raise SchemaError("this command requires a metric spec")
     if isinstance(doc, str):
@@ -150,7 +151,7 @@ def resolve_metric(doc) -> tuple:
         spec = metric_from_dict(doc)
     except ValueError as exc:
         raise SchemaError(f"bad metric spec: {exc}") from exc
-    return spec, metric_to_dict(spec)
+    return spec, doc
 
 
 def _radii(numeric):
@@ -272,8 +273,8 @@ def run_verify_ah(spec, numeric):
     _require_exterior_chart(spec, "verify-ah")
     radii = _radii(numeric)
     report = verify_ah(spec, float(numeric.get("q_claimed", spec.n)), radii)
-    checks = [check(f"condition_{c.name}", 0.0 if c.passed else 1.0, 0.5,
-                    passed=c.passed) for c in report.conditions]
+    checks = [check(f"condition_{c.name}", 0.0 if c.passed else 1.0, 0.5)
+              for c in report.conditions]
     return report.to_dict(), checks, {}
 
 
@@ -312,7 +313,7 @@ def run_eigenfunction(spec, numeric):
                                decay_rate=numeric.get("decay_rate"))
     checks = [
         check("eigen_residual", rep.residual_sup, _tol(numeric, "eigenfunction_residual")),
-        check("positivity", 0.0 if rep.positive else 1.0, 0.5, passed=rep.positive),
+        check("positivity", 0.0 if rep.positive else 1.0, 0.5),
     ]
     return rep.to_dict(), checks, {}
 
@@ -378,8 +379,7 @@ def run_ode_verify(spec, numeric):
     checks = [
         check("certificate_finite", pair.C_certificate,
               _tol(numeric, "certificate_bound")),
-        check("wronskian_bound", 0.0 if pair.wronskian_bound_ok() else 1.0, 0.5,
-              passed=pair.wronskian_bound_ok()),
+        check("wronskian_bound", 0.0 if pair.wronskian_bound_ok() else 1.0, 0.5),
     ]
     results = {"C_certificate": pair.C_certificate,
                "flags": list(pair.flags)}
@@ -431,8 +431,7 @@ def run_dichotomy(spec, numeric):
         grown = sum(1 for c in cls if c.label == "linear-growth")
         results[f"V_{k}"] = {"linear_growth_seeds": grown,
                              "labels": [c.label for c in cls]}
-        checks.append(check(f"V_{k}_has_growth_cone", 0.0 if grown > 0 else 1.0,
-                            0.5, passed=grown > 0))
+        checks.append(check(f"V_{k}_has_growth_cone", 0.0 if grown > 0 else 1.0, 0.5))
         for s, c in enumerate(cls):
             label_rows.append([k, s, c.label, float(c.slope)])
     # per-seed trajectories: arc length, radius, potential values
@@ -447,13 +446,12 @@ def run_dichotomy(spec, numeric):
                              + [float(v) for v in vals[i]])
     traj_header = ["seed", "t", "radius"] + [f"V_{k}" for k in range(n + 1)]
     # decaying combination along its axis
-    from .metrics import static_potential
-    V0, x1 = static_potential(n, 0), static_potential(n, 1)
+    V0, x1 = basis[0], basis[1]
     diff = ScalarField(lambda c, order: V0.jet(c, order) - x1.jet(c, order))
     cls = classify_growth(diff, axis_fan)
     results["V0_minus_x1_axis"] = cls[0].to_dict()
-    checks.append(check("decay_combination", 0.0 if cls[0].label == "decay" else 1.0,
-                        0.5, passed=cls[0].label == "decay"))
+    checks.append(check("decay_combination",
+                        0.0 if cls[0].label == "decay" else 1.0, 0.5))
     return results, checks, {
         "labels": (["potential", "seed", "label", "slope"], label_rows),
         "trajectories": (traj_header, traj_rows)}

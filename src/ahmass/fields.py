@@ -325,9 +325,8 @@ class RadialProfile:
     (psi, psi', psi'') at radii r for the radial reductions.
     """
 
-    def __init__(self, jet_fn, description=None):
+    def __init__(self, jet_fn):
         self._jet_fn = jet_fn
-        self._description = description or {"kind": "callable"}
 
     def jet(self, r: J.Jet) -> J.Jet:
         return self._jet_fn(r)
@@ -337,17 +336,14 @@ class RadialProfile:
         out = self.jet(J.coordinate_jets(r[:, None])[0])
         return out.val, out.grad[:, 0], out.hess[:, 0, 0]
 
-    def describe(self):
-        return self._description
-
     def __mul__(self, other: "RadialProfile"):
-        return RadialProfile(lambda r: self.jet(r) * other.jet(r), {"kind": "product"})
+        return RadialProfile(lambda r: self.jet(r) * other.jet(r))
 
     def __add__(self, other):
         if isinstance(other, RadialProfile):
-            return RadialProfile(lambda r: self.jet(r) + other.jet(r), {"kind": "sum"})
+            return RadialProfile(lambda r: self.jet(r) + other.jet(r))
         shift = float(other)
-        return RadialProfile(lambda r: self.jet(r) + shift, {"kind": "shifted"})
+        return RadialProfile(lambda r: self.jet(r) + shift)
 
     __radd__ = __add__
 
@@ -356,16 +352,12 @@ class RadialProfile:
 
 
 def constant_profile(value: float) -> RadialProfile:
-    return RadialProfile(lambda r: J.constant(value, len(r.val), r.dim, r.order),
-                         {"kind": "constant", "value": value})
+    return RadialProfile(lambda r: J.constant(value, len(r.val), r.dim, r.order))
 
 
 def power_tail_profile(amp: float, rate: float, onset: float = 5.0) -> RadialProfile:
     """amp * (1 - exp(-(r/onset)^4)) * r^(-rate): smooth everywhere, ~ r^(-rate) tail."""
-    def jet_fn(r):
-        return J.smooth_switch(r, onset) * (r ** (-rate)) * amp
-    return RadialProfile(jet_fn, {"kind": "power_tail", "amp": amp, "rate": rate,
-                                  "onset": onset})
+    return RadialProfile(lambda r: J.smooth_switch(r, onset) * (r ** (-rate)) * amp)
 
 
 def profile_from_dict(doc: dict) -> RadialProfile:
@@ -385,10 +377,9 @@ class SymmetricTensorField:
     """Symmetric 2-tensor field backed by a tensor-jet function of coordinate
     rows and jet order."""
 
-    def __init__(self, jet_fn, support=None, description=None):
+    def __init__(self, jet_fn, support=None):
         self._jet_fn = jet_fn
         self.support = support
-        self._description = description or {"kind": "callable"}
 
     def component_arrays(self, coords, order: int = 2) -> J.Jet:
         return self._jet_fn(as_coords(coords), order)
@@ -397,9 +388,6 @@ class SymmetricTensorField:
         """The second-order jet at ``coords[rows]`` as a function of ``rows``."""
         coords = as_coords(coords)
         return lambda rows: self.component_arrays(coords[rows])
-
-    def describe(self):
-        return self._description
 
 
 class ScaledMetricField(SymmetricTensorField):
@@ -465,9 +453,7 @@ class AxisConcentratedPerturbation(FrameComponentField):
             return J.stack([[k11 if i == k == 0 else zero for k in range(n)]
                             for i in range(n)])
 
-        super().__init__(kappa, description={"kind": "axis_bump", "axis": list(axis),
-                                             "amp": amp, "rate": rate, "width": width,
-                                             "onset": onset})
+        super().__init__(kappa)
 
     def rotated(self, R: np.ndarray) -> "AxisConcentratedPerturbation":
         return AxisConcentratedPerturbation(len(self.axis), R @ self.axis,
@@ -491,10 +477,10 @@ class CartesianTensorField(SymmetricTensorField):
     coordinates and evaluate against it.
     """
 
-    def __init__(self, weights, support, description=None):
+    def __init__(self, weights, support):
         self.weights = weights
         super().__init__(lambda c, order: self.evaluate(CompactBasis(c, support, order)),
-                         support=support, description=description)
+                         support=support)
 
     def factors(self, basis: CompactBasis) -> tuple:
         """(radial, angular) jets on the basis' distinct radii and directions."""
@@ -530,8 +516,7 @@ def random_compact_tensor(rng, n: int, r_lo: float, r_hi: float,
     lin = np.where(np.triu(np.ones((n, n), bool))[:, :, None], lin,
                    lin.transpose(1, 0, 2))
     weights = amplitude * np.concatenate([coeff[:, :, None], lin], axis=2)
-    return CartesianTensorField(weights, (r_lo, r_hi),
-                                description={"kind": "random_cartesian_bump"})
+    return CartesianTensorField(weights, (r_lo, r_hi))
 
 
 def perturbation_from_dict(doc: dict, n: int) -> SymmetricTensorField:

@@ -28,10 +28,6 @@ from .metrics import MetricSpec
 SAMPLE_STEP = 0.05
 
 
-class ChartExitError(RuntimeError):
-    pass
-
-
 @dataclass
 class GeodesicSample:
     """Arc-length samples of one geodesic with diagnostics."""
@@ -65,7 +61,7 @@ def _fan_rhs(spec: MetricSpec, shape):
         state = y.reshape(shape)
         x, frame = state[:, 0], state[:, 1:]
         if radial_chart and np.any(x[:, 0] <= 1e-8):
-            raise ChartExitError("geodesic reached the chart boundary r = 0")
+            raise ArithmeticError("geodesic reached the chart boundary r = 0")
         g, dg, _ = spec.component_jets(x, order=1)
         gamma = _connection(g, dg)[2]
         out = np.empty_like(state)
@@ -115,7 +111,7 @@ def integrate_geodesic_fan(spec: MetricSpec, points, directions, T: float,
     out = solve_ivp(_fan_rhs(spec, state.shape), (0.0, T), state.ravel(),
                     method="DOP853", t_eval=ts, rtol=1e-12, atol=1e-12)
     if not out.success:
-        raise ChartExitError(f"geodesic integration failed: {out.message}")
+        raise ArithmeticError(f"geodesic integration failed: {out.message}")
     # (seeds, samples, 2 + k, n)
     ys = np.moveaxis(out.y.reshape(state.shape + (ts.size,)), -1, 1)
     results = []

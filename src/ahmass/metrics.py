@@ -19,7 +19,7 @@ import numpy as np
 
 from . import jets as J
 from .chart import as_coords, unit_vector_jets
-from .fields import (FINITE, RadialProfile, ScalarField, check_document, integer_in,
+from .fields import (FINITE, ScalarField, check_document, integer_in,
                      perturbation_from_dict, profile_from_dict)
 
 __all__ = [
@@ -27,7 +27,7 @@ __all__ = [
     "PerturbedMetric", "WarpedProductMetric", "DomainError",
     "hyperbolic_metric", "schwarzschild_ads", "frame_coefficients",
     "frame_components", "static_potential", "static_potential_basis",
-    "metric_from_dict", "metric_to_dict", "inner_truncation_radius",
+    "metric_from_dict", "inner_truncation_radius",
 ]
 
 # The largest n a metric spec may declare: the tests run n <= 5, and at n = 6
@@ -87,9 +87,6 @@ class MetricSpec:
 
     def components(self, point) -> np.ndarray:
         return self.component_jets(as_coords(point), order=1).val
-
-    def params_dict(self) -> dict:
-        return {}
 
     def radial_profiles(self, r):
         """(G_r, G_a, dG_r, dG_a) for rotationally symmetric families:
@@ -168,9 +165,6 @@ class SchwarzschildAdS(MetricSpec):
         r = cj[0]
         return _diagonal([self._lapse(r).reciprocal(), *_sphere_diagonal(cj[1:], r * r)])
 
-    def params_dict(self):
-        return {"m": self.m}
-
     def radial_profiles(self, r):
         r = np.asarray(r, dtype=float)
         f = self._lapse(r)
@@ -201,10 +195,6 @@ class ConformalMetric(MetricSpec):
         psi = self.profile.as_field().jet(coords, order)
         return psi * self.base.component_jets(coords, order)
 
-    def params_dict(self):
-        desc = getattr(self.profile, "describe", lambda: {"kind": "callable"})()
-        return {"base": metric_to_dict(self.base), "profile": desc}
-
     def radial_profiles(self, r):
         if not self.base.rotationally_symmetric:
             raise NotImplementedError("conformal base is not rotationally symmetric")
@@ -231,10 +221,6 @@ class PerturbedMetric(MetricSpec):
         coords = as_coords(coords)
         return (self.base.component_jets(coords, order)
                 + self.field.component_arrays(coords, order))
-
-    def params_dict(self):
-        desc = getattr(self.field, "describe", lambda: {"kind": "callable"})()
-        return {"base": metric_to_dict(self.base), "perturbation": desc}
 
 
 class WarpedProductMetric(MetricSpec):
@@ -267,9 +253,6 @@ class WarpedProductMetric(MetricSpec):
             entries += [warp * (1.0 + rho * rho).reciprocal(),
                         *_sphere_diagonal(cj[2:], warp * (rho * rho))]
         return _diagonal(entries)
-
-    def params_dict(self):
-        return {"factor": self.factor}
 
 
 def inner_truncation_radius(spec: MetricSpec, default: float = 0.1) -> float:
@@ -358,11 +341,7 @@ def static_potential_basis(n: int) -> list[StaticPotential]:
     return [StaticPotential(n, k) for k in range(n + 1)]
 
 
-# -- serialization ------------------------------------------------------------
-
-def metric_to_dict(spec: MetricSpec) -> dict:
-    return {"family": spec.family, "n": spec.n, "params": spec.params_dict()}
-
+# -- spec documents ------------------------------------------------------------
 
 def _params_tables(n: int) -> dict:
     """Each family's params rule table and required params at dimension n."""
@@ -401,9 +380,8 @@ def metric_from_dict(doc: dict) -> MetricSpec:
         return WarpedProductMetric(n, params.get("factor", "round_sphere"))
     base = metric_from_dict(params["base"])
     if family == "conformal":
-        # declarative profiles describe the deviation of the factor from 1,
+        # declarative profiles give the deviation of the factor from 1,
         # so the metric approaches its base at infinity
         deviation = profile_from_dict(params["profile"])
-        return ConformalMetric(base, RadialProfile(lambda r: deviation.jet(r) + 1.0,
-                                                   dict(params["profile"])))
+        return ConformalMetric(base, deviation + 1.0)
     return PerturbedMetric(base, perturbation_from_dict(params["perturbation"], n))

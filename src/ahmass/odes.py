@@ -131,20 +131,22 @@ class ODESolution:
 def solve_second_order(prob: ODEProblem, u0: float, du0: float) -> ODESolution:
     """Adaptive high-order solve of the unforced u'' = P u' + (1 + Q) u on [0, T].
 
-    The solution is linear in (u0, du0), so the absolute tolerance scales with
-    the larger of the two: the accuracy asked for does not depend on the size
-    of the data, and data near the underflow range (du0 ~ 1e-161) does not
-    drive the solver's error norm to 0 / 0.
+    The solution is linear in (u0, du0), so it is solved for the data divided
+    by the larger of the two and scaled back: the accuracy asked for does not
+    depend on the size of the data, and data near the underflow range (du0 ~
+    1e-161, or subnormal, where a scaled absolute tolerance underflows to 0)
+    does not drive the solver's error norm to 0 / 0.
     """
     def rhs(t, y):
         return [y[1], prob.p(t) * y[1] + (1.0 + prob.q(t)) * y[0]]
 
-    atol = DEFAULT_ATOL * (max(abs(u0), abs(du0)) or 1.0)
-    out = solve_ivp(rhs, (0.0, prob.horizon), [u0, du0], method="DOP853",
-                    rtol=DEFAULT_RTOL, atol=atol, dense_output=True)
+    scale = max(abs(u0), abs(du0)) or 1.0
+    out = solve_ivp(rhs, (0.0, prob.horizon), [u0 / scale, du0 / scale],
+                    method="DOP853", rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
+                    dense_output=True)
     if not out.success:
         raise ArithmeticError(f"integration failed: {out.message}")
-    return ODESolution(sol=out.sol)
+    return ODESolution(sol=lambda t: scale * out.sol(t))
 
 
 def _backward_ladder(prob: ODEProblem, js: np.ndarray, rtol: float):

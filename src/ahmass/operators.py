@@ -34,7 +34,7 @@ from .curvature import (DegenerateMetricError, MetricApparatus, covariant_hessia
                         metric_apparatus, nabla2_2tensor)
 from .decay import fit_log_slope
 from .metrics import MetricSpec, frame_components
-from .quadrature import VolumeRule, angular_jacobian, map_node_blocks
+from .quadrature import VolumeRule, map_node_blocks, volume_weights
 from . import jets as J
 
 
@@ -118,8 +118,7 @@ def duality_residual(spec: MetricSpec, pairs, rule: VolumeRule) -> list:
         lhs, rhs = np.full((m, npairs), np.nan), np.full((m, npairs), np.nan)
         app = _level2(spec, coords, degenerate)
         if app is not None:
-            # volume_weights(rule, ...) at the block's nodes
-            w = rule.weights[rows] * app.sqrt_det / angular_jacobian(coords[:, 1:])
+            w = volume_weights(rule.weights[rows], coords, app.sqrt_det)
             for k, (h_at, u_at) in enumerate(pairs):
                 h, jet = h_at(rows), u_at(rows)
                 lhs[:, k] = jet.val * linearized_scalar_values(app, h)
@@ -227,8 +226,7 @@ def first_variation_check(spec: MetricSpec, f, h_field, epsilons,
         app = _level2(base, c, degenerate[:, 0])
         if app is None:
             return degenerate, w, pair_h, diffs
-        # volume_weights(rule, ...) restricted to the support nodes
-        w = weights[rows] * app.sqrt_det / angular_jacobian(c[:, 1:])
+        w = volume_weights(weights[rows], c, app.sqrt_det)
         jet = f.jet(c)
         h = h_at(rows)
         pair_h = app.inner(h.val, adjoint_values(app, jet))

@@ -147,13 +147,15 @@ def angular_jacobian(angles: np.ndarray) -> np.ndarray:
     return out
 
 
-def volume_weights(rule: VolumeRule, sqrt_det: np.ndarray) -> np.ndarray:
-    """Per-node weights for the metric volume measure.
+def volume_weights(weights: np.ndarray, coords: np.ndarray,
+                   sqrt_det: np.ndarray) -> np.ndarray:
+    """Per-node weights for the metric volume measure at a volume rule's nodes.
 
-    sqrt(det g) gives the density against dr * d(theta); the rule's weights
-    carry dr * d(omega), so the angular Jacobian is divided back out.
+    sqrt(det g) gives the density against dr * d(theta); the rule's
+    ``weights`` carry dr * d(omega), so the angular Jacobian at ``coords`` is
+    divided back out.
     """
-    return rule.weights * sqrt_det / angular_jacobian(rule.coords[:, 1:])
+    return weights * sqrt_det / angular_jacobian(coords[:, 1:])
 
 
 def _usable_cpus() -> int:

@@ -32,10 +32,6 @@ from .metrics import (ConformalMetric, MetricSpec, inner_truncation_radius,
 from . import jets as J
 
 
-class RadialSolveError(RuntimeError):
-    pass
-
-
 def _require_radial_reduction(spec: MetricSpec):
     """Only a rotationally symmetric metric reduces to radial ODEs."""
     if not spec.rotationally_symmetric:
@@ -108,8 +104,7 @@ class RadialSolution:
 
     def as_profile(self) -> RadialProfile:
         return RadialProfile(lambda r: J.compose(r, self.value(r.val), self.d1(r.val),
-                                                 lambda: self.d2(r.val)),
-                             {"kind": "radial_solution"})
+                                                 lambda: self.d2(r.val)))
 
     def as_field(self) -> ScalarField:
         return self.as_profile().as_field()
@@ -134,7 +129,7 @@ def solve_radial_bvp(spec: MetricSpec, rhs_fn, zero_order_fn, robin_decay: float
     y0 = np.zeros((2, x0.size))
     res = solve_bvp(fun, bc, x0, y0, tol=tol, max_nodes=200000)
     if not res.success:
-        raise RadialSolveError(f"collocation failed: {res.message}")
+        raise ArithmeticError(f"collocation failed: {res.message}")
     return RadialSolution(r_lo=r_lo, r_hi=r_hi, sol=res.sol)
 
 
@@ -163,7 +158,7 @@ def shooting_radial_solve(spec: MetricSpec, rhs_fn, zero_order_fn,
         out = solve_ivp(f, (r_lo, r_hi), [a, 0.0], method="DOP853",
                         rtol=1e-12, atol=1e-14, dense_output=True)
         if not out.success:
-            raise RadialSolveError("shooting integration failed")
+            raise ArithmeticError("shooting integration failed")
         return out
 
     part = integrate(0.0, homogeneous=False)
@@ -175,7 +170,7 @@ def shooting_radial_solve(spec: MetricSpec, rhs_fn, zero_order_fn,
 
     g0, g1 = robin(part), robin(homo)
     if abs(g1) < 1e-300:
-        raise RadialSolveError("homogeneous shooting solution degenerate")
+        raise ArithmeticError("homogeneous shooting solution degenerate")
     a_star = -g0 / g1
 
     def u(r):

@@ -75,7 +75,7 @@ def wang_identity_check(spec: MetricSpec, f, r: float, quad: SphereRule = None,
                          f"{jet.val.min():.3g}")
     defect = covariant_hessian(app, jet) - jet.val[:, None, None] * app.g
     norm2 = app.inner(defect, defect)
-    w = volume_weights(rule, app.sqrt_det)
+    w = volume_weights(rule.weights, rule.coords, app.sqrt_det)
     lhs = float(np.sum(w * norm2 / jet.val))
     (inner,), (outer,) = ricci_ladder(spec, [f], [r_inner, r], quad, objects="metric")
     rhs = float(outer - inner)

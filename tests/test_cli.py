@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -211,8 +212,25 @@ def test_axis_bump_axis_is_a_direction(tmp_path, axis, unit):
             "quad_polar": 8, "quad_azimuth": 16}})
         out = tmp_path / f"out{len(reports)}"
         assert main(["mass", "--config", cfg, "--out", str(out)]) == 0
-        reports.append((out / "mass_report.json").read_bytes())
+        doc = read_report(out, "mass")
+        reports.append((doc["results"], doc["checks"]))
     assert reports[0] == reports[1]
+
+
+def test_report_echoes_the_metric_spec_as_given(tmp_path):
+    # no defaults are filled in: the conformal profile has no onset and the
+    # inner schwarzschild_ads no m
+    metric = {"family": "conformal", "n": 3, "params": {
+        "base": {"family": "schwarzschild_ads", "n": 3, "params": {}},
+        "profile": {"kind": "power_tail", "amp": 0.05, "rate": 3.0}}}
+    spec_path = tmp_path / "metric.json"
+    spec_path.write_text(json.dumps(metric))
+    for i, given in enumerate((metric, str(spec_path))):
+        cfg = write_config(tmp_path, {"command": "curvature", "metric": given,
+                                      "numeric": {"sample_points": 4}})
+        out = tmp_path / f"out{i}"
+        assert main(["curvature", "--config", cfg, "--out", str(out)]) == 0
+        assert read_report(out, "curvature")["config"]["metric"] == metric
 
 
 def test_mass_without_rotational_symmetry_n4(tmp_path):
@@ -476,7 +494,7 @@ def test_resolve_metric_returns_spec_or_raises_schema_error(doc):
         spec, resolved = resolve_metric(doc)
     except SchemaError:
         return
-    assert resolved["n"] == doc["n"]
+    assert resolved is doc
     base = getattr(spec, "base", None)
     assert base is None or base.n == spec.n
 
@@ -618,6 +636,22 @@ def test_numerical_failure_exit(tmp_path):
         "numeric": {"radii": [0.5, 1.0, 2.0, 5.5]}})
     rc = main(["verify-ah", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == EXIT_NUMERICAL
+
+
+@pytest.mark.parametrize("command,solver,numeric", [
+    ("deform", "ahmass.radial.solve_bvp", {}),
+    ("dichotomy", "ahmass.geodesics.solve_ivp", {"fan_count": 1}),
+], ids=["deform", "dichotomy"])
+def test_solver_failure_is_a_numerical_failure(tmp_path, capsys, monkeypatch, command,
+                                               solver, numeric):
+    # a solver that reports failure exits 3 with one stderr line
+    monkeypatch.setattr(solver, lambda *args, **kwargs: SimpleNamespace(
+        success=False, message="forced failure"))
+    cfg = write_config(tmp_path, {"command": command, "metric": HYP, "numeric": numeric})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "forced failure" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_check_failure_exit(tmp_path):
@@ -857,6 +891,13 @@ path.write_text(json.dumps({"command": "duality-check", "metric": metric,
 resolve_metric(load_config(path)["metric"])
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
+
+
+def test_every_package_export_resolves():
+    # the namespace is lazy, so a stale name in __all__ fails only on access
+    import ahmass
+    for name in ahmass.__all__:
+        getattr(ahmass, name)
 
 
 def test_config_setup_imports_no_scipy():

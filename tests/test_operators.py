@@ -112,7 +112,7 @@ def test_duality_residual_matches_one_apparatus_on_the_whole_rule(schw3, annulus
     got = duality_residual(schw3, [(basis.node_jets(h), basis.node_jets(u))
                                    for h, u in fields], annulus_rule)
     app = metric_apparatus(schw3, coords, level=2)
-    w = volume_weights(annulus_rule, app.sqrt_det)
+    w = volume_weights(annulus_rule.weights, annulus_rule.coords, app.sqrt_det)
     expected = []
     for h_field, u in fields:
         h, jet = h_field.evaluate(basis), u.evaluate(basis)
@@ -139,7 +139,7 @@ def test_duality_conformal_direction(rng, hyp3, annulus_rule):
                              annulus_rule)
     assert res < 1e-6
     app = metric_apparatus(hyp3, annulus_rule.coords, level=2)
-    w = volume_weights(annulus_rule, app.sqrt_det)
+    w = volume_weights(annulus_rule.weights, annulus_rule.coords, app.sqrt_det)
     jet = u.jet(annulus_rule.coords)
     hc = h.component_arrays(annulus_rule.coords)
     lhs = float(np.sum(w * jet.val * linearized_scalar_values(app, hc)))

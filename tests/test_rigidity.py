@@ -66,7 +66,7 @@ def test_wang_identity_interior_is_level_one(hyp3, monkeypatch):
     app = curvature.metric_apparatus(hyp3, rule.coords, level=2)
     jet = V0.jet(rule.coords)
     defect = curvature.covariant_hessian(app, jet) - jet.val[:, None, None] * app.g
-    w = volume_weights(rule, app.sqrt_det)
+    w = volume_weights(rule.weights, rule.coords, app.sqrt_det)
     assert rep.lhs == float(np.sum(w * app.inner(defect, defect) / jet.val))
 
 
