@@ -227,7 +227,9 @@ def run_mass(spec, numeric):
     from .reporting import check
     _require_exterior_chart(spec, "mass")
     radii = _radii(numeric)
-    mv = mass_vector(spec, radii, _sphere(numeric, spec.n))
+    # without quad_* the rule is chosen by mass_vector's error target
+    explicit = "quad_polar" in numeric or "quad_azimuth" in numeric
+    mv = mass_vector(spec, radii, _sphere(numeric, spec.n) if explicit else None)
     checks = [
         check("extrapolation_converged",
               float(sum(1 for r in mv.reports if "no-extrapolation" in r.flags)),

@@ -20,7 +20,9 @@ flux).  Their integrands stay separate, as the two sides of that cross-check;
 they share one sphere reduction, ``_ladder``, the same product rule in every
 dimension with no symmetry assumed of the metric, and one fit of
 I(r) = I_inf + c r^(-beta), ``_fit_ladders``.  Every fitted ladder is
-checked by ``fields.radius_ladder``.
+checked by ``fields.radius_ladder``.  ``mass_vector`` without a given rule
+refines the sphere rule until two successive raw ladders agree, and reports
+the rule and their difference.
 """
 
 from __future__ import annotations
@@ -34,9 +36,15 @@ from .chart import as_coords
 from .curvature import metric_apparatus, nabla_2tensor
 from .fields import radius_ladder
 from .metrics import HyperbolicMetric, MetricSpec, static_potential_basis
-from .quadrature import SphereRule, angular_jacobian, sphere_coords_at_radius, sphere_rule
+from .quadrature import (SphereRule, angular_jacobian, default_polar_nodes,
+                         sphere_coords_at_radius, sphere_rule)
 
 DEFAULT_RADII = tuple(np.geomspace(20.0, 200.0, 8))
+# mass_vector without a rule steps through P x 2P rules with these polar
+# counts, then the default rule, until two successive flux ladders agree to
+# QUAD_AGREEMENT relative to the larger ladder's largest entry
+POLAR_STEPS = (4, 6, 8, 12, 16, 24, 32)
+QUAD_AGREEMENT = 1e-8
 
 
 @dataclass
@@ -63,10 +71,14 @@ class FluxReport:
 
 @dataclass
 class MassVector:
-    """The n+1 flux limits (p_0, ..., p_n) with extrapolation diagnostics."""
+    """The n+1 flux limits (p_0, ..., p_n) with extrapolation diagnostics and
+    the sphere rule used: ``quadrature`` is ``{polar, azimuth, nodes, error}``,
+    ``error`` the last difference of two successive rules' ladders in flux
+    units, or None for a rule the caller chose."""
 
     p: np.ndarray
     reports: list
+    quadrature: dict
     flags: tuple = ()
     defect: float = field(init=False)
 
@@ -76,7 +88,7 @@ class MassVector:
 
     def to_dict(self):
         return {"p": list(map(float, self.p)), "defect": self.defect,
-                "flags": list(self.flags),
+                "flags": list(self.flags), "quadrature": self.quadrature,
                 "components": [r.to_dict() for r in self.reports]}
 
 
@@ -196,6 +208,36 @@ def flux_ladder(spec: MetricSpec, potentials, radii, quad: SphereRule = None) ->
                    lambda c: flux_integrand_values(spec, potentials, c))
 
 
+def rule_sequence(n: int) -> list:
+    """The (polar, azimuth) counts of the rules ``mass_vector`` steps through on
+    S^{n-1}: each P x 2P of POLAR_STEPS below the default polar count whose
+    rule has at most half the default rule's nodes, then the default rule."""
+    cap = default_polar_nodes(n)
+    steps = [p for p in POLAR_STEPS if p < cap and 2 * p ** (n - 1) <= cap ** (n - 1)]
+    return [(p, 2 * p) for p in steps + [cap]]
+
+
+def _agreed_flux_ladder(spec: MetricSpec, potentials, radii):
+    """(rule, ladder, error, resolved): the flux ladder on the first rule of
+    ``rule_sequence`` whose raw ladder agrees with the previous rule's,
+    max|diff| <= QUAD_AGREEMENT max|ladder|, or on the last rule.  ``error`` is
+    that max|diff|; ``resolved`` says it met the target.  A ladder with a
+    non-finite entry ends the sequence, unresolved, for the fit to reject."""
+    previous, error, resolved = None, None, False
+    for polar, azimuth in rule_sequence(spec.n):
+        rule = sphere_rule(spec.n, polar, azimuth)
+        values = flux_ladder(spec, potentials, radii, rule)
+        if not np.all(np.isfinite(values)):
+            break
+        if previous is not None:
+            error = float(np.max(np.abs(values - previous)))
+            if error <= QUAD_AGREEMENT * np.max(np.abs(values)):
+                resolved = True
+                break
+        previous = values
+    return rule, values, error, resolved
+
+
 def ricci_ladder(spec: MetricSpec, potentials, radii, quad: SphereRule = None,
                  objects: str = "background") -> np.ndarray:
     """int_{S_r} (Ric_g + (n-1) g)(grad V, nu) dsigma as (radii, potentials),
@@ -234,18 +276,31 @@ def _fit_ladders(radii, values, labels, n: int) -> list:
 
 
 def mass_vector(spec: MetricSpec, radii=DEFAULT_RADII, quad: SphereRule = None) -> MassVector:
-    """Fitted flux limits against every background static potential."""
+    """Fitted flux limits against every background static potential.
+
+    Without ``quad`` the sphere rule is chosen by the QUAD_AGREEMENT target
+    along ``rule_sequence(n)``; a last rule that misses it adds the flag
+    ``quadrature-unresolved``.  The ladder is fitted once, on the rule used.
+    """
     radii = radius_ladder(radii)
     n = spec.n
     labels = ["V_0"] + [f"x_{i}" for i in range(1, n + 1)]
-    values = flux_ladder(spec, static_potential_basis(n), radii, quad)
+    basis = static_potential_basis(n)
+    if quad is None:
+        quad, values, error, resolved = _agreed_flux_ladder(spec, basis, radii)
+    else:
+        values, error, resolved = flux_ladder(spec, basis, radii, quad), None, True
     reports = _fit_ladders(radii, values, labels, n)
     flags = ()
     if getattr(spec, "borderline_decay", False):
         flags = ("borderline-decay",)
+    if not resolved:
+        flags += ("quadrature-unresolved",)
     extra = tuple(f for r in reports for f in r.flags if f == "no-extrapolation")
-    return MassVector(p=np.array([r.fitted_limit for r in reports]),
-                      reports=reports, flags=flags + extra)
+    quadrature = {"polar": quad.polar, "azimuth": quad.azimuth,
+                  "nodes": quad.node_count, "error": error}
+    return MassVector(p=np.array([r.fitted_limit for r in reports]), reports=reports,
+                      quadrature=quadrature, flags=flags + extra)
 
 
 @dataclass

@@ -33,10 +33,13 @@ _node_pool = None          # made on the first call that has blocks to share
 
 @dataclass(frozen=True)
 class SphereRule:
-    """Angle rows (M, n-1) and weights (M,) for the unit-sphere measure."""
+    """Angle rows (M, n-1) and weights (M,) for the unit-sphere measure, with
+    the polar and azimuth node counts of a product rule from ``sphere_rule``."""
 
     angles: np.ndarray
     weights: np.ndarray
+    polar: int = None
+    azimuth: int = None
 
     @property
     def node_count(self) -> int:
@@ -85,7 +88,8 @@ def sphere_rule(n: int, polar_nodes: int = None, azimuth_nodes: int = None) -> S
     weight = wts[0]
     for w in wts[1:]:
         weight = np.multiply.outer(weight, w)
-    return SphereRule(angles=angles, weights=weight.ravel())
+    return SphereRule(angles=angles, weights=weight.ravel(), polar=polar_nodes,
+                      azimuth=azimuth_nodes)
 
 
 def sphere_area(n: int) -> float:

@@ -31,6 +31,11 @@ from .metrics import (ConformalMetric, MetricSpec, inner_truncation_radius,
                       static_potential)
 from . import jets as J
 
+# collocation nodes solve_bvp may refine to.  The converged solves of the
+# commands' radial problems use a few thousand; a solve that cannot converge
+# fails here instead of refining ten times further
+BVP_MAX_NODES = 20000
+
 
 def _require_radial_reduction(spec: MetricSpec):
     """Only a rotationally symmetric metric reduces to radial ODEs."""
@@ -127,7 +132,7 @@ def solve_radial_bvp(spec: MetricSpec, rhs_fn, zero_order_fn, robin_decay: float
 
     x0 = np.geomspace(r_lo, r_hi, 400)
     y0 = np.zeros((2, x0.size))
-    res = solve_bvp(fun, bc, x0, y0, tol=tol, max_nodes=200000)
+    res = solve_bvp(fun, bc, x0, y0, tol=tol, max_nodes=BVP_MAX_NODES)
     if not res.success:
         raise ArithmeticError(f"collocation failed: {res.message}")
     return RadialSolution(r_lo=r_lo, r_hi=r_hi, sol=res.sol)

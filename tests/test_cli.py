@@ -45,6 +45,10 @@ def test_mass_on_background(tmp_path):
     doc = read_report(out, "mass")
     assert doc["results"]["p"] == [0, 0, 0, 0]
     assert doc["results"]["defect"] == 0
+    # two all-zero ladders agree at 0: the second rule of the sequence
+    assert doc["results"]["quadrature"] == {"polar": 6, "azimuth": 12, "nodes": 72,
+                                            "error": 0}
+    assert "quadrature-unresolved" not in doc["results"]["flags"]
     assert (out / "mass_mass_ladder.csv").exists()
     assert (out / "mass_meta.json").exists()
 
@@ -57,8 +61,64 @@ def test_mass_on_static_family(tmp_path):
     p = doc["results"]["p"]
     assert abs(p[0] - 16 * np.pi * 0.5) < 0.01 * 16 * np.pi * 0.5
     assert max(abs(v) for v in p[1:]) < 1e-4
+    # the default rule, chosen below the 48 x 96 cap, recovers 8 pi closely
+    assert abs(p[0] - 8 * np.pi) <= 1e-8 * 8 * np.pi
+    assert max(abs(v) for v in p[1:]) <= 1e-9 * p[0]
+    quad = doc["results"]["quadrature"]
+    assert quad["nodes"] < 48 * 96 and quad["polar"] < 48
+    assert 0 <= quad["error"] <= 1e-8 * p[0]
+    assert "quadrature-unresolved" not in doc["results"]["flags"]
     # the report embeds the resolved config and the metric spec
     assert doc["config"]["metric"] == SCHW
+
+
+def _mass_results(tmp_path, metric, numeric=None, name="out"):
+    cfg = write_config(tmp_path, {"command": "mass", "metric": metric,
+                                  "numeric": numeric or {}})
+    out = tmp_path / name
+    assert main(["mass", "--config", cfg, "--out", str(out)]) == 0
+    return read_report(out, "mass")["results"]
+
+
+def test_default_mass_rule_matches_the_cap_on_conformal(tmp_path):
+    # the sphere workload's conformal metric: the chosen rule's p_0 is the
+    # 48 x 96 rule's to 1e-8 relative
+    metric = {"family": "conformal", "n": 3, "params": {"base": HYP, "profile": {
+        "kind": "power_tail", "amp": 0.1, "rate": 3.0, "onset": 5.0}}}
+    chosen = _mass_results(tmp_path, metric)
+    cap = _mass_results(tmp_path, metric, {"quad_polar": 48, "quad_azimuth": 96}, "cap")
+    assert abs(chosen["p"][0] - cap["p"][0]) <= 1e-8 * abs(cap["p"][0])
+    assert chosen["quadrature"]["nodes"] < 48 * 96
+
+
+def test_explicit_mass_rule_is_evaluated_alone(tmp_path):
+    from ahmass.massflux import DEFAULT_RADII, mass_vector
+    from ahmass.quadrature import sphere_rule
+    metric = {"family": "conformal", "n": 3, "params": {"base": SCHW, "profile": {
+        "kind": "power_tail", "amp": 0.05, "rate": 3.0}}}
+    res = _mass_results(tmp_path, metric, {"quad_polar": 10, "quad_azimuth": 14})
+    expected = mass_vector(resolve_metric(metric)[0], DEFAULT_RADII, sphere_rule(3, 10, 14))
+    assert res["p"] == expected.p.tolist()
+    assert res["quadrature"] == {"polar": 10, "azimuth": 14, "nodes": 140, "error": None}
+
+
+# the axis bump of the battery's run 11: no rotational symmetry, and no two
+# rules below the cap agree to the target
+BATTERY_PERTURBED4 = {"family": "perturbed", "n": 4, "params": {
+    "base": HYP4, "perturbation": {"kind": "axis_bump", "axis": [1.0, 0.0, 0.0, 0.0],
+                                   "rate": 4.0}}}
+
+
+def test_unresolved_mass_rule_is_a_flag(tmp_path):
+    res = _mass_results(tmp_path, BATTERY_PERTURBED4)
+    quad = res["quadrature"]
+    assert (quad["polar"], quad["azimuth"], quad["nodes"]) == (13, 26, 13 * 13 * 26)
+    assert quad["error"] > 1e-8 * max(abs(v) for v in res["p"])
+    assert "quadrature-unresolved" in res["flags"]
+    explicit = _mass_results(tmp_path, BATTERY_PERTURBED4,
+                             {"quad_polar": 13, "quad_azimuth": 26}, "explicit")
+    assert res["p"] == explicit["p"]
+    assert "quadrature-unresolved" not in explicit["flags"]
 
 
 def test_ode_verify_trivial(tmp_path):
@@ -652,6 +712,24 @@ def test_solver_failure_is_a_numerical_failure(tmp_path, capsys, monkeypatch, co
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ") and "forced failure" in err
     assert len(err.splitlines()) == 1
+
+
+def test_deform_that_cannot_converge_stops_at_the_node_cap(tmp_path, capsys,
+                                                            monkeypatch):
+    # a target decay next to -1 refines collocation until the node cap runs out
+    import ahmass.radial as radial
+    caps, real = [], radial.solve_bvp
+
+    def spy(*args, **kwargs):
+        caps.append(kwargs["max_nodes"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(radial, "solve_bvp", spy)
+    cfg = write_config(tmp_path, {"command": "deform", "metric": HYP,
+                                  "numeric": {"decay_rate": -0.999}})
+    assert main(["deform", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+    assert "collocation failed" in capsys.readouterr().err
+    assert caps and set(caps) == {radial.BVP_MAX_NODES}
 
 
 def test_check_failure_exit(tmp_path):

@@ -12,7 +12,7 @@ from ahmass.curvature import metric_apparatus
 from ahmass.fields import (AxisConcentratedPerturbation, ScalarField, SchemaError,
                            radial_bump_field, random_compact_tensor)
 from ahmass.massflux import (extrapolate_limit, flux_integrand_values, flux_ladder,
-                             mass_vector, prop27_check, ricci_ladder)
+                             mass_vector, prop27_check, ricci_ladder, rule_sequence)
 from ahmass.metrics import (PerturbedMetric, hyperbolic_metric,
                             schwarzschild_ads, static_potential,
                             static_potential_basis)
@@ -89,6 +89,50 @@ def test_mass_vector_background_exact(hyp3, quad48):
     assert np.array_equal(mv.p, np.zeros(4))
     assert mv.defect == 0.0
     assert all("exact-zero" in rep.flags for rep in mv.reports)
+
+
+@pytest.mark.parametrize("n,polar", [(3, [4, 6, 8, 12, 16, 24, 32, 48]),
+                                     (4, [4, 6, 8, 13]), (5, [4, 6])])
+def test_rule_sequence_ends_at_the_default_rule(n, polar):
+    # steps with at most half the default rule's nodes, then the default itself
+    assert rule_sequence(n) == [(p, 2 * p) for p in polar]
+
+
+def _spy(monkeypatch, name):
+    import ahmass.massflux as massflux
+    calls, real = [], getattr(massflux, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(massflux, name, spy)
+    return calls
+
+
+def test_mass_vector_compares_raw_ladders_and_fits_once(monkeypatch):
+    # rules are compared before any fit: one fit per potential, on the last
+    # ladder, however many rules were evaluated
+    ladders = _spy(monkeypatch, "flux_ladder")
+    fits = _spy(monkeypatch, "extrapolate_limit")
+    mv = mass_vector(schwarzschild_ads(3, 0.5), LADDER)
+    rules = [(args[3].polar, args[3].azimuth) for args in ladders]
+    assert rules == rule_sequence(3)[:len(rules)] and len(rules) >= 2
+    assert (mv.quadrature["polar"], mv.quadrature["azimuth"]) == rules[-1]
+    assert len(fits) == 4
+    assert np.array_equal(fits[0][1], mv.reports[0].values)
+
+
+def test_mass_vector_stops_on_a_non_finite_ladder(monkeypatch):
+    import ahmass.massflux as massflux
+    ladders = _spy(monkeypatch, "flux_ladder")
+    monkeypatch.setattr(massflux, "flux_integrand_values",
+                        lambda spec, potentials, coords: (
+                            np.full((coords.shape[0], len(potentials)), np.nan),
+                            np.ones(coords.shape[0])))
+    with pytest.raises(ArithmeticError, match="non-finite"):
+        mass_vector(schwarzschild_ads(3, 0.5), LADDER)
+    assert len(ladders) == 1
 
 
 def test_mass_linear_in_parameter(quad48):
