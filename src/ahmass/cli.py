@@ -250,7 +250,7 @@ def run_curvature(spec, numeric):
     window = _window(inner_truncation_radius(spec, float(numeric.get("r_min", 1.0))),
                      float(numeric.get("r_max", 50.0)))
     pts = random_points(spec.n, rng, count, r_range=window)
-    app = finite_curvature(spec, pts)
+    app = finite_curvature(spec, pts, "riemann")
     anti_last, bianchi = riemann_symmetry_defects(app.riemann)
     ric_sym = np.abs(app.ricci - app.ricci.swapaxes(1, 2)).max()
     tol = _tol(numeric, "curvature_identity")

@@ -1,8 +1,12 @@
 """Christoffel symbols, curvature tensors, and covariant calculus at chart points.
 
 All functions operate on batches: a MetricApparatus packs the metric, its
-inverse, Christoffel symbols, and (at level 2) curvature at N points.  Only
-first derivatives of the inverse metric are kept: a second derivative of a
+inverse, Christoffel symbols, and (at level 2) curvature at N points.  Level 2
+computes the Ricci tensor straight from Gamma and d Gamma; the lowered Riemann
+array and the coefficients of the linearized scalar-curvature operator are
+built on first read and cached, so an apparatus whose readers read neither
+never builds them.  The inverse and determinant are in closed form at n = 3.
+Only first derivatives of the inverse metric are kept: a second derivative of a
 g-contraction is taken covariantly, where nabla g = 0 moves g^{-1} outside
 (Lap tr h = g^{ab} g^{ij} nabla_a nabla_b h_ij).  The covariant derivatives
 take the field as the ``Jet`` its producer returns (``V.jet``,
@@ -24,7 +28,7 @@ as MetricApparatus methods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,8 +42,11 @@ class MetricApparatus:
     """Pointwise metric data shared by curvature and operator evaluations.
 
     Level 1 holds g, dg, the inverse and its first derivative, Christoffel
-    symbols and sqrt(det g); level 2 adds ddg, d Gamma and the curvature
-    tensors.  No level carries second derivatives of the inverse metric.
+    symbols and sqrt(det g); level 2 adds ddg, d Gamma, Ricci and the scalar
+    curvature.  Two level-2 fields are lazy, built on first read and cached:
+    ``riemann``, the lowered Riemann array, and ``linearization``, the
+    coefficients of L_g.  No level carries second derivatives of the inverse
+    metric.
     """
 
     coords: np.ndarray
@@ -52,13 +59,31 @@ class MetricApparatus:
     level: int = 1
     ddg: np.ndarray = None
     dgamma: np.ndarray = None  # (N, a, k, i, j)
-    riemann: np.ndarray = None  # (N, k, j, l, i) fully covariant
     ricci: np.ndarray = None
     scalar: np.ndarray = None
+    _riemann: np.ndarray = field(default=None, init=False, repr=False)
+    _linearization: tuple = field(default=None, init=False, repr=False)
 
     @property
     def n(self) -> int:
         return self.g.shape[-1]
+
+    @property
+    def riemann(self) -> np.ndarray:
+        """R_kjli at (N, k, j, l, i), fully covariant (level 2, built on first read)."""
+        if self._riemann is None:
+            self._riemann = _lowered_riemann(self.g, self.gamma, self.dgamma)
+        return self._riemann
+
+    @property
+    def linearization(self) -> tuple:
+        """Coefficients (A, B, C) of L_g h = A . ddh + B . dh + C . h, each
+        contracted with the jet array of the same shape (level 2, built on
+        first read)."""
+        if self._linearization is None:
+            self._linearization = _linearization_coefficients(
+                self.inv, self.gamma, self.dgamma, self.ricci)
+        return self._linearization
 
     def inner(self, a, b) -> np.ndarray:
         """g-inner product g^{ia} g^{jb} a_ij b_ab of two 2-tensors at each point."""
@@ -102,6 +127,18 @@ def _christoffel(inv, bracket):
     return gamma.reshape(N, n, n, n)
 
 
+def _ricci(gamma, dgamma):
+    """Ric_jl = d_k Gamma^k_jl - d_j Gamma^k_kl + Gamma^k_kq Gamma^q_jl - Gamma^k_jq Gamma^q_kl."""
+    N, n = gamma.shape[:2]
+    ricci = np.einsum("pkkjl->pjl", dgamma) - np.einsum("pjkkl->pjl", dgamma)
+    traced = np.einsum("pkkq->pq", gamma)
+    ricci += np.einsum("pq,pqx->px", traced, gamma.reshape(N, n, n * n)).reshape(N, n, n)
+    # Gamma^k_jq at row j, column (k, q); Gamma^q_kl at row (k, q), column l
+    swapped = np.ascontiguousarray(gamma.swapaxes(1, 2))
+    ricci -= swapped.reshape(N, n, n * n) @ swapped.reshape(N, n * n, n)
+    return ricci
+
+
 def _lowered_riemann(g, gamma, dgamma):
     """R_kjli = R^m_kjl g_mi at (N, k, j, l, i).
 
@@ -116,11 +153,38 @@ def _lowered_riemann(g, gamma, dgamma):
     return (rm.reshape(N, n ** 3, n) @ g).reshape(N, n, n, n, n)
 
 
+# rows and columns of a 3 x 3 matrix, extended cyclically to five
+_CYCLIC = [0, 1, 2, 0, 1]
+
+
+def _inverse_and_det(g):
+    """Inverse and determinant of (N, n, n) matrices with det > 0, else
+    DegenerateMetricError; adjugate and cofactor expansion at n = 3."""
+    if g.shape[-1] == 3:
+        # cofactor_ij = g_{i+1,j+1} g_{i+2,j+2} - g_{i+1,j+2} g_{i+2,j+1}, indices mod 3
+        ext = g[:, _CYCLIC][:, :, _CYCLIC]
+        cof = ext[:, 1:4, 1:4] * ext[:, 2:, 2:]
+        cof -= ext[:, 1:4, 2:] * ext[:, 2:, 1:4]
+        det = (g[:, 0] * cof[:, 0]).sum(axis=1)
+    else:
+        det = np.linalg.det(g)
+    bad = det <= 0.0
+    if bad.any():
+        raise DegenerateMetricError(bad)
+    if g.shape[-1] == 3:
+        return np.divide(cof.swapaxes(1, 2), det[:, None, None], order="C"), det
+    return np.linalg.inv(g), det
+
+
 def _connection(g, dg):
-    """The inverse metric, the bracket of dg and the Christoffel symbols."""
-    inv = np.linalg.inv(g)
+    """The inverse metric, det g, the bracket of dg and the Christoffel symbols.
+
+    A tensor with det g <= 0 at some point is not a metric there: raises
+    DegenerateMetricError with the mask of such points.
+    """
+    inv, det = _inverse_and_det(g)
     bracket = _bracket(dg)
-    return inv, bracket, _christoffel(inv, bracket)
+    return inv, det, bracket, _christoffel(inv, bracket)
 
 
 def metric_apparatus(spec: MetricSpec | J.Jet, coords, level: int = 2) -> MetricApparatus:
@@ -136,11 +200,7 @@ def metric_apparatus(spec: MetricSpec | J.Jet, coords, level: int = 2) -> Metric
     coords = as_coords(coords)
     g, dg, ddg = spec if isinstance(spec, J.Jet) else spec.component_jets(coords, order=level)
     N, n = g.shape[:2]
-    det = np.linalg.det(g)
-    bad = det <= 0.0
-    if bad.any():
-        raise DegenerateMetricError(bad)
-    inv, bracket, gamma = _connection(g, dg)
+    inv, det, bracket, gamma = _connection(g, dg)
     dinv = inv[:, None] @ dg @ inv[:, None]
     dinv *= -1.0
     sqrt_det = np.sqrt(det)
@@ -152,22 +212,22 @@ def metric_apparatus(spec: MetricSpec | J.Jet, coords, level: int = 2) -> Metric
         dgamma += inv[:, None] @ _bracket(ddg).reshape(N, n, n, n * n)
         dgamma *= 0.5
         dgamma = dgamma.reshape(N, n, n, n, n)
-        # the helper drops its (N, n^4) temporaries on return, bounding peak memory
-        riemann = _lowered_riemann(g, gamma, dgamma)
-        ricci = np.einsum("pki,pkjli->pjl", inv, riemann)
+        ricci = _ricci(gamma, dgamma)
         app.ddg, app.dgamma = ddg, dgamma
-        app.riemann, app.ricci, app.scalar = riemann, ricci, app.trace(ricci)
+        app.ricci, app.scalar = ricci, app.trace(ricci)
         app.level = 2
     return app
 
 
-def finite_curvature(spec: MetricSpec, coords) -> MetricApparatus:
-    """The level-2 apparatus at ``coords``, built without overflow warnings;
-    a Riemann array not finite at some point raises ArithmeticError instead."""
+def finite_curvature(spec: MetricSpec, coords, read: str) -> MetricApparatus:
+    """The level-2 apparatus at ``coords`` with the curvature field its caller
+    reads (``read``: "riemann" or "scalar") built without overflow warnings;
+    that field not finite at some point raises ArithmeticError instead."""
     with np.errstate(over="ignore", invalid="ignore"):
         app = metric_apparatus(spec, coords, level=2)
+        values = getattr(app, read)
     count = app.coords.shape[0]
-    bad = count - int(np.isfinite(app.riemann.reshape(count, -1)).all(axis=1).sum())
+    bad = count - int(np.isfinite(values.reshape(count, -1)).all(axis=1).sum())
     if bad:
         raise ArithmeticError(f"curvature is not finite at {bad} of {count} points")
     return app
@@ -230,6 +290,40 @@ def nabla2_2tensor(app: MetricApparatus, jet: J.Jet) -> np.ndarray:
     out -= W
     out -= W.swapaxes(-1, -2)
     return out
+
+
+def _linearization_coefficients(inv, gamma, dgamma, ricci) -> tuple:
+    """Coefficients (A, B, C) of L_g h = -Lap(tr h) + div div h - <h, Ric>.
+
+    With nabla g = 0 the two second-order terms are M^{abij} nabla_a nabla_b h_ij
+    for M^{abij} = g^{ai} g^{bj} - g^{ab} g^{ij}.  Expanding nabla nabla h
+    (``nabla2_2tensor``) against a symmetric h gives, with
+    K^{cij} = Gamma^c_ab M^{abij} = g^{ia} Gamma^c_ab g^{bj} - g^{ab} Gamma^c_ab g^{ij}
+    and Kt^{cij} = K^{icj}:
+
+        A = M,   B = 2 Kt - K,
+        C^{dj} = Gamma^d_ci (U^{cij} + U^{cji}) + (e^d_b - f^d_b - g^{da} Ric_ab) g^{bj},
+
+    where U = K - Kt, e^c_b = g^{ai} d_a Gamma^c_bi and f^c_a = g^{bi} d_a Gamma^c_bi.
+    Each coefficient is exact only for the symmetric h, dh and ddh of a
+    tensor jet, which is all it is contracted with.
+    """
+    N, n = inv.shape[:2]
+    A = inv[:, :, None, :, None] * inv[:, None, :, None, :]          # g^{ai} g^{bj}
+    A -= (inv.reshape(N, n * n, 1) * inv.reshape(N, 1, n * n)).reshape(A.shape)
+    traced = gamma.reshape(N, n, n * n) @ inv.reshape(N, n * n, 1)    # g^{ab} Gamma^c_ab
+    K = inv[:, None] @ gamma @ inv[:, None]
+    K -= traced[..., None] * inv[:, None]
+    Kt = K.swapaxes(1, 2)
+    B = 2.0 * Kt - K
+    U = K - Kt
+    U = U + U.swapaxes(-1, -2)
+    C = gamma.reshape(N, n, n * n) @ U.reshape(N, n * n, n)
+    lowered = np.einsum("pai,pacbi->pcb", inv, dgamma)               # e - f - g^{-1} Ric
+    lowered -= np.einsum("pbi,pacbi->pca", inv, dgamma)
+    lowered -= inv @ ricci
+    C += lowered @ inv
+    return A, B, C
 
 
 def divergence_of_oneform(app: MetricApparatus, omega, domega) -> np.ndarray:

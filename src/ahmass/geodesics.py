@@ -7,7 +7,8 @@ one transport equation, dF/dt = -Gamma(v, F) on the frame F = [v, X_1..X_k].
 Nothing is projected back: the drift of the frame's Gram matrix from the
 identity is measured at every sample and reported.  Whole fans of seeds are
 integrated as one batched system so each right-hand-side call evaluates the
-Christoffel symbols, all it reads of the metric, once for the whole fan.  A
+Christoffel symbols, all it reads of the metric, once for the whole fan; a
+point where det g <= 0 stops the integration with DegenerateMetricError.  A
 potential's growth along an integrated fan is the slope of log |V| against arc
 length on each geodesic's tail half, fitted by ``decay.fit_log_slope``.
 """
@@ -63,7 +64,7 @@ def _fan_rhs(spec: MetricSpec, shape):
         if radial_chart and np.any(x[:, 0] <= 1e-8):
             raise ArithmeticError("geodesic reached the chart boundary r = 0")
         g, dg, _ = spec.component_jets(x, order=1)
-        gamma = _connection(g, dg)[2]
+        gamma = _connection(g, dg)[3]
         out = np.empty_like(state)
         out[:, 0] = frame[:, 0]
         out[:, 1:] = -np.einsum("pkij,pi,pmj->pmk", gamma, frame[:, 0], frame)

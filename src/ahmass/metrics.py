@@ -31,8 +31,8 @@ __all__ = [
 ]
 
 # The largest n a metric spec may declare: the tests run n <= 5, and at n = 6
-# a level-2 apparatus at curvature's 16,384 sample points holds a 170 MB
-# Riemann array.
+# the Riemann array that curvature reads at its 16,384 sample points holds
+# 170 MB.
 N_MAX = 6
 
 

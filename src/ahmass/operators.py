@@ -6,7 +6,12 @@ The linearization at g acting on a symmetric 2-tensor h is
     L_g h = -Lap(tr h) + div div h - <h, Ric_g>,
 
 its formal L^2-adjoint on scalars is  L_g^* V = -(Lap V) g + Hess V - V Ric_g,
-and all contractions are taken with respect to g.  The module also checks the
+and all contractions are taken with respect to g.  L_g is applied as a linear
+map on the jet of h: per-point coefficient tensors (A, B, C) with
+L_g h = A . ddh + B . dh + C . h, built once per level-2 apparatus
+(``MetricApparatus.linearization``) and shared by every field applied to it.
+L_g^* goes through the covariant Hessian of V; the two sides of the duality
+check share only g^{-1}, Gamma, d Gamma and Ric.  The module also checks the
 first variation -int <h, L_g^* f> dmu_g of the volume functional built from a
 linear-growth potential f,
 
@@ -31,7 +36,7 @@ import numpy as np
 
 from .chart import as_coords
 from .curvature import (DegenerateMetricError, MetricApparatus, covariant_hessian,
-                        metric_apparatus, nabla2_2tensor)
+                        metric_apparatus)
 from .decay import fit_log_slope
 from .metrics import MetricSpec, frame_components
 from .quadrature import VolumeRule, map_node_blocks, volume_weights
@@ -43,14 +48,16 @@ from . import jets as J
 def linearized_scalar_values(app: MetricApparatus, h: J.Jet) -> np.ndarray:
     """L_g h at the apparatus points for a tensor jet h (level-2 apparatus required).
 
-    Both second-order terms contract the one second covariant derivative of h:
-    since nabla g = 0, Lap(tr h) = g^{ab} g^{ij} (nabla nabla h)_abij and
-    div div h = g^{ai} g^{bj} (nabla nabla h)_abij.
+    L_g is linear in h's jet: three pointwise dot products with the
+    apparatus's coefficients (``MetricApparatus.linearization``), which each
+    apparatus builds once for all the fields it is applied to.
     """
-    nn = nabla2_2tensor(app, h)
-    lap_tr = np.einsum("pab,pij,pabij->p", app.inv, app.inv, nn)
-    divdiv = np.einsum("pai,pbj,pabij->p", app.inv, app.inv, nn)
-    return -lap_tr + divdiv - app.inner(h.val, app.ricci)
+    N = h.val.shape[0]
+    A, B, C = app.linearization
+    out = np.einsum("pk,pk->p", A.reshape(N, -1), h.hess.reshape(N, -1))
+    out += np.einsum("pk,pk->p", B.reshape(N, -1), h.grad.reshape(N, -1))
+    out += np.einsum("pk,pk->p", C.reshape(N, -1), h.val.reshape(N, -1))
+    return out
 
 
 def adjoint_values(app: MetricApparatus, jet: J.Jet) -> np.ndarray:

@@ -87,7 +87,7 @@ def _sample_ray(n: int, r_lo: float, r_hi: float, count: int):
 def scalar_curvature_profile(spec: MetricSpec, r_lo: float, r_hi: float) -> CubicSpline:
     """Spline of R_g(r) at 2000 radii along a fixed off-pole angular direction."""
     r, coords = _ray(spec.n, r_lo, r_hi, 2000)
-    return CubicSpline(r, finite_curvature(spec, coords).scalar)
+    return CubicSpline(r, finite_curvature(spec, coords, "scalar").scalar)
 
 
 @dataclass

@@ -859,7 +859,36 @@ def test_first_variation_on_an_indefinite_metric_is_a_numerical_failure(tmp_path
     # is taken over all of them
     found = re.search(r"det g <= 0 at (\d+) of (\d+) points", capsys.readouterr().err)
     assert int(found.group(2)) == 48 * 6 * 12 > quadrature.NODE_BLOCK
-    assert 0 < int(found.group(1)) < int(found.group(2))
+    # the count numpy's determinant gives on these nodes
+    assert int(found.group(1)) == 1116
+
+
+def test_dichotomy_through_an_indefinite_metric_is_a_numerical_failure(tmp_path, monkeypatch,
+                                                                       capsys):
+    # the geodesic right-hand side inverts g with the apparatus's determinant
+    # test: a fan that runs into det g < 0 (here beyond r = 3) stops with the
+    # apparatus's message instead of integrating through a non-metric
+    from ahmass import jets as J
+    from ahmass.metrics import HyperbolicMetric
+
+    class IndefiniteBeyond3(HyperbolicMetric):
+        def component_jets(self, coords, order=2):
+            g, dg, ddg = super().component_jets(coords, order)
+            far = np.asarray(coords)[:, 0] > 3.0
+            g[far, 2, 2] *= -1.0
+            dg[far, :, 2, 2] *= -1.0
+            if ddg is not None:
+                ddg[far, :, :, 2, 2] *= -1.0
+            return J.Jet(g, dg, ddg)
+
+    monkeypatch.setattr(cli, "resolve_metric", lambda doc: (IndefiniteBeyond3(3), HYP))
+    cfg = write_config(tmp_path, {"command": "dichotomy", "metric": HYP,
+                                  "numeric": {"fan_count": 4, "ode_horizon": 3.0}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        status = main(["dichotomy", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert status == EXIT_NUMERICAL
+    assert "not positive definite: det g <= 0 at" in capsys.readouterr().err
 
 
 # 72 directions x 32 radii = 2,304 duality nodes and 72 x 48 = 3,456

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from ahmass import curvature
 from ahmass.chart import random_points
-from ahmass.curvature import (covariant_hessian, metric_apparatus, nabla2_2tensor,
-                              nabla_2tensor, riemann_symmetry_defects)
+from ahmass.cli import run
+from ahmass.curvature import (DegenerateMetricError, covariant_hessian, metric_apparatus,
+                              nabla2_2tensor, nabla_2tensor, riemann_symmetry_defects)
 from ahmass import jets as J
 from ahmass.fields import SymmetricTensorField, random_compact_tensor
 from ahmass.metrics import (PerturbedMetric, hyperbolic_metric, metric_from_dict,
@@ -203,14 +205,22 @@ def _assert_close(value, reference, rtol=1e-12):
     assert np.abs(value - reference).max() <= rtol * np.abs(reference).max()
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_apparatus_matches_einsum_reference(n):
+# battery run 11's metric: an n = 4 bump along x_1 with no rotational symmetry
+AXIS_BUMP_4 = {"family": "perturbed", "n": 4, "params": {
+    "base": {"family": "hyperbolic", "n": 4, "params": {}},
+    "perturbation": {"kind": "axis_bump", "axis": [1.0, 0.0, 0.0, 0.0], "rate": 4.0}}}
+
+
+@pytest.mark.parametrize("n, doc", [(3, None), (4, None), (5, None), (4, AXIS_BUMP_4)],
+                         ids=["3", "4", "5", "axis_bump_4"])
+def test_apparatus_matches_einsum_reference(n, doc):
     rng = np.random.default_rng(7 + n)
-    spec = _non_diagonal_metric(rng, n)
+    spec = _non_diagonal_metric(rng, n) if doc is None else metric_from_dict(doc)
     pts = _off_pole_points(rng, n, 60)
     app = metric_apparatus(spec, pts, level=2)
     ref = _einsum_apparatus(*spec.component_jets(pts))
-    assert np.abs(app.g[:, 0, 1]).max() > 1e-3     # the metric is not diagonal
+    if doc is None:
+        assert np.abs(app.g[:, 0, 1]).max() > 1e-3     # the metric is not diagonal
     for name in ("inv", "dinv", "gamma", "dgamma", "riemann", "ricci", "scalar"):
         _assert_close(getattr(app, name), ref[name])
     a = random_compact_tensor(rng, n, 2.0, 8.0).component_arrays(pts).val
@@ -283,3 +293,65 @@ def test_level1_apparatus_matches_level2(name):
         assert np.array_equal(getattr(one, field), getattr(two, field)), field
     assert spec.component_jets(pts, order=1).hess is None
     assert np.array_equal(spec.components(pts), two.g)
+
+
+def _rotated(rng, diagonals):
+    """Symmetric matrices Q diag(d) Q^T with random orthogonal Q, one per row of d."""
+    count, n = diagonals.shape
+    q = np.linalg.qr(rng.normal(size=(count, n, n)))[0]
+    return (q * diagonals[:, None, :]) @ q.swapaxes(1, 2)
+
+
+def test_closed_form_inverse_and_determinant_match_linalg():
+    rng = np.random.default_rng(3)
+    g = _rotated(rng, rng.uniform(0.1, 10.0, size=(500, 3)))
+    inv, det = curvature._inverse_and_det(g)
+    _assert_close(inv, np.linalg.inv(g), rtol=1e-13)
+    _assert_close(det, np.linalg.det(g), rtol=1e-13)
+    assert inv.flags["C_CONTIGUOUS"]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_degenerate_mask_matches_linalg_determinant(n):
+    # positive definite, near-singular of either sign, indefinite and exactly
+    # singular rows in one batch: the mask is the sign test on numpy's det
+    rng = np.random.default_rng(n)
+    diag = rng.uniform(0.5, 2.0, size=(8, n))
+    diag[2:4, 0] = [1e-8, -1e-8]
+    diag[4:6, 1] *= -1.0
+    g = _rotated(rng, diag)
+    g[6] = np.eye(n)
+    g[6, :2, :2] = 1.0
+    g[7] = np.diag(np.arange(1.0, n + 1.0))
+    g[7, 0, 0] = 0.0
+    with pytest.raises(DegenerateMetricError) as err:
+        curvature._inverse_and_det(g)
+    expected = np.linalg.det(g) <= 0.0
+    assert np.array_equal(err.value.mask, expected)
+    assert expected.tolist() == [False, False, False, True, True, True, True, True]
+
+
+SCHW3 = {"family": "schwarzschild_ads", "n": 3, "params": {"m": 0.5}}
+SMALL_RULE = {"quad_polar": 6, "quad_azimuth": 12}
+
+
+@pytest.mark.parametrize("command, numeric, builds", [
+    ("duality-check", dict(SMALL_RULE, pairs=2), 0),
+    ("first-variation", SMALL_RULE, 0),
+    ("mass", {}, 0),
+    ("verify-ah", {"q_claimed": 3.0}, 0),
+    ("curvature", {"sample_points": 50}, 1),
+])
+def test_riemann_array_is_built_only_where_it_is_read(tmp_path, monkeypatch,
+                                                       command, numeric, builds):
+    calls = []
+    real = curvature._lowered_riemann
+
+    def counting(*args):
+        calls.append(args[0].shape[0])
+        return real(*args)
+
+    monkeypatch.setattr(curvature, "_lowered_riemann", counting)
+    config = {"command": command, "metric": SCHW3, "numeric": numeric}
+    assert run(config, out_dir=tmp_path) == 0
+    assert len(calls) == builds

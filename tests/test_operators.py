@@ -298,3 +298,30 @@ def test_first_variation_builds_level2_on_support_only(monkeypatch, schw3,
     first_variation_check(schw3, static_potential(3, 0), h, [1e-2, 1e-3], rule)
     assert len(sizes) == 3
     assert max(sizes) <= mask.sum()
+
+
+@pytest.mark.parametrize("command, numeric, nodes", [
+    ("duality-check", {"quad_polar": 6, "quad_azimuth": 12, "pairs": 10}, 72 * 32),
+    ("first-variation", {"quad_polar": 6, "quad_azimuth": 12}, 72 * 48),
+])
+def test_linearization_is_built_once_per_node_block(tmp_path, monkeypatch, command,
+                                                    numeric, nodes):
+    # the L_g coefficients are built once per apparatus of g, whatever the
+    # number of fields they are applied to, and never for an apparatus of
+    # g + eps h, which only its scalar curvature is read from
+    from ahmass import curvature, quadrature
+    from ahmass.cli import run
+    builds = []
+    real = curvature._linearization_coefficients
+
+    def counting(inv, *args):
+        builds.append(inv.shape[0])
+        return real(inv, *args)
+
+    monkeypatch.setattr(curvature, "_linearization_coefficients", counting)
+    config = {"command": command, "numeric": numeric,
+              "metric": {"family": "schwarzschild_ads", "n": 3, "params": {"m": 0.5}}}
+    assert run(config, out_dir=tmp_path) == 0
+    blocks = -(-nodes // quadrature.NODE_BLOCK)
+    assert blocks == 2
+    assert sum(builds) == nodes and len(builds) == blocks
