@@ -2,11 +2,15 @@
 
 Writes configs and reports under out/ (override with --out) and prints one
 line per command.  Exit status is nonzero if any command fails its checks.
+Each run's directory holds its ``config.json``, so the battery can be rerun
+through the command line:
 
     python scripts/run_all_checks.py [--out DIR]
+    ahmass <command> --config DIR/<run>/config.json --out OTHER/<run>
 """
 
 import argparse
+import json
 import sys
 import time
 from pathlib import Path
@@ -62,6 +66,9 @@ def main():
         if metric is not None:
             config["metric"] = metric
         out_dir = root / f"{i:02d}_{command.replace('-', '_')}"
+        out_dir.mkdir(exist_ok=True)
+        (out_dir / "config.json").unlink(missing_ok=True)
+        (out_dir / "config.json").write_text(json.dumps(config, indent=2) + "\n")
         t0 = time.time()
         status = run(config, out_dir=out_dir)
         label = "pass" if status == 0 else "FAIL"

@@ -2,13 +2,13 @@
 
 Usage:
 
-    ahmass <command> --config config.json [--out DIR] [--quad-order K]
-                     [--seed N]
+    ahmass <command> --config config.json [--out DIR]
 
 Commands: mass, curvature, verify-ah, duality-check, eigenfunction, deform,
 first-variation, ode-verify, dichotomy, rigidity-check.
 
-The configuration document is strict: unknown keys anywhere, and metric and
+The configuration document is strict: unknown keys anywhere, a numeric key or
+tolerance the command does not read (``COMMAND_KEYS``), and metric and
 command combinations the toolkit does not support, are rejected (exit 2), as
 is an output directory or report file that cannot be written.  Numerical
 failures exit 3; any other exception is an internal error (exit 4), reported
@@ -54,23 +54,6 @@ class OutputError(OSError):
     """The output directory or a report file could not be written."""
 
 
-DEFAULT_TOLERANCES = {
-    "duality_residual": 1e-6,
-    "eigenfunction_residual": 1e-7,
-    "deform_linear_residual": 1e-6,
-    "newton_contraction": 0.1,
-    "first_variation_order": 0.9,
-    "wang_gap": 1e-8,
-    "hessian_defect": 1e-8,
-    "sectional_ode": 1e-5,
-    "rho_profile": 1e-6,
-    "curvature_identity": 1e-8,
-    "certificate_bound": 1e8,
-    "remainder_decay_relative": 0.1,
-    "resonant_profile_residual": 0.05,
-}
-
-
 EPS_LADDER = (lambda v: (isinstance(v, list) and len(v) >= 2
                          and all(map(POSITIVE[0], v))
                          and len(set(map(float, v))) == len(v)),
@@ -79,28 +62,28 @@ ODE_HORIZON = (lambda v: POSITIVE[0](v) and v <= ODE_HORIZON_MAX,
                f"a finite number in (0, {ODE_HORIZON_MAX:g}]")
 
 CONFIG_KEYS = dict.fromkeys(["command", "metric", "numeric", "output"])
-# The numeric keys a config may set, as a ``fields.check_document`` table; the
-# radius ladder (None) is checked by its parser ``_radii``.
+# The rule of each numeric key, as a ``fields.check_document`` table; the
+# radius ladder (None) is checked by its parser ``_radii``.  Which keys, and
+# which tolerances, a command accepts is its ``COMMAND_KEYS`` entry.
 NUMERIC_KEYS = {
     "radii": None,                       # list of radii or {min, max, count}
     "quad_polar": integer_in(4),         # polar quadrature nodes
     "quad_azimuth": integer_in(4),       # azimuthal quadrature nodes
     "radial_nodes": integer_in(1),       # radial quadrature nodes per segment
     "seed": integer_in(0),               # random seed recorded in the report
-    "tolerances": dict.fromkeys(DEFAULT_TOLERANCES, POSITIVE),  # per-check overrides
     "ode_horizon": ODE_HORIZON,          # ODE integration horizon T
     "ode": {"p_amp": FINITE, "q_amp": FINITE, "f_amp": FINITE,   # ODE coefficient
             "decay": POSITIVE},                                   # family
-    "pairs": integer_in(1, PAIRS_MAX),   # randomized pairs (duality-check)
-    "eps_ladder": EPS_LADDER,            # epsilon ladder (first-variation)
-    "q_claimed": POSITIVE,               # claimed decay rate (verify-ah)
-    "decay_rate": FINITE,                # target decay (deform / eigenfunction)
-    "phi_amp": FINITE,                   # target amplitude (deform)
-    "fan_count": integer_in(1, FAN_COUNT_MAX),          # seed fan size (dichotomy)
-    "sample_points": integer_in(1, SAMPLE_POINTS_MAX),  # sample count (curvature)
+    "pairs": integer_in(1, PAIRS_MAX),   # randomized field pairs
+    "eps_ladder": EPS_LADDER,            # epsilon ladder
+    "q_claimed": POSITIVE,               # claimed decay rate
+    "decay_rate": FINITE,                # target decay
+    "phi_amp": FINITE,                   # target amplitude
+    "fan_count": integer_in(1, FAN_COUNT_MAX),          # seed fan size
+    "sample_points": integer_in(1, SAMPLE_POINTS_MAX),  # sample count
     "r_min": POSITIVE,                   # inner radius override
     "r_max": POSITIVE,                   # outer radius override
-    "wang_radius": POSITIVE,             # ball radius (rigidity-check)
+    "wang_radius": POSITIVE,             # ball radius of the Wang identity
 }
 # the {min, max, count} form of ``radii``, every key required
 RADII_RANGE = {"min": POSITIVE, "max": POSITIVE,
@@ -115,29 +98,9 @@ def _read_json(path):
         raise SchemaError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def load_config(path, overrides=None) -> dict:
-    raw = check_document(_read_json(path), CONFIG_KEYS, "config")
-    numeric = raw.get("numeric")
-    numeric = {} if numeric is None else numeric
-    if not isinstance(numeric, dict):
-        raise SchemaError("numeric must be an object")
-    numeric = dict(numeric)
-    for key in ("tolerances", "ode"):     # null means empty, as for numeric
-        if key in numeric and numeric[key] is None:
-            numeric[key] = {}
-    raw = dict(raw, numeric=numeric)
-    if overrides:
-        if overrides.get("quad_order") is not None:
-            numeric["quad_polar"] = overrides["quad_order"]
-            numeric["quad_azimuth"] = 2 * overrides["quad_order"]
-        if overrides.get("seed") is not None:
-            numeric["seed"] = overrides["seed"]
-        if overrides.get("out") is not None:
-            raw["output"] = overrides["out"]
-    check_document(numeric, NUMERIC_KEYS, "numeric")
-    if numeric.get("radii") is not None:   # the default ladder needs no check
-        _radii(numeric)
-    return raw
+def load_config(path) -> dict:
+    """The config document at ``path``; ``run`` checks its ``numeric``."""
+    return check_document(_read_json(path), CONFIG_KEYS, "config")
 
 
 def resolve_metric(doc) -> tuple:
@@ -171,7 +134,7 @@ def _radii(numeric):
 
 
 def _tol(numeric, key):
-    return float(numeric.get("tolerances", {}).get(key, DEFAULT_TOLERANCES[key]))
+    return float(numeric["tolerances"][key])
 
 
 def _sphere(numeric, n, polar=None):
@@ -518,16 +481,58 @@ HANDLERS = {
     "rigidity-check": run_rigidity,
 }
 COMMANDS = tuple(HANDLERS)
+# What each handler reads: its numeric keys beyond ``seed``, which every report
+# echoes, and the default of each tolerance it reads.  ``rigidity-check`` reads
+# its rule keys, ``wang_radius`` and ``wang_gap`` on hyperbolic only.
+COMMAND_KEYS = {
+    "mass": (("radii", "quad_polar", "quad_azimuth"), {}),
+    "curvature": (("sample_points", "r_min", "r_max"), {"curvature_identity": 1e-8}),
+    "verify-ah": (("radii", "q_claimed"), {}),
+    "duality-check": (("pairs", "r_min", "r_max", "quad_polar", "quad_azimuth",
+                       "radial_nodes"), {"duality_residual": 1e-6}),
+    "eigenfunction": (("r_max", "decay_rate"), {"eigenfunction_residual": 1e-7}),
+    "deform": (("decay_rate", "phi_amp", "r_max"),
+               {"deform_linear_residual": 1e-6, "newton_contraction": 0.1}),
+    "first-variation": (("eps_ladder", "quad_polar", "quad_azimuth"),
+                        {"first_variation_order": 0.9}),
+    "ode-verify": (("ode", "ode_horizon"),
+                   {"certificate_bound": 1e8, "remainder_decay_relative": 0.1,
+                    "resonant_profile_residual": 0.05}),
+    "dichotomy": (("ode_horizon", "fan_count"), {}),
+    "rigidity-check": (("quad_polar", "quad_azimuth", "radial_nodes", "wang_radius"),
+                       {"wang_gap": 1e-8, "hessian_defect": 1e-8, "sectional_ode": 1e-5,
+                        "rho_profile": 1e-6}),
+}
+
+
+def check_numeric(command, numeric) -> dict:
+    """``numeric`` checked against what ``command`` reads: any other key or
+    tolerance, and a value its rule refuses, raise SchemaError.  A null
+    ``numeric``, ``tolerances`` or ``ode`` means an empty one."""
+    keys, tolerances = COMMAND_KEYS[command]
+    table = {key: NUMERIC_KEYS[key] for key in ("seed", *keys)}
+    if tolerances:
+        table["tolerances"] = dict.fromkeys(tolerances, POSITIVE)
+    if isinstance(numeric, dict):
+        numeric = {k: {} if v is None and k in ("tolerances", "ode") else v
+                   for k, v in numeric.items()}
+    numeric = check_document({} if numeric is None else numeric, table,
+                             f"{command} numeric")
+    if numeric.get("radii") is not None:   # the default ladder needs no check
+        _radii(numeric)
+    return numeric
 
 
 def run(config: dict, out_dir=None) -> int:
-    """Execute a validated config; writes report files, returns exit status."""
+    """Execute a config; writes report files, returns exit status.  Its
+    ``numeric`` is checked first: a key, tolerance or value the command does
+    not accept raises SchemaError before any numerics or output."""
     from .reporting import write_csv, write_meta, write_report
     t0 = time.time()
     command = config.get("command")
     if command not in COMMANDS:
         raise SchemaError(f"unknown command {command!r}; expected one of {COMMANDS}")
-    numeric = config.get("numeric", {}) or {}
+    numeric = check_numeric(command, config.get("numeric"))
     out = Path(out_dir or config.get("output") or "out")
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -539,10 +544,15 @@ def run(config: dict, out_dir=None) -> int:
     if command != "ode-verify":
         spec, metric_doc = resolve_metric(config.get("metric"))
 
-    results, checks, tables = HANDLERS[command](spec, numeric)
+    # the handler reads each tolerance of its command, as given or by default
+    tolerances = COMMAND_KEYS[command][1] | numeric.get("tolerances", {})
+    results, checks, tables = HANDLERS[command](
+        spec, dict(numeric, tolerances=tolerances))
 
-    numeric_doc = _resolved_numeric(numeric)
-    numeric_doc.setdefault("seed", int(numeric.get("seed", DEFAULT_SEED)))
+    # the report echoes numeric with its keys, and those of its objects, sorted
+    numeric_doc = {key: dict(sorted(val.items())) if isinstance(val, dict) else val
+                   for key, val in sorted(numeric.items())}
+    numeric_doc.setdefault("seed", DEFAULT_SEED)
     resolved = {"command": command, "metric": metric_doc, "numeric": numeric_doc}
     stem = command.replace("-", "_")
     try:
@@ -557,19 +567,6 @@ def run(config: dict, out_dir=None) -> int:
     return 0 if ok else EXIT_CHECK_FAILURE
 
 
-def _resolved_numeric(numeric: dict) -> dict:
-    doc = {}
-    for key in sorted(numeric):
-        val = numeric[key]
-        if isinstance(val, dict):
-            doc[key] = {k: val[k] for k in sorted(val)}
-        elif isinstance(val, list):
-            doc[key] = list(val)
-        else:
-            doc[key] = val
-    return doc
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="ahmass",
@@ -577,12 +574,9 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to the run config JSON")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--quad-order", type=int, default=None,
-                        help="polar quadrature order (azimuth doubled)")
-    parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.config, overrides=vars(args))
+        config = load_config(args.config)
         if config.get("command") not in (None, args.command):
             raise SchemaError(f"config command {config.get('command')!r} does not "
                               f"match CLI command {args.command!r}")

@@ -45,6 +45,9 @@ DEFAULT_RADII = tuple(np.geomspace(20.0, 200.0, 8))
 # QUAD_AGREEMENT relative to the larger ladder's largest entry
 POLAR_STEPS = (4, 6, 8, 12, 16, 24, 32)
 QUAD_AGREEMENT = 1e-8
+# a ladder column whose entries are all at most this fraction of the ladder's
+# largest entry is zero up to roundoff: its limit is 0, with no fitted exponent
+ROUNDOFF_ZERO = 1e-12
 
 
 @dataclass
@@ -262,13 +265,19 @@ def ricci_ladder(spec: MetricSpec, potentials, radii, quad: SphereRule = None,
 
 def _fit_ladders(radii, values, labels, n: int) -> list:
     """One FluxReport per column of the (radii, labels) array ``values``; the
-    fit starts at beta = n, the corrections r^(n-1-2q) at the borderline q = n."""
+    fit starts at beta = n, the corrections r^(n-1-2q) at the borderline q = n.
+    A nonzero column within ROUNDOFF_ZERO of zero is flagged ``roundoff-zero``
+    and not fitted: a fit to roundoff returns an exponent that is noise."""
     reports = []
+    floor = ROUNDOFF_ZERO * np.max(np.abs(values))
     for label, column in zip(labels, values.T):
         if not np.all(np.isfinite(column)):
             raise ArithmeticError(f"flux integrand produced non-finite values for {label}")
-        limit, beta, resid, flags = extrapolate_limit(radii, column, float(n),
-                                                      beta_bounds=(0.5, 2.0 * n))
+        if 0 < np.max(np.abs(column)) <= floor:
+            limit, beta, resid, flags = 0.0, np.inf, 0.0, ("roundoff-zero",)
+        else:
+            limit, beta, resid, flags = extrapolate_limit(radii, column, float(n),
+                                                          beta_bounds=(0.5, 2.0 * n))
         reports.append(FluxReport(integrand_label=label, radii=radii, values=column,
                                   fitted_limit=limit, fit_exponent=beta,
                                   fit_residual=resid, flags=flags))

@@ -1,5 +1,6 @@
 """Command-line surface: schema strictness, exit codes, determinism."""
 
+import inspect
 import json
 import os
 import re
@@ -14,8 +15,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ahmass import cli, quadrature
-from ahmass.cli import (DEFAULT_TOLERANCES, EXIT_CHECK_FAILURE, EXIT_INTERNAL,
-                        EXIT_NUMERICAL, EXIT_SCHEMA, NUMERIC_KEYS, SchemaError,
+from ahmass.cli import (COMMAND_KEYS, EXIT_CHECK_FAILURE, EXIT_INTERNAL, EXIT_NUMERICAL,
+                        EXIT_SCHEMA, NUMERIC_KEYS, SchemaError, check_numeric,
                         load_config, main, resolve_metric, run)
 from ahmass.metrics import N_MAX
 from ahmass.reporting import dump_json, format_float, write_csv
@@ -148,9 +149,35 @@ def test_unknown_keys_rejected(tmp_path):
 
 
 def test_every_default_tolerance_is_read():
-    # a tolerance key no check reads is a knob that does nothing
-    source = Path(cli.__file__).read_text()
-    assert set(re.findall(r'_tol\(numeric, "(\w+)"\)', source)) == set(DEFAULT_TOLERANCES)
+    # a tolerance no check of the command reads is a knob that does nothing
+    for command, handler in cli.HANDLERS.items():
+        read = re.findall(r'_tol\(numeric, "(\w+)"\)', inspect.getsource(handler))
+        assert set(read) == set(COMMAND_KEYS[command][1]), command
+
+
+# the numeric keys a handler reads through the cli's parsers
+PARSED_KEYS = {"_radii": ["radii"], "_sphere": ["quad_polar", "quad_azimuth"],
+               "_rng": ["seed"]}
+
+
+def test_every_declared_key_is_read():
+    # so is a numeric key the command accepts but never reads
+    for command, handler in cli.HANDLERS.items():
+        source = inspect.getsource(handler)
+        read = set(re.findall(r'numeric\.get\("(\w+)"', source))
+        read.update(*(keys for parser, keys in PARSED_KEYS.items()
+                      if f"{parser}(numeric" in source))
+        assert read - {"seed"} == set(COMMAND_KEYS[command][0]), command
+
+
+def test_handler_reading_an_undeclared_tolerance_fails(tmp_path, capsys, monkeypatch):
+    # _tol reads the command's resolved tolerances only, so a handler that
+    # reads a tolerance its command does not declare is an internal error
+    monkeypatch.setitem(cli.HANDLERS, "mass",
+                        lambda spec, numeric: cli._tol(numeric, "wang_gap"))
+    cfg = write_config(tmp_path, {"command": "mass", "metric": HYP})
+    assert main(["mass", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_INTERNAL
+    assert capsys.readouterr().err == "internal error: KeyError: 'wang_gap'\n"
 
 
 def test_tolerances_must_be_positive(tmp_path):
@@ -339,7 +366,7 @@ HYP5 = {"family": "hyperbolic", "n": 5, "params": {}}
     ("eigenfunction", {"r_max": 0.5}, SCHW, EXIT_SCHEMA),
     ("deform", {"r_max": 0.1}, HYP, EXIT_SCHEMA),
     ("ode-verify", {"ode": {"q_amp": -2, "decay": 1}}, None, EXIT_SCHEMA),
-    ("mass", {"tolerances": {"wang_gap": True}}, HYP, EXIT_SCHEMA),
+    ("rigidity-check", {"tolerances": {"wang_gap": True}}, HYP, EXIT_SCHEMA),
     ("mass", {"radii": {"min": 20.0, "max": 200.0, "count": 10**7}}, HYP,
      EXIT_SCHEMA),
     # 100^3 x 12 nodes on S^4: rejected before the rule is built
@@ -349,7 +376,7 @@ HYP5 = {"family": "hyperbolic", "n": 5, "params": {}}
     ("duality-check", {"radial_nodes": 100000}, HYP, EXIT_SCHEMA),
     ("first-variation", {"quad_polar": 20, "quad_azimuth": 40}, HYP4, EXIT_SCHEMA),
     ("rigidity-check", {"radial_nodes": 100000}, HYP, EXIT_SCHEMA),
-    # counts beyond their bounds: rejected by load_config before anything is built
+    # counts beyond their bounds: rejected by check_numeric before anything is built
     ("curvature", {"sample_points": 10**9}, HYP, EXIT_SCHEMA),
     ("duality-check", {"pairs": 257}, HYP, EXIT_SCHEMA),
     ("dichotomy", {"fan_count": 10**6}, HYP, EXIT_SCHEMA),
@@ -372,6 +399,13 @@ HYP5 = {"family": "hyperbolic", "n": 5, "params": {}}
     ("dichotomy", {"fan_count": 1, "ode_horizon": 0.05}, HYP, EXIT_SCHEMA),
     ("dichotomy", {"fan_count": 1, "ode_horizon": 0.0501}, HYP, EXIT_SCHEMA),
     ("dichotomy", {"fan_count": 1, "ode_horizon": 0.15}, HYP, EXIT_SCHEMA),
+    # a key or tolerance the command does not read, whatever its value
+    ("mass", {"pairs": 10}, HYP, EXIT_SCHEMA),
+    ("ode-verify", {"quad_polar": 8}, None, EXIT_SCHEMA),
+    ("curvature", {"tolerances": {"wang_gap": 1e-300}}, HYP, EXIT_SCHEMA),
+    ("mass", {"ode": None}, HYP, EXIT_SCHEMA),
+    # the rule spans the support (2, 6) of h alone, so no outer radius applies
+    ("first-variation", {"r_max": 3.0}, HYP, EXIT_SCHEMA),
 ], ids=["pairs-zero", "pairs-string", "quad-polar-2", "radius-nan",
         "sample-points-zero", "seed-bool", "eps-ladder-empty-schw",
         "eps-ladder-empty", "eps-ladder-one", "eps-ladder-zero",
@@ -390,7 +424,8 @@ HYP5 = {"family": "hyperbolic", "n": 5, "params": {}}
         "curvature-warped-overflow",
         "duality-window-inverted", "curvature-window-inverted",
         "dichotomy-tail-one-sample", "dichotomy-tail-two-samples",
-        "dichotomy-tail-two-samples-at-0.15"])
+        "dichotomy-tail-two-samples-at-0.15", "mass-pairs", "ode-verify-quad-polar",
+        "curvature-wang-gap", "mass-ode-null", "first-variation-r-max"])
 def test_bad_numeric_value_rejected(tmp_path, capsys, command, numeric, metric, code):
     cfg = write_config(tmp_path, {"command": command, "metric": metric, "numeric": numeric})
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == code
@@ -398,6 +433,25 @@ def test_bad_numeric_value_rejected(tmp_path, capsys, command, numeric, metric, 
     prefix = "config error: " if code == EXIT_SCHEMA else "numerical failure: "
     assert err.startswith(prefix) and "Traceback" not in err
     assert len(err.splitlines()) == 1
+    # an unread key is named, with the command that does not read it
+    keys, tolerances = COMMAND_KEYS[command]
+    unread = set(numeric) - {"seed", *keys, *["tolerances"] * bool(tolerances)}
+    if not unread:
+        unread = set(numeric.get("tolerances") or {}) - set(tolerances)
+    assert all(key in err for key in unread) and (not unread or command in err)
+
+
+def test_run_checks_numeric_before_any_apparatus(tmp_path, monkeypatch):
+    # run, which the battery and the benchmarks call without load_config,
+    # applies the same check as main: an out-of-range count is rejected before
+    # any point is sampled and before the output directory is made
+    import ahmass.curvature as curvature
+    built = []
+    monkeypatch.setattr(curvature, "finite_curvature", lambda *args: built.append(args))
+    config = {"command": "curvature", "metric": HYP, "numeric": {"sample_points": 10**6}}
+    with pytest.raises(SchemaError, match="sample_points"):
+        run(config, out_dir=tmp_path / "o")
+    assert built == [] and not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("where", ["config", "metric-file"])
@@ -463,25 +517,34 @@ SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 60), st.floats(),
                     st.text(max_size=3))
 VALUES = st.one_of(SCALARS, st.lists(SCALARS, max_size=5),
                    st.dictionaries(st.text(max_size=3), SCALARS, max_size=3))
-NUMERIC_DOCS = st.fixed_dictionaries({}, optional=dict.fromkeys(NUMERIC_KEYS, VALUES) | {
+SHAPED_VALUES = {
     "radii": st.one_of(VALUES, st.fixed_dictionaries(
         {}, optional={"min": SCALARS, "max": SCALARS, "count": SCALARS})),
-    "tolerances": st.one_of(VALUES, st.dictionaries(
-        st.sampled_from(sorted(DEFAULT_TOLERANCES)), SCALARS, max_size=4)),
     "ode": st.one_of(VALUES, st.fixed_dictionaries({}, optional=dict.fromkeys(
         ["p_amp", "q_amp", "f_amp", "decay"], SCALARS))),
-})
+}
 
 
-@settings(derandomize=True, max_examples=200, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(numeric=NUMERIC_DOCS)
-def test_load_config_returns_or_raises_schema_error(tmp_path, numeric):
-    cfg = write_config(tmp_path, {"command": "mass", "metric": HYP, "numeric": numeric})
-    try:
-        load_config(cfg)
-    except SchemaError:
-        pass
+def numeric_docs(command):
+    """Numeric documents of the keys and tolerances ``command`` reads."""
+    keys, tolerances = COMMAND_KEYS[command]
+    optional = {key: SHAPED_VALUES.get(key, VALUES) for key in ("seed", *keys)}
+    if tolerances:
+        optional["tolerances"] = st.one_of(VALUES, st.dictionaries(
+            st.sampled_from(sorted(tolerances)), SCALARS, max_size=4))
+    return st.fixed_dictionaries({}, optional=optional)
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_check_numeric_returns_or_raises_schema_error(command):
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(numeric=numeric_docs(command))
+    def check(numeric):
+        try:
+            check_numeric(command, numeric)
+        except SchemaError:
+            pass
+    check()
 
 
 # Metric documents of every family and kind, valid except for up to two
@@ -560,7 +623,8 @@ def test_resolve_metric_returns_spec_or_raises_schema_error(doc):
 
 
 # End-to-end fuzz of main: every command, valid and malformed metric specs, and
-# numeric documents of small in-range values with at most one malformed entry.
+# numeric documents of the command's own keys, with small in-range values and
+# at most one malformed entry: a bad value or a key the command does not read.
 # The keys that set a run's cost are always present and small, and a malformed
 # value never names a large count, so no example is heavy.
 MALFORMED = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
@@ -598,14 +662,12 @@ COST_KEYS = {
     "sample_points": st.integers(1, 20),
     "ode_horizon": _floats(0.5, 10.0),
 }
-OTHER_KEYS = {
+IN_RANGE = COST_KEYS | {
     "radii": st.one_of(
         st.lists(_floats(0.5, 300.0), min_size=3, max_size=8, unique=True).map(sorted),
         st.fixed_dictionaries({"min": _floats(0.5, 50.0), "max": _floats(60.0, 300.0),
                                "count": st.integers(3, 8)})),
     "seed": st.integers(0, 1000),
-    "tolerances": st.dictionaries(st.sampled_from(sorted(DEFAULT_TOLERANCES)),
-                                  _floats(1e-12, 1.0), max_size=3),
     "ode": st.fixed_dictionaries({}, optional={
         "p_amp": _floats(-1.0, 1.0), "q_amp": _floats(-1.0, 1.0),
         "f_amp": _floats(-1.0, 1.0), "decay": _floats(0.1, 3.0)}),
@@ -620,27 +682,37 @@ OTHER_KEYS = {
 
 
 @st.composite
-def run_numeric(draw):
-    doc = draw(st.fixed_dictionaries(COST_KEYS, optional=OTHER_KEYS))
+def runs(draw):
+    """(command, numeric): the cost keys the command reads, always, and its
+    other keys and tolerances, optionally."""
+    command = draw(st.sampled_from(cli.COMMANDS))
+    keys, tolerances = COMMAND_KEYS[command]
+    optional = {key: IN_RANGE[key] for key in ("seed", *keys) if key not in COST_KEYS}
+    if tolerances:
+        optional["tolerances"] = st.dictionaries(
+            st.sampled_from(sorted(tolerances)), _floats(1e-12, 1.0), max_size=3)
+    doc = draw(st.fixed_dictionaries(
+        {key: COST_KEYS[key] for key in keys if key in COST_KEYS}, optional=optional))
     if draw(st.sampled_from(range(4))) == 3:      # one document in four
-        doc[draw(st.sampled_from(sorted(NUMERIC_KEYS) + ["unknown"]))] = draw(MALFORMED)
-    return doc
+        key = draw(st.sampled_from(sorted(NUMERIC_KEYS) + ["tolerances", "unknown"]))
+        doc[key] = draw(MALFORMED)
+    return command, doc
 
 
 @settings(derandomize=True, max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(command=st.sampled_from(cli.COMMANDS),
-       metric=RUN_SPECS, numeric=run_numeric())
+@given(case=runs(), metric=RUN_SPECS)
 # two smallest epsilons one ulp apart leave the order fit rank 1
-@example(command="first-variation", metric=SCHW, numeric={
-    "quad_polar": 4, "quad_azimuth": 4,
-    "eps_ladder": [0.03, 0.001, 0.0010000000000000002]})
+@example(case=("first-variation", {"quad_polar": 4, "quad_azimuth": 4,
+                                   "eps_ladder": [0.03, 0.001, 0.0010000000000000002]}),
+         metric=SCHW)
 # a horizon of 0.01 leaves one sample in every tail-half growth fit
-@example(command="dichotomy", metric=HYP, numeric={"fan_count": 1, "ode_horizon": 0.01})
-def test_main_exit_code_contract(tmp_path, capfd, command, metric, numeric):
+@example(case=("dichotomy", {"fan_count": 1, "ode_horizon": 0.01}), metric=HYP)
+def test_main_exit_code_contract(tmp_path, capfd, case, metric):
     # exit 4 is an input that reached a failure nobody classified, and a
     # warning a numerical event nobody classified: both fail.  Every warning
     # is an error here
+    command, numeric = case
     cfg = write_config(tmp_path, {"command": command, "metric": metric,
                                   "numeric": numeric})
     with warnings.catch_warnings():
@@ -651,10 +723,12 @@ def test_main_exit_code_contract(tmp_path, capfd, command, metric, numeric):
     assert "Traceback" not in err and "Warning" not in err
 
 
-def test_null_tolerances_without_overrides(tmp_path):
-    cfg = write_config(tmp_path, {"command": "mass", "metric": HYP,
+def test_null_tolerances_and_ode_mean_empty(tmp_path):
+    cfg = write_config(tmp_path, {"command": "ode-verify",
                                   "numeric": {"tolerances": None, "ode": None}})
     assert run(load_config(cfg), out_dir=tmp_path / "o") == 0
+    numeric = read_report(tmp_path / "o", "ode-verify")["config"]["numeric"]
+    assert numeric["tolerances"] == numeric["ode"] == {}
 
 
 @pytest.mark.parametrize("blocker", ["out", "out/mass_report.json"],
@@ -798,20 +872,6 @@ def test_dichotomy_axis_seed_rides_in_the_fan(hyp3, monkeypatch):
     assert abs(axis["slope"] - alone.slope) < 1e-8
     assert {row[1] for row in tables["labels"][1]} == set(range(16))
     assert {row[0] for row in tables["trajectories"][1]} == set(range(16))
-
-
-def test_first_variation_ignores_r_max(tmp_path):
-    # the rule spans the support of h alone, so an outer radius below it
-    # cannot reverse a segment into the support
-    results = []
-    for extra in ({}, {"r_max": 3.0}):
-        cfg = write_config(tmp_path, {"command": "first-variation", "metric": HYP,
-                                      "numeric": {"quad_polar": 6, "quad_azimuth": 12,
-                                                  **extra}})
-        out = tmp_path / f"out{len(results)}"
-        assert main(["first-variation", "--config", cfg, "--out", str(out)]) == 0
-        results.append(read_report(out, "first-variation")["results"])
-    assert results[0] == results[1]
 
 
 # a first-order-correct draw whose eps^2 term at eps = 0.03 pulls a fit over

@@ -111,7 +111,8 @@ def _spy(monkeypatch, name):
 
 
 def test_mass_vector_compares_raw_ladders_and_fits_once(monkeypatch):
-    # rules are compared before any fit: one fit per potential, on the last
+    # rules are compared before any fit: one fit per potential whose ladder
+    # is above the roundoff floor (p_0 alone, by symmetry), on the last
     # ladder, however many rules were evaluated
     ladders = _spy(monkeypatch, "flux_ladder")
     fits = _spy(monkeypatch, "extrapolate_limit")
@@ -119,8 +120,12 @@ def test_mass_vector_compares_raw_ladders_and_fits_once(monkeypatch):
     rules = [(args[3].polar, args[3].azimuth) for args in ladders]
     assert rules == rule_sequence(3)[:len(rules)] and len(rules) >= 2
     assert (mv.quadrature["polar"], mv.quadrature["azimuth"]) == rules[-1]
-    assert len(fits) == 4
+    assert len(fits) == 1
     assert np.array_equal(fits[0][1], mv.reports[0].values)
+    for rep in mv.reports[1:]:
+        assert rep.flags == ("roundoff-zero",)
+        assert (rep.fitted_limit, rep.fit_exponent) == (0.0, np.inf)
+        assert 0 < np.abs(rep.values).max() <= 1e-12 * np.abs(mv.reports[0].values).max()
 
 
 def test_mass_vector_stops_on_a_non_finite_ladder(monkeypatch):
