@@ -15,7 +15,7 @@ import sys
 import time
 from pathlib import Path
 
-from ahmass.cli import run
+from ahmass.cli import DEFAULT_SEED, run
 
 HYPERBOLIC = {"family": "hyperbolic", "n": 3, "params": {}}
 STATIC_FAMILY = {"family": "schwarzschild_ads", "n": 3, "params": {"m": 0.5}}
@@ -54,6 +54,15 @@ BATTERY = [
 ]
 
 
+def battery_config(i):
+    """Run ``i`` of ``BATTERY`` as a config document."""
+    command, metric, numeric = BATTERY[i]
+    config = {"command": command, "numeric": dict(numeric, seed=DEFAULT_SEED)}
+    if metric is not None:
+        config["metric"] = metric
+    return config
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--out", default="out")
@@ -61,10 +70,8 @@ def main():
     root = Path(args.out)
     root.mkdir(parents=True, exist_ok=True)
     failures = 0
-    for i, (command, metric, numeric) in enumerate(BATTERY):
-        config = {"command": command, "numeric": dict(numeric, seed=20240801)}
-        if metric is not None:
-            config["metric"] = metric
+    for i, (command, metric, _) in enumerate(BATTERY):
+        config = battery_config(i)
         out_dir = root / f"{i:02d}_{command.replace('-', '_')}"
         out_dir.mkdir(exist_ok=True)
         (out_dir / "config.json").unlink(missing_ok=True)

@@ -10,9 +10,10 @@ first-variation, ode-verify, dichotomy, rigidity-check.
 The configuration document is strict: unknown keys anywhere, a numeric key or
 tolerance the command does not read (``COMMAND_KEYS``), and metric and
 command combinations the toolkit does not support, are rejected (exit 2), as
-is an output directory or report file that cannot be written.  Numerical
-failures exit 3; any other exception is an internal error (exit 4), reported
-on one stderr line.  Completed runs exit 0 when every check passes its
+are an output directory or report file that cannot be written and a command
+line that argparse refuses (``usage error:``).  Numerical failures exit 3; any
+other exception is an internal error (exit 4).  Each is reported on one stderr
+line.  Completed runs exit 0 when every check passes its
 tolerance and 1 otherwise.  Reports are deterministic: the same config
 produces byte-identical report and CSV files in any output directory (the
 output path, timestamp and runtime live in a separate metadata file).
@@ -567,8 +568,15 @@ def run(config: dict, out_dir=None) -> int:
     return 0 if ok else EXIT_CHECK_FAILURE
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line as one ``usage error:`` stderr line, exit 2."""
+
+    def error(self, message):
+        self.exit(EXIT_SCHEMA, f"usage error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="ahmass",
         description="numerical checks for asymptotically hyperbolic mass and rigidity")
     parser.add_argument("command", choices=COMMANDS)

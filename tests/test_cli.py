@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from ahmass import cli, quadrature
 from ahmass.cli import (COMMAND_KEYS, EXIT_CHECK_FAILURE, EXIT_INTERNAL, EXIT_NUMERICAL,
@@ -682,10 +682,9 @@ IN_RANGE = COST_KEYS | {
 
 
 @st.composite
-def runs(draw):
-    """(command, numeric): the cost keys the command reads, always, and its
-    other keys and tolerances, optionally."""
-    command = draw(st.sampled_from(cli.COMMANDS))
+def numeric_docs(draw, command):
+    """A numeric document of ``command``: the cost keys it reads, always, and
+    its other keys and tolerances, optionally."""
     keys, tolerances = COMMAND_KEYS[command]
     optional = {key: IN_RANGE[key] for key in ("seed", *keys) if key not in COST_KEYS}
     if tolerances:
@@ -696,23 +695,27 @@ def runs(draw):
     if draw(st.sampled_from(range(4))) == 3:      # one document in four
         key = draw(st.sampled_from(sorted(NUMERIC_KEYS) + ["tolerances", "unknown"]))
         doc[key] = draw(MALFORMED)
-    return command, doc
+    return doc
 
 
-@settings(derandomize=True, max_examples=40, deadline=None,
+@pytest.mark.parametrize("command", cli.COMMANDS)
+@settings(derandomize=True, max_examples=4, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(case=runs(), metric=RUN_SPECS)
+# a document for every command, of which each run reads its own
+@given(docs=st.fixed_dictionaries({c: numeric_docs(c) for c in cli.COMMANDS}),
+       metric=RUN_SPECS)
 # two smallest epsilons one ulp apart leave the order fit rank 1
-@example(case=("first-variation", {"quad_polar": 4, "quad_azimuth": 4,
-                                   "eps_ladder": [0.03, 0.001, 0.0010000000000000002]}),
+@example(docs={"first-variation": {"quad_polar": 4, "quad_azimuth": 4,
+                                   "eps_ladder": [0.03, 0.001, 0.0010000000000000002]}},
          metric=SCHW)
 # a horizon of 0.01 leaves one sample in every tail-half growth fit
-@example(case=("dichotomy", {"fan_count": 1, "ode_horizon": 0.01}), metric=HYP)
-def test_main_exit_code_contract(tmp_path, capfd, case, metric):
+@example(docs={"dichotomy": {"fan_count": 1, "ode_horizon": 0.01}}, metric=HYP)
+def test_main_exit_code_contract(tmp_path, capfd, command, docs, metric):
     # exit 4 is an input that reached a failure nobody classified, and a
     # warning a numerical event nobody classified: both fail.  Every warning
     # is an error here
-    command, numeric = case
+    assume(command in docs)      # each @example is for one command
+    numeric = docs[command]
     cfg = write_config(tmp_path, {"command": command, "metric": metric,
                                   "numeric": numeric})
     with warnings.catch_warnings():
@@ -744,6 +747,20 @@ def test_unwritable_output_rejected(tmp_path, capsys, blocker):
     assert main(["mass", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
     err = capsys.readouterr().err
     assert err.startswith("output error: ") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["mass", "--config", "c.json", "--seed", "3"],
+    ["mass"],
+    ["nope", "--config", "c.json"],
+], ids=["unknown-option", "missing-config", "unknown-command"])
+def test_bad_command_line_is_one_usage_error_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "Traceback" not in err
     assert len(err.splitlines()) == 1
 
 
