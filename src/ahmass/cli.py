@@ -429,21 +429,21 @@ def run_rigidity(spec, numeric):
     from .reporting import check
     from .rigidity import sectional_ode_check, wang_identity_check, warped_fixture
     n = spec.n
+    if spec.family != "hyperbolic":
+        raise NotImplementedError(
+            f"rigidity-check supports the hyperbolic family only, not {spec.family}")
     if n != 3:
         raise NotImplementedError(
             "rigidity-check supports n = 3 only (the warped fixture and its "
             "geodesic checks are 3-dimensional)")
-    results = {}
-    checks = []
-    if spec.family == "hyperbolic":
-        V0 = static_potential(n, 0)
-        sphere = _sphere(numeric, n, 16)
-        radial = int(numeric.get("radial_nodes", 48))
-        _check_volume(sphere, radial)
-        rep = wang_identity_check(spec, V0, float(numeric.get("wang_radius", 10.0)),
-                                  quad=sphere, radial_nodes=radial)
-        results["wang"] = rep.to_dict()
-        checks.append(check("wang_gap", rep.gap, _tol(numeric, "wang_gap")))
+    V0 = static_potential(n, 0)
+    sphere = _sphere(numeric, n, 16)
+    radial = int(numeric.get("radial_nodes", 48))
+    _check_volume(sphere, radial)
+    rep = wang_identity_check(spec, V0, float(numeric.get("wang_radius", 10.0)),
+                              quad=sphere, radial_nodes=radial)
+    results = {"wang": rep.to_dict()}
+    checks = [check("wang_gap", rep.gap, _tol(numeric, "wang_gap"))]
     fx = warped_fixture("round_sphere", n)
     rng = _rng(numeric)
     tpts = np.column_stack([rng.uniform(-3, 3, 100), rng.uniform(0.3, 2.8, 100),
@@ -483,8 +483,7 @@ HANDLERS = {
 }
 COMMANDS = tuple(HANDLERS)
 # What each handler reads: its numeric keys beyond ``seed``, which every report
-# echoes, and the default of each tolerance it reads.  ``rigidity-check`` reads
-# its rule keys, ``wang_radius`` and ``wang_gap`` on hyperbolic only.
+# echoes, and the default of each tolerance it reads.
 COMMAND_KEYS = {
     "mass": (("radii", "quad_polar", "quad_azimuth"), {}),
     "curvature": (("sample_points", "r_min", "r_max"), {"curvature_identity": 1e-8}),

@@ -150,7 +150,7 @@ def verify_ah(spec: MetricSpec, q_claimed: float, radii,
     if not (n / 2.0 < q_claimed <= n + 1e-12):
         raise SchemaError(f"q_claimed must lie in (n/2, n] = ({n / 2.0:g}, {n}], "
                           f"got {q_claimed:g}")
-    borderline = q_claimed > n - 1e-9 or getattr(spec, "borderline_decay", False)
+    borderline = q_claimed > n - 1e-9 or spec.borderline_decay
     if nodes_per_angle is None:
         nodes_per_angle = {3: 32, 4: 12}.get(n, 8)
     *fits, scal = _sup_decay_fits(lambda c: _ah_fields(spec, c), radius_ladder(radii),

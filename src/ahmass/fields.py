@@ -135,18 +135,6 @@ class ScalarField:
     __rmul__ = __mul__
 
 
-def constant_field(value: float) -> ScalarField:
-    return ScalarField(lambda c, order: J.constant(value, c.shape[0], c.shape[1], order))
-
-
-def radial_bump_field(r_lo: float, r_hi: float, amplitude: float = 1.0) -> ScalarField:
-    """Smooth compactly supported radial bump on the annulus (r_lo, r_hi)."""
-    def fn(coords, order):
-        r = J.coordinate_jets(coords, order)[0]
-        return J.smooth_bump(r, r_lo, r_hi) * amplitude
-    return ScalarField(fn, support=(r_lo, r_hi))
-
-
 def poly_bump_jet(rjet: J.Jet, lo: float, hi: float) -> J.Jet:
     """(1 - t^2)^7 on the affine image of (lo, hi), zero outside.
 
@@ -398,39 +386,14 @@ class ScaledMetricField(SymmetricTensorField):
                          support=u.support)
 
 
-class FrameComponentField(SymmetricTensorField):
-    """Tensor given by its frame components kappa(e_i, e_j) as a tensor jet.
-
-    Chart components are h_ab = kappa_ab / (c_a c_b) with the background frame
-    coefficients; the reciprocal coefficients 1/c_1 = (1+r^2)^(-1/2) and
-    1/c_{k+1} = r prod_{j<k} sin(theta_j) are built as jets.
-    """
-
-    @staticmethod
-    def _inv_frame_jets(coords, order):
-        cj = J.coordinate_jets(coords, order)
-        r = cj[0]
-        inv = [(1.0 + r * r) ** -0.5]
-        running = r
-        inv.append(running)
-        for k in range(2, coords.shape[1]):
-            running = running * J.jsin(cj[k - 1])
-            inv.append(running)
-        return inv
-
-    def component_arrays(self, coords, order: int = 2):
-        coords = as_coords(coords)
-        inv = J.stack(self._inv_frame_jets(coords, order))
-        return self._jet_fn(coords, order) * J.contract("a,b->ab", inv, inv)
-
-
-class AxisConcentratedPerturbation(FrameComponentField):
+class AxisConcentratedPerturbation(SymmetricTensorField):
     """Decaying frame bump concentrated around a Cartesian axis direction.
 
-    kappa(e_1, e_1) = amp * switch(r) * r^(-rate) * exp(width * (x_hat . axis - 1));
-    all other frame components vanish.  Rotating the chart by R maps this field
-    to the same field with axis R . axis, which is what the mass-vector
-    equivariance checks exercise.
+    h = kappa_11 c^2 dr (x) dr with c = (1+r^2)^(-1/2), so that its one
+    nonzero background-frame component is
+    kappa(e_1, e_1) = amp * switch(r) * r^(-rate) * exp(width * (x_hat . axis - 1)).
+    Rotating the chart by R maps this field to the same field with axis
+    R . axis, which is what the mass-vector equivariance checks exercise.
     """
 
     def __init__(self, n: int, axis, amp: float = 1e-2, rate: float = 2.5,
@@ -443,17 +406,19 @@ class AxisConcentratedPerturbation(FrameComponentField):
         self.axis, self.amp, self.rate = axis, float(amp), float(rate)
         self.width, self.onset = float(width), float(onset)
 
-        def kappa(coords, order):
+        def h(coords, order):
             r = J.coordinate_jets(coords, order)[0]
             u = unit_vector_jets(coords, order)
             zero = J.constant(0.0, *coords.shape, order)
             dot = sum((axis[i] * u[i] for i in range(n)), zero)
             radial = J.smooth_switch(r, onset) * (r ** (-rate)) * amp
             k11 = radial * J.jexp((dot - 1.0) * width)
-            return J.stack([[k11 if i == k == 0 else zero for k in range(n)]
+            c = (1.0 + r * r) ** -0.5
+            h11 = k11 * (c * c)
+            return J.stack([[h11 if i == k == 0 else zero for k in range(n)]
                             for i in range(n)])
 
-        super().__init__(kappa)
+        super().__init__(h)
 
     def rotated(self, R: np.ndarray) -> "AxisConcentratedPerturbation":
         return AxisConcentratedPerturbation(len(self.axis), R @ self.axis,

@@ -239,23 +239,6 @@ def jet_where(mask: np.ndarray, a: Jet, b: Jet) -> Jet:
     return Jet(np.where(mask, a.val, b.val), np.where(m1, a.grad, b.grad), hess)
 
 
-def smooth_bump(u: Jet, lo: float, hi: float) -> Jet:
-    """C-infinity bump supported on (lo, hi) in the jet variable, peak value 1.
-
-    Uses exp(1 - 1/(1 - t^2)) with t the affine map of [lo, hi] onto [-1, 1];
-    identically zero (with zero derivatives) outside the open interval.
-    """
-    t = (u - 0.5 * (lo + hi)) * (2.0 / (hi - lo))
-    inside = np.abs(t.val) < 1.0
-    # clamp the argument off the singular set before dividing; masked out after
-    t_safe = Jet(np.where(inside, t.val, 0.0), t.grad, t.hess)
-    w = 1.0 - t_safe * t_safe
-    w = Jet(np.where(inside, w.val, 1.0), w.grad, w.hess)
-    bump = jexp(1.0 - w.reciprocal())
-    zero = constant(0.0, len(t.val), t.dim, t.order)
-    return jet_where(inside, bump, zero)
-
-
 def smooth_switch(u: Jet, onset: float) -> Jet:
     """Smooth 0-to-1 switch: 1 - exp(-(u/onset)^4), flat to high order at 0."""
     return 1.0 - jexp(-((u * (1.0 / onset)) ** 4))

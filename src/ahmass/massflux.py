@@ -300,9 +300,7 @@ def mass_vector(spec: MetricSpec, radii=DEFAULT_RADII, quad: SphereRule = None) 
     else:
         values, error, resolved = flux_ladder(spec, basis, radii, quad), None, True
     reports = _fit_ladders(radii, values, labels, n)
-    flags = ()
-    if getattr(spec, "borderline_decay", False):
-        flags = ("borderline-decay",)
+    flags = ("borderline-decay",) if spec.borderline_decay else ()
     if not resolved:
         flags += ("quadrature-unresolved",)
     extra = tuple(f for r in reports for f in r.flags if f == "no-extrapolation")

@@ -23,8 +23,8 @@ from .fields import (FINITE, ScalarField, check_document, integer_in,
                      perturbation_from_dict, profile_from_dict)
 
 __all__ = [
-    "MetricSpec", "HyperbolicMetric", "SchwarzschildAdS", "ConformalMetric",
-    "PerturbedMetric", "WarpedProductMetric", "DomainError",
+    "MetricSpec", "HyperbolicMetric", "SchwarzschildAdS", "DerivedMetric",
+    "ConformalMetric", "PerturbedMetric", "WarpedProductMetric", "DomainError",
     "hyperbolic_metric", "schwarzschild_ads", "frame_coefficients",
     "frame_components", "static_potential", "static_potential_basis",
     "metric_from_dict", "inner_truncation_radius",
@@ -72,6 +72,8 @@ class MetricSpec:
     family = "abstract"
     rotationally_symmetric = False
     exterior_chart = True  # lives on the (r, angles) chart at infinity
+    horizon_radius = 0.0   # no horizon: defined down to r = 0
+    borderline_decay = False
 
     def __init__(self, n: int):
         if n < 3:
@@ -81,9 +83,6 @@ class MetricSpec:
     # subclasses implement
     def component_jets(self, coords, order: int = 2):
         raise NotImplementedError
-
-    def domain_check(self, coords):
-        return None
 
     def components(self, point) -> np.ndarray:
         return self.component_jets(as_coords(point), order=1).val
@@ -151,16 +150,12 @@ class SchwarzschildAdS(MetricSpec):
         """1 + r^2 - 2m r^(2-n) for an array or a jet of r."""
         return 1.0 + r * r - (2.0 * self.m) * r ** (2.0 - self.n)
 
-    def domain_check(self, coords):
-        r = as_coords(coords)[:, 0]
-        if np.any(self._lapse(r) <= 0.0):
+    def component_jets(self, coords, order: int = 2):
+        coords = as_coords(coords)
+        if np.any(self._lapse(coords[:, 0]) <= 0.0):
             raise DomainError(
                 f"schwarzschild_ads(n={self.n}, m={self.m}) evaluated at or inside "
                 f"the horizon r = {self.horizon_radius:.6g}")
-
-    def component_jets(self, coords, order: int = 2):
-        coords = as_coords(coords)
-        self.domain_check(coords)
         cj = J.coordinate_jets(coords, order)
         r = cj[0]
         return _diagonal([self._lapse(r).reciprocal(), *_sphere_diagonal(cj[1:], r * r)])
@@ -172,7 +167,18 @@ class SchwarzschildAdS(MetricSpec):
         return 1.0 / f, r ** 2, -df / f ** 2, 2.0 * r
 
 
-class ConformalMetric(MetricSpec):
+class DerivedMetric(MetricSpec):
+    """A metric built on ``base``: it takes the base's n, and it lives on the
+    base's chart, outside the base's horizon."""
+
+    def __init__(self, base: MetricSpec):
+        super().__init__(base.n)
+        self.base = base
+        self.exterior_chart = base.exterior_chart
+        self.horizon_radius = base.horizon_radius
+
+
+class ConformalMetric(DerivedMetric):
     """Radial conformal rescaling psi(r) * base of a rotationally symmetric base.
 
     ``profile`` is a ``RadialProfile``, a jet function of r giving psi.
@@ -181,14 +187,9 @@ class ConformalMetric(MetricSpec):
     family = "conformal"
 
     def __init__(self, base: MetricSpec, profile):
-        super().__init__(base.n)
-        self.base = base
+        super().__init__(base)
         self.profile = profile
         self.rotationally_symmetric = base.rotationally_symmetric
-        self.exterior_chart = base.exterior_chart
-
-    def domain_check(self, coords):
-        self.base.domain_check(coords)
 
     def component_jets(self, coords, order: int = 2):
         coords = as_coords(coords)
@@ -196,26 +197,19 @@ class ConformalMetric(MetricSpec):
         return psi * self.base.component_jets(coords, order)
 
     def radial_profiles(self, r):
-        if not self.base.rotationally_symmetric:
-            raise NotImplementedError("conformal base is not rotationally symmetric")
         G_r, G_a, dG_r, dG_a = self.base.radial_profiles(r)
         psi, d1, _ = self.profile(np.asarray(r, dtype=float))
         return psi * G_r, psi * G_a, d1 * G_r + psi * dG_r, d1 * G_a + psi * dG_a
 
 
-class PerturbedMetric(MetricSpec):
+class PerturbedMetric(DerivedMetric):
     """base + h for a symmetric 2-tensor field h supplying chart derivatives."""
 
     family = "perturbed"
 
     def __init__(self, base: MetricSpec, field):
-        super().__init__(base.n)
-        self.base = base
+        super().__init__(base)
         self.field = field
-        self.exterior_chart = base.exterior_chart
-
-    def domain_check(self, coords):
-        self.base.domain_check(coords)
 
     def component_jets(self, coords, order: int = 2):
         coords = as_coords(coords)
@@ -257,13 +251,7 @@ class WarpedProductMetric(MetricSpec):
 
 def inner_truncation_radius(spec: MetricSpec, default: float = 0.1) -> float:
     """Default inner radius; pushed outside the horizon for horizon families."""
-    rh = getattr(spec, "horizon_radius", 0.0)
-    if rh and rh > 0:
-        return max(default, 1.3 * rh)
-    base = getattr(spec, "base", None)
-    if base is not None:
-        return inner_truncation_radius(base, default)
-    return default
+    return max(default, 1.3 * spec.horizon_radius)
 
 
 def hyperbolic_metric(n: int) -> HyperbolicMetric:

@@ -225,22 +225,35 @@ WARPED = {"family": "warped_product", "n": 3}
     ("deform", WARPED, {"r_max": 178.0}),
     ("mass", WARPED, {}),                # not on the exterior chart
     ("verify-ah", WARPED, {}),           # not on the exterior chart
+    # a derived family lives on its base's chart
+    ("mass", {"family": "conformal", "n": 3, "params": {"base": WARPED, "profile": {
+        "kind": "constant", "value": 0.1}}}, {}),
     ("rigidity-check", {"family": "hyperbolic", "n": 4}, {}),   # n = 3 fixture only
+    # its checks read hyperbolic's V_0 and a fixture, not the metric given
+    ("rigidity-check", SCHW, {}),
+    ("rigidity-check", {"family": "conformal", "n": 3, "params": {"base": HYP, "profile": {
+        "kind": "power_tail", "amp": 0.05, "rate": 3.0}}}, {}),
 ], ids=["deform", "eigenfunction", "deform-warped-overflow", "mass-warped",
-        "verify-ah-warped", "rigidity-check-n4"])
+        "verify-ah-warped", "mass-conformal-warped", "rigidity-check-n4",
+        "rigidity-check-schwarzschild", "rigidity-check-conformal"])
 def test_unsupported_metric_rejected(tmp_path, capsys, monkeypatch, command, metric,
                                      numeric):
+    import ahmass.geodesics as geodesics
     import ahmass.radial as radial
-    profiles = []
-    monkeypatch.setattr(radial, "scalar_curvature_profile",
-                        lambda *args: profiles.append(args))
+    import ahmass.rigidity as rigidity
+    # a rejected run reaches none of these numerics
+    calls = []
+    record = lambda *args, **kwargs: calls.append(args)
+    monkeypatch.setattr(radial, "scalar_curvature_profile", record)
+    monkeypatch.setattr(rigidity, "wang_identity_check", record)
+    monkeypatch.setattr(geodesics, "integrate_geodesic", record)
     cfg = write_config(tmp_path, {"command": command, "metric": metric,
                                   "numeric": numeric})
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
     err = capsys.readouterr().err
     assert err.startswith("unsupported: ") and "Traceback" not in err
     assert len(err.splitlines()) == 1
-    assert profiles == []
+    assert calls == []
 
 
 @pytest.mark.parametrize("metric", [

@@ -68,10 +68,10 @@ def test_hessian_of_static_potentials(rng, hyp3):
 
 
 def test_hessian_of_constant_vanishes(rng, schw3):
-    from ahmass.fields import constant_field
+    from ahmass.fields import constant_profile
     pts = random_points(3, rng, 50, r_range=(2.0, 30.0))
     app = metric_apparatus(schw3, pts, level=1)
-    assert np.abs(covariant_hessian(app, constant_field(2.5).jet(pts))).max() == 0.0
+    assert np.abs(covariant_hessian(app, constant_profile(2.5).as_field().jet(pts))).max() == 0.0
 
 
 def test_laplacian_eigenvalue(rng, hyp3):

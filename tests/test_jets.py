@@ -56,20 +56,6 @@ def test_power_and_where():
     assert sel.val[0] == 0.0 and sel.val[1] == 7.0
 
 
-def test_smooth_bump_support_and_smoothness():
-    coords = np.linspace(0.5, 8.0, 200)[:, None] * np.array([[1.0, 0, 0]]) \
-        + np.array([[0.0, 1.0, 1.0]])
-    rj = J.coordinate_jets(coords)[0]
-    bump = J.smooth_bump(rj, 2.0, 6.0)
-    r = coords[:, 0]
-    outside = (r <= 2.0) | (r >= 6.0)
-    assert np.all(bump.val[outside] == 0.0)
-    assert np.all(bump.grad[outside] == 0.0)
-    assert bump.val.max() <= 1.0 + 1e-12
-    fd_check(lambda c: J.smooth_bump(J.coordinate_jets(c)[0], 2.0, 6.0),
-             coords[(r > 2.05) & (r < 5.95)][:20], tol=1e-4)
-
-
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_chart_jacobian_jets_match_cartesian_map(n):
     # dx_c / d(chart_a) = s_a(r) U_ac(theta) with s_0 = 1 and s_a = r; angle
@@ -182,7 +168,6 @@ ORDER_OPS = {
     "stack": lambda x, y, z: _pair(x, z),
     "contract": lambda x, y, z: J.contract("ab,bc->ac", _pair(x, y), _pair(z, x)),
     "jet_where": lambda x, y, z: J.jet_where(x.val > 5.0, x, z),
-    "smooth_bump": lambda x, y, z: J.smooth_bump(x, 2.0, 6.0),
     "smooth_switch": lambda x, y, z: J.smooth_switch(x, 3.0),
 }
 POINTS = st.lists(st.tuples(st.floats(0.5, 30.0), st.floats(0.2, 2.9), st.floats(0.0, 6.2)),

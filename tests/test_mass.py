@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from ahmass.curvature import metric_apparatus
-from ahmass.fields import (AxisConcentratedPerturbation, ScalarField, SchemaError,
-                           radial_bump_field, random_compact_tensor)
+from ahmass.fields import (AxisConcentratedPerturbation, RadialProfile, ScalarField,
+                           SchemaError, poly_bump_jet, random_compact_tensor)
 from ahmass.massflux import (extrapolate_limit, flux_integrand_values, flux_ladder,
                              mass_vector, prop27_check, ricci_ladder, rule_sequence)
 from ahmass.metrics import (PerturbedMetric, hyperbolic_metric,
@@ -257,7 +257,7 @@ def test_potential_perturbation_same_limit(quad48):
     # adding a compactly supported bump to the potential leaves the limit alone
     s = schwarzschild_ads(3, 0.5)
     V0 = static_potential(3, 0)
-    w = radial_bump_field(5.0, 15.0, 0.5)
+    w = RadialProfile(lambda r: poly_bump_jet(r, 5.0, 15.0) * 0.5).as_field()
     Vp = ScalarField(lambda c, order: V0.jet(c, order) + w.jet(c, order))
     fb, fp = (extrapolate_limit(LADDER, column, 3.0, beta_bounds=(0.5, 6.0))[0]
               for column in flux_ladder(s, [V0, Vp], LADDER, quad48).T)

@@ -6,7 +6,7 @@ import pytest
 from ahmass.chart import random_points
 from ahmass.curvature import covariant_hessian, metric_apparatus
 from ahmass.fields import (CompactBasis, ScaledMetricField, SymmetricTensorField,
-                           constant_field, random_compact_scalar, random_compact_tensor)
+                           constant_profile, random_compact_scalar, random_compact_tensor)
 from ahmass.metrics import (PerturbedMetric, static_potential,
                             static_potential_basis)
 from ahmass.operators import (adjoint_values, duality_residual, first_variation_check,
@@ -30,7 +30,7 @@ def annulus_rule():
 def test_linearized_on_metric_itself(rng, hyp3):
     # L_g(g) = -R_g: tr g is constant, div g vanishes, <g, Ric> = R
     pts = random_points(3, rng, 30)
-    h = ScaledMetricField(hyp3, constant_field(1.0))
+    h = ScaledMetricField(hyp3, constant_profile(1.0).as_field())
     vals = linearized_scalar_values(metric_apparatus(hyp3, pts, level=2),
                                     h.component_arrays(pts))
     assert np.abs(vals - 6.0).max() < 1e-9
@@ -67,7 +67,7 @@ def test_adjoint_annihilates_static_potentials(rng, hyp3):
 def test_adjoint_of_zero(rng, schw3):
     pts = random_points(3, rng, 20, r_range=(2, 20))
     app = metric_apparatus(schw3, pts, level=2)
-    assert np.abs(adjoint_values(app, constant_field(0.0).jet(pts))).max() == 0.0
+    assert np.abs(adjoint_values(app, constant_profile(0.0).as_field().jet(pts))).max() == 0.0
 
 
 def test_adjoint_trace_combination(rng, schw3):
@@ -126,7 +126,7 @@ def test_duality_residual_matches_one_apparatus_on_the_whole_rule(schw3, annulus
 def test_duality_zero_scalr(rng, hyp3, annulus_rule):
     h = random_compact_tensor(rng, 3, 2.0, 6.0)
     coords = annulus_rule.coords
-    pairs = [(h.node_jets(coords), scalar_at(constant_field(0.0), coords))]
+    pairs = [(h.node_jets(coords), scalar_at(constant_profile(0.0).as_field(), coords))]
     assert duality_residual(hyp3, pairs, annulus_rule) == [0.0]
 
 

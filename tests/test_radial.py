@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from ahmass.fields import power_tail_profile
-from ahmass.metrics import (hyperbolic_metric, inner_truncation_radius,
+from ahmass.fields import AxisConcentratedPerturbation, power_tail_profile
+from ahmass.metrics import (ConformalMetric, PerturbedMetric, WarpedProductMetric,
+                            hyperbolic_metric, inner_truncation_radius,
                             schwarzschild_ads)
 from ahmass.radial import (conformal_deform_radial, radial_eigenfunction,
                            scalar_curvature_profile, shooting_radial_solve,
@@ -100,3 +101,16 @@ def test_horizon_aware_truncation():
     s = schwarzschild_ads(3, 0.5)
     assert inner_truncation_radius(s) > s.horizon_radius
     assert inner_truncation_radius(hyperbolic_metric(3)) == 0.1
+
+
+def test_derived_families_take_chart_and_horizon_from_their_base():
+    s = schwarzschild_ads(3, 0.5)
+    profile = power_tail_profile(0.05, 3.0) + 1.0
+    perturbed = PerturbedMetric(s, AxisConcentratedPerturbation(3, [1.0, 0.0, 0.0]))
+    for spec in (ConformalMetric(s, profile), perturbed,
+                 ConformalMetric(perturbed, profile)):
+        assert spec.n == 3 and spec.exterior_chart
+        assert spec.horizon_radius == s.horizon_radius
+        assert inner_truncation_radius(spec) == 1.3 * s.horizon_radius
+    warped = ConformalMetric(WarpedProductMetric(3), profile)
+    assert not warped.exterior_chart and warped.horizon_radius == 0.0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ahmass.fields import ScalarField, radial_bump_field
+from ahmass.fields import RadialProfile, ScalarField, poly_bump_jet
 from ahmass.geodesics import axis_seed, integrate_geodesic, unit_radial_direction
 from ahmass.metrics import static_potential
 from ahmass.quadrature import sphere_rule
@@ -32,7 +32,7 @@ def test_wang_identity_shifted_potential(hyp3):
 
 def test_wang_identity_diagnostic_on_nonstatic(hyp3):
     V0 = static_potential(3, 0)
-    bump = radial_bump_field(2.0, 6.0, 0.1)
+    bump = RadialProfile(lambda r: poly_bump_jet(r, 2.0, 6.0) * 0.1).as_field()
     f = ScalarField(lambda c, order: V0.jet(c, order) + bump.jet(c, order))
     rep = wang_identity_check(hyp3, f, 10.0, quad=QUAD, radial_nodes=48)
     assert "staticity-violated" in rep.flags
