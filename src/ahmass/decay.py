@@ -23,6 +23,8 @@ from .metrics import (HyperbolicMetric, MetricSpec, frame_coefficients,
                       frame_components)
 
 ZERO_THRESHOLD = 1e-290
+# nodes per chart angle of verify_ah's angular grid, by n; 8 above n = 4
+AH_NODES_PER_ANGLE = {3: 32, 4: 12}
 
 
 @dataclass
@@ -137,8 +139,7 @@ def _ah_fields(spec: MetricSpec, coords):
     return out0, out1, out2, scalar
 
 
-def verify_ah(spec: MetricSpec, q_claimed: float, radii,
-              nodes_per_angle=None) -> AHReport:
+def verify_ah(spec: MetricSpec, q_claimed: float, radii) -> AHReport:
     """Check sampled decay of g - b (two derivatives) and of R_g + n(n-1).
 
     q_claimed must lie in (n/2, n]; the endpoint q = n is accepted with a
@@ -151,10 +152,8 @@ def verify_ah(spec: MetricSpec, q_claimed: float, radii,
         raise SchemaError(f"q_claimed must lie in (n/2, n] = ({n / 2.0:g}, {n}], "
                           f"got {q_claimed:g}")
     borderline = q_claimed > n - 1e-9 or spec.borderline_decay
-    if nodes_per_angle is None:
-        nodes_per_angle = {3: 32, 4: 12}.get(n, 8)
     *fits, scal = _sup_decay_fits(lambda c: _ah_fields(spec, c), radius_ladder(radii),
-                                  angular_grid(n, nodes_per_angle))
+                                  angular_grid(n, AH_NODES_PER_ANGLE.get(n, 8)))
     required = q_claimed - 0.1
     conditions = [AHCondition(name=name,
                               passed=fit.exact_zero or fit.fitted_exponent >= required,

@@ -27,6 +27,7 @@ from .metrics import MetricSpec
 
 
 SAMPLE_STEP = 0.05
+SEED_RADIUS = 2.0     # the sphere r = SEED_RADIUS that fans start from
 
 
 @dataclass
@@ -40,10 +41,6 @@ class GeodesicSample:
     comparability: float | None = None
     transported: np.ndarray | None = None  # (N, k, n)
     transport_drift: float = 0.0
-
-    @property
-    def radii(self):
-        return self.coords[:, 0]
 
 
 def unit_radial_direction(spec: MetricSpec, point) -> np.ndarray:
@@ -142,20 +139,21 @@ def integrate_geodesic(spec: MetricSpec, point, direction, T: float,
                                   sample_step=sample_step, transported=trans)[0]
 
 
-def seed_fan(n: int, count: int = 64, r0: float = 2.0):
-    """Base points on the sphere r = r0 shot radially outward; off-pole grid."""
+def seed_fan(n: int, count: int = 64):
+    """Base points on the sphere r = SEED_RADIUS shot radially outward, on an
+    off-pole grid of max(2, round(count^(1/(n-1)))) nodes per chart angle."""
     per_axis = max(2, int(round(count ** (1.0 / (n - 1)))))
     axes = [np.linspace(0.25, np.pi - 0.25, per_axis) for _ in range(n - 2)]
     axes.append(np.linspace(0.0, 2.0 * np.pi, per_axis, endpoint=False))
     mesh = np.meshgrid(*axes, indexing="ij")
     angles = np.stack([m.ravel() for m in mesh], axis=1)
-    points = np.column_stack([np.full(angles.shape[0], r0), angles])
-    return points
+    return np.column_stack([np.full(angles.shape[0], SEED_RADIUS), angles])
 
 
-def axis_seed(n: int, r0: float = 2.0) -> np.ndarray:
-    """Base point on the positive x_1 axis (equator of every polar angle)."""
-    return np.array([r0] + [np.pi / 2] * (n - 1))
+def axis_seed(n: int) -> np.ndarray:
+    """Base point at r = SEED_RADIUS on the positive x_1 axis (equator of
+    every polar angle)."""
+    return np.array([SEED_RADIUS] + [np.pi / 2] * (n - 1))
 
 
 @dataclass

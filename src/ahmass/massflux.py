@@ -95,12 +95,14 @@ class MassVector:
                 "components": [r.to_dict() for r in self.reports]}
 
 
-def extrapolate_limit(radii, values, beta0: float, beta_bounds=None):
-    """Fit I(r) = I_inf + c r^(-beta); falls back to the last value.
+def extrapolate_limit(radii, values, n: int):
+    """Fit I(r) = I_inf + c r^(-beta) on S^{n-1} ladders; falls back to the
+    last value.
 
-    Returns (limit, beta, rms_residual, flags).  A fit on fewer than 4 radii
-    matches its 3 parameters exactly, so its zero residual says nothing; it is
-    flagged ``under-determined``.
+    The fit starts at beta = n, the corrections r^(n-1-2q) at the borderline
+    q = n, and keeps beta in [0.5, 2n].  Returns (limit, beta, rms_residual,
+    flags).  A fit on fewer than 4 radii matches its 3 parameters exactly, so
+    its zero residual says nothing; it is flagged ``under-determined``.
     """
     radii = np.asarray(radii, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -110,17 +112,15 @@ def extrapolate_limit(radii, values, beta0: float, beta_bounds=None):
     spread = np.max(values) - np.min(values)
     if spread <= 1e-13 * scale:
         return float(values[-1]), np.inf, 0.0, ("constant-ladder",)
-    if beta_bounds is None:
-        beta_bounds = (0.5, 100.0)
-    beta0 = float(np.clip(beta0, *beta_bounds))
+    beta0, beta_max = float(n), 2.0 * n
 
     def residual(params):
         limit, c, beta = params
         return limit + c * radii ** -beta - values
 
     c0 = (values[0] - values[-1]) / (radii[0] ** -beta0 - radii[-1] ** -beta0 + 1e-300)
-    lower = [-np.inf, -np.inf, beta_bounds[0]]
-    upper = [np.inf, np.inf, beta_bounds[1]]
+    lower = [-np.inf, -np.inf, 0.5]
+    upper = [np.inf, np.inf, beta_max]
     try:
         sol = least_squares(residual, [values[-1], c0, beta0],
                             bounds=(lower, upper), xtol=1e-15, ftol=1e-15,
@@ -167,7 +167,7 @@ def flux_integrand_values(spec: MetricSpec, potentials, coords):
     dh = dg - base_app.dg
     inv, dinv, gamma = base_app.inv, base_app.dinv, base_app.gamma
 
-    trh = np.einsum("pij,pij->p", inv, h)
+    trh = base_app.trace(h)
     dtrh = (np.einsum("paij,pij->pa", dinv, h)
             + np.einsum("pij,paij->pa", inv, dh))
     nh = nabla_2tensor(gamma, h, dh)
@@ -185,12 +185,10 @@ def flux_integrand_values(spec: MetricSpec, potentials, coords):
 
 def _ladder(spec: MetricSpec, radii, quad: SphereRule, integrand) -> np.ndarray:
     """Integrals (radii, K) of ``integrand(coords) -> (values (N, K), density)``
-    over each S_r, by the product rule ``quad`` on S^{n-1} (default
-    ``sphere_rule(n)``) in every dimension.  The radii are not checked here:
-    Wang's boundary flux takes two, and each fit checks its own ladder."""
+    over each S_r, by the product rule ``quad`` on S^{n-1} in every
+    dimension.  The radii are not checked here: Wang's boundary flux takes
+    two, and each fit checks its own ladder."""
     n = spec.n
-    if quad is None:
-        quad = sphere_rule(n)
     if quad.angles.shape[1] != n - 1:
         raise ValueError(f"quadrature spec has {quad.angles.shape[1]} angles, "
                          f"the sphere S^{n - 1} needs {n - 1}")
@@ -205,7 +203,7 @@ def _ladder(spec: MetricSpec, radii, quad: SphereRule, integrand) -> np.ndarray:
     return np.array(rows)
 
 
-def flux_ladder(spec: MetricSpec, potentials, radii, quad: SphereRule = None) -> np.ndarray:
+def flux_ladder(spec: MetricSpec, potentials, radii, quad: SphereRule) -> np.ndarray:
     """Mass-flux integrals (radii, potentials): one metric evaluation per radius."""
     return _ladder(spec, radii, quad,
                    lambda c: flux_integrand_values(spec, potentials, c))
@@ -241,7 +239,7 @@ def _agreed_flux_ladder(spec: MetricSpec, potentials, radii):
     return rule, values, error, resolved
 
 
-def ricci_ladder(spec: MetricSpec, potentials, radii, quad: SphereRule = None,
+def ricci_ladder(spec: MetricSpec, potentials, radii, quad: SphereRule,
                  objects: str = "background") -> np.ndarray:
     """int_{S_r} (Ric_g + (n-1) g)(grad V, nu) dsigma as (radii, potentials),
     from one level-2 apparatus per radius.  Gradient, unit normal and measure
@@ -264,10 +262,10 @@ def ricci_ladder(spec: MetricSpec, potentials, radii, quad: SphereRule = None,
 
 
 def _fit_ladders(radii, values, labels, n: int) -> list:
-    """One FluxReport per column of the (radii, labels) array ``values``; the
-    fit starts at beta = n, the corrections r^(n-1-2q) at the borderline q = n.
-    A nonzero column within ROUNDOFF_ZERO of zero is flagged ``roundoff-zero``
-    and not fitted: a fit to roundoff returns an exponent that is noise."""
+    """One FluxReport per column of the (radii, labels) array ``values``, each
+    fitted by ``extrapolate_limit``.  A nonzero column within ROUNDOFF_ZERO of
+    zero is flagged ``roundoff-zero`` and not fitted: a fit to roundoff
+    returns an exponent that is noise."""
     reports = []
     floor = ROUNDOFF_ZERO * np.max(np.abs(values))
     for label, column in zip(labels, values.T):
@@ -276,8 +274,7 @@ def _fit_ladders(radii, values, labels, n: int) -> list:
         if 0 < np.max(np.abs(column)) <= floor:
             limit, beta, resid, flags = 0.0, np.inf, 0.0, ("roundoff-zero",)
         else:
-            limit, beta, resid, flags = extrapolate_limit(radii, column, float(n),
-                                                          beta_bounds=(0.5, 2.0 * n))
+            limit, beta, resid, flags = extrapolate_limit(radii, column, n)
         reports.append(FluxReport(integrand_label=label, radii=radii, values=column,
                                   fitted_limit=limit, fit_exponent=beta,
                                   fit_residual=resid, flags=flags))
@@ -289,7 +286,8 @@ def mass_vector(spec: MetricSpec, radii=DEFAULT_RADII, quad: SphereRule = None) 
 
     Without ``quad`` the sphere rule is chosen by the QUAD_AGREEMENT target
     along ``rule_sequence(n)``; a last rule that misses it adds the flag
-    ``quadrature-unresolved``.  The ladder is fitted once, on the rule used.
+    ``quadrature-unresolved``.  The ladder is fitted once, on the rule used;
+    components whose fit fails add one ``no-extrapolation`` flag.
     """
     radii = radius_ladder(radii)
     n = spec.n
@@ -303,11 +301,12 @@ def mass_vector(spec: MetricSpec, radii=DEFAULT_RADII, quad: SphereRule = None) 
     flags = ("borderline-decay",) if spec.borderline_decay else ()
     if not resolved:
         flags += ("quadrature-unresolved",)
-    extra = tuple(f for r in reports for f in r.flags if f == "no-extrapolation")
+    if any("no-extrapolation" in r.flags for r in reports):
+        flags += ("no-extrapolation",)
     quadrature = {"polar": quad.polar, "azimuth": quad.azimuth,
                   "nodes": quad.node_count, "error": error}
     return MassVector(p=np.array([r.fitted_limit for r in reports]), reports=reports,
-                      quadrature=quadrature, flags=flags + extra)
+                      quadrature=quadrature, flags=flags)
 
 
 @dataclass
@@ -328,8 +327,7 @@ class Prop27Report:
                 "flux_ladder": self.flux_report.to_dict()}
 
 
-def prop27_check(spec: MetricSpec, V, radii=DEFAULT_RADII,
-                 quad: SphereRule = None) -> Prop27Report:
+def prop27_check(spec: MetricSpec, V, radii, quad: SphereRule) -> Prop27Report:
     """Extrapolate both sides of the Ricci-flux identity and compare.
 
     The curvature-side limit should equal -(n-2)/2 times the mass flux, to 1%

@@ -50,10 +50,9 @@ GRID_STEP = 0.01            # spacing of the report grid on [0, T]
 
 
 def _as_callable(c):
+    """A coefficient function of t; None is the zero coefficient."""
     if c is None:
         return lambda t: np.zeros_like(np.asarray(t, dtype=float))
-    if np.isscalar(c):
-        return lambda t: np.full_like(np.asarray(t, dtype=float), float(c))
     return c
 
 
@@ -120,12 +119,6 @@ class ODESolution:
         """(u(t), u'(t)) from one dense evaluation."""
         u, du = self.sol(np.asarray(t, dtype=float))
         return u, du
-
-    def value(self, t):
-        return self.sol(np.asarray(t, dtype=float))[0]
-
-    def d1(self, t):
-        return self.sol(np.asarray(t, dtype=float))[1]
 
 
 def solve_second_order(prob: ODEProblem, u0: float, du0: float) -> ODESolution:
@@ -292,8 +285,8 @@ class ParticularReport:
 GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
-def particular_solution(prob: ODEProblem, pair: FundamentalPair = None) -> ParticularReport:
-    """Variation of parameters against the fundamental pair.
+def particular_solution(prob: ODEProblem, pair: FundamentalPair) -> ParticularReport:
+    """Variation of parameters against the fundamental pair of ``prob``.
 
     The integrands u_i f / W are integrated by an 8-node Gauss-Legendre rule
     on every cell of the pair's grid, plus the cell from the last grid point
@@ -307,8 +300,6 @@ def particular_solution(prob: ODEProblem, pair: FundamentalPair = None) -> Parti
     d != 1, the t e^(-t) profile at the resonant rate d = 1.
     """
     T = prob.horizon
-    if pair is None:
-        pair = fundamental_pair(prob)
     if prob.bounds is None:
         raise ValueError("particular_solution needs claimed bounds (C_0, d)")
     d_claim = float(prob.bounds[1])

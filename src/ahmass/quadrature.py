@@ -38,8 +38,8 @@ class SphereRule:
 
     angles: np.ndarray
     weights: np.ndarray
-    polar: int = None
-    azimuth: int = None
+    polar: int
+    azimuth: int
 
     @property
     def node_count(self) -> int:
@@ -57,18 +57,13 @@ def default_polar_nodes(n: int, polar: int = DEFAULT_POLAR_NODES) -> int:
     return polar
 
 
-def sphere_rule(n: int, polar_nodes: int = None, azimuth_nodes: int = None) -> SphereRule:
+def sphere_rule(n: int, polar_nodes: int, azimuth_nodes: int) -> SphereRule:
     """Product quadrature over S^{n-1} in the chart angles.
 
     Exact (up to machine precision) for smooth integrands in every dimension;
     polar directions use Gaussian nodes in u = cos(theta), so no node touches a
-    chart pole.  An omitted count takes the default derived from n:
-    ``default_polar_nodes(n)`` polar nodes and twice that in the azimuth.
+    chart pole.
     """
-    if polar_nodes is None:
-        polar_nodes = default_polar_nodes(n)
-    if azimuth_nodes is None:
-        azimuth_nodes = 2 * default_polar_nodes(n)
     if polar_nodes < 4 or azimuth_nodes < 4:
         raise ValueError("need at least 4 nodes per angle")
     axes, wts = [], []

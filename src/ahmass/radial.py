@@ -17,7 +17,7 @@ the outer decade of its sample radii with ``decay.fit_log_slope``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -35,6 +35,8 @@ from . import jets as J
 # commands' radial problems use a few thousand; a solve that cannot converge
 # fails here instead of refining ten times further
 BVP_MAX_NODES = 20000
+# Newton steps of conformal_deform_radial, the first being the linear solve
+NEWTON_STEPS = 3
 
 
 def _require_radial_reduction(spec: MetricSpec):
@@ -253,8 +255,8 @@ class DeformationReport:
     solution: RadialSolution
     linear_residual: float
     solution_decay: float
-    newton_residuals: list = field(default_factory=list)
-    contraction_ratios: list = field(default_factory=list)
+    newton_residuals: list
+    contraction_ratios: list
 
     def to_dict(self):
         return {"linear_residual": self.linear_residual,
@@ -263,14 +265,14 @@ class DeformationReport:
                 "contraction_ratios": list(map(float, self.contraction_ratios))}
 
 
-def conformal_deform_radial(spec: MetricSpec, phi_fn, s: float, r_hi: float = 200.0,
-                            newton_steps: int = 0) -> DeformationReport:
+def conformal_deform_radial(spec: MetricSpec, phi_fn, s: float,
+                            r_hi: float = 200.0) -> DeformationReport:
     """Solve the conformal-direction linearization (1-n)(Lap u + R u/(n-1)) = phi.
 
     ``phi_fn(r)`` is the radial target with decay exponent s, required to lie
-    in the solvable window (-1, n).  With newton_steps > 0 the full scalar
-    curvature of (1 + u_k) g is driven toward R_g + phi, reporting the
-    nonlinear sup-residual per iteration.
+    in the solvable window (-1, n).  NEWTON_STEPS steps then drive the full
+    scalar curvature of (1 + u_k) g toward R_g + phi, reporting the nonlinear
+    sup-residual per iteration.
     """
     _require_radial_reduction(spec)
     n = spec.n
@@ -297,12 +299,6 @@ def conformal_deform_radial(spec: MetricSpec, phi_fn, s: float, r_hi: float = 20
     lin = linearized_scalar_values(app, h)
     linear_residual = float(np.abs(lin - phi_fn(r_samp)).max())
 
-    report = DeformationReport(
-        solution=first, linear_residual=linear_residual,
-        solution_decay=float(_tail_decay(r_samp, first.value(r_samp), r_hi, 1e-13)))
-    if newton_steps <= 0:
-        return report
-
     target = lambda r: base_scal(r) + np.asarray(phi_fn(r))
 
     def sup_residual(metric):
@@ -312,18 +308,19 @@ def conformal_deform_radial(spec: MetricSpec, phi_fn, s: float, r_hi: float = 20
     # the first Newton step from g is exactly the linear solution above
     psi = 1.0 + first.as_profile()
     gamma = ConformalMetric(spec, psi)
-    report.newton_residuals.append(float(np.abs(phi_fn(r_samp)).max()))
     res_k, vals = sup_residual(gamma)
-    report.newton_residuals.append(res_k)
-    for _ in range(newton_steps - 1):
+    rs = [float(np.abs(phi_fn(r_samp)).max()), res_k]
+    for _ in range(NEWTON_STEPS - 1):
         rho_spline = CubicSpline(r_samp, vals - target(r_samp))
         step = solve_linear(gamma, scalar_spline(gamma),
                             lambda r: rho_spline(r) / (n - 1.0))
         psi = psi * (1.0 + step.as_profile())
         gamma = ConformalMetric(spec, psi)
         res_k, vals = sup_residual(gamma)
-        report.newton_residuals.append(res_k)
-    rs = report.newton_residuals
-    report.contraction_ratios = [rs[k + 1] / rs[k] if rs[k] > 0 else 0.0
-                                 for k in range(len(rs) - 1)]
-    return report
+        rs.append(res_k)
+    return DeformationReport(
+        solution=first, linear_residual=linear_residual,
+        solution_decay=float(_tail_decay(r_samp, first.value(r_samp), r_hi, 1e-13)),
+        newton_residuals=rs,
+        contraction_ratios=[rs[k + 1] / rs[k] if rs[k] > 0 else 0.0
+                            for k in range(len(rs) - 1)])

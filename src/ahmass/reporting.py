@@ -74,12 +74,10 @@ def dump_json(doc: dict) -> str:
 
 
 def write_report(path, command: str, config: dict, results: dict,
-                 checks: list, version: str = None) -> bool:
+                 checks: list, version: str) -> bool:
     """Write the report JSON; returns True when every check passes."""
     doc = {"command": command, "config": config, "results": results,
-           "checks": checks}
-    if version is not None:
-        doc["toolkit_version"] = version
+           "checks": checks, "toolkit_version": version}
     _write(path, dump_json(doc))
     return all(c["pass"] for c in checks)
 

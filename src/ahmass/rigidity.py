@@ -28,7 +28,7 @@ from .geodesics import GeodesicSample
 from .massflux import ricci_ladder
 from .metrics import MetricSpec, WarpedProductMetric
 from .operators import static_residual
-from .quadrature import SphereRule, sphere_rule, volume_rule, volume_weights
+from .quadrature import SphereRule, volume_rule, volume_weights
 from . import jets as J
 
 
@@ -50,23 +50,23 @@ class WangReport:
                 "flags": list(self.flags)}
 
 
-def wang_identity_check(spec: MetricSpec, f, r: float, quad: SphereRule = None,
-                        radial_nodes: int = 96) -> WangReport:
+def wang_identity_check(spec: MetricSpec, f, r: float, quad: SphereRule,
+                        radial_nodes: int) -> WangReport:
     """Interior Hessian defect against the boundary curvature flux on B_r.
 
-    The ball is the shell between r_inner = 0.01 and r.  Requires f > 0 on
-    it.  When f fails the static equation beyond 1e-6 the report is flagged
-    and the gap is purely diagnostic; the identity only holds for static
-    potentials.  The interior reads g, its inverse, the Christoffel symbols
-    and sqrt(det g) and no curvature, so it takes the level-1 apparatus,
-    whose first-order fields are bit-identical to level 2's.
+    The ball is the shell between r_inner = 0.01 and r, integrated by the
+    sphere rule ``quad`` times ``radial_nodes`` Gauss-Legendre radii; its
+    boundary flux uses the same ``quad``.  Requires f > 0 on it.  When f
+    fails the static equation beyond 1e-6 the report is flagged and the gap
+    is purely diagnostic; the identity only holds for static potentials.
+    The interior reads g, its inverse, the Christoffel symbols and
+    sqrt(det g) and no curvature, so it takes the level-1 apparatus, whose
+    first-order fields are bit-identical to level 2's.
     """
     n = spec.n
     r_inner = 0.01
     if r <= r_inner:
         raise SchemaError(f"ball radius {r} must exceed the inner radius {r_inner}")
-    if quad is None:
-        quad = sphere_rule(n, 32, 64)
     rule = volume_rule(n, [r_inner, r], [radial_nodes], quad)
     app = metric_apparatus(spec, rule.coords, level=1)
     jet = f.jet(rule.coords)

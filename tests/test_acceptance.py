@@ -150,15 +150,15 @@ def test_criterion_06_ode_growth_decay_structure():
         prob.validate()
         # (1) at most one zero
         u = solve_second_order(prob, rng.uniform(-1, 1), rng.uniform(-1, 1))
-        vals = u.value(t)
+        vals = u.at(t)[0]
         signs = np.sign(vals[np.abs(vals) > 1e-12])
         assert np.count_nonzero(np.diff(signs) != 0) <= 1
         # (2) comparison
         u0, du0 = rng.uniform(0.1, 1.5), rng.uniform(-0.5, 1.0)
         hi = solve_second_order(prob, u0, du0)
         lo = solve_second_order(prob, u0 - 0.05, du0 - 0.05)
-        assert np.all(hi.value(t_pos) > lo.value(t_pos))
-        assert np.all(hi.d1(t_pos) > lo.d1(t_pos))
+        assert np.all(hi.at(t_pos)[0] > lo.at(t_pos)[0])
+        assert np.all(hi.at(t_pos)[1] > lo.at(t_pos)[1])
         # (3) positive decreasing decaying branch (every 10th problem: costly)
         if k % 10 == 0:
             dec = build_decaying_solution(prob)
@@ -186,11 +186,11 @@ def test_criterion_06_ode_growth_decay_structure():
     for d in (0.5, 2.0):
         prob = ODEProblem(f=lambda t, d=d: np.exp(-d * t), horizon=25.0,
                           bounds=(1.0, d))
-        rep = particular_solution(prob)
+        rep = particular_solution(prob, fundamental_pair(prob))
         fits.append(rep.fitted_decay)
         assert abs(rep.fitted_decay - d) / d < 0.10
     prob = ODEProblem(f=lambda t: np.exp(-t), horizon=25.0, bounds=(1.0, 1.0))
-    rep = particular_solution(prob)
+    rep = particular_solution(prob, fundamental_pair(prob))
     assert rep.profile_residual < 0.05
     report(6, f"200 randomized problems satisfy the zero/comparison/decay "
               f"properties; certificates horizon-stable; forced remainders "
@@ -282,8 +282,7 @@ def test_criterion_09_first_variation(quad16):
 def test_criterion_10_scalar_curvature_deformation():
     prof = power_tail_profile(0.05, 2.0)
     phi = lambda r: prof(np.asarray(r, dtype=float))[0]
-    rep = conformal_deform_radial(hyperbolic_metric(3), phi, 2.0, r_hi=150.0,
-                                  newton_steps=3)
+    rep = conformal_deform_radial(hyperbolic_metric(3), phi, 2.0, r_hi=150.0)
     assert rep.linear_residual < 1e-6
     assert len(rep.contraction_ratios) == 3
     for ratio in rep.contraction_ratios:

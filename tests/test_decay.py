@@ -70,7 +70,7 @@ def test_verify_ah_detects_slow_decay():
     slow = AxisConcentratedPerturbation(3, [1.0, 0, 0], amp=1e-2, rate=1.0,
                                         width=2.0)
     spec = PerturbedMetric(hyperbolic_metric(3), slow)
-    rep = verify_ah(spec, 2.0, LADDER, nodes_per_angle=16)
+    rep = verify_ah(spec, 2.0, LADDER)
     by_name = {c.name: c for c in rep.conditions}
     assert not by_name["metric_deviation"].passed
     assert not rep.passed

@@ -52,7 +52,7 @@ def test_quadrature_node_rejection(hyp3):
         sphere_rule(3, 8, 2)
     from ahmass.quadrature import SphereRule
     tiny = SphereRule(angles=np.array([[1.0, 1.0], [2.0, 2.0]]),
-                      weights=np.array([6.0, 6.0]))
+                      weights=np.array([6.0, 6.0]), polar=1, azimuth=2)
     with pytest.raises(ValueError):
         flux_ladder(hyp3, [static_potential(3, 0)], [10.0], tiny)
     # a rule on S^2 has too few angles for the sphere of an n = 4 metric
@@ -138,6 +138,24 @@ def test_mass_vector_stops_on_a_non_finite_ladder(monkeypatch):
     with pytest.raises(ArithmeticError, match="non-finite"):
         mass_vector(schwarzschild_ads(3, 0.5), LADDER)
     assert len(ladders) == 1
+
+
+def test_mass_vector_lists_each_flag_once(monkeypatch):
+    # every fitted component falls back: the mass vector carries one
+    # no-extrapolation flag, and the mass command's check counts components
+    import ahmass.massflux as massflux
+    from ahmass.cli import run_mass
+    monkeypatch.setattr(massflux, "extrapolate_limit",
+                        lambda radii, values, *rest, **kwargs: (
+                            float(values[-1]), np.nan, np.nan, ("no-extrapolation",)))
+    pert = AxisConcentratedPerturbation(3, np.eye(3)[0], amp=1e-2, rate=2.5, width=6.0)
+    spec = PerturbedMetric(hyperbolic_metric(3), pert)
+    results, checks, _ = run_mass(spec, {"quad_polar": 16, "quad_azimuth": 32})
+    failed = [c for c in results["components"] if "no-extrapolation" in c["flags"]]
+    assert len(failed) >= 2
+    assert results["flags"].count("no-extrapolation") == 1
+    assert checks[0]["name"] == "extrapolation_converged"
+    assert checks[0]["value"] == len(failed) and not checks[0]["pass"]
 
 
 def test_mass_linear_in_parameter(quad48):
@@ -259,7 +277,7 @@ def test_potential_perturbation_same_limit(quad48):
     V0 = static_potential(3, 0)
     w = RadialProfile(lambda r: poly_bump_jet(r, 5.0, 15.0) * 0.5).as_field()
     Vp = ScalarField(lambda c, order: V0.jet(c, order) + w.jet(c, order))
-    fb, fp = (extrapolate_limit(LADDER, column, 3.0, beta_bounds=(0.5, 6.0))[0]
+    fb, fp = (extrapolate_limit(LADDER, column, 3)[0]
               for column in flux_ladder(s, [V0, Vp], LADDER, quad48).T)
     assert abs(fb - fp) < 1e-10
 
@@ -268,7 +286,7 @@ def test_potential_perturbation_same_limit(quad48):
 def test_rotation_equivariance(n, quad48):
     # at n = 4 the bump decays faster (rate 4), so the ladder converges and the
     # fit residual gives a meaningful tolerance
-    rate, quad = (2.5, quad48) if n == 3 else (4.0, sphere_rule(n))
+    rate, quad = (2.5, quad48) if n == 3 else (4.0, sphere_rule(n, 13, 26))
     axis = np.eye(n)[0]
     pert = AxisConcentratedPerturbation(n, axis, amp=1e-2, rate=rate, width=6.0)
     g1 = PerturbedMetric(hyperbolic_metric(n), pert)
@@ -294,21 +312,21 @@ def test_rotation_of_symmetric_family_trivial(quad48):
 
 def test_extrapolation_fallbacks():
     radii = np.geomspace(20, 200, 8)
-    limit, beta, resid, flags = extrapolate_limit(radii, np.zeros(8), 3.0)
+    limit, beta, resid, flags = extrapolate_limit(radii, np.zeros(8), 3)
     assert limit == 0.0 and "exact-zero" in flags
-    limit, beta, resid, flags = extrapolate_limit(radii, np.full(8, 4.2), 3.0)
+    limit, beta, resid, flags = extrapolate_limit(radii, np.full(8, 4.2), 3)
     assert limit == 4.2 and "constant-ladder" in flags
     vals = 7.0 + 3.0 * radii ** -2.0
-    limit, beta, resid, flags = extrapolate_limit(radii, vals, 3.0)
+    limit, beta, resid, flags = extrapolate_limit(radii, vals, 3)
     assert abs(limit - 7.0) < 1e-9
     assert abs(beta - 2.0) < 1e-6
     assert flags == ()
     # 3 radii fit the 3 parameters exactly: the zero residual is no evidence
     short = np.geomspace(20, 200, 3)
-    limit, beta, resid, flags = extrapolate_limit(short, 7.0 + 3.0 * short ** -2.0, 3.0)
+    limit, beta, resid, flags = extrapolate_limit(short, 7.0 + 3.0 * short ** -2.0, 3)
     assert flags == ("under-determined",)
     four = np.geomspace(20, 200, 4)
-    limit, beta, resid, flags = extrapolate_limit(four, 7.0 + 3.0 * four ** -2.0, 3.0)
+    limit, beta, resid, flags = extrapolate_limit(four, 7.0 + 3.0 * four ** -2.0, 3)
     assert flags == () and abs(limit - 7.0) < 1e-9
 
 

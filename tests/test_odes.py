@@ -42,10 +42,10 @@ def test_exponential_solutions():
     prob = ODEProblem(horizon=20.0)
     t = np.linspace(0.0, 20.0, 80)
     grow = solve_second_order(prob, 1.0, 1.0)
-    assert np.abs(grow.value(t) - np.exp(t)).max() / np.exp(20.0) < 1e-9
-    assert np.abs((grow.value(t) - np.exp(t)) / np.exp(t)).max() < 1e-9
+    assert np.abs(grow.at(t)[0] - np.exp(t)).max() / np.exp(20.0) < 1e-9
+    assert np.abs((grow.at(t)[0] - np.exp(t)) / np.exp(t)).max() < 1e-9
     decay = solve_second_order(prob, 1.0, -1.0)
-    assert np.abs(decay.value(t) - np.exp(-t)).max() < 1e-9
+    assert np.abs(decay.at(t)[0] - np.exp(-t)).max() < 1e-9
 
 
 def test_validation_rejects_bad_hypotheses():
@@ -71,8 +71,8 @@ def test_comparison_property_hypothesis(a_p, a_q, d, u0, du0):
     hi = solve_second_order(prob, u0 + 0.1, du0 + 0.1)
     lo = solve_second_order(prob, u0, du0)
     t = np.linspace(0.05, 8.0, 60)
-    assert np.all(hi.value(t) > lo.value(t))
-    assert np.all(hi.d1(t) > lo.d1(t))
+    assert np.all(hi.at(t)[0] > lo.at(t)[0])
+    assert np.all(hi.at(t)[1] > lo.at(t)[1])
 
 
 def test_homogeneous_solution_of_data_near_underflow():
@@ -84,7 +84,7 @@ def test_homogeneous_solution_of_data_near_underflow():
     tiny = solve_second_order(prob, 0.0, du0)
     unit = solve_second_order(prob, 0.0, 1.0)
     t = np.linspace(0.05, 8.0, 60)
-    assert np.allclose(tiny.value(t) / du0, unit.value(t), rtol=1e-10, atol=0.0)
+    assert np.allclose(tiny.at(t)[0] / du0, unit.at(t)[0], rtol=1e-10, atol=0.0)
 
 
 def test_comparison_property(rng):
@@ -96,15 +96,15 @@ def test_comparison_property(rng):
         v = solve_second_order(prob, u0 - rng.uniform(0.01, 0.2),
                                du0 - rng.uniform(0.01, 0.2))
         t = np.linspace(0.05, 10.0, 120)
-        assert np.all(u.value(t) > v.value(t))
-        assert np.all(u.d1(t) > v.d1(t))
+        assert np.all(u.at(t)[0] > v.at(t)[0])
+        assert np.all(u.at(t)[1] > v.at(t)[1])
 
 
 def test_at_most_one_zero(rng):
     for _ in range(30):
         prob = random_problem(rng, horizon=12.0)
         u = solve_second_order(prob, rng.uniform(-1, 1), rng.uniform(-1, 1))
-        vals = u.value(np.linspace(0.0, 12.0, 2000))
+        vals = u.at(np.linspace(0.0, 12.0, 2000))[0]
         if np.abs(vals).max() == 0.0:
             continue
         signs = np.sign(vals[np.abs(vals) > 1e-13])
@@ -115,7 +115,7 @@ def test_at_most_one_zero(rng):
 def test_decaying_solution_trivial():
     dec = build_decaying_solution(ODEProblem(horizon=25.0))
     t = np.linspace(0, 25, 200)
-    assert np.abs(dec.solution.value(t) - np.exp(-t)).max() < 1e-8
+    assert np.abs(dec.solution.at(t)[0] - np.exp(-t)).max() < 1e-8
     assert dec.positive and dec.decreasing
 
 
@@ -124,14 +124,14 @@ def test_decaying_solution_perturbed(rng):
                       bounds=(1.0, 2.0))
     dec = build_decaying_solution(prob)
     t = np.linspace(0, 20, 400)
-    vals = dec.solution.value(t)
+    vals = dec.solution.at(t)[0]
     assert dec.positive and dec.decreasing
     # bounded by C e^{-t} with a finite certificate
     C = np.max(np.maximum(vals * np.exp(t), np.exp(-t) / vals))
     assert np.isfinite(C) and C < 10.0
     # cross-check against an integration at tighter tolerance
     dec2 = build_decaying_solution(prob, rtol=1e-13)
-    assert np.abs(dec2.solution.value(t) - vals).max() < 1e-8
+    assert np.abs(dec2.solution.at(t)[0] - vals).max() < 1e-8
 
 
 def test_exhaustion_monotone():
@@ -141,7 +141,7 @@ def test_exhaustion_monotone():
     sols = ladder_rungs(prob, [1, 2, 3, 4, 5, 6])
     for j, (a, b) in enumerate(zip(sols[:-1], sols[1:]), start=1):
         t = np.linspace(0.05, j - 1e-6, 50)
-        assert np.all(a.value(t) < b.value(t))
+        assert np.all(a.at(t)[0] < b.at(t)[0])
 
 
 def test_fundamental_pair_trivial():
@@ -173,7 +173,7 @@ def test_wronskian_bound_randomized(rng):
 
 def test_particular_zero_forcing():
     prob = ODEProblem(horizon=20.0, bounds=(1e-9, 1.0))
-    rep = particular_solution(prob)
+    rep = particular_solution(prob, fundamental_pair(prob))
     assert rep.c1 == 0.0 and rep.c2 == 0.0
     assert np.abs(rep.remainder).max() == 0.0
 
@@ -182,7 +182,7 @@ def test_particular_oracle_d2():
     # closed form: remainder e^(-2t)/3 with c1 = 1/6, c2 = -1/2
     prob = ODEProblem(f=lambda t: np.exp(-2.0 * t), horizon=25.0,
                       bounds=(1.0, 2.0))
-    rep = particular_solution(prob)
+    rep = particular_solution(prob, fundamental_pair(prob))
     assert abs(rep.c1 - 1.0 / 6.0) < 1e-9
     assert abs(rep.c2 + 0.5) < 1e-9
     assert abs(rep.fitted_decay - 2.0) < 0.2
@@ -193,7 +193,7 @@ def test_particular_oracle_d2():
 
 def test_particular_resonant_profile():
     prob = ODEProblem(f=lambda t: np.exp(-t), horizon=25.0, bounds=(1.0, 1.0))
-    rep = particular_solution(prob)
+    rep = particular_solution(prob, fundamental_pair(prob))
     assert rep.profile_residual < 0.05
     assert abs(rep.c1 - 0.25) < 1e-9
 
@@ -201,20 +201,8 @@ def test_particular_resonant_profile():
 def test_particular_slow_decay():
     prob = ODEProblem(f=lambda t: np.exp(-0.5 * t), horizon=25.0,
                       bounds=(1.0, 0.5))
-    rep = particular_solution(prob)
+    rep = particular_solution(prob, fundamental_pair(prob))
     assert abs(rep.fitted_decay - 0.5) / 0.5 < 0.1
-
-
-def test_at_matches_value_and_d1():
-    prob = ODEProblem(p=lambda t: 0.3 * np.exp(-t), q=lambda t: 0.5 * np.exp(-2 * t),
-                      horizon=10.0, bounds=(0.5, 1.0))
-    grid = prob.grid()
-    for sol in (solve_second_order(prob, 1.0, 1.0),
-                ladder_rungs(prob, [10.0, 12.0])[1]):
-        for t in (3.7, grid):
-            u, du = sol.at(t)
-            assert np.array_equal(u, sol.value(t))
-            assert np.array_equal(du, sol.d1(t))
 
 
 def test_particular_solution_one_dense_call_per_branch(monkeypatch):
@@ -247,7 +235,7 @@ def test_particular_finite_horizon_closed_form(d):
     # finite-horizon tails (docs/oracles.md, scripts/derive_oracles.py) are exact
     T = 25.0
     prob = ODEProblem(f=lambda t: np.exp(-d * t), horizon=T, bounds=(1.0, d))
-    rep = particular_solution(prob)
+    rep = particular_solution(prob, fundamental_pair(prob))
     t = rep.grid
     tau1 = -(np.exp(-(1 + d) * t) - np.exp(-(1 + d) * T)) / (2 * (1 + d))
     tau2 = -(np.exp((1 - d) * T) - np.exp((1 - d) * t)) / (2 * (1 - d))

@@ -7,9 +7,9 @@ from ahmass.fields import AxisConcentratedPerturbation, power_tail_profile
 from ahmass.metrics import (ConformalMetric, PerturbedMetric, WarpedProductMetric,
                             hyperbolic_metric, inner_truncation_radius,
                             schwarzschild_ads)
-from ahmass.radial import (conformal_deform_radial, radial_eigenfunction,
-                           scalar_curvature_profile, shooting_radial_solve,
-                           solve_radial_bvp)
+from ahmass.radial import (NEWTON_STEPS, conformal_deform_radial,
+                           radial_eigenfunction, scalar_curvature_profile,
+                           shooting_radial_solve, solve_radial_bvp)
 
 
 def test_background_eigenfunction_is_exact(hyp3):
@@ -63,7 +63,7 @@ def test_deformation_trivial_target(hyp3):
 def test_deformation_power_tail(hyp3):
     prof = power_tail_profile(0.05, 2.0)
     phi = lambda r: prof(np.asarray(r, dtype=float))[0]
-    rep = conformal_deform_radial(hyp3, phi, 2.0, r_hi=150.0, newton_steps=3)
+    rep = conformal_deform_radial(hyp3, phi, 2.0, r_hi=150.0)
     assert rep.linear_residual < 1e-6
     assert abs(rep.solution_decay - 2.0) < 0.35
     assert len(rep.contraction_ratios) == 3
@@ -85,8 +85,9 @@ def test_deformation_builds_base_scalar_spline_once(hyp3, monkeypatch):
     monkeypatch.setattr(radial, "scalar_curvature_profile", counted)
     prof = power_tail_profile(0.05, 2.0)
     conformal_deform_radial(hyp3, lambda r: prof(np.asarray(r, dtype=float))[0],
-                            2.0, r_hi=150.0, newton_steps=2)
-    assert len(built) == 2 and built[0] is hyp3 and built[1] is not hyp3
+                            2.0, r_hi=150.0)
+    assert len(built) == NEWTON_STEPS and built[0] is hyp3
+    assert all(spec is not hyp3 for spec in built[1:])
 
 
 def test_deformation_rejects_bad_decay(hyp3):

@@ -74,7 +74,7 @@ def test_wang_identity_positivity_precondition(hyp3):
     V0 = static_potential(3, 0)
     f = ScalarField(lambda c, order: V0.jet(c, order) * -1.0)
     with pytest.raises(ValueError):
-        wang_identity_check(hyp3, f, 5.0, quad=QUAD)
+        wang_identity_check(hyp3, f, 5.0, quad=QUAD, radial_nodes=48)
 
 
 def test_divergence_form_background(hyp3, rng):
@@ -160,7 +160,7 @@ def _transported_pair(metric, p0):
 
 
 def test_sectional_ode_on_background(hyp3):
-    p0 = axis_seed(3, 2.0)
+    p0 = axis_seed(3)
     geo = integrate_geodesic(hyp3, p0, unit_radial_direction(hyp3, p0), T=3.0,
                              sample_step=0.01,
                              transported=_transported_pair(hyp3, p0))
@@ -214,7 +214,7 @@ def test_sectional_refinement_reduces_residual():
 
 
 def test_sectional_requires_transport(hyp3):
-    p0 = axis_seed(3, 2.0)
+    p0 = axis_seed(3)
     geo = integrate_geodesic(hyp3, p0, unit_radial_direction(hyp3, p0), T=2.0)
     with pytest.raises(ValueError):
         sectional_ode_check(hyp3, static_potential(3, 0), geo)
