@@ -103,15 +103,11 @@ def chart_jacobian_jets(angles: np.ndarray, order: int = 2) -> list[list]:
     return rows
 
 
-def angular_grid(n: int, nodes_per_angle) -> np.ndarray:
-    """Uniform off-pole sampling grid of angle rows, shape (prod(nodes), n-1)."""
-    if np.isscalar(nodes_per_angle):
-        nodes_per_angle = [int(nodes_per_angle)] * (n - 1)
-    axes = []
-    for j in range(n - 2):
-        k = nodes_per_angle[j]
-        axes.append(np.linspace(POLE_MARGIN * 5, np.pi - POLE_MARGIN * 5, k))
-    k = nodes_per_angle[n - 2]
+def angular_grid(n: int, nodes_per_angle: int) -> np.ndarray:
+    """Uniform off-pole sampling grid of angle rows, ``nodes_per_angle`` nodes
+    per chart angle: shape (nodes_per_angle^(n-1), n-1)."""
+    k = nodes_per_angle
+    axes = [np.linspace(POLE_MARGIN * 5, np.pi - POLE_MARGIN * 5, k)] * (n - 2)
     axes.append(np.arange(k) * (2.0 * np.pi / k))
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)

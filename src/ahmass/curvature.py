@@ -56,7 +56,7 @@ class MetricApparatus:
     dinv: np.ndarray         # (N, a, i, j)
     gamma: np.ndarray        # (N, k, i, j)
     sqrt_det: np.ndarray     # (N,)
-    level: int = 1
+    level: int
     ddg: np.ndarray = None
     dgamma: np.ndarray = None  # (N, a, k, i, j)
     ricci: np.ndarray = None

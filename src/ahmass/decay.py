@@ -31,7 +31,6 @@ AH_NODES_PER_ANGLE = {3: 32, 4: 12}
 class DecayFit:
     """Fitted power-law decay of sup-over-angles samples along a radius ladder."""
 
-    radii: np.ndarray
     samples: np.ndarray
     fitted_exponent: float
     exact_zero: bool = False
@@ -71,10 +70,9 @@ def _sup_decay_fits(field_eval, radii, grid) -> list:
     fits = []
     for col in np.array(sups).T:
         if np.all(col < ZERO_THRESHOLD):
-            fits.append(DecayFit(radii=radii, samples=col, fitted_exponent=np.inf,
-                                 exact_zero=True))
+            fits.append(DecayFit(samples=col, fitted_exponent=np.inf, exact_zero=True))
         else:
-            fits.append(DecayFit(radii=radii, samples=col,
+            fits.append(DecayFit(samples=col,
                                  fitted_exponent=-fit_log_slope(np.log(radii), col)))
     return fits
 

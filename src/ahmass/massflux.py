@@ -60,7 +60,7 @@ class FluxReport:
     fitted_limit: float
     fit_exponent: float
     fit_residual: float
-    flags: tuple = ()
+    flags: tuple
 
     def to_dict(self):
         return {"integrand": self.integrand_label,
@@ -82,7 +82,7 @@ class MassVector:
     p: np.ndarray
     reports: list
     quadrature: dict
-    flags: tuple = ()
+    flags: tuple
     defect: float = field(init=False)
 
     def __post_init__(self):

@@ -49,27 +49,16 @@ DEFAULT_ATOL = 1e-14
 GRID_STEP = 0.01            # spacing of the report grid on [0, T]
 
 
-def _as_callable(c):
-    """A coefficient function of t; None is the zero coefficient."""
-    if c is None:
-        return lambda t: np.zeros_like(np.asarray(t, dtype=float))
-    return c
-
-
 @dataclass
 class ODEProblem:
-    """Coefficients of u'' = P u' + (1 + Q) u + f with claimed decay bounds."""
+    """Coefficients of u'' = P u' + (1 + Q) u + f, functions of t, on [0, T]
+    with claimed decay bounds."""
 
-    p: object = None
-    q: object = None
-    f: object = None
-    horizon: float = 25.0
-    bounds: tuple = None        # (C_0, d) with |P|,|Q|,|f| <= C_0 e^(-d t)
-
-    def __post_init__(self):
-        self.p = _as_callable(self.p)
-        self.q = _as_callable(self.q)
-        self.f = _as_callable(self.f)
+    p: object
+    q: object
+    f: object
+    horizon: float
+    bounds: tuple               # (C_0, d) with |P|,|Q|,|f| <= C_0 e^(-d t)
 
     def grid(self):
         return np.arange(0.0, self.horizon + 0.5 * GRID_STEP, GRID_STEP)
@@ -90,20 +79,19 @@ class ODEProblem:
         return window
 
     def validate(self):
-        """Check 1 + Q > 0, any claimed coefficient bounds and, when forced,
+        """Check 1 + Q > 0, the claimed coefficient bounds and, when forced,
         the remainder fit window on the grid."""
         t = self.grid()
         one_q = 1.0 + np.asarray(self.q(t))
         if np.any(one_q <= 0):
             raise SchemaError("hypothesis 1 + Q > 0 fails on the sample grid")
-        if self.bounds is not None:
-            c0, d = self.bounds
-            env = c0 * np.exp(-d * t) + 1e-12
-            for name, fn in (("P", self.p), ("Q", self.q), ("f", self.f)):
-                vals = np.abs(np.asarray(fn(t)))
-                if np.any(vals > env):
-                    raise SchemaError(f"claimed bound |{name}| <= C_0 e^(-d t) "
-                                     f"fails on the sample grid")
+        c0, d = self.bounds
+        env = c0 * np.exp(-d * t) + 1e-12
+        for name, fn in (("P", self.p), ("Q", self.q), ("f", self.f)):
+            vals = np.abs(np.asarray(fn(t)))
+            if np.any(vals > env):
+                raise SchemaError(f"claimed bound |{name}| <= C_0 e^(-d t) "
+                                  f"fails on the sample grid")
         if self.forced(t):
             self.fit_window()
         return True
@@ -167,16 +155,12 @@ def _backward_ladder(prob: ODEProblem, js: np.ndarray, rtol: float):
 @dataclass
 class DecayingSolution:
     solution: ODESolution
-    j_used: float
-    sup_diffs: list
-    positive: bool
-    decreasing: bool
     on_grid: np.ndarray         # rows u, u' of the solution at the grid points
 
 
 def build_decaying_solution(prob: ODEProblem,
                             rtol: float = DEFAULT_RTOL) -> DecayingSolution:
-    """Exhaustion limit of two-point solutions: positive and decreasing.
+    """Exhaustion limit of two-point solutions.
 
     Solves the two-point problems at j = ceil(T) + 2, ceil(T) + 4, ..., 40 in
     one backward DOP853 solve, whose error norm is taken over the whole
@@ -200,19 +184,14 @@ def build_decaying_solution(prob: ODEProblem,
         raise ArithmeticError("two-point solution fails positivity at t = 0")
     grid = grid / scales[:, None, None]
     envelope = np.exp(-t)
-    diffs = []
     for k in range(1, K):
-        diffs.append(float(np.max(np.abs(grid[k, 0] - grid[k - 1, 0]) / envelope)))
-        if diffs[-1] < 1e-10:
+        if np.max(np.abs(grid[k, 0] - grid[k - 1, 0]) / envelope) < 1e-10:
             break
     else:
         raise ArithmeticError("exhaustion did not settle below 1e-10 by j = 40.0")
-    vals, dvals = grid[k]
     j, scale = js[k], scales[k]
     solution = ODESolution(sol=lambda s: dense(s / j)[2 * k: 2 * k + 2] / scale)
-    return DecayingSolution(solution=solution, j_used=float(j), sup_diffs=diffs,
-                            positive=bool(np.all(vals > 0)),
-                            decreasing=bool(np.all(dvals < 0)), on_grid=grid[k])
+    return DecayingSolution(solution=solution, on_grid=grid[k])
 
 
 @dataclass
@@ -225,7 +204,7 @@ class FundamentalPair:
     on_grid: np.ndarray         # rows u1, u1', u2, u2' at the grid points
     C_certificate: float
     wronskian: np.ndarray
-    flags: tuple = ()
+    flags: tuple
 
     def wronskian_bound_ok(self) -> bool:
         return bool(np.all(self.wronskian <= -2.0 / self.C_certificate ** 2 + 1e-12))
@@ -235,7 +214,9 @@ def fundamental_pair(prob: ODEProblem) -> FundamentalPair:
     """Growing branch from an IVP, decaying branch from the exhaustion.
 
     The certificate is the smallest grid constant C satisfying all four
-    two-sided bounds and the Wronskian inequality simultaneously.
+    two-sided bounds and the Wronskian inequality simultaneously.  It is
+    infinite, and the pair flagged ``sign-violation``, unless u1, u1', u2 and
+    -u2' are positive on the grid; W = u1 u2' - u2 u1' is then negative.
     """
     prob.validate()
     u1 = solve_second_order(prob, 1.0, 1.0)
@@ -249,9 +230,6 @@ def fundamental_pair(prob: ODEProblem) -> FundamentalPair:
     flags = []
     if np.any(v1 <= 0) or np.any(d1 <= 0) or np.any(v2 <= 0) or np.any(-d2 <= 0):
         flags.append("sign-violation")
-        C = np.inf
-    elif np.any(wr >= 0):
-        flags.append("wronskian-sign-violation")
         C = np.inf
     else:
         C = max(np.max(v1 / e_plus), np.max(e_plus / v1),
@@ -300,8 +278,6 @@ def particular_solution(prob: ODEProblem, pair: FundamentalPair) -> ParticularRe
     d != 1, the t e^(-t) profile at the resonant rate d = 1.
     """
     T = prob.horizon
-    if prob.bounds is None:
-        raise ValueError("particular_solution needs claimed bounds (C_0, d)")
     d_claim = float(prob.bounds[1])
     t = pair.grid
 

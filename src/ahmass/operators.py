@@ -149,7 +149,6 @@ def duality_residual(spec: MetricSpec, pairs, rule: VolumeRule) -> list:
 class StaticResidualReport:
     hessian_sup: float
     laplacian_sup: float
-    samples: int
 
 
 def static_residual(spec: MetricSpec, V, point) -> StaticResidualReport:
@@ -172,8 +171,7 @@ def static_residual(spec: MetricSpec, V, point) -> StaticResidualReport:
         norm2 = app.inner(tensor, tensor)
         hess_sup = float(np.sqrt(np.abs(norm2).max()))
     lap_sup = float(np.abs(lap - n * jet.val).max())
-    return StaticResidualReport(hessian_sup=hess_sup, laplacian_sup=lap_sup,
-                                samples=coords.shape[0])
+    return StaticResidualReport(hessian_sup=hess_sup, laplacian_sup=lap_sup)
 
 
 # -- the first variation of the functional --------------------------------------

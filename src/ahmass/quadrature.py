@@ -100,10 +100,9 @@ def gauss_segment(lo: float, hi: float, nodes: int):
 
 
 def radial_rule(breakpoints, nodes_per_segment):
-    """Composite Gauss-Legendre rule over consecutive radial segments."""
+    """Composite Gauss-Legendre rule over consecutive radial segments, with
+    ``nodes_per_segment[i]`` nodes on the i-th."""
     breakpoints = list(breakpoints)
-    if np.isscalar(nodes_per_segment):
-        nodes_per_segment = [int(nodes_per_segment)] * (len(breakpoints) - 1)
     rs, ws = [], []
     for (lo, hi), k in zip(zip(breakpoints[:-1], breakpoints[1:]), nodes_per_segment):
         r, w = gauss_segment(lo, hi, k)

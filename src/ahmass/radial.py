@@ -37,6 +37,11 @@ from . import jets as J
 BVP_MAX_NODES = 20000
 # Newton steps of conformal_deform_radial, the first being the linear solve
 NEWTON_STEPS = 3
+# a Newton residual at or below this is roundoff, not a step's error: no
+# contraction ratio is read against it.  Converged deform runs divide by
+# residuals of 1.3e-11 and up; after the exact-zero first residual of a
+# zero target, the residuals are roundoff of 3e-15 to 3e-13
+RESIDUAL_FLOOR = 1e-12
 
 
 def _require_radial_reduction(spec: MetricSpec):
@@ -94,10 +99,8 @@ def scalar_curvature_profile(spec: MetricSpec, r_lo: float, r_hi: float) -> Cubi
 
 @dataclass
 class RadialSolution:
-    """Collocation solution with value/derivative interpolants on [r_lo, r_hi]."""
+    """Collocation solution with value/derivative interpolants."""
 
-    r_lo: float
-    r_hi: float
     sol: object
 
     def value(self, r):
@@ -137,7 +140,7 @@ def solve_radial_bvp(spec: MetricSpec, rhs_fn, zero_order_fn, robin_decay: float
     res = solve_bvp(fun, bc, x0, y0, tol=tol, max_nodes=BVP_MAX_NODES)
     if not res.success:
         raise ArithmeticError(f"collocation failed: {res.message}")
-    return RadialSolution(r_lo=r_lo, r_hi=r_hi, sol=res.sol)
+    return RadialSolution(sol=res.sol)
 
 
 def shooting_radial_solve(spec: MetricSpec, rhs_fn, zero_order_fn,
@@ -192,11 +195,10 @@ def shooting_radial_solve(spec: MetricSpec, rhs_fn, zero_order_fn,
 @dataclass
 class EigenfunctionReport:
     potential: ScalarField
-    correction: RadialSolution
     residual_sup: float
     decay_exponent: float
     positive: bool
-    flags: tuple = ()
+    flags: tuple
 
     def to_dict(self):
         return {"residual_sup": self.residual_sup,
@@ -243,9 +245,9 @@ def radial_eigenfunction(spec: MetricSpec, r_hi: float = 200.0,
     flags = (("zero-correction",) if decay == np.inf
              else ("slow-decay",) if decay < 0.5 else ())
     positive = bool(np.all(jet.val > 0))
-    return EigenfunctionReport(potential=f0, correction=correction,
-                               residual_sup=residual, decay_exponent=float(decay),
-                               positive=positive, flags=flags)
+    return EigenfunctionReport(potential=f0, residual_sup=residual,
+                               decay_exponent=float(decay), positive=positive,
+                               flags=flags)
 
 
 # -- conformal direction of the scalar curvature map ----------------------------
@@ -322,5 +324,5 @@ def conformal_deform_radial(spec: MetricSpec, phi_fn, s: float,
         solution=first, linear_residual=linear_residual,
         solution_decay=float(_tail_decay(r_samp, first.value(r_samp), r_hi, 1e-13)),
         newton_residuals=rs,
-        contraction_ratios=[rs[k + 1] / rs[k] if rs[k] > 0 else 0.0
+        contraction_ratios=[rs[k + 1] / rs[k] if rs[k] > RESIDUAL_FLOOR else 0.0
                             for k in range(len(rs) - 1)])

@@ -41,7 +41,7 @@ class WangReport:
     gap: float
     relative_gap: float
     static_residual_sup: float
-    flags: tuple = ()
+    flags: tuple
 
     def to_dict(self):
         return {"lhs": self.lhs, "rhs": self.rhs, "gap": self.gap,
@@ -202,7 +202,6 @@ def sectional_ode_check(spec: MetricSpec, f, geodesic: GeodesicSample) -> Sectio
 class WarpedProductFixture:
     metric: WarpedProductMetric
     potential: ScalarField
-    factor: str
 
     def hessian_defect(self, coords) -> float:
         coords = as_coords(coords)
@@ -237,4 +236,4 @@ def sinh_potential() -> ScalarField:
 def warped_fixture(factor: str = "round_sphere", n: int = 3) -> WarpedProductFixture:
     """dt^2 + cosh(t)^2 h with potential sinh t; h round or hyperbolic."""
     return WarpedProductFixture(metric=WarpedProductMetric(n, factor),
-                                potential=sinh_potential(), factor=factor)
+                                potential=sinh_potential())

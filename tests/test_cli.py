@@ -836,6 +836,21 @@ def test_deform_that_cannot_converge_stops_at_the_node_cap(tmp_path, capsys,
     assert caps and set(caps) == {radial.BVP_MAX_NODES}
 
 
+@pytest.mark.parametrize("metric", [HYP, SCHW], ids=["hyperbolic", "schwarzschild_ads"])
+def test_deform_passes_on_the_zero_target(tmp_path, metric):
+    # u = 0 solves phi = 0 exactly: the Newton residuals after the zero first
+    # one are roundoff (3e-15 to 3e-13), below radial.RESIDUAL_FLOOR, so no
+    # contraction ratio is read from them
+    cfg = write_config(tmp_path, {"command": "deform", "metric": metric,
+                                  "numeric": {"phi_amp": 0}})
+    out = tmp_path / "o"
+    assert main(["deform", "--config", cfg, "--out", str(out)]) == 0
+    results = read_report(out, "deform")["results"]
+    assert results["newton_residuals"][0] == 0
+    assert max(results["newton_residuals"][1:]) < 1e-12
+    assert results["contraction_ratios"] == [0, 0, 0]
+
+
 def test_check_failure_exit(tmp_path):
     # claim an absurdly sharp duality tolerance: checks fail, exit code 1
     cfg = write_config(tmp_path, {

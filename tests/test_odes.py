@@ -1,5 +1,7 @@
 """Growth/decay structure of the second-order ODE class."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -10,6 +12,17 @@ from ahmass.fields import SchemaError
 from ahmass.odes import (DEFAULT_RTOL, ODEProblem, ODESolution, _backward_ladder,
                          build_decaying_solution, fundamental_pair,
                          particular_solution, solve_second_order)
+
+
+def zero(t):
+    return np.zeros_like(np.asarray(t, dtype=float))
+
+
+def problem(horizon, bounds=(1.0, 1.0), **coefficients):
+    """The ODEProblem on [0, horizon] with the coefficients p, q, f given, and
+    zero for those left out."""
+    return ODEProblem(**{"p": zero, "q": zero, "f": zero, **coefficients},
+                      horizon=horizon, bounds=bounds)
 
 
 def random_problem(rng, horizon=15.0, with_forcing=False):
@@ -23,7 +36,7 @@ def random_problem(rng, horizon=15.0, with_forcing=False):
     return ODEProblem(
         p=lambda t: a_p * np.exp(-d * t) * np.cos(w_p * t),
         q=lambda t: a_q * np.exp(-d * t) * np.sin(w_q * t + 0.3),
-        f=(lambda t: a_f * np.exp(-d * t)) if with_forcing else None,
+        f=(lambda t: a_f * np.exp(-d * t)) if with_forcing else zero,
         horizon=horizon, bounds=(c0, d))
 
 
@@ -39,7 +52,7 @@ def ladder_rungs(prob, js):
 
 
 def test_exponential_solutions():
-    prob = ODEProblem(horizon=20.0)
+    prob = problem(20.0)
     t = np.linspace(0.0, 20.0, 80)
     grow = solve_second_order(prob, 1.0, 1.0)
     assert np.abs(grow.at(t)[0] - np.exp(t)).max() / np.exp(20.0) < 1e-9
@@ -49,11 +62,10 @@ def test_exponential_solutions():
 
 
 def test_validation_rejects_bad_hypotheses():
-    bad = ODEProblem(q=lambda t: -1.5 * np.exp(-0.0 * t), horizon=5.0)
+    bad = problem(5.0, q=lambda t: -1.5 * np.exp(-0.0 * t))
     with pytest.raises(ValueError):
         bad.validate()
-    lied = ODEProblem(p=lambda t: np.exp(-0.1 * t), horizon=5.0,
-                      bounds=(0.5, 1.0))
+    lied = problem(5.0, (0.5, 1.0), p=lambda t: np.exp(-0.1 * t))
     with pytest.raises(ValueError):
         lied.validate()
 
@@ -65,9 +77,8 @@ def test_validation_rejects_bad_hypotheses():
 # first error norm was 0 / 0
 @example(0.0, 0.0, 1.0, 0.0, 2.225073858507e-311)
 def test_comparison_property_hypothesis(a_p, a_q, d, u0, du0):
-    prob = ODEProblem(p=lambda t: a_p * np.exp(-d * t),
-                      q=lambda t: a_q * np.exp(-d * t),
-                      horizon=8.0, bounds=(max(abs(a_p), abs(a_q)) + 1e-9, d))
+    prob = problem(8.0, (max(abs(a_p), abs(a_q)) + 1e-9, d),
+                   p=lambda t: a_p * np.exp(-d * t), q=lambda t: a_q * np.exp(-d * t))
     hi = solve_second_order(prob, u0 + 0.1, du0 + 0.1)
     lo = solve_second_order(prob, u0, du0)
     t = np.linspace(0.05, 8.0, 60)
@@ -78,8 +89,7 @@ def test_comparison_property_hypothesis(a_p, a_q, d, u0, du0):
 def test_homogeneous_solution_of_data_near_underflow():
     # found by the property test above: at du0 ~ 1e-161 an absolute
     # tolerance of 1e-14 drove DOP853's error norm to 0 / 0
-    prob = ODEProblem(p=lambda t: 0.0 * t, q=lambda t: 0.0 * t, horizon=8.0,
-                      bounds=(1e-9, 1.0))
+    prob = problem(8.0, (1e-9, 1.0), p=lambda t: 0.0 * t, q=lambda t: 0.0 * t)
     du0 = 2.2025024910398255e-161
     tiny = solve_second_order(prob, 0.0, du0)
     unit = solve_second_order(prob, 0.0, 1.0)
@@ -112,20 +122,25 @@ def test_at_most_one_zero(rng):
         assert flips <= 1
 
 
+def assert_positive_decreasing(dec):
+    """The decaying branch is positive and decreasing on the report grid."""
+    u, du = dec.on_grid
+    assert np.all(u > 0) and np.all(du < 0)
+
+
 def test_decaying_solution_trivial():
-    dec = build_decaying_solution(ODEProblem(horizon=25.0))
+    dec = build_decaying_solution(problem(25.0))
     t = np.linspace(0, 25, 200)
     assert np.abs(dec.solution.at(t)[0] - np.exp(-t)).max() < 1e-8
-    assert dec.positive and dec.decreasing
+    assert_positive_decreasing(dec)
 
 
 def test_decaying_solution_perturbed(rng):
-    prob = ODEProblem(q=lambda t: np.exp(-2.0 * t), horizon=20.0,
-                      bounds=(1.0, 2.0))
+    prob = problem(20.0, (1.0, 2.0), q=lambda t: np.exp(-2.0 * t))
     dec = build_decaying_solution(prob)
     t = np.linspace(0, 20, 400)
     vals = dec.solution.at(t)[0]
-    assert dec.positive and dec.decreasing
+    assert_positive_decreasing(dec)
     # bounded by C e^{-t} with a finite certificate
     C = np.max(np.maximum(vals * np.exp(t), np.exp(-t) / vals))
     assert np.isfinite(C) and C < 10.0
@@ -136,8 +151,7 @@ def test_decaying_solution_perturbed(rng):
 
 def test_exhaustion_monotone():
     # two-point solutions increase with the endpoint on shared domains
-    prob = ODEProblem(q=lambda t: 0.5 * np.exp(-t), horizon=10.0,
-                      bounds=(0.5, 1.0))
+    prob = problem(10.0, (0.5, 1.0), q=lambda t: 0.5 * np.exp(-t))
     sols = ladder_rungs(prob, [1, 2, 3, 4, 5, 6])
     for j, (a, b) in enumerate(zip(sols[:-1], sols[1:]), start=1):
         t = np.linspace(0.05, j - 1e-6, 50)
@@ -145,7 +159,7 @@ def test_exhaustion_monotone():
 
 
 def test_fundamental_pair_trivial():
-    pair = fundamental_pair(ODEProblem(horizon=25.0))
+    pair = fundamental_pair(problem(25.0))
     assert abs(pair.C_certificate - 1.0) < 1e-5
     assert pair.wronskian_bound_ok()
     assert np.abs(pair.wronskian + 2.0).max() < 1e-6
@@ -153,9 +167,8 @@ def test_fundamental_pair_trivial():
 
 def test_fundamental_pair_perturbed_horizon_stable():
     def make(T):
-        return ODEProblem(p=lambda t: 0.3 * np.exp(-t),
-                          q=lambda t: 0.5 * np.exp(-2 * t),
-                          horizon=T, bounds=(0.5, 1.0))
+        return problem(T, (0.5, 1.0), p=lambda t: 0.3 * np.exp(-t),
+                       q=lambda t: 0.5 * np.exp(-2 * t))
 
     certs = {T: fundamental_pair(make(T)).C_certificate for T in (10, 15, 20, 25)}
     assert all(np.isfinite(c) for c in certs.values())
@@ -172,7 +185,7 @@ def test_wronskian_bound_randomized(rng):
 
 
 def test_particular_zero_forcing():
-    prob = ODEProblem(horizon=20.0, bounds=(1e-9, 1.0))
+    prob = problem(20.0, (1e-9, 1.0))
     rep = particular_solution(prob, fundamental_pair(prob))
     assert rep.c1 == 0.0 and rep.c2 == 0.0
     assert np.abs(rep.remainder).max() == 0.0
@@ -180,8 +193,7 @@ def test_particular_zero_forcing():
 
 def test_particular_oracle_d2():
     # closed form: remainder e^(-2t)/3 with c1 = 1/6, c2 = -1/2
-    prob = ODEProblem(f=lambda t: np.exp(-2.0 * t), horizon=25.0,
-                      bounds=(1.0, 2.0))
+    prob = problem(25.0, (1.0, 2.0), f=lambda t: np.exp(-2.0 * t))
     rep = particular_solution(prob, fundamental_pair(prob))
     assert abs(rep.c1 - 1.0 / 6.0) < 1e-9
     assert abs(rep.c2 + 0.5) < 1e-9
@@ -192,15 +204,14 @@ def test_particular_oracle_d2():
 
 
 def test_particular_resonant_profile():
-    prob = ODEProblem(f=lambda t: np.exp(-t), horizon=25.0, bounds=(1.0, 1.0))
+    prob = problem(25.0, (1.0, 1.0), f=lambda t: np.exp(-t))
     rep = particular_solution(prob, fundamental_pair(prob))
     assert rep.profile_residual < 0.05
     assert abs(rep.c1 - 0.25) < 1e-9
 
 
 def test_particular_slow_decay():
-    prob = ODEProblem(f=lambda t: np.exp(-0.5 * t), horizon=25.0,
-                      bounds=(1.0, 0.5))
+    prob = problem(25.0, (1.0, 0.5), f=lambda t: np.exp(-0.5 * t))
     rep = particular_solution(prob, fundamental_pair(prob))
     assert abs(rep.fitted_decay - 0.5) / 0.5 < 0.1
 
@@ -234,7 +245,7 @@ def test_particular_finite_horizon_closed_form(d):
     # P = Q = 0, f = e^(-d t): u1 = e^t, u2 = e^(-t), W = -2, and the
     # finite-horizon tails (docs/oracles.md, scripts/derive_oracles.py) are exact
     T = 25.0
-    prob = ODEProblem(f=lambda t: np.exp(-d * t), horizon=T, bounds=(1.0, d))
+    prob = problem(T, (1.0, d), f=lambda t: np.exp(-d * t))
     rep = particular_solution(prob, fundamental_pair(prob))
     t = rep.grid
     tau1 = -(np.exp(-(1 + d) * t) - np.exp(-(1 + d) * T)) / (2 * (1 + d))
@@ -258,10 +269,10 @@ def test_short_forced_horizon_rejected_before_integration(monkeypatch, T):
         raise AssertionError("solve_ivp called before the fit-window rule")
 
     monkeypatch.setattr(odes, "solve_ivp", forbidden)
-    prob = ODEProblem(f=lambda t: np.exp(-2 * t), horizon=T, bounds=(1.0, 2.0))
+    prob = problem(T, (1.0, 2.0), f=lambda t: np.exp(-2 * t))
     with pytest.raises(SchemaError, match="at least 4.03"):
         fundamental_pair(prob)
-    ODEProblem(horizon=T, bounds=(1.0, 2.0)).validate()    # unforced: no window
+    problem(T, (1.0, 2.0)).validate()    # unforced: no window
 
 
 def _battery_problem(d=2.0, T=25.0):
@@ -283,9 +294,8 @@ def _count_solve_ivp(monkeypatch):
 
 def test_exhaustion_ladder_is_one_solve(monkeypatch):
     calls = _count_solve_ivp(monkeypatch)
-    dec = build_decaying_solution(_battery_problem())
+    build_decaying_solution(_battery_problem())
     assert len(calls) == 1
-    assert dec.j_used <= 40.0 and len(dec.sup_diffs) >= 1
 
 
 def test_fundamental_pair_two_solves_and_no_second_grid_call(monkeypatch):
@@ -309,6 +319,33 @@ def test_fundamental_pair_two_solves_and_no_second_grid_call(monkeypatch):
     assert len(calls) == 2
     assert len(dense_calls) == 1
     assert np.all(pair.wronskian < 0)
+
+
+def test_negated_decaying_branch_is_a_sign_violation(monkeypatch, tmp_path):
+    # fundamental_pair is the one place the decaying branch's sign rule (u2 > 0,
+    # u2' < 0) is checked: a negated branch is flagged, its certificate is
+    # infinite, and ode-verify fails its checks
+    import ahmass.odes as odes
+    from ahmass.cli import EXIT_CHECK_FAILURE, main
+    build = odes.build_decaying_solution
+
+    def negated(prob):
+        dec = build(prob)
+        flipped = ODESolution(sol=lambda t: -dec.solution.sol(t))
+        return odes.DecayingSolution(solution=flipped, on_grid=-dec.on_grid)
+
+    monkeypatch.setattr(odes, "build_decaying_solution", negated)
+    pair = fundamental_pair(_battery_problem())
+    assert pair.flags == ("sign-violation",)
+    assert pair.C_certificate == np.inf
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"command": "ode-verify", "numeric": {"ode": {
+        "p_amp": 0.3, "q_amp": 0.5, "f_amp": 0.0, "decay": 2.0}}}))
+    out = tmp_path / "out"
+    code = main(["ode-verify", "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_CHECK_FAILURE
+    results = json.loads((out / "ode_verify_report.json").read_text())["results"]
+    assert results["flags"] == ["sign-violation"]
 
 
 @pytest.mark.parametrize("d", [2.0, 1.0])

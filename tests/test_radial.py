@@ -6,7 +6,7 @@ import pytest
 from ahmass.fields import AxisConcentratedPerturbation, power_tail_profile
 from ahmass.metrics import (ConformalMetric, PerturbedMetric, WarpedProductMetric,
                             hyperbolic_metric, inner_truncation_radius,
-                            schwarzschild_ads)
+                            schwarzschild_ads, static_potential)
 from ahmass.radial import (NEWTON_STEPS, conformal_deform_radial,
                            radial_eigenfunction, scalar_curvature_profile,
                            shooting_radial_solve, solve_radial_bvp)
@@ -15,8 +15,11 @@ from ahmass.radial import (NEWTON_STEPS, conformal_deform_radial,
 def test_background_eigenfunction_is_exact(hyp3):
     rep = radial_eigenfunction(hyp3)
     assert rep.residual_sup < 1e-9
+    # the correction f - V_0 vanishes: f is the background's V_0 = sqrt(1 + r^2)
     r = np.geomspace(0.2, 150.0, 50)
-    assert np.abs(rep.correction.value(r)).max() < 1e-10
+    coords = np.column_stack([r, np.full(r.size, np.pi / 2), np.zeros(r.size)])
+    correction = rep.potential.value(coords) - static_potential(3, 0).value(coords)
+    assert np.abs(correction).max() < 1e-10
     assert rep.positive
 
 

@@ -171,7 +171,7 @@ def test_sectional_ode_on_background(hyp3):
     assert rep.K_mixed_with_velocity < 1e-9
 
 
-def test_sectional_ode_on_warped_fixture():
+def test_sectional_ode_on_warped_fixture(gram_drift):
     fx = warped_fixture("round_sphere", 3)
     p0 = np.array([0.5, 1.1, 0.7])
     geo = integrate_geodesic(fx.metric, p0, np.array([1.0, 0.0, 0.0]), T=2.5,
@@ -183,7 +183,7 @@ def test_sectional_ode_on_warped_fixture():
     # rho realizes the tanh branch: 1 - 2/(e^{2t} + 1) with unit constant
     rho_expected = 1.0 - 2.0 / (np.exp(2.0 * (geo.ts + 0.5)) + 1.0)
     assert np.abs(rep.rho - rho_expected).max() < 1e-6
-    assert geo.transport_drift < 1e-8
+    assert gram_drift(fx.metric, geo) < 1e-8
 
 
 def test_potential_solves_growth_ode_along_geodesic():

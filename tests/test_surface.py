@@ -1,6 +1,6 @@
 """The library's surface is what the commands reach.
 
-Three rules, each over the code of ``src/ahmass``, ``scripts/`` and
+Four rules, each over the code of ``src/ahmass``, ``scripts/`` and
 ``perfbench/`` (not their tests), which is what "used" means below:
 
 * every top-level function and class of ``src/ahmass`` is used outside its
@@ -9,7 +9,12 @@ Three rules, each over the code of ``src/ahmass``, ``scripts/`` and
   is on ``KEPT_METHODS``;
 * every parameter with a default, of a function or method that some call
   reaches, is passed (by keyword or by position) by at least one such call,
-  or it is on ``KEPT_PARAMS``: a parameter no call sets is a constant.
+  or it is on ``KEPT_PARAMS``: a parameter no call sets is a constant;
+* every field of a dataclass is read: loaded as an attribute by name (a
+  class's own methods count, annotations and constructor keywords do not),
+  or it is on ``KEPT_FIELDS``; and every field default, other than that of a
+  ``field(init=False)``, is left out by at least one construction of its
+  class: a default every construction overrides is dead.
 
 Names and calls match by name alone, so a name shared with another object
 can hide a finding but cannot invent one.  The name strings of ``_EXPORTS``
@@ -40,6 +45,12 @@ KEPT_PARAMS = {
     "cli.main.argv": "entry-point",                  # sys.argv unless given
     # test_odes compares the default solve against an rtol 1e-13 solve
     "odes.build_decaying_solution.rtol": "reference",
+}
+KEPT_FIELDS = {
+    # tests compare the forced remainder with closed forms (docs/oracles.md)
+    "odes.ParticularReport.remainder": "oracle",
+    # tests check K = -1 on the hyperbolic background
+    "rigidity.SectionalReport.K": "oracle",
 }
 REASONS = {"cross-check", "oracle", "finite-difference", "item-1", "entry-point",
            "reference"}
@@ -165,6 +176,54 @@ def unset_parameters(root=ROOT):
     return found
 
 
+def _dataclasses(library):
+    """(label, class name, field nodes) for every top-level ``@dataclass``."""
+    for path, tree in library.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and any(
+                    getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+                    == "dataclass" for d in node.decorator_list):
+                fields = [item for item in node.body if isinstance(item, ast.AnnAssign)
+                          and isinstance(item.target, ast.Name)]
+                yield f"{path.stem}.{node.name}", node.name, fields
+
+
+def _no_init(value):
+    """Whether a field's default is ``field(..., init=False)``."""
+    return (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id == "field"
+            and any(k.arg == "init" and isinstance(k.value, ast.Constant)
+                    and k.value.value is False for k in value.keywords))
+
+
+def unread_fields(root=ROOT):
+    """The dataclass fields of ``root``'s library that no library, script or
+    perfbench code loads as an attribute, as ``module.Class.field``."""
+    library = _library(root)
+    loaded = {node.attr for tree in [*library.values(), *_outside(root)]
+              for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{label}.{item.target.id}" for label, _, fields in _dataclasses(library)
+            for item in fields if item.target.id not in loaded]
+
+
+def overridden_defaults(root=ROOT):
+    """The dataclass field defaults of ``root``'s library that every library,
+    script and perfbench construction of the class passes, as
+    ``module.Class.field``; a class nothing constructs has none."""
+    library = _library(root)
+    calls = _calls([*library.values(), *_outside(root)])
+    found = []
+    for label, name, fields in _dataclasses(library):
+        init = [item for item in fields if not _no_init(item.value)]
+        for index, item in enumerate(init):
+            if item.value is not None and name in calls and all(
+                    item.target.id in keywords or count > index
+                    for count, keywords in calls[name]):
+                found.append(f"{label}.{item.target.id}")
+    return found
+
+
 def test_every_definition_is_reached_or_kept():
     assert set(KEPT.values()) <= REASONS
     unreached = {name.split(".")[1]: name for name in unreferenced()}
@@ -185,3 +244,14 @@ def test_every_defaulted_parameter_is_set_by_a_caller_or_kept():
     unset = set(unset_parameters())
     assert sorted(unset - set(KEPT_PARAMS)) == []
     assert sorted(set(KEPT_PARAMS) - unset) == []
+
+
+def test_every_field_is_read_or_kept():
+    assert set(KEPT_FIELDS.values()) <= REASONS
+    unread = set(unread_fields())
+    assert sorted(unread - set(KEPT_FIELDS)) == []
+    assert sorted(set(KEPT_FIELDS) - unread) == []
+
+
+def test_every_field_default_is_used_by_a_construction():
+    assert overridden_defaults() == []
