@@ -180,16 +180,8 @@ def _window(lo, hi):
 
 # -- command handlers: each returns (results dict, checks list, csv tables) -----
 
-def _require_exterior_chart(spec, command):
-    if not spec.exterior_chart:
-        raise NotImplementedError(
-            f"{command} needs a metric on the exterior (r, angles) chart, "
-            f"and this {spec.family} metric is not on it")
-
-
 def run_mass(spec, numeric):
     from .massflux import mass_vector
-    _require_exterior_chart(spec, "mass")
     radii = _radii(numeric)
     # without quad_* the rule is chosen by mass_vector's error target
     explicit = "quad_polar" in numeric or "quad_azimuth" in numeric
@@ -234,7 +226,6 @@ def run_curvature(spec, numeric):
 
 def run_verify_ah(spec, numeric):
     from .decay import verify_ah
-    _require_exterior_chart(spec, "verify-ah")
     radii = _radii(numeric)
     report = verify_ah(spec, float(numeric.get("q_claimed", spec.n)), radii)
     checks = [check(f"condition_{c.name}", 0.0 if c.passed else 1.0, 0.5)

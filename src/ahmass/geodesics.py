@@ -50,12 +50,11 @@ def unit_radial_direction(spec: MetricSpec, point) -> np.ndarray:
 
 def _fan_rhs(spec: MetricSpec, shape):
     """Right-hand side on the state (seeds, 2 + k, n): rows x, v, X_1..X_k."""
-    radial_chart = spec.exterior_chart
 
     def rhs(t, y):
         state = y.reshape(shape)
         x, frame = state[:, 0], state[:, 1:]
-        if radial_chart and np.any(x[:, 0] <= 1e-8):
+        if np.any(x[:, 0] <= 1e-8):
             raise ArithmeticError("geodesic reached the chart boundary r = 0")
         g, dg, _ = spec.component_jets(x, order=1)
         gamma = _connection(g, dg)[3]

@@ -71,7 +71,6 @@ class MetricSpec:
 
     family = "abstract"
     rotationally_symmetric = False
-    exterior_chart = True  # lives on the (r, angles) chart at infinity
     horizon_radius = 0.0   # no horizon: defined down to r = 0
     borderline_decay = False
 
@@ -168,13 +167,12 @@ class SchwarzschildAdS(MetricSpec):
 
 
 class DerivedMetric(MetricSpec):
-    """A metric built on ``base``: it takes the base's n, and it lives on the
-    base's chart, outside the base's horizon."""
+    """A metric built on ``base``: it takes the base's n, and it lives outside
+    the base's horizon."""
 
     def __init__(self, base: MetricSpec):
         super().__init__(base.n)
         self.base = base
-        self.exterior_chart = base.exterior_chart
         self.horizon_radius = base.horizon_radius
 
 
@@ -221,12 +219,11 @@ class WarpedProductMetric(MetricSpec):
     """dt^2 + cosh(t)^2 * h on its own (t, factor-coordinates) chart.
 
     The factor h is a round unit (n-1)-sphere or the hyperboloid-model
-    hyperbolic metric of dimension n-1.  This fixture does not live on the
-    exterior chart and is exempt from asymptotic decay preconditions.
+    hyperbolic metric of dimension n-1.  This is ``rigidity-check``'s fixture,
+    not a spec family: it does not live on the exterior chart.
     """
 
     family = "warped_product"
-    exterior_chart = False
 
     def __init__(self, n: int, factor: str = "round_sphere"):
         super().__init__(n)
@@ -340,7 +337,6 @@ def _params_tables(n: int) -> dict:
         "schwarzschild_ads": ({"m": FINITE}, ()),
         "conformal": ({"base": base, "profile": None}, ("base", "profile")),
         "perturbed": ({"base": base, "perturbation": None}, ("base", "perturbation")),
-        "warped_product": ({"factor": None}, ()),
     }
 
 
@@ -364,8 +360,6 @@ def metric_from_dict(doc: dict) -> MetricSpec:
         return HyperbolicMetric(n)
     if family == "schwarzschild_ads":
         return SchwarzschildAdS(n, float(params.get("m", 0.0)))
-    if family == "warped_product":
-        return WarpedProductMetric(n, params.get("factor", "round_sphere"))
     base = metric_from_dict(params["base"])
     if family == "conformal":
         # declarative profiles give the deviation of the factor from 1,

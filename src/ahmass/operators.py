@@ -154,8 +154,7 @@ class StaticResidualReport:
 def static_residual(spec: MetricSpec, V, point) -> StaticResidualReport:
     """Sup of |Hess V - (Ric + n g) V| and |Lap V - n V| over the sample set.
 
-    The tensor residual is measured in background-frame components on the
-    exterior chart and in the metric's own orthonormal scaling otherwise.
+    The tensor residual is measured in background-frame components.
     """
     coords = as_coords(point)
     n = spec.n
@@ -164,12 +163,7 @@ def static_residual(spec: MetricSpec, V, point) -> StaticResidualReport:
     hess = covariant_hessian(app, jet)
     lap = app.trace(hess)
     tensor = hess - (app.ricci + n * app.g) * jet.val[:, None, None]
-    if spec.exterior_chart:
-        comp = frame_components(tensor, coords)
-        hess_sup = float(np.abs(comp).max())
-    else:
-        norm2 = app.inner(tensor, tensor)
-        hess_sup = float(np.sqrt(np.abs(norm2).max()))
+    hess_sup = float(np.abs(frame_components(tensor, coords)).max())
     lap_sup = float(np.abs(lap - n * jet.val).max())
     return StaticResidualReport(hessian_sup=hess_sup, laplacian_sup=lap_sup)
 

@@ -104,7 +104,8 @@ def radial_rule(breakpoints, nodes_per_segment):
     ``nodes_per_segment[i]`` nodes on the i-th."""
     breakpoints = list(breakpoints)
     rs, ws = [], []
-    for (lo, hi), k in zip(zip(breakpoints[:-1], breakpoints[1:]), nodes_per_segment):
+    for (lo, hi), k in zip(zip(breakpoints[:-1], breakpoints[1:]), nodes_per_segment,
+                           strict=True):
         r, w = gauss_segment(lo, hi, k)
         rs.append(r)
         ws.append(w)

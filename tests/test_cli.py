@@ -18,7 +18,7 @@ from ahmass import cli, quadrature
 from ahmass.cli import (COMMAND_KEYS, EXIT_CHECK_FAILURE, EXIT_INTERNAL, EXIT_NUMERICAL,
                         EXIT_SCHEMA, NUMERIC_KEYS, SchemaError, check_numeric,
                         load_config, main, resolve_metric, run)
-from ahmass.metrics import N_MAX
+from ahmass.metrics import FAMILIES, N_MAX
 from ahmass.reporting import dump_json, format_float, write_csv
 
 
@@ -214,27 +214,15 @@ PERTURBED4 = {"family": "perturbed", "n": 4, "params": {
     "perturbation": {"kind": "axis_bump", "axis": [1.0, 0.0, 0.0, 0.0]}}}
 
 
-WARPED = {"family": "warped_product", "n": 3}
-
-
 @pytest.mark.parametrize("command,metric,numeric", [
     ("deform", PERTURBED3, {}),          # no radial reduction
     ("eigenfunction", PERTURBED3, {}),   # no radial reduction
-    # no radial reduction either, and rejected before the curvature profile,
-    # whose det and lowered Riemann array would overflow near t = 178
-    ("deform", WARPED, {"r_max": 178.0}),
-    ("mass", WARPED, {}),                # not on the exterior chart
-    ("verify-ah", WARPED, {}),           # not on the exterior chart
-    # a derived family lives on its base's chart
-    ("mass", {"family": "conformal", "n": 3, "params": {"base": WARPED, "profile": {
-        "kind": "constant", "value": 0.1}}}, {}),
     ("rigidity-check", {"family": "hyperbolic", "n": 4}, {}),   # n = 3 fixture only
     # its checks read hyperbolic's V_0 and a fixture, not the metric given
     ("rigidity-check", SCHW, {}),
     ("rigidity-check", {"family": "conformal", "n": 3, "params": {"base": HYP, "profile": {
         "kind": "power_tail", "amp": 0.05, "rate": 3.0}}}, {}),
-], ids=["deform", "eigenfunction", "deform-warped-overflow", "mass-warped",
-        "verify-ah-warped", "mass-conformal-warped", "rigidity-check-n4",
+], ids=["deform", "eigenfunction", "rigidity-check-n4",
         "rigidity-check-schwarzschild", "rigidity-check-conformal"])
 def test_unsupported_metric_rejected(tmp_path, capsys, monkeypatch, command, metric,
                                      numeric):
@@ -254,6 +242,27 @@ def test_unsupported_metric_rejected(tmp_path, capsys, monkeypatch, command, met
     assert err.startswith("unsupported: ") and "Traceback" not in err
     assert len(err.splitlines()) == 1
     assert calls == []
+
+
+# a minimal document of each spec family
+FAMILY_DOCS = {
+    "hyperbolic": HYP,
+    "schwarzschild_ads": SCHW,
+    "conformal": {"family": "conformal", "n": 3, "params": {"base": HYP, "profile": {
+        "kind": "power_tail", "amp": 0.05, "rate": 3.0}}},
+    "perturbed": PERTURBED3,
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_verify_ah_accepts_every_spec_family(tmp_path, capsys, family):
+    # verify-ah reads coordinate 0 as the radius of the exterior (r, angles)
+    # chart: it runs its checks on every family a spec can name
+    cfg = write_config(tmp_path, {"command": "verify-ah", "metric": FAMILY_DOCS[family],
+                                  "numeric": {"radii": {"min": 20.0, "max": 200.0,
+                                                        "count": 4}}})
+    code = main(["verify-ah", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code in (0, EXIT_CHECK_FAILURE), capsys.readouterr().err
 
 
 @pytest.mark.parametrize("metric", [
@@ -401,9 +410,10 @@ HYP5 = {"family": "hyperbolic", "n": 5, "params": {}}
     # no residual-check radii (it must exceed 0.1 x 1.02/0.98 = 0.1041)
     ("eigenfunction", {"r_max": 0.102}, HYP, EXIT_SCHEMA),
     ("deform", {"r_max": 0.102}, HYP, EXIT_SCHEMA),
-    # cosh(t)^2 of the warped metric overflows at t near 200
+    # the conformal factor 1 + r^150 and the curvature built from it overflow
     ("curvature", {"sample_points": 20, "r_min": 0.5, "r_max": 200.0, "seed": 4},
-     WARPED, EXIT_NUMERICAL),
+     {"family": "conformal", "n": 3, "params": {"base": HYP, "profile": {
+         "kind": "power_tail", "amp": 1.0, "rate": -150.0}}}, EXIT_NUMERICAL),
     # inverted radius windows, [7, 6] and [10, 5], are rejected before any numerics
     ("duality-check", {"r_min": 7.0}, HYP, EXIT_SCHEMA),
     ("curvature", {"r_min": 10.0, "r_max": 5.0}, HYP, EXIT_SCHEMA),
@@ -434,7 +444,7 @@ HYP5 = {"family": "hyperbolic", "n": 5, "params": {}}
         "sample-points-huge", "pairs-huge", "fan-count-huge",
         "ode-verify-horizon-huge", "dichotomy-horizon-above-max",
         "eigenfunction-r-max-inside-margin", "deform-r-max-inside-margin",
-        "curvature-warped-overflow",
+        "curvature-conformal-overflow",
         "duality-window-inverted", "curvature-window-inverted",
         "dichotomy-tail-one-sample", "dichotomy-tail-two-samples",
         "dichotomy-tail-two-samples-at-0.15", "mass-pairs", "ode-verify-quad-polar",
@@ -577,13 +587,11 @@ AXIS_ENTRY = st.sampled_from([0.0, 1.0, -0.5, 2, 1e308, -1e308, 1e-320, 5e-324])
 @st.composite
 def valid_metric_docs(draw, n=None, depth=0):
     n = draw(st.sampled_from([3, 4])) if n is None else n
-    family = draw(st.sampled_from(["hyperbolic", "schwarzschild_ads", "warped_product"]
+    family = draw(st.sampled_from(["hyperbolic", "schwarzschild_ads"]
                                   + ["conformal", "perturbed"] * (depth < 2)))
     params = {}
     if family == "schwarzschild_ads":
         params["m"] = draw(PARAM)
-    elif family == "warped_product":
-        params["factor"] = draw(st.sampled_from(["round_sphere", "hyperbolic"]))
     elif family == "conformal":
         params["base"] = draw(valid_metric_docs(n, depth + 1))
         params["profile"] = draw(st.one_of(

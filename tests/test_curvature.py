@@ -10,8 +10,8 @@ from ahmass.curvature import (DegenerateMetricError, covariant_hessian, metric_a
                               nabla2_2tensor, nabla_2tensor, riemann_symmetry_defects)
 from ahmass import jets as J
 from ahmass.fields import SymmetricTensorField, random_compact_tensor
-from ahmass.metrics import (PerturbedMetric, hyperbolic_metric, metric_from_dict,
-                            schwarzschild_ads, static_potential,
+from ahmass.metrics import (PerturbedMetric, WarpedProductMetric, hyperbolic_metric,
+                            metric_from_dict, schwarzschild_ads, static_potential,
                             static_potential_basis)
 from ahmass.operators import linearized_scalar_values
 
@@ -262,15 +262,16 @@ def test_nabla2_matches_einsum_reference(n):
 
 
 HYP3 = {"family": "hyperbolic", "n": 3, "params": {}}
+# metric docs, metric objects (the warped fixture is not a spec family), and
+# None for a random non-diagonal metric
 LEVEL1_FAMILIES = {
     "hyperbolic": HYP3,
     "hyperbolic_n4": {"family": "hyperbolic", "n": 4, "params": {}},
     "schwarzschild_ads": {"family": "schwarzschild_ads", "n": 3, "params": {"m": 0.5}},
     "conformal": {"family": "conformal", "n": 3, "params": {
         "base": HYP3, "profile": {"kind": "power_tail", "amp": 0.3, "rate": 3.0}}},
-    "warped_round_sphere": {"family": "warped_product", "n": 3, "params": {}},
-    "warped_hyperbolic": {"family": "warped_product", "n": 4,
-                          "params": {"factor": "hyperbolic"}},
+    "warped_round_sphere": WarpedProductMetric(3, "round_sphere"),
+    "warped_hyperbolic": WarpedProductMetric(4, "hyperbolic"),
     "perturbed_axis_bump": {"family": "perturbed", "n": 3, "params": {
         "base": HYP3, "perturbation": {"kind": "axis_bump", "axis": [1.0, 0.5, 0.2],
                                        "amp": 0.2, "width": 2.0, "onset": 2.0}}},
@@ -283,9 +284,12 @@ def test_level1_apparatus_matches_level2(name):
     # the level-1 apparatus builds first-order jets; its fields must be the
     # level-2 apparatus's own, bit for bit
     rng = np.random.default_rng(17)
-    doc = LEVEL1_FAMILIES[name]
-    n = doc["n"] if doc else 3
-    spec = _non_diagonal_metric(rng, n) if doc is None else metric_from_dict(doc)
+    spec = LEVEL1_FAMILIES[name]
+    if spec is None:
+        spec = _non_diagonal_metric(rng, 3)
+    elif isinstance(spec, dict):
+        spec = metric_from_dict(spec)
+    n = spec.n
     pts = _off_pole_points(rng, n, 40)
     one, two = metric_apparatus(spec, pts, level=1), metric_apparatus(spec, pts, level=2)
     assert one.level == 1 and one.ddg is None

@@ -1,5 +1,6 @@
 """The README runs and reads as the code does: its library quick tour runs as
-written, and its config tables and example match the command declarations."""
+written, its config tables and example match the command declarations, and
+its metric families are the spec language's."""
 
 import json
 import re
@@ -63,3 +64,10 @@ def test_readme_config_example_is_accepted():
     doc = check_document(json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1)),
                          CONFIG_KEYS, "config")
     check_numeric(doc["command"], doc["numeric"])
+
+
+def test_readme_metric_families_are_the_spec_families():
+    from ahmass.metrics import FAMILIES
+    text = README.read_text(encoding="utf-8")
+    bullets = re.search(r"\nMetric families[^\n]*:\n\n((?:.+\n)+)", text).group(1)
+    assert re.findall(r'^- `\{"family": "(\w+)"', bullets, re.M) == list(FAMILIES)

@@ -9,7 +9,8 @@ from ahmass import jets as J
 from ahmass.chart import chart_jacobian_jets, random_points, to_cartesian
 from ahmass.fields import (ScaledMetricField, power_tail_profile,
                            random_compact_scalar, random_compact_tensor)
-from ahmass.metrics import metric_from_dict, schwarzschild_ads, static_potential
+from ahmass.metrics import (WarpedProductMetric, metric_from_dict, schwarzschild_ads,
+                            static_potential)
 from ahmass.rigidity import sinh_potential
 
 
@@ -80,15 +81,15 @@ def test_chart_jacobian_jets_match_cartesian_map(n):
 
 
 HYP3 = {"family": "hyperbolic", "n": 3, "params": {}}
+# metric docs, metric objects (the warped fixture is not a spec family), and
+# the tensor fields built in the test
 TENSOR_JETS = {
     "hyperbolic": HYP3,
     "schwarzschild_ads": {"family": "schwarzschild_ads", "n": 3, "params": {"m": 0.5}},
     "conformal": {"family": "conformal", "n": 3, "params": {
         "base": HYP3, "profile": {"kind": "power_tail", "amp": 0.3, "rate": 3.0}}},
-    "warped_round_sphere": {"family": "warped_product", "n": 3,
-                            "params": {"factor": "round_sphere"}},
-    "warped_hyperbolic": {"family": "warped_product", "n": 4,
-                          "params": {"factor": "hyperbolic"}},
+    "warped_round_sphere": WarpedProductMetric(3, "round_sphere"),
+    "warped_hyperbolic": WarpedProductMetric(4, "hyperbolic"),
     "perturbed": {"family": "perturbed", "n": 3, "params": {
         "base": HYP3, "perturbation": {"kind": "axis_bump", "axis": [1.0, 0.5, 0.2],
                                        "amp": 0.2, "width": 2.0, "onset": 2.0}}},
@@ -100,7 +101,10 @@ TENSOR_JETS = {
 @pytest.mark.parametrize("name", TENSOR_JETS)
 def test_tensor_jets_match_finite_differences(name):
     rng = np.random.default_rng(7)
-    n = TENSOR_JETS[name]["n"] if TENSOR_JETS[name] else 3
+    spec = TENSOR_JETS[name]
+    if isinstance(spec, dict):
+        spec = metric_from_dict(spec)
+    n = 3 if spec is None else spec.n
     coords = random_points(n, rng, 30, r_range=(2.2, 5.8))
     if name == "random_compact_tensor":
         jet_fn = random_compact_tensor(rng, n, 2.0, 6.0).component_arrays
@@ -108,7 +112,7 @@ def test_tensor_jets_match_finite_differences(name):
         u = random_compact_scalar(rng, 2.0, 6.0, n)
         jet_fn = ScaledMetricField(schwarzschild_ads(n, 0.5), u).component_arrays
     else:
-        jet_fn = metric_from_dict(TENSOR_JETS[name]).component_jets
+        jet_fn = spec.component_jets
     val = jet_fn(coords).val
     assert val.shape == (len(coords), n, n)
     # central differences lose about 1e-10 relative to the values differenced

@@ -1,5 +1,6 @@
 """Node blocks: the split, the order of the joined results, the caller's
-floating-point context and exceptions on the thread pool."""
+floating-point context and exceptions on the thread pool; and the radial
+rule's one node count per segment."""
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from ahmass import quadrature
-from ahmass.quadrature import NODE_BLOCK, map_node_blocks
+from ahmass.quadrature import NODE_BLOCK, map_node_blocks, radial_rule
 
 
 @pytest.fixture
@@ -77,3 +78,11 @@ def test_one_usable_cpu_runs_the_blocks_inline(monkeypatch):
     (nodes,) = map_node_blocks(fn, 2 * NODE_BLOCK + 1)
     assert threads == {threading.current_thread()}
     assert np.array_equal(nodes, np.arange(2 * NODE_BLOCK + 1))
+
+
+def test_radial_rule_needs_a_count_per_segment():
+    r, _ = radial_rule([1.0, 2.0, 3.0], [4, 5])
+    assert r.size == 9 and 1.0 < r.min() and r.max() < 3.0
+    # 4 segments with 3 counts: the outer segment is not dropped silently
+    with pytest.raises(ValueError):
+        radial_rule([1.0, 2.0, 3.0, 4.0, 5.0], [4, 4, 4])

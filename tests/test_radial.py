@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from ahmass.fields import AxisConcentratedPerturbation, power_tail_profile
-from ahmass.metrics import (ConformalMetric, PerturbedMetric, WarpedProductMetric,
-                            hyperbolic_metric, inner_truncation_radius,
-                            schwarzschild_ads, static_potential)
+from ahmass.metrics import (ConformalMetric, PerturbedMetric, hyperbolic_metric,
+                            inner_truncation_radius, schwarzschild_ads,
+                            static_potential)
 from ahmass.radial import (NEWTON_STEPS, conformal_deform_radial,
                            radial_eigenfunction, scalar_curvature_profile,
                            shooting_radial_solve, solve_radial_bvp)
@@ -113,8 +113,7 @@ def test_derived_families_take_chart_and_horizon_from_their_base():
     perturbed = PerturbedMetric(s, AxisConcentratedPerturbation(3, [1.0, 0.0, 0.0]))
     for spec in (ConformalMetric(s, profile), perturbed,
                  ConformalMetric(perturbed, profile)):
-        assert spec.n == 3 and spec.exterior_chart
+        assert spec.n == 3
         assert spec.horizon_radius == s.horizon_radius
         assert inner_truncation_radius(spec) == 1.3 * s.horizon_radius
-    warped = ConformalMetric(WarpedProductMetric(3), profile)
-    assert not warped.exterior_chart and warped.horizon_radius == 0.0
+    assert ConformalMetric(hyperbolic_metric(3), profile).horizon_radius == 0.0
