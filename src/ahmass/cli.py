@@ -14,7 +14,10 @@ are an output directory or report file that cannot be written and a command
 line that argparse refuses (``usage error:``).  Numerical failures exit 3; any
 other exception is an internal error (exit 4).  Each is reported on one stderr
 line.  Completed runs exit 0 when every check passes its
-tolerance and 1 otherwise.  Reports are deterministic: the same config
+tolerance and 1 otherwise.  ``ode-verify`` takes no metric: a config that
+gives it one is rejected (exit 2).  The numeric keys and the metric spec
+are checked before the output directory is made, so a config rejected for
+either leaves no directory behind.  Reports are deterministic: the same config
 produces byte-identical report and CSV files in any output directory (the
 output path, timestamp and runtime live in a separate metadata file).
 """
@@ -289,7 +292,7 @@ def run_deform(spec, numeric):
 
 
 def run_first_variation(spec, numeric):
-    from .fields import random_compact_tensor
+    from .fields import CompactBasis, random_compact_tensor
     from .operators import first_variation_check
     from .quadrature import volume_rule
     from .radial import radial_eigenfunction
@@ -304,7 +307,8 @@ def run_first_variation(spec, numeric):
     rule = volume_rule(spec.n, [lo, hi], [radial], sphere)
     f = radial_eigenfunction(spec).potential
     h = random_compact_tensor(rng, spec.n, lo, hi, amplitude=0.5)
-    rep = first_variation_check(spec, f, h, eps, rule)
+    h_at = CompactBasis(rule.coords, (lo, hi)).node_jets(h)
+    rep = first_variation_check(spec, f, h_at, eps, rule)
     order_ok = rep.exact_zero or rep.order >= _tol(numeric, "first_variation_order")
     checks = [check("convergence_order", float(rep.order if not rep.exact_zero else 99.0),
                     _tol(numeric, "first_variation_order"), passed=bool(order_ok))]
@@ -506,23 +510,24 @@ def check_numeric(command, numeric) -> dict:
 
 def run(config: dict, out_dir=None) -> int:
     """Execute a config; writes report files, returns exit status.  Its
-    ``numeric`` is checked first: a key, tolerance or value the command does
-    not accept raises SchemaError before any numerics or output."""
+    ``numeric`` and then its metric are checked first: a key, tolerance or
+    value the command does not accept, a bad metric spec and a metric given
+    to ``ode-verify`` raise SchemaError before any numerics or output."""
     t0 = time.time()
     command = config.get("command")
     if command not in COMMANDS:
         raise SchemaError(f"unknown command {command!r}; expected one of {COMMANDS}")
     numeric = check_numeric(command, config.get("numeric"))
+    spec = metric_doc = None
+    if command != "ode-verify":
+        spec, metric_doc = resolve_metric(config.get("metric"))
+    elif config.get("metric") is not None:
+        raise SchemaError("ode-verify takes no metric spec")
     out = Path(out_dir or config.get("output") or "out")
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise OutputError(str(exc)) from exc
-
-    spec = None
-    metric_doc = None
-    if command != "ode-verify":
-        spec, metric_doc = resolve_metric(config.get("metric"))
 
     # the handler reads each tolerance of its command, as given or by default
     tolerances = COMMAND_KEYS[command][1] | numeric.get("tolerances", {})

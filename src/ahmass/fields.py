@@ -16,8 +16,10 @@ nodes and the support, and each is a radial factor times an angular one: a
 and distinct directions, and each field's ``evaluate(basis)`` applies its own
 coefficients to the angular jets before one product assembles the node jet.
 ``basis.node_jets(field)`` applies the coefficients once and assembles any
-block of nodes on demand, which is how the volume checks evaluate their
-fields block by block.
+block of nodes on demand: both volume checks, ``duality_residual`` and
+``first_variation_check``, take their fields this way, as jets of node
+``rows``.  ``node_jets`` lives on the basis alone, and only the compact
+fields, whose support a basis must match, carry a ``support``.
 """
 
 from __future__ import annotations
@@ -115,9 +117,8 @@ def check_kind(doc, kinds, where) -> str:
 class ScalarField:
     """Scalar field backed by a jet-valued function of coordinate rows."""
 
-    def __init__(self, jet_fn, support=None):
+    def __init__(self, jet_fn):
         self._jet_fn = jet_fn
-        self.support = support
 
     def jet(self, coords, order: int = 2) -> J.Jet:
         return self._jet_fn(as_coords(coords), order)
@@ -127,12 +128,6 @@ class ScalarField:
 
     def __add__(self, other):
         return ScalarField(lambda c, order: self.jet(c, order) + other.jet(c, order))
-
-    def __mul__(self, scale: float):
-        return ScalarField(lambda c, order: self.jet(c, order) * scale,
-                           support=self.support)
-
-    __rmul__ = __mul__
 
 
 def poly_bump_jet(rjet: J.Jet, lo: float, hi: float) -> J.Jet:
@@ -272,9 +267,8 @@ class CompactScalarField(ScalarField):
     """
 
     def __init__(self, c0, c1, c2, support):
-        self.c0, self.c1, self.c2 = c0, c1, c2
-        super().__init__(lambda c, order: self.evaluate(CompactBasis(c, support, order)),
-                         support=support)
+        self.c0, self.c1, self.c2, self.support = c0, c1, c2, support
+        super().__init__(lambda c, order: self.evaluate(CompactBasis(c, support, order)))
 
     def factors(self, basis: CompactBasis) -> tuple:
         """(radial, angular) jets on the basis' distinct radii and directions."""
@@ -365,25 +359,18 @@ class SymmetricTensorField:
     """Symmetric 2-tensor field backed by a tensor-jet function of coordinate
     rows and jet order."""
 
-    def __init__(self, jet_fn, support=None):
+    def __init__(self, jet_fn):
         self._jet_fn = jet_fn
-        self.support = support
 
     def component_arrays(self, coords, order: int = 2) -> J.Jet:
         return self._jet_fn(as_coords(coords), order)
-
-    def node_jets(self, coords):
-        """The second-order jet at ``coords[rows]`` as a function of ``rows``."""
-        coords = as_coords(coords)
-        return lambda rows: self.component_arrays(coords[rows])
 
 
 class ScaledMetricField(SymmetricTensorField):
     """h = u * g for a scalar field u and metric spec g (used by trace identities)."""
 
     def __init__(self, spec, u: ScalarField):
-        super().__init__(lambda c, order: u.jet(c, order) * spec.component_jets(c, order),
-                         support=u.support)
+        super().__init__(lambda c, order: u.jet(c, order) * spec.component_jets(c, order))
 
 
 class AxisConcentratedPerturbation(SymmetricTensorField):
@@ -438,14 +425,13 @@ class CartesianTensorField(SymmetricTensorField):
     distinct directions and assembles the product with the basis'
     ``radial_tensor``.  The U jets are exact (``chart.chart_jacobian_jets``), so
     a field smooth in Cartesian terms stays smooth across the chart poles.
-    ``component_arrays`` and ``node_jets`` build the basis of their
-    coordinates and evaluate against it.
+    ``component_arrays`` builds the basis of its coordinates and evaluates
+    against it.
     """
 
     def __init__(self, weights, support):
-        self.weights = weights
-        super().__init__(lambda c, order: self.evaluate(CompactBasis(c, support, order)),
-                         support=support)
+        self.weights, self.support = weights, support
+        super().__init__(lambda c, order: self.evaluate(CompactBasis(c, support, order)))
 
     def factors(self, basis: CompactBasis) -> tuple:
         """(radial, angular) jets on the basis' distinct radii and directions."""
@@ -458,9 +444,6 @@ class CartesianTensorField(SymmetricTensorField):
 
     def evaluate(self, basis: CompactBasis) -> J.Jet:
         return basis.assemble(*self.factors(basis))
-
-    def node_jets(self, coords):
-        return CompactBasis(coords, self.support).node_jets(self)
 
 
 def random_compact_tensor(rng, n: int, r_lo: float, r_hi: float,

@@ -22,7 +22,9 @@ with bb fixed to the hyperbolic background on the whole exterior chart.
 
 Fields enter as the ``Jet`` their producer returns: a scalar jet ``V.jet(c)``
 for the potential and a tensor jet ``component_arrays(c)`` for h.  The two
-volume checks evaluate everything pointwise in node blocks
+volume checks take their random fields one way, as jets of the rule's node
+``rows`` from ``CompactBasis.node_jets``, and evaluate them on every node of
+the rule.  They evaluate everything pointwise in node blocks
 (``quadrature.map_node_blocks``) and sum the joined per-node arrays of the
 whole rule, so their results do not depend on the blocks.  A metric with
 det g <= 0 in any block is reported with its count over the whole rule.
@@ -109,11 +111,11 @@ def duality_residual(spec: MetricSpec, pairs, rule: VolumeRule) -> list:
     """Relative gaps between <L_g h, u> and <h, L_g^* u> over compact supports.
 
     Each entry of ``pairs`` holds the jets of h and of u at the rule's nodes
-    ``rows`` as functions of ``rows`` (``CompactBasis.node_jets``,
-    ``SymmetricTensorField.node_jets``), input data to both sides.  Each node
-    block builds one level-2 apparatus for every pair.  Both integrals are
-    computed by the same quadrature rule but through independent integrands;
-    the scale is the larger L^1 norm of the two.  Returns one gap per pair.
+    ``rows`` as functions of ``rows`` (``CompactBasis.node_jets``), input
+    data to both sides.  Each node block builds one level-2 apparatus for
+    every pair.  Both integrals are computed by the same quadrature rule but
+    through independent integrands; the scale is the larger L^1 norm of the
+    two.  Returns one gap per pair.
     """
     npairs = len(pairs)
 
@@ -187,35 +189,23 @@ class FirstVariationReport:
                 "order": self.order, "exact_zero": self.exact_zero}
 
 
-def first_variation_check(spec: MetricSpec, f, h_field, epsilons,
+def first_variation_check(spec: MetricSpec, f, h_at, epsilons,
                           rule: VolumeRule) -> FirstVariationReport:
     """Compare (F(g + eps h) - F(g))/eps with -int <h, L_g^* f> dmu_g.
 
-    Errors should shrink at first order in eps; the report carries the
-    convergence order between the two smallest epsilons (NaN when both sides
-    vanish identically).  A field that declares ``support = (lo, hi)`` must
-    vanish, with all its derivatives, at every node whose radius lies outside
-    [lo, hi].  There every term of the reference and of F(g + eps h) - F(g)
-    is exactly zero, and the tails of the two functionals cancel, so
-    everything (the metric apparatus, the volume weights, the jet of f, h and
-    the perturbed scalar curvature per epsilon) is evaluated on the support
-    nodes alone; without a support, on every node.
-    The metric's component jets are evaluated once per node block and serve
-    the apparatus of g and of every g + eps h; the sums run over the joined
-    per-node arrays of all blocks.
+    ``h_at`` gives the second-order jet of h at the rule's nodes ``rows`` as
+    a function of ``rows`` (``CompactBasis.node_jets``), as ``duality_residual``
+    takes its pairs; every node of the rule is evaluated.  Errors should
+    shrink at first order in eps; the report carries the convergence order
+    between the two smallest epsilons (NaN when both sides vanish
+    identically).  The metric's component jets are evaluated once per node
+    block and serve the apparatus of g and of every g + eps h; the sums run
+    over the joined per-node arrays of all blocks.
     """
-    coords = rule.coords
-    if h_field.support is not None:
-        lo, hi = h_field.support
-        mask = (coords[:, 0] >= lo) & (coords[:, 0] <= hi)
-    else:
-        mask = np.ones(coords.shape[0], dtype=bool)
-    coords, weights = coords[mask], rule.weights[mask]
-    h_at = h_field.node_jets(coords)
     epsilons = np.asarray(sorted(epsilons, reverse=True), dtype=float)
 
     def block(rows):
-        c = coords[rows]
+        c = rule.coords[rows]
         m = c.shape[0]
         # column 0 flags g, column 1 + k flags g + epsilons[k]
         degenerate = np.zeros((m, 1 + epsilons.size), dtype=bool)
@@ -225,7 +215,7 @@ def first_variation_check(spec: MetricSpec, f, h_field, epsilons,
         app = _level2(base, c, degenerate[:, 0])
         if app is None:
             return degenerate, w, pair_h, diffs
-        w = volume_weights(weights[rows], c, app.sqrt_det)
+        w = volume_weights(rule.weights[rows], c, app.sqrt_det)
         jet = f.jet(c)
         h = h_at(rows)
         pair_h = app.inner(h.val, adjoint_values(app, jet))
@@ -243,7 +233,7 @@ def first_variation_check(spec: MetricSpec, f, h_field, epsilons,
             diffs[:, k] = diff
         return degenerate, w, pair_h, diffs
 
-    degenerate, w, pair_h, diffs = map_node_blocks(block, coords.shape[0])
+    degenerate, w, pair_h, diffs = map_node_blocks(block, rule.coords.shape[0])
     _raise_if_degenerate(degenerate)
     reference = -float(np.sum(w * pair_h))
     quotients = np.asarray([float(np.sum(w * diffs[:, k])) / eps

@@ -307,6 +307,24 @@ def test_malformed_metric_spec_rejected(tmp_path, capsys, metric):
     assert err.startswith("config error: bad metric spec: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command,metric,message", [
+    ("mass", {"family": "nope", "n": 3}, "bad metric spec: "),
+    ("mass", "missing.json", "[Errno 2] "),
+    # ode-verify reads no metric, so any metric given to it is refused
+    ("ode-verify", {"family": "nope"}, "ode-verify takes no metric spec"),
+    ("ode-verify", HYP, "ode-verify takes no metric spec"),
+], ids=["inline", "missing-file", "ode-verify-bad", "ode-verify-valid"])
+def test_rejected_metric_makes_no_output_directory(tmp_path, capsys, command, metric,
+                                                   message):
+    # the metric is resolved before the output directory is made
+    cfg = write_config(tmp_path, {"command": command, "metric": metric})
+    out = tmp_path / "o2" / "deep"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + message) and len(err.splitlines()) == 1
+    assert not (tmp_path / "o2").exists()
+
+
 @pytest.mark.parametrize("axis,unit", [([1e308, 1e308, 0.0], [1.0, 1.0, 0.0]),
                                        ([1e-320, 0.0, 0.0], [1.0, 0.0, 0.0])],
                          ids=["axis-huge", "axis-tiny"])
@@ -737,6 +755,7 @@ def test_main_exit_code_contract(tmp_path, capfd, command, docs, metric):
     # is an error here
     assume(command in docs)      # each @example is for one command
     numeric = docs[command]
+    metric = None if command == "ode-verify" else metric    # it takes no metric
     cfg = write_config(tmp_path, {"command": command, "metric": metric,
                                   "numeric": numeric})
     with warnings.catch_warnings():
