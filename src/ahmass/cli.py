@@ -15,9 +15,9 @@ line that argparse refuses (``usage error:``).  Numerical failures exit 3; any
 other exception is an internal error (exit 4).  Each is reported on one stderr
 line.  Completed runs exit 0 when every check passes its
 tolerance and 1 otherwise.  ``ode-verify`` takes no metric: a config that
-gives it one is rejected (exit 2).  The numeric keys and the metric spec
-are checked before the output directory is made, so a config rejected for
-either leaves no directory behind.  Reports are deterministic: the same config
+gives it one is rejected (exit 2).  The output directory is made only when
+the reports are written, after the numerics, so a run that exits 2 for its
+config or 3 writes nothing.  Reports are deterministic: the same config
 produces byte-identical report and CSV files in any output directory (the
 output path, timestamp and runtime live in a separate metadata file).
 """
@@ -194,10 +194,9 @@ def run_mass(spec, numeric):
               float(sum(1 for r in mv.reports if "no-extrapolation" in r.flags)),
               0.5),
     ]
-    table = [["r"] + [rep.integrand_label for rep in mv.reports]]
-    rows = [[float(r)] + [float(rep.values[i]) for rep in mv.reports]
-            for i, r in enumerate(radii)]
-    return mv.to_dict(), checks, {"mass_ladder": (table[0], rows)}
+    header = ["r"] + [rep.integrand_label for rep in mv.reports]
+    rows = np.column_stack([radii] + [rep.values for rep in mv.reports])
+    return mv.to_dict(), checks, {"mass_ladder": (header, rows)}
 
 
 def run_curvature(spec, numeric):
@@ -219,8 +218,7 @@ def run_curvature(spec, numeric):
         check("ricci_symmetry", float(ric_sym / scale), tol),
     ]
     header = ["r"] + [f"theta_{j}" for j in range(1, spec.n)] + ["scalar"]
-    rows = [list(map(float, pts[i])) + [float(app.scalar[i])]
-            for i in range(pts.shape[0])]
+    rows = np.column_stack([pts, app.scalar])
     results = {"scalar_mean": float(np.mean(app.scalar)),
                "scalar_max_dev": float(np.abs(app.scalar - np.mean(app.scalar)).max()),
                "samples": count}
@@ -258,9 +256,8 @@ def run_duality(spec, numeric):
     values = duality_residual(spec, jets, rule)
     worst = max([0.0, *values])
     checks = [check("duality_residual_max", worst, _tol(numeric, "duality_residual"))]
-    rows = [[i, float(v)] for i, v in enumerate(values)]
-    return {"pairs": pairs, "max_residual": worst,
-            "residuals": values}, checks, {"duality_residuals": (["pair", "residual"], rows)}
+    return {"pairs": pairs, "max_residual": worst, "residuals": values}, checks, {
+        "duality_residuals": (["pair", "residual"], enumerate(values))}
 
 
 def run_eigenfunction(spec, numeric):
@@ -334,8 +331,7 @@ def run_ode_verify(spec, numeric):
               _tol(numeric, "certificate_bound")),
         check("wronskian_bound", 0.0 if pair.wronskian_bound_ok() else 1.0, 0.5),
     ]
-    results = {"C_certificate": pair.C_certificate,
-               "flags": list(pair.flags)}
+    results = {"C_certificate": pair.C_certificate, "flags": pair.flags}
     if f_amp != 0.0:
         prep = particular_solution(prob, pair)
         results["particular"] = prep.to_dict()
@@ -349,8 +345,7 @@ def run_ode_verify(spec, numeric):
     v1, _, v2, _ = pair.on_grid
     rows = np.column_stack([pair.grid, v1, v2, pair.wronskian])
     rows = rows[:: max(1, pair.grid.size // 2000)]
-    return results, checks, {"ode_solutions": (["t", "u1", "u2", "wronskian"],
-                                               [list(map(float, r)) for r in rows])}
+    return results, checks, {"ode_solutions": (["t", "u1", "u2", "wronskian"], rows)}
 
 
 def run_dichotomy(spec, numeric):
@@ -385,7 +380,7 @@ def run_dichotomy(spec, numeric):
                              "labels": [c.label for c in cls]}
         checks.append(check(f"V_{k}_has_growth_cone", 0.0 if grown > 0 else 1.0, 0.5))
         for s, c in enumerate(cls):
-            label_rows.append([k, s, c.label, float(c.slope)])
+            label_rows.append([k, s, c.label, c.slope])
     # per-seed trajectories: arc length, radius, potential values
     stride = max(1, fan[0].ts.size // 40)
     traj_rows = []
@@ -394,8 +389,7 @@ def run_dichotomy(spec, numeric):
         ts = sample.ts[::stride]
         vals = np.stack([V.value(coords) for V in basis], axis=1)
         for i, t in enumerate(ts):
-            traj_rows.append([s, float(t), float(coords[i, 0])]
-                             + [float(v) for v in vals[i]])
+            traj_rows.append([s, t, coords[i, 0], *vals[i]])
     traj_header = ["seed", "t", "radius"] + [f"V_{k}" for k in range(n + 1)]
     # decaying combination along its axis
     V0, x1 = basis[0], basis[1]
@@ -415,10 +409,10 @@ def run_rigidity(spec, numeric):
     from .rigidity import sectional_ode_check, wang_identity_check, warped_fixture
     n = spec.n
     if spec.family != "hyperbolic":
-        raise NotImplementedError(
+        raise SchemaError(
             f"rigidity-check supports the hyperbolic family only, not {spec.family}")
     if n != 3:
-        raise NotImplementedError(
+        raise SchemaError(
             "rigidity-check supports n = 3 only (the warped fixture and its "
             "geodesic checks are 3-dimensional)")
     V0 = static_potential(n, 0)
@@ -512,7 +506,8 @@ def run(config: dict, out_dir=None) -> int:
     """Execute a config; writes report files, returns exit status.  Its
     ``numeric`` and then its metric are checked first: a key, tolerance or
     value the command does not accept, a bad metric spec and a metric given
-    to ``ode-verify`` raise SchemaError before any numerics or output."""
+    to ``ode-verify`` raise SchemaError before any numerics.  The output
+    directory is made with the reports, so a failed run leaves none."""
     t0 = time.time()
     command = config.get("command")
     if command not in COMMANDS:
@@ -523,12 +518,6 @@ def run(config: dict, out_dir=None) -> int:
         spec, metric_doc = resolve_metric(config.get("metric"))
     elif config.get("metric") is not None:
         raise SchemaError("ode-verify takes no metric spec")
-    out = Path(out_dir or config.get("output") or "out")
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise OutputError(str(exc)) from exc
-
     # the handler reads each tolerance of its command, as given or by default
     tolerances = COMMAND_KEYS[command][1] | numeric.get("tolerances", {})
     results, checks, tables = HANDLERS[command](
@@ -540,7 +529,9 @@ def run(config: dict, out_dir=None) -> int:
     numeric_doc.setdefault("seed", DEFAULT_SEED)
     resolved = {"command": command, "metric": metric_doc, "numeric": numeric_doc}
     stem = command.replace("-", "_")
+    out = Path(out_dir or config.get("output") or "out")
     try:
+        out.mkdir(parents=True, exist_ok=True)
         ok = write_report(out / f"{stem}_report.json", command, resolved, results,
                           checks, version=__version__)
         for name, (header, rows) in tables.items():
@@ -579,9 +570,6 @@ def main(argv=None) -> int:
         return EXIT_SCHEMA
     except (SchemaError, json.JSONDecodeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except NotImplementedError as exc:
-        print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except (ArithmeticError, DomainError, np.linalg.LinAlgError,
             ValueError) as exc:

@@ -146,7 +146,7 @@ class SeedClassification:
     decay_rate: float | None = None
 
     def to_dict(self):
-        return {"point": list(map(float, self.point)), "label": self.label,
+        return {"point": self.point, "label": self.label,
                 "slope": self.slope, "decay_rate": self.decay_rate}
 
 

@@ -64,12 +64,12 @@ class FluxReport:
 
     def to_dict(self):
         return {"integrand": self.integrand_label,
-                "radii": list(map(float, self.radii)),
-                "values": list(map(float, self.values)),
+                "radii": self.radii,
+                "values": self.values,
                 "fitted_limit": self.fitted_limit,
                 "fit_exponent": self.fit_exponent,
                 "fit_residual": self.fit_residual,
-                "flags": list(self.flags)}
+                "flags": self.flags}
 
 
 @dataclass
@@ -90,8 +90,8 @@ class MassVector:
         self.defect = float(self.p[0] - np.sqrt(np.sum(self.p[1:] ** 2)))
 
     def to_dict(self):
-        return {"p": list(map(float, self.p)), "defect": self.defect,
-                "flags": list(self.flags), "quadrature": self.quadrature,
+        return {"p": self.p, "defect": self.defect,
+                "flags": self.flags, "quadrature": self.quadrature,
                 "components": [r.to_dict() for r in self.reports]}
 
 

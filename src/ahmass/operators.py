@@ -183,9 +183,9 @@ class FirstVariationReport:
 
     def to_dict(self):
         return {"reference": self.reference,
-                "epsilons": list(map(float, self.epsilons)),
-                "quotients": list(map(float, self.quotients)),
-                "errors": list(map(float, self.errors)),
+                "epsilons": self.epsilons,
+                "quotients": self.quotients,
+                "errors": self.errors,
                 "order": self.order, "exact_zero": self.exact_zero}
 
 

@@ -47,8 +47,8 @@ RESIDUAL_FLOOR = 1e-12
 def _require_radial_reduction(spec: MetricSpec):
     """Only a rotationally symmetric metric reduces to radial ODEs."""
     if not spec.rotationally_symmetric:
-        raise NotImplementedError(f"the radial solvers need a rotationally "
-                                  f"symmetric metric; {spec.family} is not")
+        raise SchemaError(f"the radial solvers need a rotationally "
+                          f"symmetric metric; {spec.family} is not")
 
 
 def _tail_decay(r_samp, values, r_hi: float, zero: float) -> float:
@@ -203,7 +203,7 @@ class EigenfunctionReport:
     def to_dict(self):
         return {"residual_sup": self.residual_sup,
                 "decay_exponent": self.decay_exponent,
-                "positive": self.positive, "flags": list(self.flags)}
+                "positive": self.positive, "flags": self.flags}
 
 
 def radial_eigenfunction(spec: MetricSpec, r_hi: float = 200.0,
@@ -263,8 +263,8 @@ class DeformationReport:
     def to_dict(self):
         return {"linear_residual": self.linear_residual,
                 "solution_decay": self.solution_decay,
-                "newton_residuals": list(map(float, self.newton_residuals)),
-                "contraction_ratios": list(map(float, self.contraction_ratios))}
+                "newton_residuals": self.newton_residuals,
+                "contraction_ratios": self.contraction_ratios}
 
 
 def conformal_deform_radial(spec: MetricSpec, phi_fn, s: float,

@@ -1,8 +1,12 @@
 """Deterministic report and CSV emission.
 
 Reports are JSON documents with keys {"command", "config", "results",
-"checks"}; floats are serialized with 17 significant digits so values
-round-trip exactly and reruns with the same configuration are byte-identical.
+"checks"}, written by ``json.dumps``; CSV cells are ``str`` of their values.
+Both write a float as its shortest repr that round-trips, so values parse back
+to the same double and reruns with the same configuration are byte-identical.
+A non-finite float is written as the string "nan", "inf" or "-inf"; any other
+value ``json`` cannot encode (a numpy bool or integer scalar, say) raises
+TypeError.
 Timestamps, runtimes and the output path go to a separate metadata file, so
 the same configuration gives the same report and CSV bytes in any directory.
 
@@ -21,45 +25,24 @@ regenerated from its configuration.
 
 from __future__ import annotations
 
+import json
 import math
 from pathlib import Path
 
-
-def format_float(x: float) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return '"nan"'
-        if math.isinf(x):
-            return '"inf"' if x > 0 else '"-inf"'
-        return format(x, ".17g")
-    return repr(x)
+import numpy as np
 
 
-def _serialize(obj, indent: int = 0) -> str:
-    pad = "  " * indent
+def _plain(obj):
+    """``obj`` as plain JSON containers, each non-finite float as a string."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = []
-        for key in obj:  # insertion order is deterministic by construction
-            rows.append(f'{pad}  "{key}": {_serialize(obj[key], indent + 1)}')
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
+        return {key: _plain(val) for key, val in obj.items()}
     if isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            return "[]"
-        rows = [f"{pad}  {_serialize(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, float):
-        return format_float(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    raise TypeError(f"cannot serialize {type(obj)}")
+        return [_plain(val) for val in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else "inf" if obj > 0 else "-inf"
+    return obj
 
 
 def _write(path, text: str) -> None:
@@ -69,16 +52,15 @@ def _write(path, text: str) -> None:
     path.write_text(text)
 
 
-def dump_json(doc: dict) -> str:
-    return _serialize(doc) + "\n"
+def _write_json(path, doc: dict) -> None:
+    _write(path, json.dumps(_plain(doc), indent=2, allow_nan=False) + "\n")
 
 
 def write_report(path, command: str, config: dict, results: dict,
                  checks: list, version: str) -> bool:
     """Write the report JSON; returns True when every check passes."""
-    doc = {"command": command, "config": config, "results": results,
-           "checks": checks, "toolkit_version": version}
-    _write(path, dump_json(doc))
+    _write_json(path, {"command": command, "config": config, "results": results,
+                       "checks": checks, "toolkit_version": version})
     return all(c["pass"] for c in checks)
 
 
@@ -87,20 +69,12 @@ def write_meta(path, runtime_seconds: float, version: str, output: str):
     doc = {"timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
            "runtime_seconds": runtime_seconds, "toolkit_version": version,
            "output": output}
-    _write(path, dump_json(doc))
+    _write_json(path, doc)
 
 
 def write_csv(path, header: list, rows) -> None:
     """Comma-separated table, decimal points, no locale formatting."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, float):
-                cells.append(format(v, ".17g"))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
+    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
     _write(path, "\n".join(lines) + "\n")
 
 

@@ -47,7 +47,7 @@ class WangReport:
         return {"lhs": self.lhs, "rhs": self.rhs, "gap": self.gap,
                 "relative_gap": self.relative_gap,
                 "static_residual_sup": self.static_residual_sup,
-                "flags": list(self.flags)}
+                "flags": self.flags}
 
 
 def wang_identity_check(spec: MetricSpec, f, r: float, quad: SphereRule,
@@ -142,7 +142,7 @@ class SectionalReport:
         return {"rho_ode_residual": self.rho_ode_residual,
                 "K_ode_residual": self.K_ode_residual,
                 "K_mixed_with_velocity": self.K_mixed_with_velocity,
-                "f_fit_coefficients": list(self.f_fit_coefficients),
+                "f_fit_coefficients": self.f_fit_coefficients,
                 "f_fit_residual": self.f_fit_residual}
 
 

@@ -19,7 +19,7 @@ from ahmass.cli import (COMMAND_KEYS, EXIT_CHECK_FAILURE, EXIT_INTERNAL, EXIT_NU
                         EXIT_SCHEMA, NUMERIC_KEYS, SchemaError, check_numeric,
                         load_config, main, resolve_metric, run)
 from ahmass.metrics import FAMILIES, N_MAX
-from ahmass.reporting import dump_json, format_float, write_csv
+from ahmass.reporting import write_csv, write_report
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -222,8 +222,9 @@ PERTURBED4 = {"family": "perturbed", "n": 4, "params": {
     ("rigidity-check", SCHW, {}),
     ("rigidity-check", {"family": "conformal", "n": 3, "params": {"base": HYP, "profile": {
         "kind": "power_tail", "amp": 0.05, "rate": 3.0}}}, {}),
+    ("first-variation", PERTURBED3, {}),   # its potential needs a radial reduction
 ], ids=["deform", "eigenfunction", "rigidity-check-n4",
-        "rigidity-check-schwarzschild", "rigidity-check-conformal"])
+        "rigidity-check-schwarzschild", "rigidity-check-conformal", "first-variation"])
 def test_unsupported_metric_rejected(tmp_path, capsys, monkeypatch, command, metric,
                                      numeric):
     import ahmass.geodesics as geodesics
@@ -239,9 +240,32 @@ def test_unsupported_metric_rejected(tmp_path, capsys, monkeypatch, command, met
                                   "numeric": numeric})
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
     err = capsys.readouterr().err
-    assert err.startswith("unsupported: ") and "Traceback" not in err
+    assert err.startswith("config error: ") and "Traceback" not in err
     assert len(err.splitlines()) == 1
     assert calls == []
+
+
+@pytest.mark.parametrize("command,metric,numeric,status", [
+    ("rigidity-check", HYP4, {}, EXIT_SCHEMA),
+    ("first-variation", PERTURBED3, {}, EXIT_SCHEMA),
+    ("verify-ah", HYP, {"q_claimed": 1.0}, EXIT_SCHEMA),
+    ("deform", HYP, {"decay_rate": 5.0}, EXIT_SCHEMA),
+    ("eigenfunction", HYP, {"r_max": 0.1}, EXIT_SCHEMA),
+    ("rigidity-check", HYP, {"wang_radius": 0.005}, EXIT_SCHEMA),
+    ("verify-ah", {"family": "schwarzschild_ads", "n": 3, "params": {"m": 40.0}},
+     {"radii": [0.5, 1.0, 2.0, 5.5]}, EXIT_NUMERICAL),
+], ids=["rigidity-check-n4", "first-variation-perturbed", "verify-ah-q-claimed",
+        "deform-decay-rate", "eigenfunction-r-max", "rigidity-check-wang-radius",
+        "verify-ah-inside-horizon"])
+def test_rejected_run_makes_no_output_directory(tmp_path, command, metric, numeric,
+                                                status):
+    # the output directory is made with the reports, so a run a handler
+    # rejects or a numerical failure stops writes nothing
+    cfg = write_config(tmp_path, {"command": command, "metric": metric,
+                                  "numeric": numeric})
+    out = tmp_path / "o" / "deep"
+    assert main([command, "--config", cfg, "--out", str(out)]) == status
+    assert not (tmp_path / "o").exists()
 
 
 # a minimal document of each spec family
@@ -1102,21 +1126,38 @@ def test_reports_independent_of_output_directory(tmp_path):
     assert files[0] == files[1]
 
 
-def test_float_serialization_round_trips():
-    vals = [np.pi, 1.0 / 3.0, 1e-300, 2.5e17, 0.1]
-    for v in vals:
-        assert float(format_float(v)) == v
-    doc = json.loads(dump_json({"x": np.pi, "arr": [1.0 / 3.0, 2]}))
-    assert doc["x"] == np.pi
-    assert doc["arr"][0] == 1.0 / 3.0
+ROUND_TRIP = [np.pi, 1.0 / 3.0, 1e-300, 5e-324, 2.5e17, 0.1, -0.0, 3.0,
+              np.float64(np.e)]
+
+
+def test_float_serialization_round_trips(tmp_path):
+    results = {"x": ROUND_TRIP, "arr": np.array([1.0 / 3.0, 2.0]),
+               "bad": [np.inf, -np.inf, np.nan], "count": 2}
+    write_report(tmp_path / "r.json", "mass", {}, results, [], version="0")
+    doc = json.loads((tmp_path / "r.json").read_text())["results"]
+    for v, back in zip(ROUND_TRIP, doc["x"], strict=True):
+        assert back == v and type(back) is float
+        assert np.copysign(1.0, back) == np.copysign(1.0, v)
+    assert doc["arr"] == [1.0 / 3.0, 2.0]
+    assert doc["bad"] == ["inf", "-inf", "nan"] and doc["count"] == 2
+    write_csv(tmp_path / "t.csv", ["v"], [[v] for v in ROUND_TRIP])
+    cells = (tmp_path / "t.csv").read_text().splitlines()[1:]
+    assert [float(c) for c in cells] == ROUND_TRIP
+    assert cells[6] == "-0.0"
+    # a numpy bool nobody converted is refused, not written
+    with pytest.raises(TypeError):
+        write_report(tmp_path / "b.json", "mass", {}, {"ok": np.bool_(True)}, [],
+                     version="0")
 
 
 def test_csv_format(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(path, ["a", "b"], [[1.0 / 3.0, 2], [np.pi, 4]])
+    rows = [[1.0 / 3.0, 2], [np.pi, 4], [np.float64(0.1), "label"]]
+    write_csv(path, ["a", "b"], rows)
     lines = path.read_text().splitlines()
     assert lines[0] == "a,b"
-    assert float(lines[1].split(",")[0]) == 1.0 / 3.0
+    assert [line.split(",")[0] for line in lines[1:]] == [repr(float(r[0])) for r in rows]
+    assert lines[3] == "0.1,label"
 
 
 SETUP_PROBE = """
