@@ -13,6 +13,7 @@ and ``cli.run`` are called, so the same script times any revision of
 """
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -20,6 +21,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +93,17 @@ def time_run(config, out_dir):
     return time.perf_counter() - t0, time.process_time() - c0
 
 
+def traced_peak_mb(config, out_dir):
+    """Peak of the memory Python allocates, in MB of 2**20 bytes, during one
+    untimed run under ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        check_run(config, out_dir)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
 def _medians(times):
     return {"wall_s": median(t[0] for t in times), "cpu_s": median(t[1] for t in times)}
 
@@ -148,23 +161,34 @@ def compact_fields(repeats):
     return cases
 
 
-def node_blocks(repeats):
+@contextlib.contextmanager
+def pinned_to_one_cpu():
+    """Pin this thread to one of its CPUs inside the ``with`` body, so the
+    node blocks of a run there run inline."""
     cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, cpus)
+
+
+def node_blocks(repeats):
     cases = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, run, nodes in NODE_BLOCK_CASES:
             config, out_dir = battery_config(run), Path(tmp) / name
             time_run(config, out_dir)            # warm caches and imports
             one_cpu, pool = [], []
+            with pinned_to_one_cpu():
+                peak = traced_peak_mb(config, out_dir)
             for _ in range(repeats):
-                os.sched_setaffinity(0, {min(cpus)})
-                try:
+                with pinned_to_one_cpu():
                     one_cpu.append(time_run(config, out_dir))
-                finally:
-                    os.sched_setaffinity(0, cpus)
                 pool.append(time_run(config, out_dir))
             cases[name] = {"command": config["command"], "nodes": nodes,
-                           "one_cpu": _medians(one_cpu), "pool": _medians(pool)}
+                           "one_cpu": {**_medians(one_cpu), "peak_traced_mb": peak},
+                           "pool": _medians(pool)}
     return cases
 
 

@@ -386,10 +386,10 @@ def run_dichotomy(spec, numeric):
     traj_rows = []
     for s, sample in enumerate(fan):
         coords = sample.coords[::stride]
-        ts = sample.ts[::stride]
         vals = np.stack([V.value(coords) for V in basis], axis=1)
-        for i, t in enumerate(ts):
-            traj_rows.append([s, t, coords[i, 0], *vals[i]])
+        for t, r, row in zip(sample.ts[::stride].tolist(), coords[:, 0].tolist(),
+                             vals.tolist()):
+            traj_rows.append([s, t, r, *row])
     traj_header = ["seed", "t", "radius"] + [f"V_{k}" for k in range(n + 1)]
     # decaying combination along its axis
     V0, x1 = basis[0], basis[1]

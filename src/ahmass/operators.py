@@ -129,9 +129,12 @@ def duality_residual(spec: MetricSpec, pairs, rule: VolumeRule) -> list:
         if app is not None:
             w = volume_weights(rule.weights[rows], coords, app.sqrt_det)
             for k, (h_at, u_at) in enumerate(pairs):
+                # each pair's jets are released before the next pair's are
+                # built, so a block holds one pair's at a time
                 h, jet = h_at(rows), u_at(rows)
                 lhs[:, k] = jet.val * linearized_scalar_values(app, h)
                 rhs[:, k] = app.inner(h.val, adjoint_values(app, jet))
+                del h, jet
         return degenerate, w, lhs, rhs
 
     degenerate, w, lhs, rhs = map_node_blocks(densities, rule.coords.shape[0])
@@ -220,6 +223,10 @@ def first_variation_check(spec: MetricSpec, f, h_at, epsilons,
         h = h_at(rows)
         pair_h = app.inner(h.val, adjoint_values(app, jet))
         lin_h = linearized_scalar_values(app, h)
+        # only R(g) is read from here on: the apparatus of g, with its L_g
+        # coefficients, is released before the first g + eps h is built
+        scalar_g = app.scalar
+        del app
         for k, eps in enumerate(epsilons):
             # g + eps h is linear in eps: its jets are the base jets above plus
             # the one (second-order) h jet scaled, which level 2 asks for
@@ -228,7 +235,8 @@ def first_variation_check(spec: MetricSpec, f, h_at, epsilons,
                 continue
             # F(gamma) - F(g): the e-linear terms shift by eps * (L_g h f - <h, L* f>)
             # and the curvature term by R(g) - R(gamma)
-            diff = -(perturbed.scalar - app.scalar) * jet.val
+            diff = -(perturbed.scalar - scalar_g) * jet.val
+            del perturbed       # released before the next g + eps h is built
             diff += eps * (lin_h * jet.val - pair_h)
             diffs[:, k] = diff
         return degenerate, w, pair_h, diffs

@@ -9,10 +9,12 @@ for polynomials in the Cartesian unit vector up to a degree that grows with the
 node counts, in every dimension.  Summations use numpy's pairwise reduction
 over a fixed node ordering, so repeated runs are bit-identical.
 
-Pointwise work over the nodes of a rule runs in node blocks
-(``map_node_blocks``) on a thread pool with one worker per usable CPU; the
-blocks' arrays are joined in node order before any reduction, so results do
-not depend on the block size or the number of workers.
+Pointwise work over the nodes of a rule runs in node blocks of ``NODE_BLOCK``
+nodes (``map_node_blocks``) on a thread pool with one worker per usable CPU;
+the blocks' arrays are joined in node order before any reduction, so results
+do not depend on the block size or the number of workers.  The block size
+bounds the working set: a block's largest arrays hold n^4 values per node, and
+each worker holds one block's at a time.
 """
 
 from __future__ import annotations
@@ -26,7 +28,12 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi
 
 DEFAULT_POLAR_NODES = 48   # the 48 x 96 rule on S^2
-NODE_BLOCK = 2048          # nodes per block of map_node_blocks
+# nodes per block of map_node_blocks.  The volume checks' peak memory is one
+# block's working set (component jets, a level-2 apparatus, field jets) per
+# worker; 896 is the smallest block of a sweep over 512..2048 whose volume
+# benchmark wall time was no worse than 2048's (README, "Concurrency and
+# performance")
+NODE_BLOCK = 896
 
 _node_pool = None          # made on the first call that has blocks to share
 

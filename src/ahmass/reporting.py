@@ -73,7 +73,13 @@ def write_meta(path, runtime_seconds: float, version: str, output: str):
 
 
 def write_csv(path, header: list, rows) -> None:
-    """Comma-separated table, decimal points, no locale formatting."""
+    """Comma-separated table, decimal points, no locale formatting.
+
+    An ndarray's rows are converted one at a time by ``tolist()``: ``str`` of
+    a Python float is the ``str`` of the numpy float it came from, and is
+    faster, and no Python copy of the whole array is held."""
+    if isinstance(rows, np.ndarray):
+        rows = map(np.ndarray.tolist, rows)
     lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
     _write(path, "\n".join(lines) + "\n")
 

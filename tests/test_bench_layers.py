@@ -1,8 +1,8 @@
 """The layer-benchmark harness writes the layout of the committed BENCH files.
 
-Nothing is timed: ``_timed`` and ``time_run`` are stubbed, so only each
-suite's untimed set-up runs (and ``sphere_rules``' counting ``mass`` runs,
-whose reports give its rule fields).
+Nothing is timed or traced: ``_timed``, ``time_run`` and ``traced_peak_mb``
+are stubbed, so only each suite's untimed set-up runs (and ``sphere_rules``'
+counting ``mass`` runs, whose reports give its rule fields).
 """
 
 import json
@@ -34,6 +34,7 @@ def test_suite_writes_the_cases_and_fields_of_its_last_committed_run(
         suite, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(bench_layers, "_timed", lambda fn: 0.0)
     monkeypatch.setattr(bench_layers, "time_run", lambda config, out_dir: (0.0, 0.0))
+    monkeypatch.setattr(bench_layers, "traced_peak_mb", lambda config, out_dir: 0.0)
     committed = ROOT / f"BENCH_{suite}.json"
     shutil.copy(committed, tmp_path)
     assert bench_layers.main([suite, "--label", "probe", "--repeats", "1",

@@ -1011,7 +1011,7 @@ def test_first_variation_on_an_indefinite_metric_is_a_numerical_failure(tmp_path
         warnings.simplefilter("error", RuntimeWarning)
         status = main(["first-variation", "--config", cfg, "--out", str(tmp_path / "o")])
     assert status == EXIT_NUMERICAL
-    # the 48 x 6 x 12 = 3,456 support nodes span two node blocks; the count
+    # the 48 x 6 x 12 = 3,456 support nodes span several node blocks; the count
     # is taken over all of them
     found = re.search(r"det g <= 0 at (\d+) of (\d+) points", capsys.readouterr().err)
     assert int(found.group(2)) == 48 * 6 * 12 > quadrature.NODE_BLOCK
@@ -1047,11 +1047,13 @@ def test_dichotomy_through_an_indefinite_metric_is_a_numerical_failure(tmp_path,
     assert "not positive definite: det g <= 0 at" in capsys.readouterr().err
 
 
-# 72 directions x 32 radii = 2,304 duality nodes and 72 x 48 = 3,456
-# first-variation nodes: two node blocks each, the second a short one
+# 72 directions x 30 radii = 2,160 duality nodes and 72 x 48 = 3,456
+# first-variation nodes: neither a multiple of NODE_BLOCK, so each run spans
+# several node blocks, the last a short one
 BLOCKED_RUNS = [
     {"command": "duality-check", "metric": SCHW,
-     "numeric": {"seed": 5, "pairs": 3, "quad_polar": 6, "quad_azimuth": 12}},
+     "numeric": {"seed": 5, "pairs": 3, "quad_polar": 6, "quad_azimuth": 12,
+                 "radial_nodes": 30}},
     dict(FIRST_ORDER_DRAW, numeric={"seed": 847720050, "quad_polar": 6,
                                     "quad_azimuth": 12}),
 ]
@@ -1158,6 +1160,19 @@ def test_csv_format(tmp_path):
     assert lines[0] == "a,b"
     assert [line.split(",")[0] for line in lines[1:]] == [repr(float(r[0])) for r in rows]
     assert lines[3] == "0.1,label"
+
+
+def test_csv_of_an_array_is_the_csv_of_its_rows(tmp_path):
+    # array rows are written through tolist(); list(rows) holds numpy float
+    # rows, whose str is the reference
+    rows = np.random.default_rng(4).uniform(-50.0, 50.0, (300, 4)) ** 3
+    rows[:4, 1] = [-0.0, 5e-324, 2.5e17, 1.0 / 3.0]
+    write_csv(tmp_path / "array.csv", ["a", "b", "c", "d"], rows)
+    write_csv(tmp_path / "list.csv", ["a", "b", "c", "d"], rows.tolist())
+    write_csv(tmp_path / "scalars.csv", ["a", "b", "c", "d"], list(rows))
+    array = (tmp_path / "array.csv").read_bytes()
+    assert array == (tmp_path / "list.csv").read_bytes()
+    assert array == (tmp_path / "scalars.csv").read_bytes()
 
 
 SETUP_PROBE = """

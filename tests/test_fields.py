@@ -10,8 +10,8 @@ import pytest
 
 from ahmass import jets as J
 from ahmass.chart import random_points, unit_vector_jets
-from ahmass.fields import (CompactBasis, poly_bump_jet, random_compact_scalar,
-                           random_compact_tensor)
+from ahmass.fields import (CompactBasis, _unique_rows, poly_bump_jet,
+                           random_compact_scalar, random_compact_tensor)
 from ahmass.quadrature import sphere_rule, volume_rule
 
 SUPPORT = (2.0, 6.0)
@@ -134,6 +134,23 @@ def test_basis_builds_on_distinct_radii_and_directions():
     # scattered rows: one direction and one radius per row
     scattered = CompactBasis(random_points(3, np.random.default_rng(1), 50), SUPPORT)
     assert scattered.bump.val.shape[0] == scattered.frame.val.shape[0] == 50
+
+
+@pytest.mark.parametrize("coords", [
+    volume_rule(3, list(SUPPORT), [48], sphere_rule(3, 16, 32)).coords,   # first-variation
+    volume_rule(3, list(SUPPORT), [32], sphere_rule(3, 12, 24)).coords,   # duality-check
+    volume_rule(4, list(SUPPORT), [16], sphere_rule(4, 10, 20)).coords,   # battery run 12
+    random_points(3, np.random.default_rng(2), 500),
+    random_points(4, np.random.default_rng(3), 500),
+], ids=["first_variation_n3", "duality_n3", "duality_n4", "scattered_n3", "scattered_n4"])
+def test_basis_directions_are_those_of_np_unique(coords):
+    # the basis finds its directions by one lexsort; np.unique(axis=0) is the
+    # reference for their order and for each node's direction index
+    directions, index = np.unique(coords[:, 1:], axis=0, return_inverse=True)
+    got, got_index = _unique_rows(coords[:, 1:])
+    assert np.array_equal(got, directions) and np.array_equal(got_index, index)
+    basis = CompactBasis(coords, SUPPORT)
+    assert np.array_equal(basis.directions, directions)
 
 
 def test_basis_of_another_support_is_refused():
